@@ -11,6 +11,14 @@ Every algebra is nonzero, hence faithfully flat over the base field.
 Elements are sparse maps from basis indices (or exponent vectors) to
 field elements with no stored zeros, so equality is dict equality.
 
+Finite-dimensional algebras keep their structure constants as raw field
+values (the `value` of a FieldElement), as tuples of (index, value) pairs
+with the zeros left out.  Products, sigma and unit inverses run on raw
+values through the field's own _mul/_add/_is_zero/_sigma, and each
+surviving coefficient is wrapped in a FieldElement once, on the way out.
+Equal tensor products share one table, built entry by entry on first use
+and dropped when no algebra uses it any more.
+
 On top of the raw algebras the module builds tensor squares and cubes
 with their Amitsur face maps, the exactness audit of the complex
 0 -> k -> A -> A(x)A -> A(x)A(x)A, and finite-dimensional faithfully
@@ -21,6 +29,7 @@ datum, together with the check that B0 (x) A -> B is an isomorphism.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -48,7 +57,7 @@ class AlgElement:
 
     def _coerce(self, other):
         if isinstance(other, AlgElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise AlgebraError("algebra mismatch")
             return other
         if isinstance(other, (int, FieldElement)):
@@ -86,7 +95,7 @@ class AlgElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgElement(self.algebra, self.algebra._mul_data(self.data, other.data))
+        return _clean_element(self.algebra, self.algebra._mul_data(self.data, other.data))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -108,11 +117,11 @@ class AlgElement:
         d = self.data
         for _ in range(power):
             d = self.algebra._sigma_data(d)
-        return AlgElement(self.algebra, d)
+        return _clean_element(self.algebra, d)
 
     def maybe_inverse(self):
         d = self.algebra._invert_data(self.data)
-        return None if d is None else AlgElement(self.algebra, d)
+        return None if d is None else _clean_element(self.algebra, d)
 
     def inverse(self) -> "AlgElement":
         inv = self.maybe_inverse()
@@ -145,7 +154,8 @@ class AlgElement:
             other = self.algebra.from_scalar(self.algebra.field.element(other))
         if not isinstance(other, AlgElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.data == other.data
+        return (self.algebra is other.algebra or self.algebra == other.algebra) \
+            and self.data == other.data
 
     def __hash__(self):
         return hash((self.algebra.cache_key(), frozenset(self.data.items())))
@@ -170,6 +180,14 @@ class AlgElement:
 
     def __repr__(self):
         return f"<{self.algebra.kind}: {self}>"
+
+
+def _clean_element(algebra, data: dict) -> AlgElement:
+    """AlgElement from data that already holds no zero coefficient."""
+    x = AlgElement.__new__(AlgElement)
+    x.algebra = algebra
+    x.data = data
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +228,11 @@ class SigmaAlgebra:
 
 
 class FinDimAlgebra(SigmaAlgebra):
-    """Common interface: a finite basis, structure constants, sigma matrix."""
+    """Common interface: a finite basis, structure constants, sigma matrix.
+
+    Subclasses set self._tables, the _RawTables shared by all algebras
+    equal to this one.
+    """
 
     @property
     def dim(self) -> int:
@@ -220,52 +242,87 @@ class FinDimAlgebra(SigmaAlgebra):
         raise NotImplementedError
 
     def basis_mult(self, i, j) -> dict:
-        raise NotImplementedError
+        return self._wrap(self._tables.mult[i][j])
 
     def basis_sigma(self, i) -> dict:
-        raise NotImplementedError
+        return self._wrap(self._tables.sigma[i])
 
     def basis_element(self, i) -> AlgElement:
         return AlgElement(self, {i: self.field.one()})
 
+    def _wrap(self, pairs) -> dict:
+        f = self.field
+        return {r: FieldElement(f, v) for r, v in pairs}
+
+    def _wrap_nonzero(self, raw: dict) -> dict:
+        f = self.field
+        is_zero = f._is_zero
+        return {r: FieldElement(f, v) for r, v in raw.items() if not is_zero(v)}
+
     def _mul_data(self, d1, d2):
+        f = self.field
+        mul, add, is_zero = f._mul, f._add, f._is_zero
+        table = self._tables.mult
         out = {}
         for i, c1 in d1.items():
+            a = c1.value
+            row = table[i]
             for j, c2 in d2.items():
-                c = c1 * c2
-                if c.is_zero():
+                c = mul(a, c2.value)
+                if is_zero(c):
                     continue
-                for r, s in self.basis_mult(i, j).items():
-                    v = c * s
+                for r, s in row[j]:
+                    v = mul(c, s)
                     cur = out.get(r)
-                    out[r] = v if cur is None else cur + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                    out[r] = v if cur is None else add(cur, v)
+        return self._wrap_nonzero(out)
 
     def _sigma_data(self, d):
+        f = self.field
+        mul, add, is_zero, sig = f._mul, f._add, f._is_zero, f._sigma
+        table = self._tables.sigma
         out = {}
         for i, c in d.items():
-            cs = c.sigma()
-            if cs.is_zero():
+            cs = sig(c.value)
+            if is_zero(cs):
                 continue
-            for r, s in self.basis_sigma(i).items():
-                v = cs * s
+            for r, s in table[i]:
+                v = mul(cs, s)
                 cur = out.get(r)
-                out[r] = v if cur is None else cur + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                out[r] = v if cur is None else add(cur, v)
+        return self._wrap_nonzero(out)
 
     def _invert_data(self, d):
         if not d:
             return None
+        f = self.field
+        mul, add, is_zero = f._mul, f._add, f._is_zero
         idx = self.index_list()
-        x = AlgElement(self, d)
-        cols = [x * self.basis_element(i) for i in idx]
-        matrix = [[col.data.get(r, self.field.zero()) for col in cols] for r in idx]
+        table = self._tables.mult
+        # column j of the matrix of multiplication by x is x * e_j
+        cols = []
+        for j in idx:
+            col = {}
+            for i, c in d.items():
+                a = c.value
+                for r, s in table[i][j]:
+                    v = mul(a, s)
+                    cur = col.get(r)
+                    col[r] = v if cur is None else add(cur, v)
+            cols.append(col)
+        zero = f.zero().value
+        matrix = [[col.get(r, zero) for col in cols] for r in idx]
         unit = self.unit_data()
-        rhs = [unit.get(r, self.field.zero()) for r in idx]
-        sol = linalg.solve(matrix, rhs, self.field)
+        rhs = [unit[r].value if r in unit else zero for r in idx]
+        if f.swells_under_division:
+            wrap = lambda v: FieldElement(f, v)
+            sol = linalg.solve([list(map(wrap, row)) for row in matrix], list(map(wrap, rhs)), f)
+            sol = None if sol is None else [c.value for c in sol]
+        else:
+            sol = linalg.solve_square_raw(matrix, rhs, f)
         if sol is None:
             return None
-        return {i: c for i, c in zip(idx, sol) if not c.is_zero()}
+        return {i: FieldElement(f, v) for i, v in zip(idx, sol) if not is_zero(v)}
 
     def to_vector(self, x: AlgElement) -> list:
         zero = self.field.zero()
@@ -282,10 +339,10 @@ class FinDimAlgebra(SigmaAlgebra):
         for coords in itertools.product(*[list(self.field.elements()) for _ in idx]):
             yield AlgElement(self, {i: c for i, c in zip(idx, coords)})
 
-    def enumerate_units(self):
-        for x in self.enumerate_elements():
-            if x.is_unit():
-                yield x
+
+def _raw_pairs(vec) -> tuple:
+    """Dense vector of FieldElements -> (index, raw value) pairs without zeros."""
+    return tuple((r, c.value) for r, c in enumerate(vec) if not c.is_zero())
 
 
 class TableAlgebra(FinDimAlgebra):
@@ -310,6 +367,9 @@ class TableAlgebra(FinDimAlgebra):
         self._key = ("table", field.descriptor, self.labels,
                      tuple(tuple(v) for row in self._mult for v in row),
                      tuple(self._unit), tuple(tuple(v) for v in self._sigma))
+        self._tables = _shared_tables(self._key, lambda: _RawTables(
+            [[_raw_pairs(v) for v in row] for row in self._mult],
+            [_raw_pairs(v) for v in self._sigma]))
         if check:
             self.validate()
 
@@ -321,12 +381,6 @@ class TableAlgebra(FinDimAlgebra):
 
     def index_label(self, k):
         return self.labels[k]
-
-    def basis_mult(self, i, j):
-        return {r: c for r, c in enumerate(self._mult[i][j]) if not c.is_zero()}
-
-    def basis_sigma(self, i):
-        return {r: c for r, c in enumerate(self._sigma[i]) if not c.is_zero()}
 
     def unit_data(self):
         return {r: c for r, c in enumerate(self._unit) if not c.is_zero()}
@@ -343,19 +397,84 @@ class TableAlgebra(FinDimAlgebra):
             for j in range(i, m):
                 if self._mult[i][j] != self._mult[j][i]:
                     raise AlgebraError(f"multiplication not commutative at ({i},{j})")
+        prod = [[e[i] * e[j] for j in range(m)] for i in range(m)]
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    if (e[i] * e[j]) * e[k] != e[i] * (e[j] * e[k]):
+                    if prod[i][j] * e[k] != e[i] * prod[j][k]:
                         raise AlgebraError(f"multiplication not associative at ({i},{j},{k})")
         # sigma must be multiplicative and unit-preserving; semilinearity on
         # coefficients holds by construction
         if one.sigma() != one:
             raise AlgebraError("sigma does not fix 1")
+        es = [x.sigma() for x in e]
         for i in range(m):
             for j in range(i, m):
-                if (e[i] * e[j]).sigma() != e[i].sigma() * e[j].sigma():
+                if prod[i][j].sigma() != es[i] * es[j]:
                     raise AlgebraError(f"sigma not multiplicative at ({i},{j})")
+
+
+class _RawTables:
+    """Raw structure constants of one algebra: mult[i][j] and sigma[i] are
+    tuples of (index, raw value) pairs without zeros.  A tensor product
+    also keeps its basis and unit here."""
+
+    __slots__ = ("mult", "sigma", "indices", "unit", "__weakref__")
+
+    def __init__(self, mult, sigma, indices=None):
+        self.mult = mult
+        self.sigma = sigma
+        self.indices = indices
+        self.unit = None
+
+
+# the tables of the algebras alive, by cache key, so that equal algebras
+# share one; an entry lives while some algebra holds it
+_TABLES = weakref.WeakValueDictionary()
+
+
+def _shared_tables(key, build) -> _RawTables:
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _TABLES[key] = build()
+    return tables
+
+
+class _LazyTable(dict):
+    """A dict that builds a missing entry with build(key) and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
+
+
+def _tensor_pairs(field, parts) -> tuple:
+    """Raw pairs of a tensor of basis-vector combinations, one part per factor."""
+    mul, is_zero = field._mul, field._is_zero
+    out = [((), field.one().value)]
+    for part in parts:
+        out = [(key + (r,), v) for key, c in out for r, s in part
+               for v in (mul(c, s),) if not is_zero(v)]
+    return tuple(out)
+
+
+def _tensor_tables(field, factors) -> _RawTables:
+    """Tables of a tensor product; each entry is built on first use."""
+    def mult_row(i):
+        return _LazyTable(lambda j: _tensor_pairs(
+            field, [f._tables.mult[a][b] for f, a, b in zip(factors, i, j)]))
+
+    return _RawTables(
+        _LazyTable(mult_row),
+        _LazyTable(lambda i: _tensor_pairs(
+            field, [f._tables.sigma[a] for f, a in zip(factors, i)])),
+        list(itertools.product(*[f.index_list() for f in factors])))
 
 
 class TensorAlgebra(FinDimAlgebra):
@@ -371,22 +490,22 @@ class TensorAlgebra(FinDimAlgebra):
             raise AlgebraError("tensor factors over different fields")
         self.field = factors[0].field
         self.factors = tuple(factors)
-        self._indices = list(itertools.product(*[f.index_list() for f in factors]))
-        self._unit = None
-        self._mult_cache = {}
-        self._sigma_cache = {}
+        self._key = ("tensor",) + tuple(f.cache_key() for f in self.factors)
+        self._tables = _shared_tables(self._key,
+                                      lambda: _tensor_tables(self.field, self.factors))
 
     def cache_key(self):
-        return ("tensor",) + tuple(f.cache_key() for f in self.factors)
+        return self._key
 
     def index_list(self):
-        return self._indices
+        return self._tables.indices
 
     def index_label(self, k):
         return "#".join(f.index_label(i) for f, i in zip(self.factors, k))
 
     def unit_data(self):
-        if self._unit is None:
+        tables = self._tables
+        if tables.unit is None:
             out = {(): self.field.one()}
             for f in self.factors:
                 nxt = {}
@@ -394,42 +513,8 @@ class TensorAlgebra(FinDimAlgebra):
                     for i, u in f.unit_data().items():
                         nxt[key + (i,)] = c * u
                 out = nxt
-            self._unit = {k: v for k, v in out.items() if not v.is_zero()}
-        return self._unit
-
-    def basis_mult(self, i, j):
-        got = self._mult_cache.get((i, j))
-        if got is None:
-            out = {(): self.field.one()}
-            for f, a, b in zip(self.factors, i, j):
-                nxt = {}
-                part = f.basis_mult(a, b)
-                for key, c in out.items():
-                    for r, s in part.items():
-                        v = c * s
-                        if not v.is_zero():
-                            nxt[key + (r,)] = v
-                out = nxt
-            got = out
-            self._mult_cache[(i, j)] = got
-        return got
-
-    def basis_sigma(self, i):
-        got = self._sigma_cache.get(i)
-        if got is None:
-            out = {(): self.field.one()}
-            for f, a in zip(self.factors, i):
-                nxt = {}
-                part = f.basis_sigma(a)
-                for key, c in out.items():
-                    for r, s in part.items():
-                        v = c * s
-                        if not v.is_zero():
-                            nxt[key + (r,)] = v
-                out = nxt
-            got = out
-            self._sigma_cache[i] = got
-        return got
+            tables.unit = {k: v for k, v in out.items() if not v.is_zero()}
+        return tables.unit
 
     def pure_tensor(self, *parts) -> AlgElement:
         if len(parts) != len(self.factors):
@@ -678,19 +763,6 @@ class TensorContext:
                 if not c.is_zero():
                     out[w1 + w2] = c
         return AlgElement(self.AA, out)
-
-    def triple(self, x, y, z) -> AlgElement:
-        if self._findim:
-            return self.AAA.pure_tensor(x, y, z)
-        out = {}
-        for w1, c1 in x.data.items():
-            for w2, c2 in y.data.items():
-                c12 = c1 * c2
-                for w3, c3 in z.data.items():
-                    c = c12 * c3
-                    if not c.is_zero():
-                        out[w1 + w2 + w3] = c
-        return AlgElement(self.AAA, out)
 
     def d1(self, x: AlgElement) -> AlgElement:
         return self.pair(self.A.one(), x)

@@ -56,7 +56,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError(
                     f"field mismatch: {self.field.descriptor} vs {other.field.descriptor}"
                 )
@@ -65,10 +65,14 @@ class FieldElement:
             return self.field.element(other)
         return NotImplemented
 
+    # the binary operators coerce only when other is not an element of the
+    # very same field object, the common case
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return FieldElement(self.field, self.field._add(self.value, other.value))
 
     __radd__ = __add__
@@ -77,18 +81,21 @@ class FieldElement:
         return FieldElement(self.field, self.field._neg(self.value))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        f = self.field
+        return FieldElement(f, f._add(self.value, f._neg(other.value)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return FieldElement(self.field, self.field._mul(self.value, other.value))
 
     __rmul__ = __mul__
@@ -142,6 +149,8 @@ class FieldElement:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.field is self.field:
+            return self.value == other.value
         if isinstance(other, (int, Fraction)):
             try:
                 other = self.field.element(other)
@@ -184,6 +193,9 @@ class SigmaField:
     characteristic: int
     inversive: bool
     finite: bool
+    # entries swell under elimination by pivot division; linalg's
+    # cross-multiplication with normalize_row keeps them small
+    swells_under_division = False
 
     def element(self, obj) -> FieldElement:
         if isinstance(obj, FieldElement):
@@ -293,6 +305,7 @@ class RationalField(SigmaField):
 class RationalFunctionField(SigmaField):
     characteristic = 0
     finite = False
+    swells_under_division = True
 
     def __init__(self, mode: str, q: Fraction | None = None):
         if mode not in ("shift", "dilate", "subst"):
@@ -608,6 +621,7 @@ class FiniteField(SigmaField):
         self.characteristic = p
         self.inversive = True
         self.descriptor = f"GF({p}^{m});frob^{frob_power}"
+        self._zero = (0,) * m
         self._ops = None
         self._sqrt = None
 
@@ -648,16 +662,18 @@ class FiniteField(SigmaField):
         return tuple(cs) + (0,) * (self.m - len(cs))
 
     def _add(self, a, b):
-        if self.size <= self.TABLE_LIMIT:
-            return self._tables()[0][(a, b)]
+        ops = self._ops
+        if ops is not None or self.size <= self.TABLE_LIMIT:
+            return (ops or self._tables())[0][(a, b)]
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple((-x) % self.p for x in a)
 
     def _mul(self, a, b):
-        if self.size <= self.TABLE_LIMIT:
-            return self._tables()[1][(a, b)]
+        ops = self._ops
+        if ops is not None or self.size <= self.TABLE_LIMIT:
+            return (ops or self._tables())[1][(a, b)]
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a, b):
@@ -694,11 +710,12 @@ class FiniteField(SigmaField):
         return self._pad([x * c % p for x in s0])
 
     def _is_zero(self, a):
-        return all(x == 0 for x in a)
+        return a == self._zero
 
     def _sigma(self, a):
-        if self.size <= self.TABLE_LIMIT:
-            return self._tables()[2][a]
+        ops = self._ops
+        if ops is not None or self.size <= self.TABLE_LIMIT:
+            return (ops or self._tables())[2][a]
         return self._sigma_raw(a)
 
     def _sigma_raw(self, a):

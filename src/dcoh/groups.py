@@ -123,9 +123,6 @@ class GroupPresentation:
     kind = "abstract"
     name: str | None = None
 
-    def element_shape(self) -> str:
-        raise NotImplementedError
-
 
 class MatrixGroup(GroupPresentation):
     kind = "matrix"
@@ -141,9 +138,6 @@ class MatrixGroup(GroupPresentation):
                 raise GroupError("relation arity must be n^2 (+1 for det inverse)")
         self.name = name
 
-    def element_shape(self):
-        return "matrix"
-
 
 class AdditiveKernel(GroupPresentation):
     kind = "additive"
@@ -154,9 +148,6 @@ class AdditiveKernel(GroupPresentation):
         self.L = L
         self.field = field if L is None else L.field
         self.name = "Ga" if L is None else None
-
-    def element_shape(self):
-        return "scalar"
 
 
 class DiagonalMult(GroupPresentation):
@@ -170,9 +161,6 @@ class DiagonalMult(GroupPresentation):
             if not isinstance(f, MultiplicativeFunction) or f.nvars != n:
                 raise GroupError("defining functions must be multiplicative of arity n")
         self.name = name
-
-    def element_shape(self):
-        return "tuple"
 
 
 PSI_SPECS = ("trivial", "id", "transposeinv")
@@ -201,9 +189,6 @@ class FrobeniusTwist(GroupPresentation):
             return x
         return mat_inverse(mat_transpose(x))
 
-    def element_shape(self):
-        return "matrix"
-
 
 class ProductGroup(GroupPresentation):
     kind = "product"
@@ -216,9 +201,6 @@ class ProductGroup(GroupPresentation):
         if len(fields) != 1:
             raise GroupError("product factors over different fields")
         self.field = factors[0].field
-
-    def element_shape(self):
-        return "product"
 
 
 def mu2sigma_group(field) -> MatrixGroup:
@@ -365,21 +347,26 @@ def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 **
     if total > budget:
         raise BudgetExceeded(f"search space {total} exceeds budget {budget}")
     out = []
-    all_elements = list(R.enumerate_elements())
     if isinstance(G, AdditiveKernel):
-        for x in all_elements:
+        for x in R.enumerate_elements():
             if contains(G, x, R):
                 out.append(x)
         return out
     if isinstance(G, DiagonalMult):
-        units = [x for x in all_elements if x.is_unit()]
-        for combo in itertools.product(units, repeat=G.n):
+        units = (x for x in R.enumerate_elements() if x.is_unit())
+        for combo in _tuples(units, G.n):
             if contains(G, combo, R):
                 out.append(combo)
         return out
     n = G.n
-    for combo in itertools.product(all_elements, repeat=n * n):
+    for combo in _tuples(R.enumerate_elements(), n * n):
         m = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
         if contains(G, m, R):
             out.append(m)
     return out
+
+
+def _tuples(elements, n: int):
+    """All n-tuples of the elements in product order; one slot streams them,
+    so candidates that fail membership are freed at once."""
+    return zip(elements) if n == 1 else itertools.product(elements, repeat=n)

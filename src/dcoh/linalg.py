@@ -6,6 +6,10 @@ each combination the field's normalize_row hook may rescale the row;
 over QQ(t) this keeps entries polynomial with small content, which is
 what tames expression swell there.  Pivot divisions happen only once,
 when reading off kernels or solutions.
+
+solve_square_raw is the exception: a Gauss-Jordan solver on raw field
+values (FieldElement.value) for square systems with a unique solution,
+which the finite-dimensional algebras use to invert units.
 """
 
 from __future__ import annotations
@@ -117,3 +121,37 @@ def invert_matrix(matrix, field):
         for j in range(n):
             inv[c][j] = rows[r][n + j] / pv
     return inv
+
+
+def solve_square_raw(matrix, rhs, field):
+    """x with M x = rhs for a square M of raw field values; None if M is singular.
+
+    Gauss-Jordan with pivot division, through the field's _mul/_add/_neg/
+    _inv/_is_zero; the solution is unique, so it is the one any exact
+    method finds.
+    """
+    mul, add, neg, inv, is_zero = field._mul, field._add, field._neg, field._inv, field._is_zero
+    n = len(matrix)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if not is_zero(rows[i][col]):
+                piv = i
+                break
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        s = inv(rows[col][col])
+        prow = rows[col] = [a if is_zero(a) else mul(s, a) for a in rows[col]]
+        for i in range(n):
+            c = rows[i][col]
+            if i == col or is_zero(c):
+                continue
+            nc = neg(c)
+            row = rows[i]
+            for k in range(col, n + 1):
+                b = prow[k]
+                if not is_zero(b):
+                    row[k] = add(row[k], mul(nc, b))
+    return [row[n] for row in rows]

@@ -104,19 +104,6 @@ def pscale(a, c) -> tuple:
     return tuple(x * c for x in a)
 
 
-def ppow(a, n: int) -> tuple:
-    if n < 0:
-        raise ValueError("negative power of a polynomial")
-    r = ONE
-    b = a
-    while n:
-        if n & 1:
-            r = pmul(r, b)
-        b = pmul(b, b)
-        n >>= 1
-    return r
-
-
 def pdivmod(a, b) -> tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -157,10 +144,6 @@ def plcm(a, b) -> tuple:
         return ZERO
     g = pgcd(a, b)
     return monic(pmul(pdiv_exact(a, g), b))
-
-
-def derivative(p) -> tuple:
-    return poly([i * c for i, c in enumerate(p)][1:])
 
 
 def peval(p, x: Fraction) -> Fraction:

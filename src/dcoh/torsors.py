@@ -781,9 +781,11 @@ def exactness_audit(field: SigmaField, d: int, budget: int = 10 ** 6) -> Exactne
     units = list(field.units())
     if len(units) * (d + 2) > budget:
         raise TorsorError("budget exceeded")
-    n_points = [g for g in units if g.sigma(d).is_one()]
+    # N(k) by the group's own membership test, checked against sigma^d(g) = 1
+    N = kernel_of_sigma_power(field, "GL", 1, d)
+    n_points = [g for g in units if contains(N, ((g,),), field)]
     image = {g.sigma(d) for g in units}
-    kernel_matches = all((g.sigma(d).is_one()) == (g in n_points) for g in units)
+    kernel_matches = all(g.sigma(d).is_one() == (g in n_points) for g in units)
     delta_trivial = 0
     delta_ok = True
     for x in units:

@@ -1,13 +1,16 @@
 """Algebra kinds, tensor machinery, the Amitsur audit, and descent."""
 
+import gc
 import random
 
 import pytest
 
-from conftest import random_findim_algebra, table_isomorphism_by_search
+from conftest import (random_findim_algebra, small_element,
+                      table_isomorphism_by_search)
 
+from dcoh import algebras, linalg
 from dcoh.algebras import (AlgebraError, AlgebraMorphism,
-                           TensorContext, amitsur_audit,
+                           TensorAlgebra, TensorContext, amitsur_audit,
                            canonical_descent_datum, change_basis,
                            descend_invariants, direct_sum, FreePolyAlgebra,
                            LaurentAlgebra, make_cyclic_group_algebra,
@@ -258,3 +261,118 @@ def test_cyclic_group_algebra_with_collapsing_sigma(gf4):
     g = A.basis_element(1)
     assert g.sigma() == A.one()
     assert amitsur_audit(A).ok
+
+
+# --------------------------------------------------------------------------
+# the raw-value kernel against schoolbook FieldElement arithmetic
+
+
+def _reference_constants(A, i, j=None):
+    """e_i * e_j (or sigma(e_i) when j is None) from the dense FieldElement
+    tables a TableAlgebra was built with, factor by factor for tensors."""
+    if isinstance(A, TensorAlgebra):
+        one = A.field.one()
+        out = {(): one}
+        for n, f in enumerate(A.factors):
+            part = _reference_constants(f, i[n], None if j is None else j[n])
+            out = {key + (r,): c * s for key, c in out.items()
+                   for r, s in part.items() if not (c * s).is_zero()}
+        return out
+    vec = A._sigma[i] if j is None else A._mult[i][j]
+    return {r: c for r, c in enumerate(vec) if not c.is_zero()}
+
+
+def _schoolbook_mul(A, x, y):
+    out = {}
+    for i, a in x.data.items():
+        for j, b in y.data.items():
+            c = a * b
+            if c.is_zero():
+                continue
+            for r, s in _reference_constants(A, i, j).items():
+                out[r] = c * s if r not in out else out[r] + c * s
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _schoolbook_sigma(A, x):
+    out = {}
+    for i, a in x.data.items():
+        for r, s in _reference_constants(A, i).items():
+            v = a.sigma() * s
+            out[r] = v if r not in out else out[r] + v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _schoolbook_inverse(A, x):
+    idx = A.index_list()
+    zero = A.field.zero()
+    cols = [_schoolbook_mul(A, x, A.basis_element(j)) for j in idx]
+    matrix = [[col.get(r, zero) for col in cols] for r in idx]
+    unit = A.unit_data()
+    sol = linalg.solve(matrix, [unit.get(r, zero) for r in idx], A.field)
+    return None if sol is None else {i: c for i, c in zip(idx, sol) if not c.is_zero()}
+
+
+def _random_element(A, rng):
+    return A.element({i: small_element(A.field, rng) for i in A.index_list()
+                      if rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "QQ(t);shift", "GF(4);frob^1",
+                                        "GF(9);frob^1"])
+def test_raw_kernel_matches_schoolbook(descriptor):
+    field = make_field(descriptor)
+    rng = random.Random(7)
+    for _ in range(4):
+        A = random_findim_algebra(field, rng, max_dim=3)
+        tc = TensorContext(A)
+        for R in (A, tc.AA, tc.AAA):
+            for _ in range(3):
+                x, y = _random_element(R, rng), _random_element(R, rng)
+                # same coefficients and the same key order as the schoolbook sum
+                assert list((x * y).data.items()) == list(_schoolbook_mul(R, x, y).items())
+                assert list(x.sigma().data.items()) == list(_schoolbook_sigma(R, x).items())
+                for i in R.index_list():
+                    assert R.basis_sigma(i) == _reference_constants(R, i)
+                    for j in R.index_list()[:3]:
+                        assert R.basis_mult(i, j) == _reference_constants(R, i, j)
+            if R is tc.AAA:
+                continue        # inverses: the algebra and its square
+            units = [R.one(), R.one() * field.element(3)]
+            if R is A:
+                units.append(R.one() + R.basis_element(R.index_list()[-1]))
+            for x in units + [_random_element(R, rng) for _ in range(2)]:
+                inv = x.maybe_inverse()
+                ref = _schoolbook_inverse(R, x)
+                assert (None if inv is None else inv.data) == ref
+                if inv is not None:
+                    assert x * inv == R.one()
+
+
+def test_equal_tensor_contexts_share_tables(gf9):
+    w = gf9.element("w")
+    t1 = TensorContext(make_mu_algebra(w, w))
+    t2 = TensorContext(make_mu_algebra(w, w))
+    assert t1.A is not t2.A and t1.AA is not t2.AA and t1.AA == t2.AA
+    assert t1.A._tables is t2.A._tables
+    assert t1.AA._tables is t2.AA._tables
+    assert t1.AAA._tables is t2.AAA._tables
+    assert t1.AA._tables is not t1.AAA._tables
+    y = t1.pair(t1.A.basis_element(1), t1.A.one())
+    assert (y * y).data == {(0, 0): w}
+
+
+def test_tensor_tables_live_only_while_used(gf9):
+    A = make_truncated_algebra(gf9, 3, gf9.element("w+2"))
+    tc = TensorContext(A)
+    z = tc.AAA.basis_element((1, 2, 0))
+    assert (z * z).sigma().is_zero()
+    keys = [R.cache_key() for R in (tc.A, tc.AA, tc.AAA)]
+    assert all(key in algebras._TABLES for key in keys)
+    del tc, z
+    gc.collect()
+    assert keys[0] in algebras._TABLES          # A itself is still alive
+    assert keys[1] not in algebras._TABLES and keys[2] not in algebras._TABLES
+    del A
+    gc.collect()
+    assert keys[0] not in algebras._TABLES

@@ -482,3 +482,22 @@ def test_exactness_audit(gf4, gf9):
         rep = exactness_audit(field, d)
         assert rep.ok, (field.descriptor, d)
         assert rep.image_size == field.size - 1  # sigma is onto the units
+
+
+def test_exactness_audit_kernel_check_can_fail(gf9, monkeypatch):
+    """Negative control: a membership test that drops one point of N(k)
+    must make kernel_matches false."""
+    from dcoh import torsors
+
+    one = gf9.one()
+    real = torsors.contains
+
+    def drops_one(G, x, R):
+        if x == ((one,),):
+            return False
+        return real(G, x, R)
+
+    assert exactness_audit(gf9, 2).kernel_matches
+    monkeypatch.setattr(torsors, "contains", drops_one)
+    rep = exactness_audit(gf9, 2)
+    assert not rep.kernel_matches and not rep.ok
