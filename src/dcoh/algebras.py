@@ -195,6 +195,7 @@ def _clean_element(algebra, data: dict) -> AlgElement:
 
 
 class SigmaAlgebra:
+    __slots__ = ("field",)
     kind = "abstract"
     field: SigmaField
 
@@ -231,15 +232,20 @@ class FinDimAlgebra(SigmaAlgebra):
     """Common interface: a finite basis, structure constants, sigma matrix.
 
     Subclasses set self._tables, the _RawTables shared by all algebras
-    equal to this one.
+    equal to this one; it holds the basis, the unit and the cache key too.
     """
+
+    __slots__ = ("_tables",)
 
     @property
     def dim(self) -> int:
-        return len(self.index_list())
+        return len(self._tables.indices)
 
     def index_list(self) -> list:
-        raise NotImplementedError
+        return self._tables.indices
+
+    def cache_key(self):
+        return self._tables.key
 
     def basis_mult(self, i, j) -> dict:
         return self._wrap(self._tables.mult[i][j])
@@ -251,13 +257,13 @@ class FinDimAlgebra(SigmaAlgebra):
         return AlgElement(self, {i: self.field.one()})
 
     def _wrap(self, pairs) -> dict:
-        f = self.field
-        return {r: FieldElement(f, v) for r, v in pairs}
+        wrap = self.field.wrap
+        return {r: wrap(v) for r, v in pairs}
 
     def _wrap_nonzero(self, raw: dict) -> dict:
         f = self.field
-        is_zero = f._is_zero
-        return {r: FieldElement(f, v) for r, v in raw.items() if not is_zero(v)}
+        wrap, is_zero = f.wrap, f._is_zero
+        return {r: wrap(v) for r, v in raw.items() if not is_zero(v)}
 
     def _mul_data(self, d1, d2):
         f = self.field
@@ -314,15 +320,15 @@ class FinDimAlgebra(SigmaAlgebra):
         matrix = [[col.get(r, zero) for col in cols] for r in idx]
         unit = self.unit_data()
         rhs = [unit[r].value if r in unit else zero for r in idx]
+        wrap = f.wrap
         if f.swells_under_division:
-            wrap = lambda v: FieldElement(f, v)
             sol = linalg.solve([list(map(wrap, row)) for row in matrix], list(map(wrap, rhs)), f)
             sol = None if sol is None else [c.value for c in sol]
         else:
             sol = linalg.solve_square_raw(matrix, rhs, f)
         if sol is None:
             return None
-        return {i: FieldElement(f, v) for i, v in zip(idx, sol) if not is_zero(v)}
+        return {i: wrap(v) for i, v in zip(idx, sol) if not is_zero(v)}
 
     def to_vector(self, x: AlgElement) -> list:
         zero = self.field.zero()
@@ -340,62 +346,90 @@ class FinDimAlgebra(SigmaAlgebra):
             yield AlgElement(self, {i: c for i, c in zip(idx, coords)})
 
 
-def _raw_pairs(vec) -> tuple:
-    """Dense vector of FieldElements -> (index, raw value) pairs without zeros."""
-    return tuple((r, c.value) for r, c in enumerate(vec) if not c.is_zero())
+def _raw_pairs(field, vec) -> tuple:
+    """Dense vector of raw values -> (index, raw value) pairs without zeros."""
+    is_zero = field._is_zero
+    return tuple((r, v) for r, v in enumerate(vec) if not is_zero(v))
 
 
 class TableAlgebra(FinDimAlgebra):
+    """Structure constants given as dense tables.
+
+    An instance holds only its field and the _RawTables it shares with
+    every equal algebra.  The cache key there keeps the dense tables as
+    raw values; labels, _mult, _sigma and _unit are read off it.
+    """
+
+    __slots__ = ()
     kind = "findim"
 
     def __init__(self, field, labels, mult, unit, sigma, check: bool = True):
         """mult[i][j], sigma[i]: dense coefficient vectors; unit: dense vector."""
         self.field = field
-        self.labels = tuple(labels)
-        m = len(self.labels)
+        labels = tuple(labels)
+        m = len(labels)
         if m == 0:
             raise AlgebraError("zero algebra (empty basis)")
         if len(mult) != m or any(len(row) != m for row in mult) or len(sigma) != m:
             raise AlgebraError("inconsistent table dimensions")
-        conv = lambda vec: tuple(field.element(c) for c in vec)
-        self._mult = [[conv(mult[i][j]) for j in range(m)] for i in range(m)]
-        self._unit = conv(unit)
-        self._sigma = [conv(sigma[i]) for i in range(m)]
-        if any(len(v) != m for row in self._mult for v in row) or len(self._unit) != m \
-                or any(len(v) != m for v in self._sigma):
+        raw = lambda vec: tuple(field.element(c).value for c in vec)
+        mult = tuple(tuple(raw(mult[i][j]) for j in range(m)) for i in range(m))
+        unit = raw(unit)
+        sigma = tuple(raw(sigma[i]) for i in range(m))
+        if any(len(v) != m for row in mult for v in row) or len(unit) != m \
+                or any(len(v) != m for v in sigma):
             raise AlgebraError("inconsistent table dimensions")
-        self._key = ("table", field.descriptor, self.labels,
-                     tuple(tuple(v) for row in self._mult for v in row),
-                     tuple(self._unit), tuple(tuple(v) for v in self._sigma))
-        self._tables = _shared_tables(self._key, lambda: _RawTables(
-            [[_raw_pairs(v) for v in row] for row in self._mult],
-            [_raw_pairs(v) for v in self._sigma]))
+
+        def build():
+            tables = _RawTables([[_raw_pairs(field, v) for v in row] for row in mult],
+                                [_raw_pairs(field, v) for v in sigma], list(range(m)))
+            tables.unit = {r: field.wrap(v) for r, v in _raw_pairs(field, unit)}
+            return tables
+
+        self._tables = _shared_tables(("table", field.descriptor, labels, mult, unit, sigma),
+                                      build)
         if check:
             self.validate()
 
-    def cache_key(self):
-        return self._key
+    @property
+    def labels(self) -> tuple:
+        return self._tables.key[2]
 
-    def index_list(self):
-        return list(range(len(self.labels)))
+    # read-only dense FieldElement views of the constructor's tables
+
+    @property
+    def _mult(self):
+        wrap = self.field.wrap
+        return tuple(tuple(tuple(map(wrap, v)) for v in row) for row in self._tables.key[3])
+
+    @property
+    def _unit(self):
+        return tuple(map(self.field.wrap, self._tables.key[4]))
+
+    @property
+    def _sigma(self):
+        wrap = self.field.wrap
+        return tuple(tuple(map(wrap, v)) for v in self._tables.key[5])
 
     def index_label(self, k):
         return self.labels[k]
 
     def unit_data(self):
-        return {r: c for r, c in enumerate(self._unit) if not c.is_zero()}
+        return self._tables.unit
 
     def validate(self):
-        m = len(self.labels)
-        if all(c.is_zero() for c in self._unit):
+        m = self.dim
+        labels = self.labels
+        if not self._tables.unit:
             raise AlgebraError("zero algebra: unit is zero")
+        mult = self._tables.key[3]
         e = [self.basis_element(i) for i in range(m)]
         one = self.one()
         for i in range(m):
             if one * e[i] != e[i]:
-                raise AlgebraError(f"unit fails on basis element {self.labels[i]}")
+                raise AlgebraError(f"unit fails on basis element {labels[i]}")
             for j in range(i, m):
-                if self._mult[i][j] != self._mult[j][i]:
+                if mult[i][j] != mult[j][i]:
                     raise AlgebraError(f"multiplication not commutative at ({i},{j})")
         prod = [[e[i] * e[j] for j in range(m)] for i in range(m)]
         for i in range(m):
@@ -416,16 +450,20 @@ class TableAlgebra(FinDimAlgebra):
 
 class _RawTables:
     """Raw structure constants of one algebra: mult[i][j] and sigma[i] are
-    tuples of (index, raw value) pairs without zeros.  A tensor product
-    also keeps its basis and unit here."""
+    tuples of (index, raw value) pairs without zeros.  The basis, the unit
+    (a dict of FieldElements; a tensor product builds it on first use), the
+    factors of a tensor product and the cache key of the algebras sharing
+    the tables live here too."""
 
-    __slots__ = ("mult", "sigma", "indices", "unit", "__weakref__")
+    __slots__ = ("mult", "sigma", "indices", "unit", "factors", "key", "__weakref__")
 
-    def __init__(self, mult, sigma, indices=None):
+    def __init__(self, mult, sigma, indices, factors=None):
         self.mult = mult
         self.sigma = sigma
         self.indices = indices
         self.unit = None
+        self.factors = factors
+        self.key = None
 
 
 # the tables of the algebras alive, by cache key, so that equal algebras
@@ -437,6 +475,7 @@ def _shared_tables(key, build) -> _RawTables:
     tables = _TABLES.get(key)
     if tables is None:
         tables = _TABLES[key] = build()
+        tables.key = key
     return tables
 
 
@@ -474,12 +513,16 @@ def _tensor_tables(field, factors) -> _RawTables:
         _LazyTable(mult_row),
         _LazyTable(lambda i: _tensor_pairs(
             field, [f._tables.sigma[a] for f, a in zip(factors, i)])),
-        list(itertools.product(*[f.index_list() for f in factors])))
+        list(itertools.product(*[f.index_list() for f in factors])), factors)
 
 
 class TensorAlgebra(FinDimAlgebra):
-    """Tensor product of finite-dimensional algebras; basis = index tuples."""
+    """Tensor product of finite-dimensional algebras; basis = index tuples.
 
+    Equal tensor products share their tables, and so their factors: the
+    factor algebras of the first one built, equal to everyone's own."""
+
+    __slots__ = ()
     kind = "findim"
 
     def __init__(self, factors):
@@ -488,17 +531,14 @@ class TensorAlgebra(FinDimAlgebra):
         fields = {f.field for f in factors}
         if len(fields) != 1:
             raise AlgebraError("tensor factors over different fields")
-        self.field = factors[0].field
-        self.factors = tuple(factors)
-        self._key = ("tensor",) + tuple(f.cache_key() for f in self.factors)
-        self._tables = _shared_tables(self._key,
-                                      lambda: _tensor_tables(self.field, self.factors))
+        self.field = field = factors[0].field
+        factors = tuple(factors)
+        self._tables = _shared_tables(("tensor",) + tuple(f.cache_key() for f in factors),
+                                      lambda: _tensor_tables(field, factors))
 
-    def cache_key(self):
-        return self._key
-
-    def index_list(self):
-        return self._tables.indices
+    @property
+    def factors(self) -> tuple:
+        return self._tables.factors
 
     def index_label(self, k):
         return "#".join(f.index_label(i) for f, i in zip(self.factors, k))
@@ -747,6 +787,8 @@ class TensorContext:
     dd2(a(x)b) = a(x)1(x)b, dd3(a(x)b) = a(x)b(x)1.
     """
 
+    __slots__ = ("A", "AA", "AAA", "_findim")
+
     def __init__(self, A: SigmaAlgebra):
         self.A = A
         self.AA = tensor_square(A)
@@ -889,17 +931,17 @@ def direct_sum(A: TableAlgebra, B: TableAlgebra) -> TableAlgebra:
         return out
 
     mult = [[[zero] * m for _ in range(m)] for _ in range(m)]
+    a_mult, b_mult = A._mult, B._mult
     for i in range(ma):
         for j in range(ma):
-            mult[i][j] = embed(A._mult[i][j], 0)
+            mult[i][j] = embed(a_mult[i][j], 0)
     for i in range(mb):
         for j in range(mb):
-            mult[ma + i][ma + j] = embed(B._mult[i][j], ma)
+            mult[ma + i][ma + j] = embed(b_mult[i][j], ma)
     unit = embed(A._unit, 0)
     for i, c in enumerate(B._unit):
         unit[ma + i] = c
-    sigma = [embed(A._sigma[i], 0) for i in range(ma)] + \
-            [embed(B._sigma[i], ma) for i in range(mb)]
+    sigma = [embed(v, 0) for v in A._sigma] + [embed(v, ma) for v in B._sigma]
     labels = tuple(f"l.{s}" for s in A.labels) + tuple(f"r.{s}" for s in B.labels)
     return TableAlgebra(field, labels, mult, unit, sigma)
 

@@ -795,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         if field:
             p.add_argument("--field", required=True)
         p.add_argument("--budget", type=int, default=10 ** 6)
-        p.add_argument("--json", action="store_true", help="JSON lines (always on)")
 
     p = sub.add_parser("field-eval")
     common(p)
@@ -861,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify")
     p.add_argument("--line", help="a JSON output line; stdin when omitted")
     p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--json", action="store_true")
 
     return ap
 
@@ -893,7 +891,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     base = {"cmd": args.cmd,
             "args": {k: v for k, v in sorted(vars(args).items())
-                     if k not in ("cmd", "json") and v is not None}}
+                     if k != "cmd" and v is not None}}
     try:
         return HANDLERS[args.cmd](args, base)
     except BudgetExceeded as e:

@@ -35,7 +35,7 @@ class CocycleError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Cocycle:
     group: GroupPresentation
     context: TensorContext
@@ -114,11 +114,8 @@ def coboundary(G: GroupPresentation, tc: TensorContext, alpha) -> Cocycle:
 def enumerate_cocycles(G: GroupPresentation, tc: TensorContext,
                        budget: int = 10 ** 6) -> list:
     """All of Z^1(A/k, G) by exhaustive search (finite base field)."""
-    out = []
-    for value in enumerate_points(G, tc.AA, budget):
-        if is_cocycle(G, tc, value):
-            out.append(Cocycle(G, tc, value))
-    return out
+    values = enumerate_points(G, tc.AA, budget, keep=lambda value: is_cocycle(G, tc, value))
+    return [Cocycle(G, tc, value) for value in values]
 
 
 # --------------------------------------------------------------------------

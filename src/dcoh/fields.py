@@ -17,6 +17,13 @@ is plain coordinate equality:
   * finite field elements are coefficient tuples modulo a fixed
     irreducible modulus (see MODULUS_TABLE).
 
+A field makes its elements from raw values through `wrap`.  GF(q) with
+q <= FiniteField.TABLE_LIMIT builds one canonical FieldElement per value
+up front, and every element it hands out (arithmetic results, element(),
+elements(), the algebras' coefficients) is that object, so kept answers
+share their coefficients.  Equality never relies on this: it compares
+values.
+
 Beyond the arithmetic the module provides the two decidable predicates
 the classification procedures rely on: exact square roots (is_square)
 and membership in the image of sigma (in_sigma_image).
@@ -73,12 +80,14 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return FieldElement(self.field, self.field._add(self.value, other.value))
+        f = self.field
+        return f.wrap(f._add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.value))
+        f = self.field
+        return f.wrap(f._neg(self.value))
 
     def __sub__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
@@ -86,7 +95,7 @@ class FieldElement:
             if other is NotImplemented:
                 return NotImplemented
         f = self.field
-        return FieldElement(f, f._add(self.value, f._neg(other.value)))
+        return f.wrap(f._add(self.value, f._neg(other.value)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -96,7 +105,8 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.value, other.value))
+        f = self.field
+        return f.wrap(f._mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -125,7 +135,8 @@ class FieldElement:
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        return FieldElement(self.field, self.field._inv(self.value))
+        f = self.field
+        return f.wrap(f._inv(self.value))
 
     # aliases so matrices of field elements and of algebra elements share code
     inverse = inv
@@ -209,7 +220,11 @@ class SigmaField:
                 raise FieldParseError(f"division by zero in {obj!r}")
             except exprs.ExprError as e:
                 raise FieldParseError(str(e)) from e
-        return FieldElement(self, self._from_int_like(obj))
+        return self.wrap(self._from_int_like(obj))
+
+    def wrap(self, value) -> FieldElement:
+        """The element whose raw value is `value`."""
+        return FieldElement(self, value)
 
     def named_element(self, name: str) -> FieldElement:
         raise FieldParseError(f"unknown name {name!r} in field {self.descriptor}")
@@ -226,7 +241,7 @@ class SigmaField:
         v = self.element(x).value
         for _ in range(power):
             v = self._sigma(v)
-        return FieldElement(self, v)
+        return self.wrap(v)
 
     def is_square(self, x: FieldElement):
         raise FieldError(f"is_square unsupported over {self.descriptor}")
@@ -624,6 +639,12 @@ class FiniteField(SigmaField):
         self._zero = (0,) * m
         self._ops = None
         self._sqrt = None
+        if self.size <= self.TABLE_LIMIT:
+            # one canonical element per value, handed out by the element
+            # operations, elements() and the algebras; wrap is a dict lookup
+            canon = {v: FieldElement(self, v)
+                     for v in itertools.product(range(p), repeat=m)}
+            self.wrap = canon.__getitem__
 
     def _tables(self):
         if self._ops is None:
@@ -655,7 +676,7 @@ class FiniteField(SigmaField):
 
     def named_element(self, name):
         if name == "w" and self.m > 1:
-            return FieldElement(self, (0, 1) + (0,) * (self.m - 2))
+            return self.wrap((0, 1) + (0,) * (self.m - 2))
         return super().named_element(name)
 
     def _pad(self, cs):
@@ -733,7 +754,7 @@ class FiniteField(SigmaField):
             for _ in range(self.m):
                 cs.append(v % self.p)
                 v //= self.p
-            yield FieldElement(self, tuple(cs))
+            yield self.wrap(tuple(cs))
 
     def units(self):
         for x in self.elements():
@@ -770,7 +791,7 @@ class FiniteField(SigmaField):
             else self.element(x)
 
     def random_element(self, rng):
-        return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.m)))
+        return self.wrap(tuple(rng.randrange(self.p) for _ in range(self.m)))
 
 
 # --------------------------------------------------------------------------

@@ -15,13 +15,23 @@ Four presentation kinds cover every family classified here:
 ProductGroup glues presentations into direct products.  Group elements
 are plain values: an algebra element, a tuple of them, a matrix of
 them, or a tuple of component values for products.
+
+Over a finite base field, enumerate_points lists G(R) for a
+finite-dimensional R.  It charges the whole search space
+q^(dim R * slots) to the budget first, then solves the relations that are
+sigma-semilinear (L(y) = 0, sigma(y) = y, sigma^a(y_i) = sigma^b(y_j),
+sigma^d(g) = g) as F_p-linear equations on R^slots and streams only their
+kernel, in the order of the full product, through the membership test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .algebras import AlgElement, FinDimAlgebra, SigmaAlgebra
+from . import linalg
+from .algebras import AlgElement, FinDimAlgebra, SigmaAlgebra, _clean_element
+from .fields import make_field
 from .operators import DifferenceOperator
 from .sigma_poly import MultiplicativeFunction, SigmaPolynomial
 
@@ -203,8 +213,10 @@ class ProductGroup(GroupPresentation):
         self.field = factors[0].field
 
 
+@functools.lru_cache(maxsize=None)
 def mu2sigma_group(field) -> MatrixGroup:
-    """{g : g^2 = 1, sigma(g) = g} inside Gm."""
+    """{g : g^2 = 1, sigma(g) = g} inside Gm; one presentation per field,
+    shared by every caller (fields themselves are built once per descriptor)."""
     y = SigmaPolynomial.variable(field, 1, 0)
     one = SigmaPolynomial.constant(field, 1, 1)
     return MatrixGroup(field, 1, [y * y - one, y.shift() - y], name="mu2sigma")
@@ -327,15 +339,29 @@ def scalar_value(G, x):
     return x
 
 
-def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 ** 6):
-    """Complete list of G(R) for finite base fields, deterministic order."""
+def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 ** 6,
+                     keep=None):
+    """Complete list of G(R) for finite base fields, deterministic order;
+    with a predicate `keep`, only the points of G(R) it accepts, so a caller
+    that wants a small subset never holds all of G(R) at once.
+
+    The search is charged q^(dim R * slots) against the budget before any
+    work, whatever the relations cut away: BudgetExceeded when that is
+    larger.  Then the relations of G that are sigma-semilinear, hence
+    F_p-linear on R^slots, are solved over the prime field (see
+    _linear_relations), and only their kernel is streamed, each point
+    still checked by contains() against the full presentation.  The list
+    is in lexicographic order of (slot, basis index, coefficient of the
+    field value with its highest digit first): the order of
+    itertools.product over the slots, over R's basis and over
+    field.elements(), filtered by membership.
+    """
     if isinstance(G, ProductGroup):
         parts = [enumerate_points(f, R, budget) for f in G.factors]
-        return [tuple(combo) for combo in itertools.product(*parts)]
+        return [combo for combo in itertools.product(*parts) if keep is None or keep(combo)]
     field = R.field
     if not field.finite:
         raise GroupError("point enumeration needs a finite base field")
-    q = field.size
     dim = R.dim
     if isinstance(G, AdditiveKernel):
         slots = 1
@@ -343,30 +369,143 @@ def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 **
         slots = G.n
     else:
         slots = G.n * G.n
-    total = q ** (dim * slots)
+    total = field.size ** (dim * slots)
     if total > budget:
         raise BudgetExceeded(f"search space {total} exceeds budget {budget}")
-    out = []
     if isinstance(G, AdditiveKernel):
-        for x in R.enumerate_elements():
-            if contains(G, x, R):
-                out.append(x)
-        return out
-    if isinstance(G, DiagonalMult):
-        units = (x for x in R.enumerate_elements() if x.is_unit())
-        for combo in _tuples(units, G.n):
-            if contains(G, combo, R):
-                out.append(combo)
-        return out
-    n = G.n
-    for combo in _tuples(R.enumerate_elements(), n * n):
-        m = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
-        if contains(G, m, R):
-            out.append(m)
+        shape = lambda ys: ys[0]
+    elif isinstance(G, DiagonalMult):
+        shape = tuple
+    else:
+        n = G.n
+        shape = lambda ys: tuple(ys[i * n:(i + 1) * n] for i in range(n))
+    out = []
+    for ys in _kernel_points(R, slots, _linear_relations(G)):
+        x = shape(ys)
+        if contains(G, x, R) and (keep is None or keep(x)):
+            out.append(x)
     return out
 
 
-def _tuples(elements, n: int):
-    """All n-tuples of the elements in product order; one slot streams them,
-    so candidates that fail membership are freed at once."""
-    return zip(elements) if n == 1 else itertools.product(elements, repeat=n)
+def _linear_relations(G: GroupPresentation):
+    """The sigma-semilinear relations implied by membership in G, as one map
+    from the tuple of slot values to a list of elements of R that vanish on
+    G(R); None when G has none.  Each is F_p-linear:
+
+      * AdditiveKernel with L: L(y);
+      * MatrixGroup: its relations of arity n^2 whose monomials are single
+        variables to the first power, without a constant term;
+      * DiagonalMult: sigma^a(y_i) - sigma^b(y_j) for each function
+        sigma^a(y_i) / sigma^b(y_j) (one exponent +1, one -1, on units);
+      * FrobeniusTwist with psi = id: sigma^d(g) - g entry by entry.
+    """
+    if isinstance(G, AdditiveKernel):
+        L = G.L
+        return None if L is None else (lambda ys: [L.apply(ys[0])])
+    if isinstance(G, MatrixGroup):
+        rels = [rel for rel in G.relations
+                if rel.nvars == G.n * G.n and rel.terms
+                and all(len(mono) == 1 and mono[0][1] == 1 for mono in rel.terms)]
+        return (lambda ys: [rel.eval(ys) for rel in rels]) if rels else None
+    if isinstance(G, DiagonalMult):
+        pairs = []
+        for f in G.functions:
+            entries = sorted((e, i, j) for j, alpha in enumerate(f.exps)
+                             for i, e in enumerate(alpha) if e)
+            if [e for e, _, _ in entries] == [-1, 1]:
+                (_, ib, b), (_, ia, a) = entries
+                pairs.append((ia, a, ib, b))
+        if not pairs:
+            return None
+        return lambda ys: [ys[ia].sigma(a) - ys[ib].sigma(b) for ia, a, ib, b in pairs]
+    if isinstance(G, FrobeniusTwist) and G.psi == "id":
+        d = G.d
+        return lambda ys: [y.sigma(d) - y for y in ys]
+    return None
+
+
+def _kernel_points(R: FinDimAlgebra, slots: int, relations):
+    """Stream the slot tuples in R^slots on which the F_p-linear map
+    `relations` vanishes (all of R^slots when it is None), in the order
+    enumerate_points promises.
+
+    A GF(p^m) value is its m-digit coefficient tuple, so a tuple of slot
+    values is a vector of slots*dim*m digits mod p; the order sorts these by
+    (slot, basis index, digit from the highest).  With the kernel basis in
+    reduced echelon form for that order (leading entries 1, each leading
+    column zero in the other vectors), the point's digit in the leading
+    column of basis vector i is its coefficient a_i, so the points come in
+    order when the coefficients run through itertools.product.  Without
+    relations the kernel is everything, and the product runs over the
+    coordinates' field elements directly, which is the same order.
+    """
+    field = R.field
+    keys = R.index_list()
+    dim = len(keys)
+    if relations is None:
+        values = [None] + list(field.elements())[1:]
+        coords = itertools.product(values, repeat=slots * dim)
+    else:
+        coords = _kernel_coords(R, slots, relations)
+    bounds = [(s * dim, (s + 1) * dim) for s in range(slots)]
+    for coord in coords:
+        yield tuple(_clean_element(R, {k: c for k, c in zip(keys, coord[lo:hi])
+                                       if c is not None})
+                    for lo, hi in bounds)
+
+
+def _kernel_coords(R: FinDimAlgebra, slots: int, relations):
+    """The kernel points as tuples of slots*dim coordinates, in order: a
+    FieldElement per nonzero coordinate, None per zero one."""
+    field = R.field
+    p, m = field.p, field.m
+    size = slots * R.dim * m
+    # digit positions from the most significant; a position is
+    # (slot * dim + basis index) * m + digit, the digit counted from the lowest
+    order = [c * m + k for c in range(slots * R.dim) for k in reversed(range(m))]
+    basis = _kernel_basis(R, slots, relations, order)
+    multiples = [[tuple(a * x % p for x in v) for a in range(p)] for v in basis]
+    zero, zero_value, wrap = (0,) * size, (0,) * m, field.wrap
+    starts = range(0, size, m)
+    for combo in itertools.product(*multiples):
+        vec = [sum(col) % p for col in zip(zero, *combo)]
+        values = [tuple(vec[i:i + m]) for i in starts]
+        yield [None if v == zero_value else wrap(v) for v in values]
+
+
+def _kernel_basis(R: FinDimAlgebra, slots: int, relations, order) -> list:
+    """Reduced echelon basis of the kernel of `relations` on the digit
+    vectors of R^slots, for the significance order `order`, most
+    significant leading column first.
+
+    linalg.kernel_basis over GF(p) gives, for each free column c, the
+    vector with 1 at c, 0 at the other free columns and entries only at
+    pivot columns before c.  Eliminating with the least significant digit
+    first makes c the leading column of its vector.
+    """
+    field = R.field
+    p, m = field.p, field.m
+    idx = R.index_list()
+    gfp = make_field(f"GF({p}^1);frob^1")
+    zero_point = [R.zero()] * slots
+    cols = []
+    for pos in reversed(order):
+        chunk, k = divmod(pos, m)
+        s, b = divmod(chunk, len(idx))
+        ys = list(zero_point)
+        ys[s] = _clean_element(R, {idx[b]: field.wrap(tuple(int(i == k) for i in range(m)))})
+        digits = []
+        for z in relations(tuple(ys)):
+            for r in idx:
+                c = z.data.get(r)
+                digits.extend(c.value if c is not None else (0,) * m)
+        cols.append(digits)
+    rows = [[gfp.element(col[r]) for col in cols] for r in range(len(cols[0]))]
+    kernel = linalg.kernel_basis(rows, gfp, ncols=len(cols))
+    basis = []
+    for vec in reversed(kernel):
+        v = [0] * len(order)
+        for c, x in enumerate(vec):
+            v[order[-1 - c]] = x.value[0]
+        basis.append(tuple(v))
+    return basis

@@ -170,7 +170,7 @@ def _ff_matrix(L: DifferenceOperator):
     gfp = _gfp(k.p)
     cols = []
     for i in range(k.m):
-        e = FieldElement(k, tuple(1 if r == i else 0 for r in range(k.m)))
+        e = k.wrap(tuple(1 if r == i else 0 for r in range(k.m)))
         cols.append(L.apply(e))
     return [[gfp.element(col.value[r]) for col in cols] for r in range(k.m)], gfp
 
@@ -182,7 +182,7 @@ def _solve_finite(L: DifferenceOperator, a: FieldElement) -> Outcome:
     sol = linalg.solve(mat, rhs, gfp)
     if sol is None:
         return outcome.no("not-in-image", operator=str(L))
-    b = FieldElement(k, tuple(c.value[0] for c in sol))
+    b = k.wrap(tuple(c.value[0] for c in sol))
     assert L.apply(b) == a
     return outcome.yes(b)
 
@@ -404,7 +404,7 @@ def additive_kernel_basis(L: DifferenceOperator):
     if isinstance(k, FiniteField):
         mat, gfp = _ff_matrix(L)
         ker = linalg.kernel_basis(mat, gfp, ncols=k.m)
-        return [FieldElement(k, tuple(c.value[0] for c in vec)) for vec in ker]
+        return [k.wrap(tuple(c.value[0] for c in vec)) for vec in ker]
     if isinstance(k, RationalField):
         return [] if not L.scalar_value().is_zero() else [k.one()]
     if isinstance(k, RationalFunctionField) and k.mode == "shift":
@@ -471,7 +471,7 @@ def classify_additive_h1(L: DifferenceOperator) -> AdditiveH1:
             vec = [0] * k.m
             for r, c in zip(free_rows, coords):
                 vec[r] = c
-            reps.append(FieldElement(k, tuple(vec)))
+            reps.append(k.wrap(tuple(vec)))
         assert len(reps) == k.p ** (k.m - rank)
         return AdditiveH1("finite", L, size=k.p ** (k.m - rank),
                           representatives=sorted(reps, key=lambda x: x.value))

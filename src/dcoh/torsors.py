@@ -31,7 +31,7 @@ from .cocycles import (Cocycle, additive_invariant, diagonal_invariant,
                        mu_pairs_equivalent, twist_invariant, twist_translates,
                        values_equal, map_value)
 from .fields import FieldElement, SigmaField
-from .groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist,
+from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult, FrobeniusTwist,
                      GroupPresentation, MatrixGroup, ProductGroup,
                      contains, group_identity, group_inv, group_mul,
                      kernel_of_sigma_power, mat_det, mat_eq, mat_identity,
@@ -206,6 +206,12 @@ def is_point(X: TorsorPresentation, x, R: SigmaAlgebra = None) -> bool:
 # decision procedures for points
 
 
+def _charge(count: int, budget: int):
+    """Refuse a search of `count` candidates before starting it."""
+    if count > budget:
+        raise BudgetExceeded(f"search space {count} exceeds budget {budget}")
+
+
 def _sigma_preimage_chain(x: FieldElement, d: int):
     """y with sigma^d(y) = x, or (None, failing step)."""
     y = x
@@ -239,12 +245,15 @@ def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
     Finite data is enumerated completely; over infinite fields the
     decidable families use is_square, the Abramov solver, and sigma
     preimages, and everything else reports Undecided with its budget.
+    The search for a mu point over a finite field charges its q candidates
+    to the budget first and raises BudgetExceeded when they exceed it.
     """
     field = X.field
     if R is not None:
         return _points_over_algebra(X, R, budget)
     if isinstance(X, MuTorsor):
         if field.finite:
+            _charge(field.size, budget)
             for x in field.elements():
                 if is_point(X, x):
                     return outcome.yes(x)
@@ -431,10 +440,12 @@ def _untensor_third(tc: TensorContext, w: AlgElement) -> AlgElement:
     if isinstance(A, FinDimAlgebra):
         unit = A.unit_data()
         i0, u0 = next(iter(unit.items()))
+        # key the result with AA's own index tuples, shared by every element
+        own = {k: k for k in tc.AA.index_list()}
         out = {}
         for (i, j, r), c in w.data.items():
             if r == i0:
-                out[(i, j)] = c / u0
+                out[own[i, j]] = c / u0
         return AlgElement(tc.AA, out)
     r = A.ngens
     out = {}
@@ -568,7 +579,10 @@ def classify_h1(G: GroupPresentation, budget: int = 10 ** 6) -> ClassifyReport:
     """Representatives of H^1(k, G) for the classified families.
 
     Finite base fields get an explicit list; infinite fields get oracle
-    mode (the normal-form statement plus the pairwise decider).
+    mode (the normal-form statement plus the pairwise decider).  The mu2
+    and diagonal listings charge their search, (q-1)^2 pairs and
+    (q-1)^#functions target vectors, to the budget before starting and
+    raise BudgetExceeded when it is exceeded.
     """
     field = G.field
     if isinstance(G, ProductGroup):
@@ -587,6 +601,7 @@ def classify_h1(G: GroupPresentation, budget: int = 10 ** 6) -> ClassifyReport:
         if not field.finite:
             return ClassifyReport(group="mu2sigma", kind="oracle",
                                   note="normal form x^2=a, sigma(x)=b*x; decide via isomorphic")
+        _charge((field.size - 1) ** 2, budget)
         space = mu_pair_space(field)
         units = list(field.units())
 
@@ -614,6 +629,7 @@ def classify_h1(G: GroupPresentation, budget: int = 10 ** 6) -> ClassifyReport:
         if not field.finite:
             return ClassifyReport(group="diagonal", kind="oracle",
                                   note="normal form f_i(x) = a_i; pairwise decider only")
+        _charge((field.size - 1) ** len(G.functions), budget)
         constraints = diagonal_constraints(G)
         units = list(field.units())
         space = [vec for vec in itertools.product(units, repeat=len(G.functions))

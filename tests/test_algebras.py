@@ -376,3 +376,19 @@ def test_tensor_tables_live_only_while_used(gf9):
     del A
     gc.collect()
     assert keys[0] not in algebras._TABLES
+
+
+def test_equal_table_algebras_share_key_and_views_match_input(gf9):
+    w = gf9.element("w")
+    zero, one = gf9.zero(), gf9.one()
+    mult = [[[one, zero], [zero, one]], [[zero, one], [w, zero]]]
+    unit, sigma = [one, zero], [[one, zero], [zero, w]]
+    A1 = algebras.TableAlgebra(gf9, ("1", "y"), mult, unit, sigma)
+    A2 = make_mu_algebra(w, w)
+    assert A1 is not A2 and A1 == A2
+    assert A1.cache_key() is A2.cache_key() and A1.labels is A2.labels
+    assert A1.labels == ("1", "y")
+    assert [[list(v) for v in row] for row in A1._mult] == mult
+    assert list(A1._unit) == unit
+    assert [list(v) for v in A1._sigma] == sigma
+    assert not hasattr(A1, "__dict__")

@@ -183,6 +183,18 @@ def test_undecided_exit_3():
     assert lines[0]["undecided"] is True
 
 
+def test_large_finite_field_searches_are_refused_by_budget():
+    # (q-1)^2 mu pairs and q field elements are charged before searching
+    code, lines = run_cli(["classify", "--field", "GF(3^12);frob^1",
+                           "--group", "mu2sigma"])
+    assert code == 3 and lines[0]["undecided"] is True
+    assert lines[0]["certificate"].startswith("budget-exhausted")
+    code, lines = run_cli(["torsor-points", "--field", "GF(3^30);frob^1",
+                           "--torsor", "mu:-1,1"])
+    assert code == 3 and lines[0]["undecided"] is True
+    assert lines[0]["certificate"].startswith("budget-exhausted")
+
+
 def test_determinism():
     args = ["classify", "--field", "GF(9);frob^1", "--group", "mu2sigma"]
     _, first = run_cli(args)

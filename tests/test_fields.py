@@ -177,3 +177,17 @@ def test_gf4_modulus_is_documented_one():
     g4 = make_field("GF(4);frob^1")
     w = g4.element("w")
     assert w * w == w + 1  # modulus x^2 + x + 1
+
+
+def test_small_finite_fields_hand_out_canonical_elements():
+    # kept answers share their coefficients: one object per value of GF(q)
+    for desc in ("GF(3);frob^1", "GF(4);frob^1", "GF(9);frob^1"):
+        F = make_field(desc)
+        assert F.element(2) is F.element(2)
+        elems = list(F.elements())
+        assert [F.wrap(x.value) for x in elems] == elems
+        assert all(F.wrap(x.value) is x for x in elems)
+        assert all(x * y is F.wrap(F._mul(x.value, y.value)) for x in elems for y in elems)
+        assert all((x + y) is F.wrap((x + y).value) for x in elems for y in elems)
+        w = elems[-1]
+        assert w.inv() is F.wrap(w.inv().value) and w.sigma() is F.wrap(w.sigma().value)

@@ -1,8 +1,11 @@
 """Group presentations: membership, the group law, point enumeration."""
 
+import itertools
+
 import pytest
 
-from dcoh.algebras import make_mu_algebra, scalar_algebra
+from dcoh.algebras import (TensorContext, make_mu_algebra, make_split_algebra,
+                           scalar_algebra)
 from dcoh.fields import make_field
 from dcoh.groups import (AdditiveKernel, BudgetExceeded, DiagonalMult,
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
@@ -137,3 +140,79 @@ def test_budget_guard(gf9):
     G = FrobeniusTwist(gf9, "GL", 2, 1, "trivial")
     with pytest.raises(BudgetExceeded):
         enumerate_points(G, A, budget=10)
+
+
+# --------------------------------------------------------------------------
+# linear-first enumeration against the brute-force filter
+
+
+def _brute_force_points(G, R):
+    """contains() over the whole product R^slots, in itertools.product order."""
+    elems = list(R.enumerate_elements())
+    if isinstance(G, AdditiveKernel):
+        return [x for x in elems if contains(G, x, R)]
+    if isinstance(G, DiagonalMult):
+        return [x for x in itertools.product(elems, repeat=G.n) if contains(G, x, R)]
+    n = G.n
+    out = []
+    for combo in itertools.product(elems, repeat=n * n):
+        m = tuple(combo[i * n:(i + 1) * n] for i in range(n))
+        if contains(G, m, R):
+            out.append(m)
+    return out
+
+
+def _order_cases(F):
+    """Each group kind with a sigma-semilinear relation, the single-slot
+    groups without one, and the multi-slot diagonal and GL2 twist, over
+    scalar, split and mu algebras and their tensor squares, where the brute
+    force takes at most 729 candidates; over larger fields the tensor
+    square of the mu algebra gets mu2sigma and s - 1 at full size."""
+    diag = lambda n, texts: DiagonalMult(F, n, [parse_multiplicative(t, n) for t in texts])
+    s_minus_1 = AdditiveKernel(DifferenceOperator.parse(F, "s - 1"))
+    groups = [mu2sigma_group(F), s_minus_1, AdditiveKernel(DifferenceOperator.parse(F, "s^2 + s")),
+              diag(1, ("y^2", "s(y)/y")), FrobeniusTwist(F, "GL", 1, 1, "id"),
+              FrobeniusTwist(F, "GL", 1, 2, "id"), FrobeniusTwist(F, "GL", 1, 1, "trivial"),
+              FrobeniusTwist(F, "GL", 1, 1, "transposeinv"),
+              diag(2, ("y1^2", "s(y2)/y2")), FrobeniusTwist(F, "GL", 2, 1, "id")]
+    units = list(F.units())
+    pairs = [(a, b) for a in units for b in units if a.sigma() == a * b * b]
+    a, b = max(pairs, key=lambda ab: ab[0] != ab[1] * ab[1])    # y^2 = a, a not b^2 if any
+    mu = make_mu_algebra(a, b)
+    for A in (scalar_algebra(F), make_split_algebra(F, 2, [1, 0]), mu):
+        for R in (A, TensorContext(A).AA):
+            for G in groups:
+                slots = 1 if G.kind == "additive" else G.n if G.kind == "diagonal" \
+                    else G.n * G.n
+                if F.size ** (R.dim * slots) <= 729:
+                    yield G, R
+    if F.size ** 4 > 729:
+        AA = TensorContext(mu).AA
+        yield mu2sigma_group(F), AA
+        yield s_minus_1, AA
+
+
+@pytest.mark.parametrize("descriptor", [f"GF({q});frob^{e}" for q in (3, 4, 8, 9)
+                                        for e in (1, 2)])
+def test_enumerate_points_matches_brute_force_order(descriptor):
+    F = make_field(descriptor)
+    cases = 0
+    for G, R in _order_cases(F):
+        expected = _brute_force_points(G, R)
+        assert enumerate_points(G, R) == expected, (descriptor, G.kind, R.dim)
+        if len(expected) <= 64:
+            every_other = expected[::2]
+            assert enumerate_points(G, R, keep=lambda x: x in every_other) == every_other
+        cases += 1
+    assert cases >= 12
+
+
+def test_budget_charges_the_full_space():
+    # s - 1 leaves 3^4 of the 9^4 candidates, yet the charge is 9^4
+    gf9 = make_field("GF(9);frob^1")
+    w = gf9.element("w")
+    AA = TensorContext(make_mu_algebra(w, w)).AA
+    G = AdditiveKernel(DifferenceOperator.parse(gf9, "s - 1"))
+    with pytest.raises(BudgetExceeded):
+        enumerate_points(G, AA, budget=9 ** 4 - 1)
+    assert len(enumerate_points(G, AA, budget=9 ** 4)) == 3 ** 4
