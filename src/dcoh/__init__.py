@@ -27,10 +27,9 @@ from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult,
                      group_identity, group_inv, group_mul,
                      kernel_of_sigma_power, mu2sigma_group)
 from .cocycles import (Cocycle, CocycleError, additive_invariant, coboundary,
-                       diagonal_invariant, enumerate_cocycles, equivalent,
-                       is_cocycle, make_cocycle, mu_invariant,
-                       product_merge, product_split, pushforward_algebra,
-                       pushforward_group, twist_invariant)
+                       enumerate_cocycles, equivalent, invariant, is_cocycle,
+                       make_cocycle, mu_invariant, product_merge, product_split,
+                       pushforward_algebra, pushforward_group)
 from .torsors import (AdditiveTorsor, DiagonalTorsor, FrobeniusTwistTorsor,
                       MuTorsor, TorsorError, TorsorPresentation, TwistedForm,
                       additive_torsor_algebra, classify_h1, cocycle_from_point,

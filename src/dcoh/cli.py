@@ -26,15 +26,15 @@ from .algebras import (AlgebraError, FreePolyAlgebra, LaurentAlgebra,
                        descend_invariants, make_mu_algebra, make_split_algebra,
                        mu_twisted_datum, scalar_algebra)
 from .fields import FieldElement, FieldError, make_field, sigma_apply
-from .groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist, GroupError,
-                     MatrixGroup, mu2sigma_group)
-from .cocycles import (Cocycle, CocycleError, additive_invariant, equivalent,
-                       is_cocycle, mu_invariant)
+from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult, FrobeniusTwist,
+                     GroupError, _charge, mat_identity, mat_maybe_inverse, mat_mul,
+                     mat_transpose, mu2sigma_group)
+from .cocycles import CocycleError, Cocycle, equivalent, invariant, is_cocycle
 from .operators import DifferenceOperator, OperatorError
-from .sigma_poly import MultiplicativeFunction, SigmaPolyError, parse_multiplicative
+from .sigma_poly import SigmaPolyError, parse_multiplicative
 from .torsors import (AdditiveTorsor, DiagonalTorsor, FrobeniusTwistTorsor,
-                      MuTorsor, TorsorError, TwistedForm, classify_h1,
-                      connecting_delta, exactness_audit, isomorphic, normalize,
+                      MuTorsor, TorsorError, classify_h1, connecting_delta,
+                      exactness_audit, isomorphic, normalize, torsor_from_cocycle,
                       torsor_points)
 
 
@@ -432,38 +432,53 @@ def cmd_field_eval(args, base):
                         "witness": {"type": "scalar", "value": str(val)}}, base)
 
 
-def cmd_cocycle_check(args, base):
+# each family's invariant in JSON, by the group's torsor_kind, as the pair
+# (cocycle-check's witness, cocycle-equiv's detail); `verify` re-checks the
+# detail with field arithmetic alone
+INVARIANT_JSON = {
+    "mu": (lambda G, t: {"type": "mu-invariant", "a": str(t[0]), "b": str(t[1])},
+           lambda G, t1, t2: {"family": "mu", "lhs_invariant": [str(c) for c in t1],
+                              "rhs_invariant": [str(c) for c in t2]}),
+    "additive": (lambda G, t: {"type": "additive-invariant", "a": str(t)},
+                 lambda G, t1, t2: {"family": "add", "operator": str(G.L),
+                                    "lhs_invariant": str(t1), "rhs_invariant": str(t2)}),
+}
+
+# the JSON form of each normal-form torsor, by its kind
+NORMAL_FORM_JSON = {
+    "mu": lambda X: {"family": "mu", "a": str(X.a), "b": str(X.b)},
+    "additive": lambda X: {"family": "add", "a": str(X.a), "operator": str(X.L)},
+    "diagonal": lambda X: {"family": "diag", "a": [str(c) for c in X.avec]},
+    "twist": lambda X: {"family": "twist", "a": ser(X.a)},
+}
+
+
+def _cocycle_args(args):
+    """(G, tc, env) for the --field, --algebra and --group of a cocycle query."""
     field = make_field(args.field)
     A = parse_algebra(field, args.algebra)
-    G = parse_group(field, args.group)
-    tc = TensorContext(A)
-    env = algebra_env(field, args.algebra, A)
+    return parse_group(field, args.group), TensorContext(A), algebra_env(field, args.algebra, A)
+
+
+def cmd_cocycle_check(args, base):
+    G, tc, env = _cocycle_args(args)
     value = parse_tensor_literal(tc, args.chi, env)
     res = is_cocycle(G, tc, value)
     payload = outcome_json(res)
     # attach the family invariant as the checkable witness where available
-    try:
-        if res and isinstance(G, MatrixGroup) and G.name == "mu2sigma":
-            a, b = mu_invariant(Cocycle(G, tc, value))
-            payload["witness"] = {"type": "mu-invariant", "a": str(a), "b": str(b)}
-        if res and isinstance(G, AdditiveKernel) and G.L is not None:
-            a = additive_invariant(Cocycle(G, tc, value))
-            payload["witness"] = {"type": "additive-invariant", "a": str(a)}
-    except CocycleError:
-        pass
+    forms = INVARIANT_JSON.get(G.torsor_kind)
+    if res and forms:
+        try:
+            payload["witness"] = forms[0](G, invariant(Cocycle(G, tc, value)))
+        except CocycleError:
+            pass
     return _emit(args, payload, base)
 
 
 def cmd_cocycle_equiv(args, base):
-    field = make_field(args.field)
-    A = parse_algebra(field, args.algebra)
-    G = parse_group(field, args.group)
-    tc = TensorContext(A)
-    env = algebra_env(field, args.algebra, A)
-    v1 = parse_tensor_literal(tc, args.chi, env)
-    v2 = parse_tensor_literal(tc, args.chi2, env)
-    c1 = Cocycle(G, tc, v1)
-    c2 = Cocycle(G, tc, v2)
+    G, tc, env = _cocycle_args(args)
+    c1 = Cocycle(G, tc, parse_tensor_literal(tc, args.chi, env))
+    c2 = Cocycle(G, tc, parse_tensor_literal(tc, args.chi2, env))
     for c in (c1, c2):
         chk = is_cocycle(G, tc, c.value)
         if not chk:
@@ -472,18 +487,12 @@ def cmd_cocycle_equiv(args, base):
     payload = outcome_json(res)
     # ship the family invariants so `verify` can re-check the witness with
     # field arithmetic alone
-    try:
-        if isinstance(G, MatrixGroup) and G.name == "mu2sigma":
-            p1, p2 = mu_invariant(c1), mu_invariant(c2)
-            payload["detail"] = {"family": "mu",
-                                 "lhs_invariant": [str(p1[0]), str(p1[1])],
-                                 "rhs_invariant": [str(p2[0]), str(p2[1])]}
-        elif isinstance(G, AdditiveKernel) and G.L is not None:
-            payload["detail"] = {"family": "add", "operator": str(G.L),
-                                 "lhs_invariant": str(additive_invariant(c1)),
-                                 "rhs_invariant": str(additive_invariant(c2))}
-    except CocycleError:
-        pass
+    forms = INVARIANT_JSON.get(G.torsor_kind)
+    if forms:
+        try:
+            payload["detail"] = forms[1](G, invariant(c1), invariant(c2))
+        except CocycleError:
+            pass
     return _emit(args, payload, base)
 
 
@@ -532,26 +541,13 @@ def cmd_torsor_points(args, base):
 
 
 def cmd_normalize(args, base):
-    field = make_field(args.field)
-    A = parse_algebra(field, args.algebra)
-    G = parse_group(field, args.group)
-    tc = TensorContext(A)
-    env = algebra_env(field, args.algebra, A)
+    G, tc, env = _cocycle_args(args)
     value = parse_tensor_literal(tc, args.chi, env)
     chk = is_cocycle(G, tc, value)
     if not chk:
         raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
-    from .torsors import torsor_from_cocycle
     nf = normalize(torsor_from_cocycle(Cocycle(G, tc, value)))
-    if isinstance(nf, MuTorsor):
-        result = {"family": "mu", "a": str(nf.a), "b": str(nf.b)}
-    elif isinstance(nf, AdditiveTorsor):
-        result = {"family": "add", "a": str(nf.a), "operator": str(nf.L)}
-    elif isinstance(nf, DiagonalTorsor):
-        result = {"family": "diag", "a": [str(c) for c in nf.avec]}
-    else:
-        result = {"family": "twist", "a": ser(nf.a)}
-    return _emit(args, {"result": result}, base)
+    return _emit(args, {"result": NORMAL_FORM_JSON[nf.kind](nf)}, base)
 
 
 def cmd_delta(args, base):
@@ -619,38 +615,34 @@ def cmd_descend(args, base):
 # verify: re-check witnesses with field arithmetic only
 
 
-def _verify_matrix_relation(field, base_, n, d, psi, a1, a2, c):
-    def matmul(x, y):
-        return [[sum((x[i][t] * y[t][j] for t in range(1, n)), x[i][0] * y[0][j])
-                 for j in range(n)] for i in range(n)]
-
-    def matsig(x, power):
-        return [[sigma_apply(e, power) for e in row] for row in x]
-
+def _verify_matrix_relation(field, n, d, psi, a1, a2, c) -> bool:
+    """psi(c)^{-1} a1 sigma^d(c) = a2 in field arithmetic; false when c or
+    psi(c) is singular.  With a1 = 1 it says that c is a point of the twist
+    torsor sigma^d(x) = psi(x) a2."""
+    c = tuple(map(tuple, c))
     if psi == "trivial":
-        psi_c = [[field.one() if i == j else field.zero() for j in range(n)]
-                 for i in range(n)]
-    elif psi == "id":
-        psi_c = c
+        psi_c = mat_identity(field, n)
     else:
-        from .groups import mat_inverse, mat_transpose
-        psi_c = [list(r) for r in mat_inverse(mat_transpose(tuple(map(tuple, c))))]
-    from .groups import mat_inverse as _mi
-    psi_c_inv = _mi(tuple(map(tuple, psi_c)))
-    lhs = matmul(matmul([list(r) for r in psi_c_inv], a1), matsig(c, d))
+        psi_c = c if psi == "id" else mat_maybe_inverse(mat_transpose(c))
+    psi_c_inv = None if psi_c is None else mat_maybe_inverse(psi_c)
+    if psi_c_inv is None:
+        return False
+    sig_c = tuple(tuple(sigma_apply(e, d) for e in row) for row in c)
+    lhs = mat_mul(mat_mul(psi_c_inv, tuple(map(tuple, a1))), sig_c)
     return all(lhs[i][j] == a2[i][j] for i in range(n) for j in range(n))
 
 
-def _mult_eval_field(f: MultiplicativeFunction, point):
-    field = point[0].field
-    total = field.one()
-    for j, alpha in enumerate(f.exps):
-        layer = field.one()
-        for i, e in enumerate(alpha):
-            if e:
-                layer = layer * point[i] ** e
-        total = total * sigma_apply(layer, j)
-    return total
+def _translates(field, family, c, lhs, rhs, op):
+    """Does the scalar c carry the target lhs onto rhs: (a, b) to
+    (c^2 a, sigma(c)/c b) for mu, a to a + L(c) for add?  Targets are
+    texts; None for another family."""
+    if family == "mu":
+        (a1, b1), (a2, b2) = ([field.element(t) for t in v] for v in (lhs, rhs))
+        return a2 == c * c * a1 and b2 == sigma_apply(c) / c * b1
+    if family == "add":
+        L = DifferenceOperator.parse(field, op)
+        return L.apply(c) == field.element(rhs) - field.element(lhs)
+    return None
 
 
 def cmd_verify(args, base):
@@ -660,34 +652,29 @@ def cmd_verify(args, base):
     field = make_field(qargs["field"])
     w = line.get("witness")
     ok = None
-    reason = None
+    unverified = "witness-kind-unsupported"
     if not line.get("result") and not w:
-        ok = True
-        reason = "negative-or-empty-answer; nothing to verify"
+        # a "no" (or an undecided or failed query) carries no witness to re-check
+        unverified = "negative-answer-not-rechecked"
     elif cmd == "field-eval":
         ok = str(field.element(qargs["expr"])) == line["result"]
-    elif cmd == "iso" and qargs.get("family") == "mu" and w and w.get("type") == "scalar":
-        lam = field.element(w["value"])
-        a1, b1 = (field.element(t) for t in qargs["lhs"].split(","))
-        a2, b2 = (field.element(t) for t in qargs["rhs"].split(","))
-        ok = (a2 == lam * lam * a1) and (b2 == sigma_apply(lam) / lam * b1)
-    elif cmd == "iso" and qargs.get("family") == "add" and w and w.get("type") == "scalar":
-        L = DifferenceOperator.parse(field, qargs["op"])
-        c = field.element(w["value"])
-        ok = L.apply(c) == field.element(qargs["rhs"]) - field.element(qargs["lhs"])
+    elif cmd == "iso" and qargs.get("family") in ("mu", "add") and w and w.get("type") == "scalar":
+        split = (lambda t: t.split(",")) if qargs["family"] == "mu" else (lambda t: t)
+        ok = _translates(field, qargs["family"], field.element(w["value"]),
+                         split(qargs["lhs"]), split(qargs["rhs"]), qargs.get("op"))
     elif cmd == "iso" and qargs.get("family") == "diag" and w and w.get("type") == "tuple":
         n = int(qargs["diag_arity"])
         fs = [parse_multiplicative(t, n) for t in qargs["functions"].split(",")]
         lam = tuple(field.element(t) for t in w["value"])
         lhs = [field.element(t) for t in qargs["lhs"].split(",")]
         rhs = [field.element(t) for t in qargs["rhs"].split(",")]
-        ok = all(r == l * _mult_eval_field(f, lam) for l, r, f in zip(lhs, rhs, fs))
+        ok = all(r == l * f.eval(lam) for l, r, f in zip(lhs, rhs, fs))
     elif cmd == "iso" and qargs.get("family") == "twist" and w and w.get("type") == "matrix":
         base_, n, d, psi, _ = _parse_twist_parts(qargs["twist"], want_a=False)
         c = [[field.element(e) for e in row] for row in w["value"]]
         a1 = [[field.element(e) for e in row] for row in parse_matrix_rows(qargs["lhs"])]
         a2 = [[field.element(e) for e in row] for row in parse_matrix_rows(qargs["rhs"])]
-        ok = _verify_matrix_relation(field, base_, n, d, psi, a1, a2, c)
+        ok = _verify_matrix_relation(field, n, d, psi, a1, a2, c)
     elif cmd == "torsor-points" and w:
         X = qargs["torsor"]
         if X.startswith("mu:") and w.get("type") == "scalar":
@@ -703,75 +690,53 @@ def cmd_verify(args, base):
             base_, n, d, psi, a_txt = _parse_twist_parts(X[len("twist:"):], want_a=True)
             a = [[field.element(e) for e in row] for row in parse_matrix_rows(a_txt)]
             x = [[field.element(e) for e in row] for row in w["value"]]
-            ident = [[field.one() if i == j else field.zero() for j in range(n)]
-                     for i in range(n)]
-            ok = _verify_matrix_relation(field, base_, n, d, psi, ident, a, x) \
-                if psi == "trivial" else _twist_point_check(field, n, d, psi, a, x)
+            ok = _verify_matrix_relation(field, n, d, psi, mat_identity(field, n), a, x)
         elif X.startswith("diag:") and w.get("type") == "tuple":
             parts = X[len("diag:"):].split(";")
             n = int(parts[0])
             fs = [parse_multiplicative(t, n) for t in parts[1].split(",")]
             avec = [field.element(t) for t in parts[2].split(",")]
             x = tuple(field.element(t) for t in w["value"])
-            ok = all(_mult_eval_field(f, x) == a for f, a in zip(fs, avec))
+            ok = all(f.eval(x) == a for f, a in zip(fs, avec))
     elif cmd == "delta" and w and w.get("type") == "scalar":
         y = field.element(w["value"])
         x = field.element(qargs["x"])
         ok = sigma_apply(y, int(qargs["d"])) == x
-    elif cmd == "classify":
-        result = line.get("result") or {}
-        if qargs.get("group") == "mu2sigma" and result.get("kind") == "finite-list":
-            ok = True
-            for rep in result.get("representatives", []):
-                a, b = field.element(rep[0]), field.element(rep[1])
-                if sigma_apply(a) != a * b * b:
-                    ok = False
-        else:
-            ok = None
+    elif cmd == "classify" and qargs.get("group") == "mu2sigma" \
+            and line["result"].get("kind") == "finite-list":
+        ok = _verify_mu_classes(field, line["result"], args.budget)
     elif cmd == "cocycle-equiv" and w and w.get("type") == "scalar":
+        # the witness carries the lhs invariant onto the rhs invariant
         detail = line.get("detail") or {}
-        if detail.get("family") == "mu":
-            # the witness carries lhs invariants onto rhs invariants
-            lam = field.element(w["value"])
-            a1, b1 = (field.element(t) for t in detail["lhs_invariant"])
-            a2, b2 = (field.element(t) for t in detail["rhs_invariant"])
-            ok = (a2 == lam * lam * a1) and (b2 == sigma_apply(lam) / lam * b1)
-        elif detail.get("family") == "add":
-            L = DifferenceOperator.parse(field, detail["operator"])
-            c = field.element(w["value"])
-            diff = field.element(detail["lhs_invariant"]) \
-                - field.element(detail["rhs_invariant"])
-            ok = L.apply(c) == diff
-        else:
-            ok = None
+        ok = _translates(field, detail.get("family"), field.element(w["value"]),
+                         detail.get("lhs_invariant"), detail.get("rhs_invariant"),
+                         detail.get("operator"))
     if ok is None:
-        payload = {"result": "unverified", "certificate": "witness-kind-unsupported"}
+        payload = {"result": "unverified", "certificate": unverified}
     else:
         payload = {"result": bool(ok),
                    "certificate": None if ok else "witness-rejected"}
-        if reason:
-            payload["detail"] = reason
     print(json.dumps({"cmd": "verify", "args": {"target": cmd}, "ok": True,
                       **payload, "witness": None,
                       "undecided": ok is None}, sort_keys=True))
     return 0 if ok else (3 if ok is None else 1)
 
 
-def _twist_point_check(field, n, d, psi, a, x):
-    from .groups import mat_inverse, mat_transpose
-    xm = tuple(map(tuple, x))
-    if psi == "id":
-        psi_x = x
-    else:
-        psi_x = [list(r) for r in mat_inverse(mat_transpose(xm))]
-
-    def matmul(u, v):
-        return [[sum((u[i][t] * v[t][j] for t in range(1, n)), u[i][0] * v[0][j])
-                 for j in range(n)] for i in range(n)]
-
-    lhs = [[sigma_apply(e, d) for e in row] for row in x]
-    rhs = matmul(psi_x, a)
-    return all(lhs[i][j] == rhs[i][j] for i in range(n) for j in range(n))
+def _verify_mu_classes(field, result, budget) -> bool:
+    """A mu2^sigma class list: every representative (a, b) lies in
+    M = {sigma(a) = a*b^2}, the orbits under lambda -> (lambda^2 a,
+    sigma(lambda)/lambda b) are pairwise disjoint, and their sizes sum to
+    |M|; the (q-1)^2 pairs of M are charged to the budget first."""
+    _charge((field.size - 1) ** 2, budget)
+    units = list(field.units())
+    reps = [(field.element(a), field.element(b)) for a, b in result.get("representatives", [])]
+    if len(reps) != result.get("classes") or \
+            any(sigma_apply(a) != a * b * b for a, b in reps):
+        return False
+    orbits = [{(lam * lam * a, sigma_apply(lam) / lam * b) for lam in units} for a, b in reps]
+    size_m = sum(1 for a in units for b in units if sigma_apply(a) == a * b * b)
+    sizes = sum(len(o) for o in orbits)
+    return sizes == len(set().union(*orbits)) == size_m
 
 
 def parse_matrix_rows(text: str):
@@ -885,8 +850,6 @@ PARSE_ERRORS = (CliError, FieldError, AlgebraError, GroupError, CocycleError,
 
 
 def main(argv=None) -> int:
-    from .groups import BudgetExceeded
-
     ap = build_parser()
     args = ap.parse_args(argv)
     base = {"cmd": args.cmd,

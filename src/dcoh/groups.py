@@ -1,4 +1,4 @@
-"""Presentations of sigma-algebraic groups and their points over sigma-algebras.
+"""Presentations of sigma-algebraic groups, one class per family.
 
 Four presentation kinds cover every family classified here:
 
@@ -7,14 +7,40 @@ Four presentation kinds cover every family classified here:
                       as an auxiliary variable);
   * AdditiveKernel -- {g : L(g) = 0} for a monic linear difference
                       operator L (L = None is the full additive group);
-  * DiagonalMult   -- {g in (R^x)^n : f_i(g) = 1} for multiplicative
-                      functions f_i;
+  * DiagonalMult   -- the torus family {g in (R^x)^n : f_i(g) = 1} for
+                      multiplicative functions f_i;
   * FrobeniusTwist -- {g in GL_n or SL_n : sigma^d(g) = psi(g)} for psi
                       one of 1, g, (g^T)^-1.
 
-ProductGroup glues presentations into direct products.  Group elements
-are plain values: an algebra element, a tuple of them, a matrix of
-them, or a tuple of component values for products.
+ProductGroup glues presentations into direct products, factor by factor.
+
+Every presentation supplies one protocol, which the generic code in
+cocycles and torsors calls instead of testing the class:
+
+  values   slots, shape(ys), contains(x, R), identity(R), mul, inv, equal,
+           map(func, x), linear_relations(), points(R, budget, keep),
+           coefficient_twist(d);
+  torsors  torsor_kind, invariant(tc, value), equivalent_targets(t1, t2,
+           budget), classify(budget), torsor_point(x, t, R),
+           rational_point(t, budget), canonical_point(t, R), point_shape(ys).
+
+Group values are plain: an algebra element (additive), a tuple of them
+(diagonal), a matrix of them (matrix and twist; a bare element stands for
+a 1 x 1 matrix, kept bare by the group law), or a tuple of component values
+(products).  A torsor of a family is a pair (G, t) whose points satisfy
+the equations of G with the target t in place of 1: L(x) = a,
+f_i(x) = a_i, sigma^d(x) = psi(x) a.  A cocycle's invariant is the target
+of the torsor it classifies, found by trivializing the cocycle in the
+ambient group (H^1 of Gm, GL_n and Ga vanishes); torsor_kind names the
+normal-form torsor class in torsors, None for a family without invariant.
+
+A 1 x 1 MatrixGroup whose relations are binomials m - m' is the torus
+{m/m' = 1}: its `torus` is that DiagonalMult, and it takes its invariant,
+equivalence and listing from it; its torsor points are bare scalars.
+mu2^sigma = {y^2 = 1, sigma(y) = y} is DiagonalMult(1, [y^2, s(y)/y]).
+Functions exactly (y^2, s(y)/y) are mu-shaped and get the mu fast paths:
+the pair space M = {(a, b) : sigma(a) = a b^2} with the action of lambda
+by (lambda^2, sigma(lambda)/lambda), and square roots over infinite fields.
 
 Over a finite base field, enumerate_points lists G(R) for a
 finite-dimensional R.  It charges the whole search space
@@ -28,11 +54,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from dataclasses import dataclass, field as dc_field
 
-from . import linalg
-from .algebras import AlgElement, FinDimAlgebra, SigmaAlgebra, _clean_element
+from . import linalg, outcome
+from .algebras import (AlgebraError, AlgElement, FinDimAlgebra, FreePolyAlgebra,
+                       SigmaAlgebra, _clean_element, make_mu_algebra)
 from .fields import make_field
-from .operators import DifferenceOperator
+from .operators import (DifferenceOperator, classify_additive_h1,
+                        solve_additive_full, solve_sigma_quotient)
+from .outcome import Outcome
 from .sigma_poly import MultiplicativeFunction, SigmaPolynomial
 
 
@@ -42,6 +73,16 @@ class GroupError(ValueError):
 
 class BudgetExceeded(GroupError):
     pass
+
+
+class CocycleError(ValueError):
+    pass
+
+
+def _charge(count: int, budget: int):
+    """Refuse a search of `count` candidates before starting it."""
+    if count > budget:
+        raise BudgetExceeded(f"search space {count} exceeds budget {budget}")
 
 
 # --------------------------------------------------------------------------
@@ -125,13 +166,348 @@ def mat_eq(x, y) -> bool:
     return all(a == b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
 
 
+def _as_matrix(x):
+    if isinstance(x, tuple) and x and isinstance(x[0], tuple):
+        return x
+    return ((x,),)
+
+
+def _scalar_parts(values, what: str):
+    """The base-field scalars of algebra elements, or CocycleError."""
+    out = []
+    for e in values:
+        c = e.scalar_part()
+        if c is None:
+            raise CocycleError(f"{what} does not land in the base field")
+        out.append(c)
+    return out
+
+
+# --------------------------------------------------------------------------
+# H^1 listings
+
+
+@dataclass
+class ClassifyReport:
+    group: str
+    kind: str                       # "finite-list" | "oracle"
+    count: int | None = None
+    representatives: list = dc_field(default_factory=list)
+    note: str | None = None
+
+    def describe_reps(self):
+        return [tuple(str(c) for c in rep) if isinstance(rep, tuple) else str(rep)
+                for rep in self.representatives]
+
+
+def _orbit_partition(items, orbit_of):
+    seen = set()
+    reps = []
+    for it in items:
+        if it in seen:
+            continue
+        orbit = orbit_of(it)
+        assert it in orbit
+        seen.update(orbit)
+        reps.append(it)
+    return reps
+
+
+def mu_pair_space(field):
+    """M = {(a,b) in k^x x k^x : sigma(a) = a*b^2}."""
+    return [(a, b) for a in field.units() for b in field.units()
+            if a.sigma() == a * b * b]
+
+
+def mu_pairs_equivalent(field, pair1, pair2) -> Outcome:
+    """(a,b) ~ (a',b') iff a' = l^2 a and b' = sigma(l)/l * b for some unit l."""
+    a1, b1 = pair1
+    a2, b2 = pair2
+    if field.finite:
+        for lam in field.units():
+            if a2 == lam * lam * a1 and b2 == lam.sigma() / lam * b1:
+                return outcome.yes(lam)
+        return outcome.no("exhausted-units")
+    r = a2 / a1
+    lam = field.is_square(r)
+    if lam is None:
+        return outcome.no("ratio-not-a-square", ratio=str(r))
+    if b2 == lam.sigma() / lam * b1:
+        return outcome.yes(lam)
+    return outcome.no("sigma-ratio-mismatch", candidate=str(lam))
+
+
+def diagonal_constraints(G: DiagonalMult, extra_degree: int = 2):
+    """Integer syzygies among the exponent data of the defining functions.
+
+    Each returned vector c gives the necessary constraint
+    prod_{i,l} sigma^l(a_i)^(c_{i,l}) = 1 on realizable target vectors.
+    """
+    QQ = make_field("QQ")
+    m = len(G.functions)
+    orders = [f.order for f in G.functions]
+    D = sum(orders) + extra_degree
+    unknowns = [(i, l) for i in range(m) for l in range(D + 1)]
+    max_power = D + max(orders)
+    rows = []
+    for v in range(G.n):
+        for s in range(max_power + 1):
+            row = []
+            for (i, l) in unknowns:
+                j = s - l
+                exps = G.functions[i].exps
+                val = exps[j][v] if 0 <= j < len(exps) else 0
+                row.append(QQ.element(val))
+            rows.append(row)
+    ker = linalg.kernel_basis(rows, QQ, ncols=len(unknowns))
+    out = []
+    for vec in ker:
+        denom = math.lcm(*[c.value.denominator for c in vec])
+        ints = [int(c.value * denom) for c in vec]
+        out.append({u: c for u, c in zip(unknowns, ints) if c})
+    return out
+
+
+def _satisfies_constraints(vec, constraints) -> bool:
+    field = vec[0].field
+    for cons in constraints:
+        total = field.one()
+        for (i, l), c in cons.items():
+            total = total * vec[i].sigma(l) ** c
+        if not total.is_one():
+            return False
+    return True
+
+
+def _enumerate_field_matrices(field, n: int, det_one: bool, budget: int):
+    """The matrices of GL_n(k) (SL_n(k) with det_one) of a finite field k,
+    charging q^(n^2) to the budget first."""
+    _charge(field.size ** (n * n), budget)
+    elems = list(field.elements())
+    for combo in itertools.product(elems, repeat=n * n):
+        m = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
+        det = mat_det(m)
+        if det.is_zero():
+            continue
+        if det_one and not det.is_one():
+            continue
+        yield m
+
+
+# --------------------------------------------------------------------------
+# trivialization inside the ambient group (H^1 of Gm / GL_n is trivial)
+
+
+def gm_trivialize(tc, chi: AlgElement) -> AlgElement:
+    """alpha in A^x with chi = alpha^{-1} (x) alpha, by a linear kernel solve."""
+    A = tc.A
+    field = A.field
+    if not isinstance(A, FinDimAlgebra):
+        raise CocycleError("trivialization implemented for finite-dimensional algebras")
+    idxAA = tc.AA.index_list()
+    zero = field.zero()
+    cols = []
+    for i in A.index_list():
+        e = A.basis_element(i)
+        cols.append(chi * tc.d2(e) - tc.d1(e))
+    mat = [[col.data.get(r, zero) for col in cols] for r in idxAA]
+    for vec in linalg.kernel_basis(mat, field, ncols=len(cols)):
+        alpha = A.from_vector(vec)
+        if alpha.is_unit():
+            if tc.pair(alpha.inverse(), alpha) == chi:
+                return alpha
+    raise CocycleError("no unit trivialization found (is chi a Gm-cocycle?)")
+
+
+def _grid(field, size, radius=4):
+    if field.finite:
+        pools = [list(field.elements()) for _ in range(size)]
+    else:
+        pools = [[field.element(v) for v in range(radius)] for _ in range(size)]
+    return itertools.product(*pools)
+
+
+def gl_trivialize(tc, chi, n: int):
+    """h in GL_n(A) with chi = (1(x)h) * (h(x)1)^{-1}."""
+    A = tc.A
+    field = A.field
+    idxA = A.index_list()
+    zero = field.zero()
+    slots = [(r, c) for r in range(n) for c in range(n)]
+    cols = []
+    unknowns = []
+    for (r, c) in slots:
+        for i in idxA:
+            e = A.basis_element(i)
+            hmat = tuple(tuple(tc.d2(e) if (rr, cc) == (r, c) else tc.AA.zero()
+                               for cc in range(n)) for rr in range(n))
+            lhs = mat_mul(chi, hmat)
+            rhs = tuple(tuple(tc.d1(e) if (rr, cc) == (r, c) else tc.AA.zero()
+                              for cc in range(n)) for rr in range(n))
+            diff = tuple(tuple(lhs[rr][cc] - rhs[rr][cc] for cc in range(n))
+                         for rr in range(n))
+            cols.append(diff)
+            unknowns.append(((r, c), i))
+    rows = []
+    for (rr, cc) in slots:
+        for key in tc.AA.index_list():
+            rows.append([col[rr][cc].data.get(key, zero) for col in cols])
+    ker = linalg.kernel_basis(rows, field, ncols=len(cols))
+    if not ker:
+        raise CocycleError("no trivialization found (is chi a GL-cocycle?)")
+
+    def assemble(vec):
+        entries = {}
+        for coef, ((r, c), i) in zip(vec, unknowns):
+            if not coef.is_zero():
+                cur = entries.get((r, c), A.zero())
+                entries[(r, c)] = cur + A.basis_element(i) * coef
+        return tuple(tuple(entries.get((r, c), A.zero()) for c in range(n))
+                     for r in range(n))
+
+    def check(h):
+        if mat_maybe_inverse(h) is None:
+            return None
+        lhs = mat_mul(chi, tuple(tuple(tc.d2(e) for e in row) for row in h))
+        rhs = tuple(tuple(tc.d1(e) for e in row) for row in h)
+        return h if mat_eq(lhs, rhs) else None
+
+    for vec in ker:
+        got = check(assemble(vec))
+        if got is not None:
+            return got
+    # generic combination: det is a nonzero polynomial in the coefficients,
+    # so a grid of size n+2 per coordinate meets an invertible point
+    if len(ker) <= 6:
+        for coeffs in _grid(field, len(ker), radius=n + 2):
+            if all(c.is_zero() for c in coeffs):
+                continue
+            vec = [sum((c * v[i] for c, v in zip(coeffs, ker)), field.zero())
+                   for i in range(len(ker[0]))]
+            got = check(assemble(vec))
+            if got is not None:
+                return got
+    raise CocycleError("no invertible trivialization found")
+
+
+def additive_torsor_algebra(L: DifferenceOperator, a) -> FreePolyAlgebra:
+    """k[y_1..y_n] with sigma cycling the generators so that L(y_1) = a."""
+    field = L.field
+    n = L.order
+    zero = field.zero()
+    images = []
+    for i in range(n - 1):
+        coeffs = [field.one() if j == i + 1 else zero for j in range(n)]
+        images.append((zero, coeffs))
+    last = [-L.coeffs[j] for j in range(n)]
+    images.append((a, last))
+    A = FreePolyAlgebra(field, n, images)
+    assert L.apply(A.gen(0)) == A.from_scalar(a)
+    return A
+
+
 # --------------------------------------------------------------------------
 # presentations
 
 
 class GroupPresentation:
+    """The family protocol; the defaults are those of matrix values."""
+
     kind = "abstract"
     name: str | None = None
+    torsor_kind: str | None = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    # -- values: n x n matrices over R, a bare entry for a 1 x 1 matrix
+
+    @property
+    def slots(self) -> int:
+        return self.n * self.n
+
+    def shape(self, ys):
+        n = self.n
+        return tuple(ys[i * n:(i + 1) * n] for i in range(n))
+
+    def _matrix(self, x):
+        m = _as_matrix(x)
+        if len(m) != self.n or any(len(row) != self.n for row in m):
+            raise GroupError("matrix shape mismatch")
+        return m
+
+    def contains(self, x, R: SigmaAlgebra) -> bool:
+        raise GroupError(f"unknown presentation {self.kind}")
+
+    def identity(self, R):
+        return mat_identity(R, self.n)
+
+    def mul(self, x, y):
+        if isinstance(x, tuple) or isinstance(y, tuple):
+            return mat_mul(_as_matrix(x), _as_matrix(y))
+        return x * y
+
+    def inv(self, x):
+        if isinstance(x, tuple):
+            return mat_inverse(x)
+        return mat_inverse(((x,),))[0][0]
+
+    def equal(self, x, y) -> bool:
+        return mat_eq(_as_matrix(x), _as_matrix(y))
+
+    def map(self, func, x):
+        """Apply an element transformer through the shape of a value."""
+        if isinstance(x, tuple):
+            return tuple(tuple(func(e) for e in row) for row in x)
+        return func(x)
+
+    def linear_relations(self):
+        """The sigma-semilinear relations implied by membership, as one map
+        from the tuple of slot values to a list of elements of R that vanish
+        on G(R); None when there are none.  Each is F_p-linear."""
+        return None
+
+    def points(self, R: FinDimAlgebra, budget: int, keep):
+        """The body of enumerate_points for one presentation."""
+        field = R.field
+        if not field.finite:
+            raise GroupError("point enumeration needs a finite base field")
+        slots = self.slots
+        _charge(field.size ** (R.dim * slots), budget)
+        out = []
+        for ys in _kernel_points(R, slots, self.linear_relations()):
+            x = self.shape(ys)
+            if self.contains(x, R) and (keep is None or keep(x)):
+                out.append(x)
+        return out
+
+    def coefficient_twist(self, d: int) -> GroupPresentation:
+        """The presentation of ^{sigma^d}G: coefficients move through sigma^d."""
+        return self
+
+    # -- torsors: the defaults of a family without a classification; a
+    # classified family also supplies equivalent_targets(t1, t2, budget),
+    # torsor_point(x, t, R) and rational_point(t, budget)
+
+    def invariant(self, tc, value):
+        """The target of the torsor classified by the cocycle `value`; None
+        when the family has no invariant."""
+        return None
+
+    def classify(self, budget: int):
+        """A ClassifyReport of H^1(k, G); None when unsupported."""
+        return None
+
+    def canonical_point(self, target, R):
+        """A distinguished point over the torsor's own trivializing algebra R."""
+        return None
+
+    def point_shape(self, ys):
+        """A torsor point from its slot values."""
+        return self.shape(ys)
 
 
 class MatrixGroup(GroupPresentation):
@@ -148,9 +524,133 @@ class MatrixGroup(GroupPresentation):
                 raise GroupError("relation arity must be n^2 (+1 for det inverse)")
         self.name = name
 
+    def _key(self):
+        return (self.field, self.n, self.relations)
+
+    def contains(self, x, R):
+        m = self._matrix(x)
+        entries = tuple(e for row in m for e in row)
+        # relations without the det-inverse variable are cheap; test them
+        # before paying for the invertibility solve
+        need_aux = []
+        for rel in self.relations:
+            if rel.nvars == self.n * self.n:
+                if not rel.eval(entries).is_zero():
+                    return False
+            else:
+                need_aux.append(rel)
+        det_inv = _inv_entry(mat_det(m))
+        if det_inv is None:
+            return False
+        return all(rel.eval(entries + (det_inv,)).is_zero() for rel in need_aux)
+
+    def linear_relations(self):
+        """The relations of arity n^2 whose monomials are single variables to
+        the first power, without a constant term (sigma(y) - y for mu2^sigma)."""
+        rels = [rel for rel in self.relations
+                if rel.nvars == self.n * self.n and rel.terms
+                and all(len(mono) == 1 and mono[0][1] == 1 for mono in rel.terms)]
+        return (lambda ys: [rel.eval(ys) for rel in rels]) if rels else None
+
+    def coefficient_twist(self, d):
+        rels = [SigmaPolynomial(r.field, r.nvars, {m: c.sigma(d) for m, c in r.terms.items()})
+                for r in self.relations]
+        return MatrixGroup(self.field, self.n, rels, name=self.name)
+
+    # -- the torus of a 1 x 1 group with binomial relations
+
+    @functools.cached_property
+    def torus(self):
+        """DiagonalMult(1, [f_1, ...]) with the same points when G is 1 x 1
+        and every relation is a binomial m - m' with coefficients 1 and -1:
+        f = m/m', inverted if need be so that its highest sigma-order has a
+        positive exponent.  None otherwise."""
+        if self.n != 1 or not self.relations:
+            return None
+        one = self.field.one()
+        functions = []
+        for rel in self.relations:
+            if rel.nvars != 1 or len(rel.terms) != 2 or set(rel.terms.values()) != {one, -one}:
+                return None
+            exps = {}
+            for mono, sign in zip(rel.terms, (1, -1)):
+                for (_, j), e in mono:
+                    exps[j] = exps.get(j, 0) + sign * e
+            top = max(j for j, e in exps.items() if e)
+            sign = 1 if exps[top] > 0 else -1
+            functions.append(MultiplicativeFunction(
+                1, [(sign * exps.get(j, 0),) for j in range(top + 1)]))
+        return DiagonalMult(self.field, 1, functions)
+
+    @property
+    def torsor_kind(self):
+        if self.torus is None:
+            return None
+        return "mu" if self.torus.mu_shaped else "diagonal"
+
+    def invariant(self, tc, value):
+        if self.torus is None:
+            return None
+        return self.torus.invariant(tc, (_as_matrix(value)[0][0],))
+
+    def equivalent_targets(self, t1, t2, budget):
+        """The torus decision, with the witness lambda as a bare scalar."""
+        res = self.torus.equivalent_targets(t1, t2, budget)
+        return outcome.yes(res.witness[0]) if res else res
+
+    def classify(self, budget):
+        if self.torus is None:
+            return None
+        label = self.name or self.kind
+        if not self.field.finite:
+            form = "x^2=a, sigma(x)=b*x" if self.torus.mu_shaped else "f_i(x) = a_i"
+            return ClassifyReport(group=label, kind="oracle",
+                                  note=f"normal form {form}; decide via isomorphic")
+        reps = self.torus.h1_targets(budget)
+        return ClassifyReport(group=label, kind="finite-list", count=len(reps),
+                              representatives=reps)
+
+    def torsor_point(self, x, target, R=None):
+        return self.torus.torsor_point((x,), target, R)
+
+    def rational_point(self, target, budget):
+        """Every element of a finite field, its q candidates charged first;
+        over an infinite field, a square root for mu-shaped functions."""
+        field = self.field
+        if field.finite:
+            _charge(field.size, budget)
+            for x in field.elements():
+                if self.torsor_point(x, target):
+                    return outcome.yes(x)
+            return outcome.no("exhausted-field")
+        if not self.torus.mu_shaped:
+            return outcome.undecided("torus-points-undecided-over-infinite-field")
+        a, b = target
+        lam = field.is_square(a)
+        if lam is None:
+            return outcome.no("square-obstruction", a=str(a))
+        if lam.sigma() == lam * b:
+            return outcome.yes(lam)
+        return outcome.no("sigma-ratio-mismatch", root=str(lam),
+                          ratio=str(lam.sigma() / lam))
+
+    def canonical_point(self, target, R):
+        """y in the mu-algebra k[y]/(y^2 - a), sigma(y) = b*y."""
+        if not self.torus.mu_shaped:
+            return None
+        try:
+            canon = make_mu_algebra(*target)
+        except AlgebraError:
+            return None
+        return R.basis_element(1) if R == canon else None
+
+    def point_shape(self, ys):
+        return ys[0]
+
 
 class AdditiveKernel(GroupPresentation):
     kind = "additive"
+    slots = 1
 
     def __init__(self, L: DifferenceOperator | None, field=None):
         if L is None and field is None:
@@ -159,9 +659,110 @@ class AdditiveKernel(GroupPresentation):
         self.field = field if L is None else L.field
         self.name = "Ga" if L is None else None
 
+    def _key(self):
+        return (self.field, self.L)
+
+    def shape(self, ys):
+        return ys[0]
+
+    def contains(self, x, R):
+        if not isinstance(x, AlgElement):
+            raise GroupError("additive elements are algebra scalars")
+        return self.L is None or self.L.apply(x).is_zero()
+
+    def identity(self, R):
+        return R.zero()
+
+    def mul(self, x, y):
+        return x + y
+
+    def inv(self, x):
+        return -x
+
+    def equal(self, x, y):
+        return x == y
+
+    def map(self, func, x):
+        return func(x)
+
+    def linear_relations(self):
+        L = self.L
+        return None if L is None else (lambda ys: [L.apply(ys[0])])
+
+    def coefficient_twist(self, d):
+        if self.L is None:
+            return self
+        return AdditiveKernel(DifferenceOperator(self.field, [c.sigma(d) for c in self.L.coeffs]))
+
+    @property
+    def torsor_kind(self):
+        return None if self.L is None else "additive"
+
+    def invariant(self, tc, value: AlgElement):
+        """L(alpha) in k where value = 1(x)alpha - alpha(x)1."""
+        if self.L is None:
+            return None
+        A = tc.A
+        field = A.field
+        zero = field.zero()
+        if isinstance(A, FinDimAlgebra):
+            keys = tc.AA.index_list()
+            monos = A.index_list()
+            images = [tc.d1(A.basis_element(i)) - tc.d2(A.basis_element(i)) for i in monos]
+        elif isinstance(A, FreePolyAlgebra):
+            degree = max((sum(w) for w in value.data), default=0)
+            monos = [w for w in itertools.product(range(degree + 1), repeat=A.ngens)
+                     if sum(w) <= degree]
+            images = []
+            keys = set(value.data)
+            for w in monos:
+                m = AlgElement(A, {w: field.one()})
+                images.append(tc.d1(m) - tc.d2(m))
+                keys.update(images[-1].data)
+            keys = sorted(keys)
+        else:
+            raise CocycleError("additive invariant supports FinDim and FreePoly algebras")
+        mat = [[img.data.get(key, zero) for img in images] for key in keys]
+        sol = linalg.solve(mat, [value.data.get(key, zero) for key in keys], field)
+        if sol is None:
+            raise CocycleError("additive cocycle failed to trivialize (bug)")
+        alpha = A.zero()
+        for w, c in zip(monos, sol):
+            alpha = alpha + AlgElement(A, {w: c})
+        (a,) = _scalar_parts([self.L.apply(alpha)], "L(alpha)")
+        return a
+
+    def equivalent_targets(self, a1, a2, budget):
+        """c in k with L(c) = a2 - a1: x -> x + c carries L(x) = a1 to a2."""
+        return solve_additive_full(self.L, a2 - a1)
+
+    def classify(self, budget):
+        if self.L is None:
+            return None
+        h1 = classify_additive_h1(self.L)
+        if h1.kind == "finite" or (h1.kind == "scalar" and h1.size == 1):
+            return ClassifyReport(group="additive", kind="finite-list",
+                                  count=h1.size, representatives=h1.representatives)
+        if h1.kind == "scalar":
+            return ClassifyReport(group="additive", kind="oracle",
+                                  note="sigma = id and L = 0: H^1 = k, classes are elements")
+        return ClassifyReport(group="additive", kind="oracle",
+                              note="decide a ~ a' via solve_additive(L, a'-a)")
+
+    def torsor_point(self, x, a, R=None):
+        return self.L.apply(x) == (R.from_scalar(a) if R is not None else a)
+
+    def rational_point(self, a, budget):
+        return solve_additive_full(self.L, a)
+
+    def canonical_point(self, a, R):
+        """The generator of k[y_1..y_n] with L(y_1) = a."""
+        return R.gen(0) if R == additive_torsor_algebra(self.L, a) else None
+
 
 class DiagonalMult(GroupPresentation):
     kind = "diagonal"
+    torsor_kind = "diagonal"
 
     def __init__(self, field, n: int, functions, name: str | None = None):
         self.field = field
@@ -172,12 +773,153 @@ class DiagonalMult(GroupPresentation):
                 raise GroupError("defining functions must be multiplicative of arity n")
         self.name = name
 
+    def _key(self):
+        return (self.field, self.n, self.functions)
+
+    @property
+    def slots(self):
+        return self.n
+
+    def shape(self, ys):
+        return tuple(ys)
+
+    def contains(self, x, R):
+        if not isinstance(x, tuple) or len(x) != self.n:
+            raise GroupError("shape mismatch for diagonal element")
+        if not all(e.is_unit() for e in x):
+            return False
+        one = R.one()
+        return all(f.eval(x) == one for f in self.functions)
+
+    def identity(self, R):
+        return tuple(R.one() for _ in range(self.n))
+
+    def mul(self, x, y):
+        return tuple(a * b for a, b in zip(x, y))
+
+    def inv(self, x):
+        return tuple(a.inverse() for a in x)
+
+    def equal(self, x, y):
+        return all(a == b for a, b in zip(x, y))
+
+    def map(self, func, x):
+        return tuple(func(c) for c in x)
+
+    def linear_relations(self):
+        """sigma^a(y_i) - sigma^b(y_j) for each function sigma^a(y_i) /
+        sigma^b(y_j) (one exponent +1, one -1, on units)."""
+        pairs = []
+        for f in self.functions:
+            entries = sorted((e, i, j) for j, alpha in enumerate(f.exps)
+                             for i, e in enumerate(alpha) if e)
+            if [e for e, _, _ in entries] == [-1, 1]:
+                (_, ib, b), (_, ia, a) = entries
+                pairs.append((ia, a, ib, b))
+        if not pairs:
+            return None
+        return lambda ys: [ys[ia].sigma(a) - ys[ib].sigma(b) for ia, a, ib, b in pairs]
+
+    @property
+    def torus(self):
+        return self
+
+    @property
+    def mu_shaped(self) -> bool:
+        """The functions are exactly (y^2, s(y)/y): mu2^sigma as a torus."""
+        return self.n == 1 and [f.exps for f in self.functions] == [((2,),), ((-1,), (1,))]
+
+    def invariant(self, tc, value):
+        """(f_1(g),...,f_m(g)) in k^m for a trivializing torus point g."""
+        gs = tuple(gm_trivialize(tc, comp) for comp in value)
+        return tuple(_scalar_parts([f.eval(gs) for f in self.functions], "f_i(g)"))
+
+    def equivalent_targets(self, v1, v2, budget):
+        """lambda in (k^x)^n with v2_i = v1_i * f_i(lambda), or a certificate;
+        (q-1)^n candidates are charged first over a finite field."""
+        field = self.field
+        if field.finite:
+            count = (field.size - 1) ** self.n
+            if count > budget:
+                return outcome.undecided("budget-exhausted", space=count)
+        if self.mu_shaped:
+            res = mu_pairs_equivalent(field, v1, v2)
+            return outcome.yes((res.witness,)) if res else res
+        if not field.finite:
+            return outcome.undecided("diagonal-equivalence-undecided")
+        # the group is commutative: a point of the torsor of v2/v1 is lambda
+        return self.rational_point(tuple(b / a for a, b in zip(v1, v2)), budget)
+
+    def h1_targets(self, budget):
+        """Representatives of the target vectors up to the lambda action over
+        a finite field, (q-1)^#functions charged first: M with its orbits
+        when mu-shaped, else the vectors meeting the syzygy constraints."""
+        field = self.field
+        _charge((field.size - 1) ** len(self.functions), budget)
+        units = list(field.units())
+        if self.mu_shaped:
+            space = mu_pair_space(field)
+
+            def orbit(pair):
+                a, b = pair
+                return {(lam * lam * a, lam.sigma() / lam * b) for lam in units}
+        else:
+            constraints = diagonal_constraints(self)
+            space = [vec for vec in itertools.product(units, repeat=len(self.functions))
+                     if _satisfies_constraints(vec, constraints)]
+            lam_space = list(itertools.product(units, repeat=self.n))
+
+            def orbit(vec):
+                return {tuple(a * f.eval(lam) for a, f in zip(vec, self.functions))
+                        for lam in lam_space}
+        return _orbit_partition(space, orbit)
+
+    def classify(self, budget):
+        if not self.field.finite:
+            return ClassifyReport(group="diagonal", kind="oracle",
+                                  note="normal form f_i(x) = a_i; pairwise decider only")
+        reps = self.h1_targets(budget)
+        return ClassifyReport(group="diagonal", kind="finite-list",
+                              count=len(reps), representatives=reps,
+                              note="targets constrained by bounded-degree syzygies")
+
+    def torsor_point(self, x, avec, R=None):
+        if len(x) != self.n:
+            raise GroupError("arity mismatch")
+        if not all(e.is_unit() for e in x):
+            return False
+        return all(f.eval(x) == (R.from_scalar(a) if R is not None else a)
+                   for f, a in zip(self.functions, avec))
+
+    def rational_point(self, avec, budget):
+        field = self.field
+        if not field.finite:
+            return outcome.undecided("diagonal-points-undecided-over-infinite-field")
+        if (field.size - 1) ** self.n > budget:
+            return outcome.undecided("budget-exhausted")
+        for combo in itertools.product(list(field.units()), repeat=self.n):
+            if self.torsor_point(combo, avec):
+                return outcome.yes(combo)
+        return outcome.no("exhausted-units")
+
 
 PSI_SPECS = ("trivial", "id", "transposeinv")
 
 
+def _sigma_preimage_chain(x, d: int):
+    """y with sigma^d(y) = x, or (None, failing step)."""
+    y = x
+    for step in range(d):
+        y2 = x.field.sigma_preimage(y)
+        if y2 is None:
+            return None, step
+        y = y2
+    return y, None
+
+
 class FrobeniusTwist(GroupPresentation):
     kind = "twist"
+    torsor_kind = "twist"
 
     def __init__(self, field, base: str, n: int, d: int, psi: str):
         if base not in ("GL", "SL"):
@@ -192,12 +934,116 @@ class FrobeniusTwist(GroupPresentation):
         self.d = d
         self.psi = psi
 
+    def _key(self):
+        return (self.field, self.base, self.n, self.d, self.psi)
+
     def psi_apply(self, x, R):
         if self.psi == "trivial":
             return mat_identity(R, self.n)
         if self.psi == "id":
             return x
         return mat_inverse(mat_transpose(x))
+
+    def contains(self, x, R):
+        m = self._matrix(x)
+        det = mat_det(m)
+        if _inv_entry(det) is None:
+            return False
+        if self.base == "SL" and det != R.one():
+            return False
+        return mat_eq(mat_sigma(m, self.d), self.psi_apply(m, R))
+
+    def linear_relations(self):
+        """sigma^d(g) - g entry by entry when psi = id."""
+        if self.psi != "id":
+            return None
+        d = self.d
+        return lambda ys: [y.sigma(d) - y for y in ys]
+
+    def _translate(self, c, a):
+        """psi(c)^{-1} a sigma^d(c) for c in base(k)."""
+        return mat_mul(mat_mul(mat_inverse(self.psi_apply(c, self.field)), a),
+                       mat_sigma(c, self.d))
+
+    def invariant(self, tc, value):
+        """a = psi(h)^{-1} * sigma^d(h) in GL_n(k) for a trivializer h."""
+        h = gl_trivialize(tc, _as_matrix(value), self.n)
+        a = mat_mul(mat_inverse(self.psi_apply(h, tc.A)), mat_sigma(h, self.d))
+        return tuple(tuple(_scalar_parts(row, "twist invariant")) for row in a)
+
+    def equivalent_targets(self, a1, a2, budget):
+        """c in base(k) with a2 = psi(c)^{-1} a1 sigma^d(c), or a certificate.
+        For psi = 1, and psi = id on GL_1, c is exactly a rational point of
+        the torsor of a1^{-1} a2."""
+        if self.psi == "trivial" or (self.psi == "id" and self.n == 1):
+            return self.rational_point(mat_mul(mat_inverse(a1), a2), budget)
+        field = self.field
+        if not field.finite:
+            return outcome.undecided("twist-translation-undecided", psi=self.psi)
+        count = field.size ** (self.n * self.n)
+        if count > budget:
+            return outcome.undecided("budget-exhausted", space=count)
+        for c in _enumerate_field_matrices(field, self.n, self.base == "SL", budget):
+            if mat_eq(self._translate(c, a1), a2):
+                return outcome.yes(c)
+        return outcome.no("exhausted-rational-points")
+
+    def classify(self, budget):
+        field = self.field
+        if self.psi == "trivial" and field.inversive:
+            return ClassifyReport(group="twist", kind="finite-list", count=1,
+                                  representatives=[mat_identity(field, self.n)],
+                                  note="sigma bijective: every torsor is trivial")
+        if not field.finite:
+            return ClassifyReport(group="twist", kind="oracle",
+                                  note="decide via twist_translates")
+        mats = list(_enumerate_field_matrices(field, self.n, self.base == "SL", budget))
+        if len(mats) ** 2 > budget:
+            return ClassifyReport(group="twist", kind="oracle",
+                                  note="orbit enumeration exceeds budget")
+        reps = _orbit_partition(mats, lambda m: {self._translate(c, m) for c in mats})
+        return ClassifyReport(group="twist", kind="finite-list",
+                              count=len(reps), representatives=reps)
+
+    def torsor_point(self, x, a, R=None):
+        m = _as_matrix(x)
+        det = mat_det(m)
+        if not det.is_unit():
+            return False
+        ring = R if R is not None else self.field
+        if self.base == "SL" and det != ring.one():
+            return False
+        target = a if R is None else tuple(tuple(R.from_scalar(e) for e in row) for row in a)
+        return mat_eq(mat_sigma(m, self.d), mat_mul(self.psi_apply(m, ring), target))
+
+    def rational_point(self, a, budget):
+        """sigma^{-d}(a) entrywise for trivial psi (with the sigma-image
+        obstruction when sigma is not onto); every matrix over a finite
+        field; the multiplicative solver for psi = id on GL_1."""
+        field = self.field
+        if self.psi == "trivial":
+            pre = [[_sigma_preimage_chain(e, self.d) for e in row] for row in a]
+            for e, (y, step) in zip(itertools.chain(*a), itertools.chain(*pre)):
+                if y is None:
+                    return outcome.no("sigma-image-obstruction", entry=str(e), failing_step=step)
+            x = tuple(tuple(y for y, _ in row) for row in pre)
+            assert self.torsor_point(x, a)
+            return outcome.yes(x)
+        if field.finite:
+            for m in _enumerate_field_matrices(field, self.n, self.base == "SL", budget):
+                if self.torsor_point(m, a):
+                    return outcome.yes(m)
+            return outcome.no("exhausted-rational-points")
+        if self.psi == "id" and self.n == 1:
+            res = solve_sigma_quotient(a[0][0], self.d)
+            if res:
+                x = ((res.witness,),)
+                assert self.torsor_point(x, a)
+                return outcome.yes(x)
+            if res.status == outcome.NO:
+                return outcome.no(res.certificate, **res.detail)
+            return res
+        return outcome.undecided("twist-points-undecided", psi=self.psi)
 
 
 class ProductGroup(GroupPresentation):
@@ -211,6 +1057,59 @@ class ProductGroup(GroupPresentation):
         if len(fields) != 1:
             raise GroupError("product factors over different fields")
         self.field = factors[0].field
+
+    def _key(self):
+        return self.factors
+
+    def contains(self, x, R):
+        if not isinstance(x, tuple) or len(x) != len(self.factors):
+            raise GroupError("shape mismatch for product element")
+        return all(f.contains(c, R) for f, c in zip(self.factors, x))
+
+    def identity(self, R):
+        return tuple(f.identity(R) for f in self.factors)
+
+    def mul(self, x, y):
+        return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def inv(self, x):
+        return tuple(f.inv(a) for f, a in zip(self.factors, x))
+
+    def equal(self, x, y):
+        return all(f.equal(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def map(self, func, x):
+        return tuple(f.map(func, c) for f, c in zip(self.factors, x))
+
+    def points(self, R, budget, keep):
+        parts = [enumerate_points(f, R, budget) for f in self.factors]
+        return [combo for combo in itertools.product(*parts) if keep is None or keep(combo)]
+
+    def invariant(self, tc, value):
+        parts = tuple(f.invariant(tc, c) for f, c in zip(self.factors, value))
+        return None if any(p is None for p in parts) else parts
+
+    def equivalent_targets(self, t1, t2, budget):
+        witnesses = []
+        for f, a, b in zip(self.factors, t1, t2):
+            res = f.equivalent_targets(a, b, budget)
+            if not res:
+                return res
+            witnesses.append(res.witness)
+        return outcome.yes(tuple(witnesses))
+
+    def classify(self, budget):
+        parts = [f.classify(budget) for f in self.factors]
+        if any(p is None for p in parts):
+            return None
+        if all(p.kind == "finite-list" for p in parts):
+            reps = [tuple(combo) for combo in
+                    itertools.product(*[p.representatives for p in parts])]
+            return ClassifyReport(group="product", kind="finite-list",
+                                  count=math.prod(p.count for p in parts),
+                                  representatives=reps)
+        return ClassifyReport(group="product", kind="oracle",
+                              note="some factor lacks a finite listing")
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,104 +1138,25 @@ def kernel_of_sigma_power(field, base: str, n: int, d: int) -> FrobeniusTwist:
 # membership, group law, enumeration
 
 
-def _as_matrix(x):
-    if isinstance(x, tuple) and x and isinstance(x[0], tuple):
-        return x
-    return ((x,),)
-
-
 def contains(G: GroupPresentation, x, R: SigmaAlgebra) -> bool:
-    if isinstance(G, ProductGroup):
-        if not isinstance(x, tuple) or len(x) != len(G.factors):
-            raise GroupError("shape mismatch for product element")
-        return all(contains(f, c, R) for f, c in zip(G.factors, x))
-    if isinstance(G, AdditiveKernel):
-        if not isinstance(x, AlgElement):
-            raise GroupError("additive elements are algebra scalars")
-        if G.L is None:
-            return True
-        return G.L.apply(x).is_zero()
-    if isinstance(G, DiagonalMult):
-        if not isinstance(x, tuple) or len(x) != G.n:
-            raise GroupError("shape mismatch for diagonal element")
-        if not all(e.is_unit() for e in x):
-            return False
-        return all(f.eval(x) == R.one() for f in G.functions)
-    if isinstance(G, MatrixGroup):
-        m = _as_matrix(x)
-        if len(m) != G.n or any(len(row) != G.n for row in m):
-            raise GroupError("matrix shape mismatch")
-        entries = tuple(e for row in m for e in row)
-        # relations without the det-inverse variable are cheap; test them
-        # before paying for the invertibility solve
-        need_aux = []
-        for rel in G.relations:
-            if rel.nvars == G.n * G.n:
-                if not rel.eval(entries).is_zero():
-                    return False
-            else:
-                need_aux.append(rel)
-        det = mat_det(m)
-        det_inv = _inv_entry(det)
-        if det_inv is None:
-            return False
-        for rel in need_aux:
-            if not rel.eval(entries + (det_inv,)).is_zero():
-                return False
-        return True
-    if isinstance(G, FrobeniusTwist):
-        m = _as_matrix(x)
-        if len(m) != G.n or any(len(row) != G.n for row in m):
-            raise GroupError("matrix shape mismatch")
-        det = mat_det(m)
-        det_inv = _inv_entry(det)
-        if det_inv is None:
-            return False
-        if G.base == "SL" and det != R.one():
-            return False
-        return mat_eq(mat_sigma(m, G.d), G.psi_apply(m, R))
-    raise GroupError(f"unknown presentation {G.kind}")
+    return G.contains(x, R)
 
 
 def group_identity(G: GroupPresentation, R: SigmaAlgebra):
-    if isinstance(G, ProductGroup):
-        return tuple(group_identity(f, R) for f in G.factors)
-    if isinstance(G, AdditiveKernel):
-        return R.zero()
-    if isinstance(G, DiagonalMult):
-        return tuple(R.one() for _ in range(G.n))
-    return mat_identity(R, G.n)
+    return G.identity(R)
 
 
 def group_mul(G: GroupPresentation, x, y):
-    if isinstance(G, ProductGroup):
-        return tuple(group_mul(f, a, b) for f, a, b in zip(G.factors, x, y))
-    if isinstance(G, AdditiveKernel):
-        return x + y
-    if isinstance(G, DiagonalMult):
-        return tuple(a * b for a, b in zip(x, y))
-    return mat_mul(_as_matrix(x), _as_matrix(y))
+    return G.mul(x, y)
 
 
 def group_inv(G: GroupPresentation, x):
-    if isinstance(G, ProductGroup):
-        return tuple(group_inv(f, a) for f, a in zip(G.factors, x))
-    if isinstance(G, AdditiveKernel):
-        return -x
-    if isinstance(G, DiagonalMult):
-        return tuple(a.inverse() for a in x)
-    return mat_inverse(_as_matrix(x))
-
-
-def _is_scalar_group(G) -> bool:
-    return (isinstance(G, (MatrixGroup, FrobeniusTwist)) and G.n == 1)
+    return G.inv(x)
 
 
 def scalar_value(G, x):
     """Unwrap a 1x1 matrix element."""
-    if _is_scalar_group(G):
-        return _as_matrix(x)[0][0]
-    return x
+    return _as_matrix(x)[0][0] if getattr(G, "n", None) == 1 else x
 
 
 def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 ** 6,
@@ -349,79 +1169,15 @@ def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 **
     work, whatever the relations cut away: BudgetExceeded when that is
     larger.  Then the relations of G that are sigma-semilinear, hence
     F_p-linear on R^slots, are solved over the prime field (see
-    _linear_relations), and only their kernel is streamed, each point
+    linear_relations), and only their kernel is streamed, each point
     still checked by contains() against the full presentation.  The list
     is in lexicographic order of (slot, basis index, coefficient of the
     field value with its highest digit first): the order of
     itertools.product over the slots, over R's basis and over
-    field.elements(), filtered by membership.
+    field.elements(), filtered by membership.  A product lists the
+    product of its factors' lists.
     """
-    if isinstance(G, ProductGroup):
-        parts = [enumerate_points(f, R, budget) for f in G.factors]
-        return [combo for combo in itertools.product(*parts) if keep is None or keep(combo)]
-    field = R.field
-    if not field.finite:
-        raise GroupError("point enumeration needs a finite base field")
-    dim = R.dim
-    if isinstance(G, AdditiveKernel):
-        slots = 1
-    elif isinstance(G, DiagonalMult):
-        slots = G.n
-    else:
-        slots = G.n * G.n
-    total = field.size ** (dim * slots)
-    if total > budget:
-        raise BudgetExceeded(f"search space {total} exceeds budget {budget}")
-    if isinstance(G, AdditiveKernel):
-        shape = lambda ys: ys[0]
-    elif isinstance(G, DiagonalMult):
-        shape = tuple
-    else:
-        n = G.n
-        shape = lambda ys: tuple(ys[i * n:(i + 1) * n] for i in range(n))
-    out = []
-    for ys in _kernel_points(R, slots, _linear_relations(G)):
-        x = shape(ys)
-        if contains(G, x, R) and (keep is None or keep(x)):
-            out.append(x)
-    return out
-
-
-def _linear_relations(G: GroupPresentation):
-    """The sigma-semilinear relations implied by membership in G, as one map
-    from the tuple of slot values to a list of elements of R that vanish on
-    G(R); None when G has none.  Each is F_p-linear:
-
-      * AdditiveKernel with L: L(y);
-      * MatrixGroup: its relations of arity n^2 whose monomials are single
-        variables to the first power, without a constant term;
-      * DiagonalMult: sigma^a(y_i) - sigma^b(y_j) for each function
-        sigma^a(y_i) / sigma^b(y_j) (one exponent +1, one -1, on units);
-      * FrobeniusTwist with psi = id: sigma^d(g) - g entry by entry.
-    """
-    if isinstance(G, AdditiveKernel):
-        L = G.L
-        return None if L is None else (lambda ys: [L.apply(ys[0])])
-    if isinstance(G, MatrixGroup):
-        rels = [rel for rel in G.relations
-                if rel.nvars == G.n * G.n and rel.terms
-                and all(len(mono) == 1 and mono[0][1] == 1 for mono in rel.terms)]
-        return (lambda ys: [rel.eval(ys) for rel in rels]) if rels else None
-    if isinstance(G, DiagonalMult):
-        pairs = []
-        for f in G.functions:
-            entries = sorted((e, i, j) for j, alpha in enumerate(f.exps)
-                             for i, e in enumerate(alpha) if e)
-            if [e for e, _, _ in entries] == [-1, 1]:
-                (_, ib, b), (_, ia, a) = entries
-                pairs.append((ia, a, ib, b))
-        if not pairs:
-            return None
-        return lambda ys: [ys[ia].sigma(a) - ys[ib].sigma(b) for ia, a, ib, b in pairs]
-    if isinstance(G, FrobeniusTwist) and G.psi == "id":
-        d = G.d
-        return lambda ys: [y.sigma(d) - y for y in ys]
-    return None
+    return G.points(R, budget, keep)
 
 
 def _kernel_points(R: FinDimAlgebra, slots: int, relations):

@@ -4,6 +4,8 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from dcoh.cli import main
 
 
@@ -218,3 +220,63 @@ def test_laurent_and_freepoly_descriptors():
                            "--group", "addker:s-1",
                            "--chi", "1#y - y#1"])
     assert code == 0 and lines[0]["result"] is True
+
+
+# searches whose candidates far exceed the default budget: each is charged
+# before any work and refused at once
+BUDGET_PROBES = [
+    ["torsor-points", "--field", "GF(3^12);frob^1", "--torsor", "diag:1;y^2;1",
+     "--algebra", "split:2"],
+    ["torsor-points", "--field", "GF(3^12);frob^1", "--torsor", "twist:GL1;d=1;psi=id;a=1",
+     "--algebra", "split:2"],
+    ["torsor-points", "--field", "GF(3^8);frob^1", "--torsor",
+     "twist:GL2;d=1;psi=id;a=[[1,0],[0,1]]"],
+    ["classify", "--field", "GF(3^8);frob^1", "--group", "twist:GL2;d=1;psi=id"],
+    ["audit-exactness", "--field", "GF(3^12);frob^1", "--d", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BUDGET_PROBES, ids=[" ".join(a[:1] + a[3:4]) for a in BUDGET_PROBES])
+def test_budget_is_charged_before_the_search(argv):
+    code, lines = run_cli(argv)
+    assert code == 3 and lines[0]["undecided"] is True
+    assert lines[0]["certificate"].startswith("budget-exhausted")
+
+
+def test_verify_does_not_pass_unchecked_negatives():
+    # s - 1 reaches 1/(t*(t+1)) (witness -1/t), so this "no" is false; a
+    # negative line carries nothing verify could re-check
+    false_no = {"cmd": "iso", "ok": True, "result": False, "witness": None,
+                "certificate": "no-rational-solution", "undecided": False,
+                "args": {"budget": 1000000, "family": "add", "field": "QQ(t);shift",
+                         "lhs": "0", "op": "s-1", "rhs": "1/(t*(t+1))"}}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(false_no)])
+    assert vcode == 3 and vlines[0]["result"] == "unverified"
+    assert vlines[0]["undecided"] is True
+
+    # a true "no" is not passed either
+    code, lines = run_cli(["iso", "--field", "QQ(t);shift", "--family", "add",
+                           "--op", "s-1", "--lhs", "0", "--rhs", "1/t"])
+    assert code == 0 and lines[0]["result"] is False
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 3 and vlines[0]["result"] == "unverified"
+
+
+def test_verify_checks_mu2sigma_class_counts():
+    code, lines = run_cli(["classify", "--field", "GF(9);frob^1", "--group", "mu2sigma"])
+    true_line = lines[0]
+    assert code == 0 and true_line["result"]["classes"] == 4
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(true_line)])
+    assert vcode == 0 and vlines[0]["result"] is True
+
+    # one class: its orbit misses 12 of the 16 pairs of M
+    one_class = json.loads(json.dumps(true_line))
+    one_class["result"].update(classes=1, representatives=[["1", "1"]])
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(one_class)])
+    assert vcode == 1 and vlines[0]["result"] is False
+
+    # four classes, two of them one orbit: (w^2, w^2) is lambda = w on (1, 1)
+    same_orbit = json.loads(json.dumps(true_line))
+    same_orbit["result"]["representatives"][3] = ["w^2", "w^2"]
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(same_orbit)])
+    assert vcode == 1 and vlines[0]["result"] is False

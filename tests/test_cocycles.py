@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
+
 from dcoh.algebras import (AlgebraMorphism, TensorContext,
-                           make_mu_algebra, scalar_algebra)
+                           make_mu_algebra, make_split_algebra, scalar_algebra)
 from dcoh.cocycles import (Cocycle, additive_invariant,
                            coboundary, enumerate_cocycles, equivalent,
                            is_cocycle, make_cocycle, mu_invariant,
@@ -11,10 +13,11 @@ from dcoh.cocycles import (Cocycle, additive_invariant,
                            pushforward_algebra, pushforward_group,
                            trivial_cocycle)
 from dcoh.fields import make_field
-from dcoh.groups import (AdditiveKernel, ProductGroup,
+from dcoh.groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist, ProductGroup,
                          ambient_ga, ambient_gl, enumerate_points,
                          group_identity, mu2sigma_group)
 from dcoh.operators import DifferenceOperator
+from dcoh.sigma_poly import parse_multiplicative
 from dcoh.torsors import additive_torsor_algebra, mu_pair_space
 
 
@@ -96,6 +99,66 @@ def test_equivalence_cross_oracle(gf9):
                 by_enumeration = _equiv_by_enumeration(G, tc, c1, c2)
                 assert bool(by_invariant) == by_enumeration
                 assert bool(equivalent(c1, c2)) == by_enumeration
+
+
+def _family_group(F, family):
+    fs = lambda n, texts: [parse_multiplicative(t, n) for t in texts]
+    if family == "add s-1":
+        return AdditiveKernel(DifferenceOperator.parse(F, "s - 1"))
+    if family == "diag mu-shaped":
+        return DiagonalMult(F, 1, fs(1, ("y^2", "s(y)/y")))
+    if family == "diag rank 2":
+        return DiagonalMult(F, 2, fs(2, ("y1^2", "s(y2)/y2")))
+    return FrobeniusTwist(F, "GL", 1, 1, family.split()[-1])
+
+
+@pytest.mark.parametrize("algebra", ["mu", "split"])
+@pytest.mark.parametrize("family", ["add s-1", "diag mu-shaped", "diag rank 2",
+                                    "GL1 trivial", "GL1 id", "GL1 transposeinv"])
+@pytest.mark.parametrize("descriptor,a,b", [("GF(3);frob^1", "2", "1"),
+                                            ("GF(4);frob^1", "w", "w+1")])
+def test_equivalence_cross_oracle_every_family(descriptor, a, b, family, algebra):
+    """The invariant-based decision of every family agrees with a
+    brute-force search of G(A) on every pair of Z^1."""
+    F = make_field(descriptor)
+    G = _family_group(F, family)
+    A = make_mu_algebra(F.element(a), F.element(b)) if algebra == "mu" \
+        else make_split_algebra(F, 2, [1, 0])
+    tc = TensorContext(A)
+    zs = enumerate_cocycles(G, tc)
+    assert zs
+    for c1 in zs:
+        for c2 in zs:
+            res = equivalent(c1, c2)
+            assert res.decided
+            assert bool(res) == _equiv_by_enumeration(G, tc, c1, c2), (c1.value, c2.value)
+
+
+def test_additive_classes_cross_oracle():
+    """s - 1 over GF(3) on k^3 with sigma a 3-cycle: three cocycles, three
+    classes, so the sign of the translation counts."""
+    F = make_field("GF(3);frob^1")
+    G = AdditiveKernel(DifferenceOperator.parse(F, "s - 1"))
+    tc = TensorContext(make_split_algebra(F, 3, [1, 2, 0]))
+    zs = enumerate_cocycles(G, tc)
+    assert len(zs) == 3
+    for c1 in zs:
+        for c2 in zs:
+            assert bool(equivalent(c1, c2)) == _equiv_by_enumeration(G, tc, c1, c2) == (c1 == c2)
+
+
+def test_enumerate_cocycles_tests_membership_once(gf9, monkeypatch):
+    """enumerate_points has checked membership; only the cocycle identity
+    runs on its points."""
+    from dcoh import cocycles
+    G, A, tc, a, b = mu_setup(gf9)
+    expected = enumerate_cocycles(G, tc)
+
+    def refuse(*args):
+        raise AssertionError("membership tested again")
+
+    monkeypatch.setattr(cocycles, "contains", refuse)
+    assert enumerate_cocycles(G, tc) == expected
 
 
 def _equiv_by_enumeration(G, tc, c1, c2):
