@@ -647,8 +647,12 @@ def _translates(field, family, c, lhs, rhs, op):
 
 def cmd_verify(args, base):
     line = json.loads(args.line) if args.line else json.loads(sys.stdin.read())
+    qargs = line.get("args") if isinstance(line, dict) else None
+    if not (isinstance(qargs, dict) and isinstance(qargs.get("field"), str)
+            and isinstance(line.get("witness") or {}, dict)):
+        raise CliError("verify reads one output line: a JSON object whose args name "
+                       "the field and whose witness is an object")
     cmd = line.get("cmd")
-    qargs = line.get("args", {})
     field = make_field(qargs["field"])
     w = line.get("witness")
     ok = None
@@ -672,38 +676,29 @@ def cmd_verify(args, base):
     elif cmd == "iso" and qargs.get("family") == "twist" and w and w.get("type") == "matrix":
         base_, n, d, psi, _ = _parse_twist_parts(qargs["twist"], want_a=False)
         c = [[field.element(e) for e in row] for row in w["value"]]
-        a1 = [[field.element(e) for e in row] for row in parse_matrix_rows(qargs["lhs"])]
-        a2 = [[field.element(e) for e in row] for row in parse_matrix_rows(qargs["rhs"])]
-        ok = _verify_matrix_relation(field, n, d, psi, a1, a2, c)
+        ok = _verify_matrix_relation(field, n, d, psi, parse_matrix(field, qargs["lhs"]),
+                                     parse_matrix(field, qargs["rhs"]), c)
     elif cmd == "torsor-points" and w:
-        X = qargs["torsor"]
-        if X.startswith("mu:") and w.get("type") == "scalar":
-            a_txt, b_txt = X[3:].split(",")
-            a, b = field.element(a_txt), field.element(b_txt)
+        # the parsed torsor supplies its data, field arithmetic the check
+        X, kind = parse_torsor(field, qargs["torsor"]), w.get("type")
+        if X.kind == "mu" and kind == "scalar":
             x = field.element(w["value"])
-            ok = (x * x == a) and (sigma_apply(x) == b * x)
-        elif X.startswith("add:") and w.get("type") == "scalar":
-            op_txt, a_txt = X[len("add:"):].split(";")
-            L = DifferenceOperator.parse(field, op_txt)
-            ok = L.apply(field.element(w["value"])) == field.element(a_txt)
-        elif X.startswith("twist:") and w.get("type") == "matrix":
-            base_, n, d, psi, a_txt = _parse_twist_parts(X[len("twist:"):], want_a=True)
-            a = [[field.element(e) for e in row] for row in parse_matrix_rows(a_txt)]
+            ok = x * x == X.a and sigma_apply(x) == X.b * x
+        elif X.kind == "additive" and kind == "scalar":
+            ok = X.L.apply(field.element(w["value"])) == X.a
+        elif X.kind == "twist" and kind == "matrix":
+            G = X.presentation
             x = [[field.element(e) for e in row] for row in w["value"]]
-            ok = _verify_matrix_relation(field, n, d, psi, mat_identity(field, n), a, x)
-        elif X.startswith("diag:") and w.get("type") == "tuple":
-            parts = X[len("diag:"):].split(";")
-            n = int(parts[0])
-            fs = [parse_multiplicative(t, n) for t in parts[1].split(",")]
-            avec = [field.element(t) for t in parts[2].split(",")]
+            ok = _verify_matrix_relation(field, G.n, G.d, G.psi, mat_identity(field, G.n), X.a, x)
+        elif X.kind == "diagonal" and kind == "tuple":
             x = tuple(field.element(t) for t in w["value"])
-            ok = all(f.eval(x) == a for f, a in zip(fs, avec))
+            ok = all(f.eval(x) == a for f, a in zip(X.functions, X.avec))
     elif cmd == "delta" and w and w.get("type") == "scalar":
         y = field.element(w["value"])
         x = field.element(qargs["x"])
         ok = sigma_apply(y, int(qargs["d"])) == x
     elif cmd == "classify" and qargs.get("group") == "mu2sigma" \
-            and line["result"].get("kind") == "finite-list":
+            and isinstance(line["result"], dict) and line["result"].get("kind") == "finite-list":
         ok = _verify_mu_classes(field, line["result"], args.budget)
     elif cmd == "cocycle-equiv" and w and w.get("type") == "scalar":
         # the witness carries the lhs invariant onto the rhs invariant
@@ -729,7 +724,12 @@ def _verify_mu_classes(field, result, budget) -> bool:
     |M|; the (q-1)^2 pairs of M are charged to the budget first."""
     _charge((field.size - 1) ** 2, budget)
     units = list(field.units())
-    reps = [(field.element(a), field.element(b)) for a, b in result.get("representatives", [])]
+    texts = result.get("representatives")
+    if not isinstance(texts, list) or not all(
+            isinstance(r, list) and len(r) == 2 and all(isinstance(t, str) for t in r)
+            for r in texts):
+        raise CliError("mu2sigma representatives must be pairs of field elements")
+    reps = [(field.element(a), field.element(b)) for a, b in texts]
     if len(reps) != result.get("classes") or \
             any(sigma_apply(a) != a * b * b for a, b in reps):
         return False
@@ -737,14 +737,6 @@ def _verify_mu_classes(field, result, budget) -> bool:
     size_m = sum(1 for a in units for b in units if sigma_apply(a) == a * b * b)
     sizes = sum(len(o) for o in orbits)
     return sizes == len(set().union(*orbits)) == size_m
-
-
-def parse_matrix_rows(text: str):
-    text = text.strip()
-    if not text.startswith("["):
-        return [[text]]
-    rows = text[2:-2].split("],[")
-    return [row.split(",") for row in rows]
 
 
 # --------------------------------------------------------------------------

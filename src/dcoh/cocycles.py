@@ -14,8 +14,9 @@ k (its invariant is that pair, the torus invariant for the functions y^2
 and s(y)/y), and an additive cocycle is 1(x)alpha - alpha(x)1 with
 invariant L(alpha) in k.  Both trivializations are linear solves, which is
 where the vanishing of H^1 for Gm and Ga does the work.  Equivalence
-compares the invariants by the family's decision on targets, and falls
-back to a search of G(A) for groups without one.
+splits a product into its factors (components), compares the invariants
+by the family's decision on targets, and falls back to a search of G(A)
+for groups without one.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ mu_invariant = additive_invariant = invariant
 def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = 10 ** 6) -> Outcome:
     """Decide chi1 = d1(alpha) chi2 d2(alpha)^{-1} for some alpha in G(A).
 
+    A product is decided factor by factor, with one witness per factor.
     With a family invariant the witness is the rational point that carries
     the torsor of chi1 onto that of chi2 (as torsors.isomorphic gives it);
     otherwise it is alpha itself, found by searching G(A) over a finite
@@ -136,6 +138,15 @@ def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = 10 ** 6) -> Outcome:
         raise CocycleError("cocycles live over different algebras")
     if G.equal(chi1.value, chi2.value):
         return outcome.yes(G.identity(tc.A))
+    parts = G.components(chi1.value)
+    if parts is not None:
+        witnesses = []
+        for (f, c1), c2 in zip(parts, chi2.value):
+            res = equivalent(Cocycle(f, tc, c1), Cocycle(f, tc, c2), budget)
+            if not res:
+                return res
+            witnesses.append(res.witness)
+        return outcome.yes(tuple(witnesses))
     t1 = G.invariant(tc, chi1.value)
     if t1 is not None:
         return G.equivalent_targets(t1, G.invariant(tc, chi2.value), budget)
@@ -183,11 +194,10 @@ def pushforward_group(chi: Cocycle, spec, target: GroupPresentation = None) -> C
 
 def product_split(chi: Cocycle) -> tuple:
     """Split a G x H cocycle into its factor cocycles."""
-    G = chi.group
-    if not isinstance(G, ProductGroup):
+    parts = chi.group.components(chi.value)
+    if parts is None:
         raise CocycleError("product_split needs a product presentation")
-    return tuple(make_cocycle(f, chi.context, comp)
-                 for f, comp in zip(G.factors, chi.value))
+    return tuple(make_cocycle(f, chi.context, comp) for f, comp in parts)
 
 
 def product_merge(G: ProductGroup, parts) -> Cocycle:

@@ -19,10 +19,15 @@ cocycles and torsors calls instead of testing the class:
 
   values   slots, shape(ys), contains(x, R), identity(R), mul, inv, equal,
            map(func, x), linear_relations(), points(R, budget, keep),
-           coefficient_twist(d);
+           coefficient_twist(d), components(x);
   torsors  torsor_kind, invariant(tc, value), equivalent_targets(t1, t2,
            budget), classify(budget), torsor_point(x, t, R),
            rational_point(t, budget), canonical_point(t, R), point_shape(ys).
+
+Budgets: a listing (points, classify, the H^1 lists) charges its search
+space with _charge first and raises BudgetExceeded; a decision that
+returns an Outcome (rational_point, equivalent_targets) answers undecided
+"budget-exhausted" instead.
 
 Group values are plain: an algebra element (additive), a tuple of them
 (diagonal), a matrix of them (matrix and twist; a bare element stands for
@@ -35,12 +40,13 @@ ambient group (H^1 of Gm, GL_n and Ga vanishes); torsor_kind names the
 normal-form torsor class in torsors, None for a family without invariant.
 
 A 1 x 1 MatrixGroup whose relations are binomials m - m' is the torus
-{m/m' = 1}: its `torus` is that DiagonalMult, and it takes its invariant,
-equivalence and listing from it; its torsor points are bare scalars.
-mu2^sigma = {y^2 = 1, sigma(y) = y} is DiagonalMult(1, [y^2, s(y)/y]).
-Functions exactly (y^2, s(y)/y) are mu-shaped and get the mu fast paths:
-the pair space M = {(a, b) : sigma(a) = a b^2} with the action of lambda
-by (lambda^2, sigma(lambda)/lambda), and square roots over infinite fields.
+{m/m' = 1}: its `torus` is that DiagonalMult, and every torsor method of
+the group is the torus's, with the 1-tuples of the torus unwrapped to bare
+scalars.  mu2^sigma = {y^2 = 1, sigma(y) = y} is DiagonalMult(1, [y^2,
+s(y)/y]).  Functions exactly (y^2, s(y)/y) are mu-shaped and get the mu
+fast paths: the pair space M = {(a, b) : sigma(a) = a b^2} with the action
+of lambda by (lambda^2, sigma(lambda)/lambda), square roots over infinite
+fields, and the canonical point y of the mu-algebra.
 
 Over a finite base field, enumerate_points lists G(R) for a
 finite-dimensional R.  It charges the whole search space
@@ -279,10 +285,11 @@ def _satisfies_constraints(vec, constraints) -> bool:
     return True
 
 
-def _enumerate_field_matrices(field, n: int, det_one: bool, budget: int):
+def _enumerate_field_matrices(field, n: int, det_one: bool, budget: int | None = None):
     """The matrices of GL_n(k) (SL_n(k) with det_one) of a finite field k,
-    charging q^(n^2) to the budget first."""
-    _charge(field.size ** (n * n), budget)
+    charging q^(n^2) to the budget first when one is given."""
+    if budget is not None:
+        _charge(field.size ** (n * n), budget)
     elems = list(field.elements())
     for combo in itertools.product(elems, repeat=n * n):
         m = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
@@ -488,6 +495,11 @@ class GroupPresentation:
         """The presentation of ^{sigma^d}G: coefficients move through sigma^d."""
         return self
 
+    def components(self, x):
+        """The (factor, component) pairs of a product value, which are
+        decided factor by factor; None for a group of one factor."""
+        return None
+
     # -- torsors: the defaults of a family without a classification; a
     # classified family also supplies equivalent_targets(t1, t2, budget),
     # torsor_point(x, t, R) and rational_point(t, budget)
@@ -593,59 +605,32 @@ class MatrixGroup(GroupPresentation):
             return None
         return self.torus.invariant(tc, (_as_matrix(value)[0][0],))
 
+    # the torus decisions, with the 1-tuples of its values unwrapped
+
     def equivalent_targets(self, t1, t2, budget):
-        """The torus decision, with the witness lambda as a bare scalar."""
-        res = self.torus.equivalent_targets(t1, t2, budget)
-        return outcome.yes(res.witness[0]) if res else res
+        return _first_of_witness(self.torus.equivalent_targets(t1, t2, budget))
 
     def classify(self, budget):
         if self.torus is None:
             return None
-        label = self.name or self.kind
-        if not self.field.finite:
-            form = "x^2=a, sigma(x)=b*x" if self.torus.mu_shaped else "f_i(x) = a_i"
-            return ClassifyReport(group=label, kind="oracle",
-                                  note=f"normal form {form}; decide via isomorphic")
-        reps = self.torus.h1_targets(budget)
-        return ClassifyReport(group=label, kind="finite-list", count=len(reps),
-                              representatives=reps)
+        return self.torus.classify(budget, label=self.name or self.kind)
 
     def torsor_point(self, x, target, R=None):
         return self.torus.torsor_point((x,), target, R)
 
     def rational_point(self, target, budget):
-        """Every element of a finite field, its q candidates charged first;
-        over an infinite field, a square root for mu-shaped functions."""
-        field = self.field
-        if field.finite:
-            _charge(field.size, budget)
-            for x in field.elements():
-                if self.torsor_point(x, target):
-                    return outcome.yes(x)
-            return outcome.no("exhausted-field")
-        if not self.torus.mu_shaped:
-            return outcome.undecided("torus-points-undecided-over-infinite-field")
-        a, b = target
-        lam = field.is_square(a)
-        if lam is None:
-            return outcome.no("square-obstruction", a=str(a))
-        if lam.sigma() == lam * b:
-            return outcome.yes(lam)
-        return outcome.no("sigma-ratio-mismatch", root=str(lam),
-                          ratio=str(lam.sigma() / lam))
+        return _first_of_witness(self.torus.rational_point(target, budget))
 
     def canonical_point(self, target, R):
-        """y in the mu-algebra k[y]/(y^2 - a), sigma(y) = b*y."""
-        if not self.torus.mu_shaped:
-            return None
-        try:
-            canon = make_mu_algebra(*target)
-        except AlgebraError:
-            return None
-        return R.basis_element(1) if R == canon else None
+        x = self.torus.canonical_point(target, R)
+        return None if x is None else x[0]
 
     def point_shape(self, ys):
         return ys[0]
+
+
+def _first_of_witness(res: Outcome) -> Outcome:
+    return outcome.yes(res.witness[0]) if res else res
 
 
 class AdditiveKernel(GroupPresentation):
@@ -836,7 +821,8 @@ class DiagonalMult(GroupPresentation):
 
     def equivalent_targets(self, v1, v2, budget):
         """lambda in (k^x)^n with v2_i = v1_i * f_i(lambda), or a certificate;
-        (q-1)^n candidates are charged first over a finite field."""
+        undecided when the (q-1)^n candidates of a finite field exceed the
+        budget."""
         field = self.field
         if field.finite:
             count = (field.size - 1) ** self.n
@@ -847,8 +833,8 @@ class DiagonalMult(GroupPresentation):
             return outcome.yes((res.witness,)) if res else res
         if not field.finite:
             return outcome.undecided("diagonal-equivalence-undecided")
-        # the group is commutative: a point of the torsor of v2/v1 is lambda
-        return self.rational_point(tuple(b / a for a, b in zip(v1, v2)), budget)
+        # the group is commutative: lambda is a point of the torsor of v2/v1
+        return self._unit_search(tuple(b / a for a, b in zip(v1, v2)), "exhausted-units")
 
     def h1_targets(self, budget):
         """Representatives of the target vectors up to the lambda action over
@@ -874,14 +860,16 @@ class DiagonalMult(GroupPresentation):
                         for lam in lam_space}
         return _orbit_partition(space, orbit)
 
-    def classify(self, budget):
+    def classify(self, budget, label="diagonal"):
+        mu = self.mu_shaped
         if not self.field.finite:
-            return ClassifyReport(group="diagonal", kind="oracle",
-                                  note="normal form f_i(x) = a_i; pairwise decider only")
+            note = ("normal form x^2=a, sigma(x)=b*x; decide via isomorphic" if mu
+                    else "normal form f_i(x) = a_i; pairwise decider only")
+            return ClassifyReport(group=label, kind="oracle", note=note)
         reps = self.h1_targets(budget)
-        return ClassifyReport(group="diagonal", kind="finite-list",
-                              count=len(reps), representatives=reps,
-                              note="targets constrained by bounded-degree syzygies")
+        return ClassifyReport(group=label, kind="finite-list", count=len(reps),
+                              representatives=reps,
+                              note=None if mu else "targets constrained by bounded-degree syzygies")
 
     def torsor_point(self, x, avec, R=None):
         if len(x) != self.n:
@@ -892,15 +880,44 @@ class DiagonalMult(GroupPresentation):
                    for f, a in zip(self.functions, avec))
 
     def rational_point(self, avec, budget):
+        """Every unit vector of a finite field, undecided when its (q-1)^n
+        candidates exceed the budget; over an infinite field, a square root
+        of a for mu-shaped functions (both roots have the same
+        sigma(x)/x), else undecided."""
         field = self.field
-        if not field.finite:
+        if field.finite:
+            if (field.size - 1) ** self.n > budget:
+                return outcome.undecided("budget-exhausted")
+            # a mu-shaped point is a square root of a, sought in k
+            return self._unit_search(avec, "exhausted-field" if self.mu_shaped
+                                     else "exhausted-units")
+        if not self.mu_shaped:
             return outcome.undecided("diagonal-points-undecided-over-infinite-field")
-        if (field.size - 1) ** self.n > budget:
-            return outcome.undecided("budget-exhausted")
-        for combo in itertools.product(list(field.units()), repeat=self.n):
+        a, b = avec
+        lam = field.is_square(a)
+        if lam is None:
+            return outcome.no("square-obstruction", a=str(a))
+        if lam.sigma() == lam * b:
+            return outcome.yes((lam,))
+        return outcome.no("sigma-ratio-mismatch", root=str(lam),
+                          ratio=str(lam.sigma() / lam))
+
+    def _unit_search(self, avec, exhausted: str) -> Outcome:
+        for combo in itertools.product(list(self.field.units()), repeat=self.n):
             if self.torsor_point(combo, avec):
                 return outcome.yes(combo)
-        return outcome.no("exhausted-units")
+        return outcome.no(exhausted)
+
+    def canonical_point(self, avec, R):
+        """(y,) in the mu-algebra k[y]/(y^2 - a), sigma(y) = b*y, for
+        mu-shaped functions."""
+        if not self.mu_shaped:
+            return None
+        try:
+            canon = make_mu_algebra(*avec)
+        except AlgebraError:
+            return None
+        return (R.basis_element(1),) if R == canon else None
 
 
 PSI_SPECS = ("trivial", "id", "transposeinv")
@@ -983,10 +1000,9 @@ class FrobeniusTwist(GroupPresentation):
         count = field.size ** (self.n * self.n)
         if count > budget:
             return outcome.undecided("budget-exhausted", space=count)
-        for c in _enumerate_field_matrices(field, self.n, self.base == "SL", budget):
-            if mat_eq(self._translate(c, a1), a2):
-                return outcome.yes(c)
-        return outcome.no("exhausted-rational-points")
+        c = next((c for c in _enumerate_field_matrices(field, self.n, self.base == "SL")
+                  if mat_eq(self._translate(c, a1), a2)), None)
+        return outcome.no("exhausted-rational-points") if c is None else outcome.yes(c)
 
     def classify(self, budget):
         field = self.field
@@ -996,7 +1012,7 @@ class FrobeniusTwist(GroupPresentation):
                                   note="sigma bijective: every torsor is trivial")
         if not field.finite:
             return ClassifyReport(group="twist", kind="oracle",
-                                  note="decide via twist_translates")
+                                  note="decide via isomorphic")
         mats = list(_enumerate_field_matrices(field, self.n, self.base == "SL", budget))
         if len(mats) ** 2 > budget:
             return ClassifyReport(group="twist", kind="oracle",
@@ -1019,7 +1035,8 @@ class FrobeniusTwist(GroupPresentation):
     def rational_point(self, a, budget):
         """sigma^{-d}(a) entrywise for trivial psi (with the sigma-image
         obstruction when sigma is not onto); every matrix over a finite
-        field; the multiplicative solver for psi = id on GL_1."""
+        field, undecided when its q^(n^2) candidates exceed the budget; the
+        multiplicative solver for psi = id on GL_1."""
         field = self.field
         if self.psi == "trivial":
             pre = [[_sigma_preimage_chain(e, self.d) for e in row] for row in a]
@@ -1030,10 +1047,11 @@ class FrobeniusTwist(GroupPresentation):
             assert self.torsor_point(x, a)
             return outcome.yes(x)
         if field.finite:
-            for m in _enumerate_field_matrices(field, self.n, self.base == "SL", budget):
-                if self.torsor_point(m, a):
-                    return outcome.yes(m)
-            return outcome.no("exhausted-rational-points")
+            if field.size ** (self.n * self.n) > budget:
+                return outcome.undecided("budget-exhausted")
+            m = next((m for m in _enumerate_field_matrices(field, self.n, self.base == "SL")
+                      if self.torsor_point(m, a)), None)
+            return outcome.no("exhausted-rational-points") if m is None else outcome.yes(m)
         if self.psi == "id" and self.n == 1:
             res = solve_sigma_quotient(a[0][0], self.d)
             if res:
@@ -1085,18 +1103,8 @@ class ProductGroup(GroupPresentation):
         parts = [enumerate_points(f, R, budget) for f in self.factors]
         return [combo for combo in itertools.product(*parts) if keep is None or keep(combo)]
 
-    def invariant(self, tc, value):
-        parts = tuple(f.invariant(tc, c) for f, c in zip(self.factors, value))
-        return None if any(p is None for p in parts) else parts
-
-    def equivalent_targets(self, t1, t2, budget):
-        witnesses = []
-        for f, a, b in zip(self.factors, t1, t2):
-            res = f.equivalent_targets(a, b, budget)
-            if not res:
-                return res
-            witnesses.append(res.witness)
-        return outcome.yes(tuple(witnesses))
+    def components(self, x):
+        return tuple(zip(self.factors, x))
 
     def classify(self, budget):
         parts = [f.classify(budget) for f in self.factors]

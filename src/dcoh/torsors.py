@@ -177,10 +177,10 @@ def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
     Finite data is enumerated completely; over infinite fields the
     decidable families use is_square, the Abramov solver, and sigma
     preimages, and everything else reports Undecided with its budget.
-    Every enumeration charges its candidates to the budget first: the q
-    field elements of a mu search, q^(n^2) matrices of a twist search and
-    q^(dim R * slots) points of a search over R raise BudgetExceeded when
-    they exceed it.
+    Every enumeration checks its candidates against the budget first: the
+    (q-1)^n units of a torus search (mu2^sigma's too) and the q^(n^2)
+    matrices of a twist search answer undecided, and the q^(dim R * slots)
+    points of a search over R raise BudgetExceeded, when they exceed it.
     """
     if isinstance(X, TwistedForm):
         if R is not None and R != X.chi.context.A:

@@ -280,3 +280,25 @@ def test_verify_checks_mu2sigma_class_counts():
     same_orbit["result"]["representatives"][3] = ["w^2", "w^2"]
     vcode, vlines = run_cli(["verify", "--line", json.dumps(same_orbit)])
     assert vcode == 1 and vlines[0]["result"] is False
+
+
+def test_verify_reports_malformed_lines_as_errors():
+    """A doctored line is a parse error (exit 2, one JSON line), never a
+    traceback; a non-object result is no class list to check."""
+    code, lines = run_cli(["classify", "--field", "GF(9);frob^1", "--group", "mu2sigma"])
+    true_line = lines[0]
+    no_list = dict(true_line, result=True)
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(no_list)])
+    assert vcode == 3 and vlines[0]["result"] == "unverified"
+
+    for reps in ([["1"]], [5], [["1", "1", "1"]], "1,1", [["x", "1"]]):
+        bad = json.loads(json.dumps(true_line))
+        bad["result"].update(classes=1, representatives=reps)
+        vcode, vlines = run_cli(["verify", "--line", json.dumps(bad)])
+        assert vcode == 2 and vlines[0]["ok"] is False, reps
+
+    for doctored in ("true", "[1, 2]", json.dumps(dict(true_line, args=[])),
+                     json.dumps(dict(true_line, witness="1"))):
+        vcode, vlines = run_cli(["verify", "--line", doctored])
+        assert vcode == 2 and vlines[0]["ok"] is False, doctored
+

@@ -348,6 +348,51 @@ def test_product_split_and_merge(gf9):
     assert all(not p.value[0][0].is_zero() for p in parts)
 
 
+@pytest.mark.parametrize("ambient", ["GL1", "Ga"])
+def test_product_with_a_factor_without_invariant(gf9, ambient, monkeypatch):
+    """GL1 and Ga have no invariant, mu2^sigma has one: a product of them
+    is decided factor by factor (a search of the ambient factor's own G(A),
+    the invariants for mu2^sigma), with one witness per factor, and agrees
+    with a search of the whole product G(A)."""
+    from dcoh import cocycles
+    from dcoh.cocycles import map_value, values_equal
+    from dcoh.groups import contains, group_inv, group_mul
+    # the class (1, 2) of y^-1 (x) y is not that of the trivial cocycle
+    M, A, tc, a, b = mu_setup(gf9, "1", "2")
+    H = ambient_gl(gf9, 1) if ambient == "GL1" else ambient_ga(gf9)
+    P = ProductGroup([H, M])
+    y = A.basis_element(1)
+    unit = y + A.one() * gf9.element("w")
+    h_values = [group_identity(H, tc.AA),
+                coboundary(H, tc, ((unit,),) if ambient == "GL1" else y).value]
+    mu_values = [group_identity(M, tc.AA), tc.pair(y.inverse(), y)]
+    chis = [make_cocycle(P, tc, (h, m)) for h in h_values for m in mu_values]
+    searched = []
+
+    def enumerate_and_record(G, R, *args, **kwargs):
+        searched.append(G)
+        return enumerate_points(G, R, *args, **kwargs)
+
+    monkeypatch.setattr(cocycles, "enumerate_points", enumerate_and_record)
+    for c1 in chis:
+        for c2 in chis:
+            res = equivalent(c1, c2)
+            assert res.decided
+            assert all(G == H for G in searched)
+            assert bool(res) == _equiv_by_enumeration(P, tc, c1, c2)
+            assert bool(res) == values_equal(M, c1.value[1], c2.value[1])
+            if res and not values_equal(P, c1.value, c2.value):
+                assert len(res.witness) == 2
+                if not values_equal(H, c1.value[0], c2.value[0]):
+                    # the ambient factor's witness is its alpha in H(A)
+                    alpha = res.witness[0]
+                    assert contains(H, alpha, A)
+                    moved = group_mul(H, map_value(H, tc.d1, alpha),
+                                      group_mul(H, c2.value[0],
+                                                group_inv(H, map_value(H, tc.d2, alpha))))
+                    assert values_equal(H, c1.value[0], moved)
+
+
 def test_mu_invariant_examples(gf9):
     G, A, tc, a, b = mu_setup(gf9)
     assert mu_invariant(trivial_cocycle(G, tc)) == (gf9.one(), gf9.one())
