@@ -1,15 +1,22 @@
-"""Computable sigma-algebras over a sigma-field, in three kinds.
+"""Computable sigma-algebras over a sigma-field, in two representations.
 
-  * finite-dimensional algebras given by structure constants, a unit
-    vector, and a sigma-semilinear matrix (TableAlgebra / TensorAlgebra);
-  * Laurent monomial algebras k[u_1^{\\pm1},...,u_r^{\\pm1}] whose sigma
-    sends each generator to a unit constant times a monomial;
-  * free polynomial algebras k[y_1,...,y_r] whose sigma sends each
-    generator to an affine-linear combination.
+  * finite-dimensional algebras: a basis, structure constants, a unit
+    vector and a sigma-semilinear matrix (TableAlgebra, and TensorAlgebra
+    for tensor products); elements map basis indices to coefficients;
+  * monomial algebras (MonomialAlgebra): the free polynomial algebra
+    k[y_1,...,y_r] (FreePolyAlgebra, sigma(y_i) affine-linear) and its
+    Laurent localization k[u_1^{\\pm1},...,u_r^{\\pm1}] (LaurentAlgebra,
+    sigma(u_i) a unit monomial); elements map exponent vectors to
+    coefficients, and sigma is given by one image element per generator.
 
 Every algebra is nonzero, hence faithfully flat over the base field.
-Elements are sparse maps from basis indices (or exponent vectors) to
-field elements with no stored zeros, so equality is dict equality.
+Elements are sparse maps from keys to field elements with no stored
+zeros, so equality is dict equality.
+
+Both carry one protocol, the methods below SigmaAlgebra's "protocol"
+line, which TensorContext, the morphisms, the groups and the command line
+call instead of testing the class.  So only this module knows the key of
+a tensor power: an index tuple, or the concatenated exponent vectors.
 
 Finite-dimensional algebras keep their structure constants as raw field
 values (the `value` of a FieldElement), as tuples of (index, value) pairs
@@ -19,8 +26,8 @@ surviving coefficient is wrapped in a FieldElement once, on the way out.
 Equal tensor products share one table, built entry by entry on first use
 and dropped when no algebra uses it any more.
 
-On top of the raw algebras the module builds tensor squares and cubes
-with their Amitsur face maps, the exactness audit of the complex
+On top of the algebras the module builds tensor squares and cubes with
+their Amitsur face maps, the exactness audit of the complex
 0 -> k -> A -> A(x)A -> A(x)A(x)A, and finite-dimensional faithfully
 flat descent: the invariants B0 = {b : phi(b(x)1) = 1(x)b} of a descent
 datum, together with the check that B0 (x) A -> B is an isomorphism.
@@ -101,17 +108,16 @@ class AlgElement:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        r = self.algebra.one()
+        base = self.inverse() if n < 0 else self
+        n = abs(n)
+        r = None
         while n:
             if n & 1:
-                r = r * base
-            base = base * base
+                r = base if r is None else r * base
             n >>= 1
-        return r
+            if n:
+                base = base * base
+        return self.algebra.one() if r is None else r
 
     def sigma(self, power: int = 1) -> "AlgElement":
         d = self.data
@@ -227,6 +233,49 @@ class SigmaAlgebra:
     def index_label(self, k) -> str:
         raise NotImplementedError
 
+    def basis_element(self, k) -> AlgElement:
+        return AlgElement(self, {k: self.field.one()})
+
+    # the protocol; see the module docstring
+
+    def tensor_power(self, n: int) -> "SigmaAlgebra":
+        raise NotImplementedError
+
+    def join_keys(self, keys):
+        """The key of a tensor-power basis element from its factors' keys."""
+        raise NotImplementedError
+
+    def split_key(self, key, n: int) -> tuple:
+        """The n factor keys of a key of the n-th tensor power."""
+        raise NotImplementedError
+
+    def pure_tensor(self, *parts) -> AlgElement:
+        """parts[0] (x) parts[1] (x) ... in this tensor product of their algebras."""
+        terms = {(k,): c for k, c in parts[0].data.items()}
+        for x in parts[1:]:
+            terms = {keys + (k,): c * v for keys, c in terms.items() for k, v in x.data.items()}
+        join = parts[0].algebra.join_keys
+        return _clean_element(self, {join(keys): c for keys, c in terms.items()})
+
+    def generators(self) -> list:
+        """The elements a morphism out of this algebra is given on."""
+        raise NotImplementedError
+
+    def evaluate(self, images, x: AlgElement, target) -> AlgElement:
+        """h(x) for the morphism h into target with h(generators()) = images."""
+        raise NotImplementedError
+
+    def named_element(self, name: str):
+        """The element a text grammar calls `name` (a basis label or a
+        generator name), or None."""
+        return None
+
+    def trivialization_span(self, value: AlgElement):
+        """The elements of this algebra an alpha with 1(x)alpha - alpha(x)1 =
+        value is sought among (value in the tensor square), or None when
+        there is no finite such span."""
+        return None
+
 
 class FinDimAlgebra(SigmaAlgebra):
     """Common interface: a finite basis, structure constants, sigma matrix.
@@ -253,8 +302,29 @@ class FinDimAlgebra(SigmaAlgebra):
     def basis_sigma(self, i) -> dict:
         return self._wrap(self._tables.sigma[i])
 
-    def basis_element(self, i) -> AlgElement:
-        return AlgElement(self, {i: self.field.one()})
+    def tensor_power(self, n):
+        return TensorAlgebra([self] * n)
+
+    join_keys = staticmethod(tuple)
+
+    def split_key(self, key, n):
+        return key
+
+    def generators(self):
+        return [self.basis_element(k) for k in self.index_list()]
+
+    def evaluate(self, images, x, target):
+        return sum((img * x.data[k] for k, img in zip(self.index_list(), images)
+                    if k in x.data), target.zero())
+
+    def named_element(self, name):
+        for k in self.index_list():
+            if self.index_label(k) == name:
+                return self.basis_element(k)
+        return None
+
+    def trivialization_span(self, value):
+        return self.generators()
 
     def _wrap(self, pairs) -> dict:
         wrap = self.field.wrap
@@ -559,175 +629,176 @@ class TensorAlgebra(FinDimAlgebra):
     def pure_tensor(self, *parts) -> AlgElement:
         if len(parts) != len(self.factors):
             raise AlgebraError("tensor arity mismatch")
-        out = {(): self.field.one()}
-        for x in parts:
-            nxt = {}
-            for key, c in out.items():
-                for i, v in x.data.items():
-                    w = c * v
-                    if not w.is_zero():
-                        nxt[key + (i,)] = w
-            out = nxt
-        return AlgElement(self, out)
+        return super().pure_tensor(*parts)
 
 
-class LaurentAlgebra(SigmaAlgebra):
-    """k[u_1^{\\pm1},...,u_r^{\\pm1}] with sigma(u_i) = c_i * u^(v_i)."""
+class MonomialAlgebra(SigmaAlgebra):
+    """k[x_1,...,x_r], or its localization at the monomials: an element maps
+    exponent vectors to coefficients, and sigma is the ring map that acts on
+    coefficients by the field's sigma and sends x_i to images[i].
 
-    kind = "laurent"
+    A sigma image is given as the data of an element (a dict from exponent
+    vectors to coefficients; sigma_images None means sigma(x_i) = x_i) or in
+    the subclass's own tuple form.  The subclasses fix the stem of the
+    generator names, which monomials are units, and the shape a sigma image
+    must have."""
 
-    def __init__(self, field, ngens: int, sigma_images):
+    __slots__ = ("ngens", "images", "_key", "_unit")
+    stem = "x"
+    generator_noun = "a generator"
+    monomials_are_units = False
+
+    def __init__(self, field, ngens: int, sigma_images=None):
         self.field = field
         self.ngens = ngens
-        imgs = []
-        for c, v in sigma_images:
-            c = field.element(c)
-            v = tuple(v)
-            if c.is_zero():
-                raise AlgebraError("sigma image of a Laurent generator must be a unit")
-            if len(v) != ngens:
-                raise AlgebraError("sigma image exponent arity mismatch")
-            imgs.append((c, v))
-        if len(imgs) != ngens:
+        self._unit = {(0,) * ngens: field.one()}
+        if sigma_images is None:
+            sigma_images = [self.gen(i).data for i in range(ngens)]
+        if any(img is None for img in sigma_images):
+            raise AlgebraError(f"missing sigma image for {self.generator_noun}")
+        datas = []
+        for img in sigma_images:
+            data = AlgElement(self, img if isinstance(img, dict) else self._image_data(img)).data
+            self._check_image(data)
+            datas.append(data)
+        if len(datas) != ngens:
             raise AlgebraError("need one sigma image per generator")
-        self.sigma_images = tuple(imgs)
+        self.images = tuple(_clean_element(self, d) for d in datas)
+        self._key = (self.kind, field.descriptor, ngens,
+                     tuple(tuple(sorted(d.items())) for d in datas))
 
     def cache_key(self):
-        return ("laurent", self.field.descriptor, self.ngens, self.sigma_images)
+        return self._key
 
     def index_label(self, k):
         parts = []
         for i, e in enumerate(k):
             if e:
-                name = f"u{i + 1}" if self.ngens > 1 else "u"
+                name = f"{self.stem}{i + 1}" if self.ngens > 1 else self.stem
                 parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
     def unit_data(self):
-        return {(0,) * self.ngens: self.field.one()}
+        return self._unit
 
     def gen(self, i: int) -> AlgElement:
         v = [0] * self.ngens
         v[i] = 1
         return AlgElement(self, {tuple(v): self.field.one()})
 
+    def tensor_power(self, n):
+        zero = (0,) * self.ngens
+        images = [{self.join_keys([zero] * b + [w] + [zero] * (n - 1 - b)): c
+                   for w, c in img.data.items()}
+                  for b in range(n) for img in self.images]
+        return type(self)(self.field, n * self.ngens, images)
+
+    def join_keys(self, keys):
+        return sum(keys, ())
+
+    def split_key(self, key, n):
+        r = self.ngens
+        return tuple(key[i * r:(i + 1) * r] for i in range(n))
+
+    def generators(self):
+        return [self.gen(i) for i in range(self.ngens)]
+
+    def evaluate(self, images, x, target):
+        total = target.zero()
+        for w, c in x.data.items():
+            term = target.from_scalar(c)
+            for img, e in zip(images, w):
+                if e:
+                    term = term * img ** e
+            total = total + term
+        return total
+
+    def named_element(self, name):
+        stem = self.stem
+        if name == stem and self.ngens == 1:
+            return self.gen(0)
+        if name.startswith(stem):
+            try:
+                i = int(name[len(stem):])
+            except ValueError:
+                return None
+            if 1 <= i <= self.ngens:
+                return self.gen(i - 1)
+        return None
+
     def _mul_data(self, d1, d2):
         out = {}
         for w1, c1 in d1.items():
             for w2, c2 in d2.items():
                 c = c1 * c2
-                if c.is_zero():
-                    continue
                 key = tuple(a + b for a, b in zip(w1, w2))
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def _sigma_data(self, d):
-        out = {}
-        for w, c in d.items():
-            coef = c.sigma()
-            exp = [0] * self.ngens
-            for i, e in enumerate(w):
-                if e == 0:
-                    continue
-                ci, vi = self.sigma_images[i]
-                coef = coef * ci ** e
-                for j, vj in enumerate(vi):
-                    exp[j] += e * vj
-            if coef.is_zero():
-                continue
-            key = tuple(exp)
-            cur = out.get(key)
-            out[key] = coef if cur is None else cur + coef
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        x = _clean_element(self, {w: c.sigma() for w, c in d.items()})
+        return self.evaluate(self.images, x, self).data
 
     def _invert_data(self, d):
         if len(d) != 1:
             return None
         (w, c), = d.items()
+        if any(w) and not self.monomials_are_units:
+            return None
         return {tuple(-e for e in w): c.inv()}
 
 
-class FreePolyAlgebra(SigmaAlgebra):
-    """k[y_1,...,y_r] with sigma(y_i) affine-linear over k."""
+class LaurentAlgebra(MonomialAlgebra):
+    """k[u_1^{\\pm1},...,u_r^{\\pm1}] with sigma(u_i) = c_i * u^(v_i), each
+    image given as the pair (c_i, v_i) or as the data of a unit monomial."""
 
+    __slots__ = ()
+    kind = "laurent"
+    stem = "u"
+    generator_noun = "a Laurent generator"
+    monomials_are_units = True
+
+    def _image_data(self, img):
+        c, v = img
+        c, v = self.field.element(c), tuple(v)
+        if not c.is_zero() and len(v) != self.ngens:
+            raise AlgebraError("sigma image exponent arity mismatch")
+        return {} if c.is_zero() else {v: c}
+
+    def _check_image(self, data):
+        if not data:
+            raise AlgebraError("sigma image of a Laurent generator must be a unit")
+        if len(data) > 1:
+            raise AlgebraError("Laurent sigma images must be monomials")
+
+
+class FreePolyAlgebra(MonomialAlgebra):
+    """k[y_1,...,y_r] with sigma(y_i) affine-linear over k, each image given
+    as the pair (constant, coefficients) or as the data of an element of
+    degree at most 1."""
+
+    __slots__ = ()
     kind = "freepoly"
+    stem = "y"
 
-    def __init__(self, field, ngens: int, sigma_images):
-        self.field = field
-        self.ngens = ngens
-        imgs = []
-        for const, coeffs in sigma_images:
-            const = field.element(const)
-            coeffs = tuple(field.element(c) for c in coeffs)
-            if len(coeffs) != ngens:
-                raise AlgebraError("sigma image arity mismatch")
-            imgs.append((const, coeffs))
-        if len(imgs) != ngens:
-            raise AlgebraError("need one sigma image per generator")
-        self.sigma_images = tuple(imgs)
+    def _image_data(self, img):
+        const, coeffs = img
+        coeffs = tuple(self.field.element(c) for c in coeffs)
+        if len(coeffs) != self.ngens:
+            raise AlgebraError("sigma image arity mismatch")
+        return sum((g * c for g, c in zip(self.generators(), coeffs)),
+                   self.from_scalar(const)).data
 
-    def cache_key(self):
-        return ("freepoly", self.field.descriptor, self.ngens, self.sigma_images)
+    def _check_image(self, data):
+        if any(sum(w) > 1 for w in data):
+            raise AlgebraError("sigma images must be affine-linear")
 
-    def index_label(self, k):
-        parts = []
-        for i, e in enumerate(k):
-            if e:
-                name = f"y{i + 1}" if self.ngens > 1 else "y"
-                parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def unit_data(self):
-        return {(0,) * self.ngens: self.field.one()}
-
-    def gen(self, i: int) -> AlgElement:
-        v = [0] * self.ngens
-        v[i] = 1
-        return AlgElement(self, {tuple(v): self.field.one()})
-
-    def _mul_data(self, d1, d2):
-        out = {}
-        for w1, c1 in d1.items():
-            for w2, c2 in d2.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                key = tuple(a + b for a, b in zip(w1, w2))
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def _sigma_gen(self, i) -> AlgElement:
-        const, coeffs = self.sigma_images[i]
-        data = {}
-        if not const.is_zero():
-            data[(0,) * self.ngens] = const
-        for j, c in enumerate(coeffs):
-            if not c.is_zero():
-                v = [0] * self.ngens
-                v[j] = 1
-                data[tuple(v)] = c
-        return AlgElement(self, data)
-
-    def _sigma_data(self, d):
-        total = self.zero()
-        for w, c in d.items():
-            term = self.from_scalar(c.sigma())
-            for i, e in enumerate(w):
-                if e:
-                    term = term * self._sigma_gen(i) ** e
-            total = total + term
-        return total.data
-
-    def _invert_data(self, d):
-        if len(d) != 1:
-            return None
-        (w, c), = d.items()
-        if any(e != 0 for e in w):
-            return None
-        return {w: c.inv()}
+    def trivialization_span(self, value):
+        degree = max((sum(w) for w in value.data), default=0)
+        return [self.basis_element(w)
+                for w in itertools.product(range(degree + 1), repeat=self.ngens)
+                if sum(w) <= degree]
 
 
 # --------------------------------------------------------------------------
@@ -735,49 +806,11 @@ class FreePolyAlgebra(SigmaAlgebra):
 
 
 def tensor_square(A: SigmaAlgebra) -> SigmaAlgebra:
-    if isinstance(A, FinDimAlgebra):
-        return TensorAlgebra([A, A])
-    if isinstance(A, LaurentAlgebra):
-        r = A.ngens
-        imgs = []
-        for block in range(2):
-            for c, v in A.sigma_images:
-                pad = (0,) * (block * r) + v + (0,) * ((1 - block) * r)
-                imgs.append((c, pad))
-        return LaurentAlgebra(A.field, 2 * r, imgs)
-    if isinstance(A, FreePolyAlgebra):
-        r = A.ngens
-        imgs = []
-        for block in range(2):
-            for const, coeffs in A.sigma_images:
-                zero = A.field.zero()
-                pad = (zero,) * (block * r) + coeffs + (zero,) * ((1 - block) * r)
-                imgs.append((const, pad))
-        return FreePolyAlgebra(A.field, 2 * r, imgs)
-    raise AlgebraError(f"unsupported algebra kind {A.kind}")
+    return A.tensor_power(2)
 
 
 def tensor_cube(A: SigmaAlgebra) -> SigmaAlgebra:
-    if isinstance(A, FinDimAlgebra):
-        return TensorAlgebra([A, A, A])
-    if isinstance(A, LaurentAlgebra):
-        r = A.ngens
-        imgs = []
-        for block in range(3):
-            for c, v in A.sigma_images:
-                pad = (0,) * (block * r) + v + (0,) * ((2 - block) * r)
-                imgs.append((c, pad))
-        return LaurentAlgebra(A.field, 3 * r, imgs)
-    if isinstance(A, FreePolyAlgebra):
-        r = A.ngens
-        imgs = []
-        for block in range(3):
-            for const, coeffs in A.sigma_images:
-                zero = A.field.zero()
-                pad = (zero,) * (block * r) + coeffs + (zero,) * ((2 - block) * r)
-                imgs.append((const, pad))
-        return FreePolyAlgebra(A.field, 3 * r, imgs)
-    raise AlgebraError(f"unsupported algebra kind {A.kind}")
+    return A.tensor_power(3)
 
 
 class TensorContext:
@@ -787,24 +820,16 @@ class TensorContext:
     dd2(a(x)b) = a(x)1(x)b, dd3(a(x)b) = a(x)b(x)1.
     """
 
-    __slots__ = ("A", "AA", "AAA", "_findim")
+    __slots__ = ("A", "AA", "AAA", "_keys")
 
     def __init__(self, A: SigmaAlgebra):
         self.A = A
         self.AA = tensor_square(A)
         self.AAA = tensor_cube(A)
-        self._findim = isinstance(A, FinDimAlgebra)
+        self._keys = {}
 
     def pair(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        if self._findim:
-            return self.AA.pure_tensor(x, y)
-        out = {}
-        for w1, c1 in x.data.items():
-            for w2, c2 in y.data.items():
-                c = c1 * c2
-                if not c.is_zero():
-                    out[w1 + w2] = c
-        return AlgElement(self.AA, out)
+        return self.AA.pure_tensor(x, y)
 
     def d1(self, x: AlgElement) -> AlgElement:
         return self.pair(self.A.one(), x)
@@ -814,26 +839,30 @@ class TensorContext:
 
     def _insert(self, z: AlgElement, pos: int) -> AlgElement:
         """Insert a tensor-1 into slot pos of an AA element."""
-        if self._findim:
-            unit = self.A.unit_data()
-            out = {}
-            for (i, j), c in z.data.items():
-                for r, u in unit.items():
-                    v = c * u
-                    if v.is_zero():
-                        continue
-                    key = ((r, i, j), (i, r, j), (i, j, r))[pos]
-                    cur = out.get(key)
-                    out[key] = v if cur is None else cur + v
-            return AlgElement(self.AAA, out)
-        r = getattr(self.A, "ngens")
-        zero = (0,) * r
+        A = self.A
+        split, join = A.split_key, A.join_keys
+        unit = A.unit_data().items()
         out = {}
-        for w, c in z.data.items():
-            w1, w2 = w[:r], w[r:]
-            key = (zero + w1 + w2, w1 + zero + w2, w1 + w2 + zero)[pos]
-            out[key] = c
-        return AlgElement(self.AAA, out)
+        for key, c in z.data.items():
+            parts = split(key, 2)
+            head, tail = parts[:pos], parts[pos:]
+            for r, u in unit:
+                out[join(head + (r,) + tail)] = c * u
+        return _clean_element(self.AAA, out)
+
+    def untensor_third(self, w: AlgElement) -> AlgElement:
+        """Invert dd3 on its image: strip the trailing tensor-1 factor.  The
+        results share their keys, so that kept results stay small."""
+        A = self.A
+        split, join, keys = A.split_key, A.join_keys, self._keys
+        r0, u0 = next(iter(A.unit_data().items()))
+        out = {}
+        for key, c in w.data.items():
+            a, b, r = split(key, 3)
+            if r == r0:
+                k = join((a, b))
+                out[keys.setdefault(k, k)] = c / u0
+        return _clean_element(self.AA, out)
 
     def dd1(self, z: AlgElement) -> AlgElement:
         return self._insert(z, 0)
@@ -1049,83 +1078,52 @@ def amitsur_audit(A: FinDimAlgebra) -> AmitsurReport:
 
 
 class AlgebraMorphism:
-    """k-sigma-algebra morphism given on a basis or on generators."""
+    """k-sigma-algebra morphism given by the images of source.generators():
+    a basis of a finite-dimensional algebra, the variables of a monomial one."""
 
     def __init__(self, source, target, images, check: bool = True):
         self.source = source
         self.target = target
-        if isinstance(source, FinDimAlgebra):
-            idx = source.index_list()
-            if len(images) != len(idx):
-                raise AlgebraError("need one image per basis element")
-            self.images = {k: img for k, img in zip(idx, images)}
-        else:
-            if len(images) != source.ngens:
-                raise AlgebraError("need one image per generator")
-            self.images = list(images)
+        if len(images) != len(source.generators()):
+            raise AlgebraError("need one image per generator")
+        self.images = list(images)
         if check:
             self.validate()
 
     @classmethod
     def identity(cls, A):
-        if isinstance(A, FinDimAlgebra):
-            return cls(A, A, [A.basis_element(i) for i in A.index_list()], check=False)
-        return cls(A, A, [A.gen(i) for i in range(A.ngens)], check=False)
+        return cls(A, A, A.generators(), check=False)
 
     def apply(self, x: AlgElement) -> AlgElement:
         if x.algebra != self.source:
             raise AlgebraError("element not from the morphism's source")
-        if isinstance(self.source, FinDimAlgebra):
-            total = self.target.zero()
-            for k, c in x.data.items():
-                total = total + self.images[k] * c
-            return total
-        total = self.target.zero()
-        for w, c in x.data.items():
-            term = self.target.from_scalar(c)
-            for i, e in enumerate(w):
-                if e:
-                    term = term * self.images[i] ** e
-            total = total + term
-        return total
+        return self.source.evaluate(self.images, x, self.target)
 
     def validate(self):
         if self.source.field != self.target.field:
             raise AlgebraError("morphism must preserve the base field")
-        if isinstance(self.source, FinDimAlgebra):
-            idx = self.source.index_list()
-            if self.apply(self.source.one()) != self.target.one():
-                raise AlgebraError("morphism does not preserve 1")
-            es = {i: self.source.basis_element(i) for i in idx}
-            for i in idx:
-                if self.apply(es[i].sigma()) != self.images[i].sigma():
-                    raise AlgebraError("morphism does not commute with sigma")
-                for j in idx:
-                    if self.apply(es[i] * es[j]) != self.images[i] * self.images[j]:
-                        raise AlgebraError("morphism is not multiplicative")
-        else:
-            if isinstance(self.source, LaurentAlgebra):
-                for img in self.images:
-                    if not img.is_unit():
-                        raise AlgebraError("Laurent generator must map to a unit")
-            for i in range(self.source.ngens):
-                if self.apply(self.source.gen(i).sigma()) != self.images[i].sigma():
-                    raise AlgebraError("morphism does not commute with sigma")
+        if self.apply(self.source.one()) != self.target.one():
+            raise AlgebraError("morphism does not preserve 1")
+        gens = self.source.generators()
+        for g, img in zip(gens, self.images):
+            if g.is_unit() and not img.is_unit():
+                raise AlgebraError("morphism must map units to units")
+        for g, img in zip(gens, self.images):
+            if self.apply(g.sigma()) != img.sigma():
+                raise AlgebraError("morphism does not commute with sigma")
+            for h, img2 in zip(gens, self.images):
+                if self.apply(g * h) != img * img2:
+                    raise AlgebraError("morphism is not multiplicative")
 
     def square_apply(self, ctx_src: TensorContext, ctx_tgt: TensorContext,
                      x: AlgElement) -> AlgElement:
         """Induced map A(x)A -> B(x)B on a tensor-square element."""
-        if isinstance(self.source, FinDimAlgebra):
-            total = ctx_tgt.AA.zero()
-            for (i, j), c in x.data.items():
-                total = total + ctx_tgt.pair(self.images[i], self.images[j]) * c
-            return total
-        r = self.source.ngens
+        A = self.source
         total = ctx_tgt.AA.zero()
-        for w, c in x.data.items():
-            left = self.source.element({w[:r]: self.source.field.one()})
-            right = self.source.element({w[r:]: self.source.field.one()})
-            total = total + ctx_tgt.pair(self.apply(left), self.apply(right)) * c
+        for key, c in x.data.items():
+            a, b = A.split_key(key, 2)
+            total = total + ctx_tgt.pair(self.apply(A.basis_element(a)),
+                                         self.apply(A.basis_element(b))) * c
         return total
 
 

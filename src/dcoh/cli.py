@@ -27,15 +27,15 @@ from .algebras import (AlgebraError, FreePolyAlgebra, LaurentAlgebra,
                        mu_twisted_datum, scalar_algebra)
 from .fields import FieldElement, FieldError, make_field, sigma_apply
 from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult, FrobeniusTwist,
-                     GroupError, _charge, mat_identity, mat_maybe_inverse, mat_mul,
+                     GroupError, _charge, mat_det, mat_identity, mat_maybe_inverse, mat_mul,
                      mat_transpose, mu2sigma_group)
 from .cocycles import CocycleError, Cocycle, equivalent, invariant, is_cocycle
 from .operators import DifferenceOperator, OperatorError
 from .sigma_poly import SigmaPolyError, parse_multiplicative
 from .torsors import (AdditiveTorsor, DiagonalTorsor, FrobeniusTwistTorsor,
                       MuTorsor, TorsorError, classify_h1, connecting_delta,
-                      exactness_audit, isomorphic, normalize, torsor_from_cocycle,
-                      torsor_points)
+                      exactness_audit, is_point, isomorphic, normalize,
+                      torsor_from_cocycle, torsor_points)
 
 
 class CliError(ValueError):
@@ -62,144 +62,28 @@ def parse_algebra(field, desc: str):
         else:
             mtxt, perm = rest, None
         return make_split_algebra(field, int(mtxt), perm)
-    if desc.startswith("laurent:"):
-        return _parse_laurent(field, desc[len("laurent:"):])
-    if desc.startswith("freepoly:"):
-        return _parse_freepoly(field, desc[len("freepoly:"):])
+    for cls in (LaurentAlgebra, FreePolyAlgebra):
+        if desc.startswith(cls.kind + ":"):
+            return _parse_monomial(field, cls, desc[len(cls.kind) + 1:])
     raise CliError(f"unknown algebra descriptor {desc!r}")
 
 
-class _MonomialDomain(exprs.Domain):
-    """Values (coefficient, exponent vector) for Laurent sigma images."""
-
-    def __init__(self, field, ngens):
-        self.field = field
-        self.ngens = ngens
-
-    def from_int(self, n):
-        return (self.field.element(n), (0,) * self.ngens)
-
-    def name(self, name):
-        if name == "u" and self.ngens == 1:
-            return (self.field.one(), (1,))
-        if name.startswith("u"):
-            try:
-                i = int(name[1:])
-            except ValueError:
-                i = None
-            if i is not None and 1 <= i <= self.ngens:
-                v = [0] * self.ngens
-                v[i - 1] = 1
-                return (self.field.one(), tuple(v))
-        return (self.field.named_element(name), (0,) * self.ngens)
-
-    def mul(self, a, b):
-        return (a[0] * b[0], tuple(x + y for x, y in zip(a[1], b[1])))
-
-    def div(self, a, b):
-        return (a[0] / b[0], tuple(x - y for x, y in zip(a[1], b[1])))
-
-    def neg(self, a):
-        return (-a[0], a[1])
-
-    def pow(self, a, n):
-        return (a[0] ** n, tuple(x * n for x in a[1]))
-
-    def add(self, a, b):
-        raise exprs.ExprError("Laurent sigma images must be monomials")
-
-    sub = add
-
-
-def _parse_laurent(field, rest: str) -> LaurentAlgebra:
+def _parse_monomial(field, cls, rest: str):
+    """'<r>;sigma(<stem><i>)=<image>;...': each image is read as an element
+    of the algebra of the same kind with sigma = id, and the algebra built
+    from the images checks their shape."""
     parts = rest.split(";")
     r = int(parts[0])
+    free = cls(field, r)
     images = [None] * r
-    pat = re.compile(r"sigma\(u(\d*)\)=(.*)")
+    pat = re.compile(rf"sigma\({cls.stem}(\d*)\)=(.*)")
     for item in parts[1:]:
         m = pat.fullmatch(item.strip())
         if not m:
-            raise CliError(f"bad laurent clause {item!r}")
+            raise CliError(f"bad {cls.kind} clause {item!r}")
         idx = int(m.group(1)) if m.group(1) else 1
-        images[idx - 1] = exprs.parse(m.group(2), _MonomialDomain(field, r))
-    if any(img is None for img in images):
-        raise CliError("missing sigma image for a Laurent generator")
-    return LaurentAlgebra(field, r, images)
-
-
-class _AffineDomain(exprs.Domain):
-    """Values (constant, coefficient vector) for FreePoly sigma images."""
-
-    def __init__(self, field, ngens):
-        self.field = field
-        self.ngens = ngens
-        self.zero = field.zero()
-
-    def from_int(self, n):
-        return (self.field.element(n), (self.zero,) * self.ngens)
-
-    def name(self, name):
-        if name == "y" and self.ngens == 1:
-            return (self.zero, (self.field.one(),))
-        if name.startswith("y"):
-            try:
-                i = int(name[1:])
-            except ValueError:
-                i = None
-            if i is not None and 1 <= i <= self.ngens:
-                v = [self.zero] * self.ngens
-                v[i - 1] = self.field.one()
-                return (self.zero, tuple(v))
-        return (self.field.named_element(name), (self.zero,) * self.ngens)
-
-    def add(self, a, b):
-        return (a[0] + b[0], tuple(x + y for x, y in zip(a[1], b[1])))
-
-    def sub(self, a, b):
-        return (a[0] - b[0], tuple(x - y for x, y in zip(a[1], b[1])))
-
-    def neg(self, a):
-        return (-a[0], tuple(-x for x in a[1]))
-
-    def _is_const(self, a):
-        return all(x.is_zero() for x in a[1])
-
-    def mul(self, a, b):
-        if self._is_const(a):
-            c = a[0]
-            return (c * b[0], tuple(c * x for x in b[1]))
-        if self._is_const(b):
-            return self.mul(b, a)
-        raise exprs.ExprError("sigma images must be affine-linear")
-
-    def div(self, a, b):
-        if not self._is_const(b):
-            raise exprs.ExprError("can only divide by a constant")
-        c = b[0].inv()
-        return (a[0] * c, tuple(x * c for x in a[1]))
-
-    def pow(self, a, n):
-        if n == 1:
-            return a
-        if self._is_const(a):
-            return (a[0] ** n, a[1])
-        raise exprs.ExprError("sigma images must be affine-linear")
-
-
-def _parse_freepoly(field, rest: str) -> FreePolyAlgebra:
-    parts = rest.split(";")
-    r = int(parts[0])
-    images = [None] * r
-    pat = re.compile(r"sigma\(y(\d*)\)=(.*)")
-    for item in parts[1:]:
-        m = pat.fullmatch(item.strip())
-        if not m:
-            raise CliError(f"bad freepoly clause {item!r}")
-        idx = int(m.group(1)) if m.group(1) else 1
-        images[idx - 1] = exprs.parse(m.group(2), _AffineDomain(field, r))
-    if any(img is None for img in images):
-        raise CliError("missing sigma image for a generator")
-    return FreePolyAlgebra(field, r, images)
+        images[idx - 1] = parse_literal(free, m.group(2)).data
+    return cls(field, r, images)
 
 
 _TWIST_RE = re.compile(r"(GL|SL)(\d+)")
@@ -277,28 +161,32 @@ def parse_torsor(field, desc: str):
 
 
 class _TensorDomain(exprs.Domain):
-    """Literal cocycle values over A(x)A: '#' is the tensor separator."""
+    """Literal elements of A, or with A's TensorContext of A(x)A, where '#'
+    is the tensor separator and a bare A-element lifts as v (x) 1.  Names
+    are looked up in env, then among A's named elements, then in the field;
+    division is by units."""
 
-    def __init__(self, tc: TensorContext, env: dict):
+    def __init__(self, A, env: dict, tc: TensorContext = None):
+        self.A = A
         self.tc = tc
         self.env = env
-        self.field = tc.A.field
+        self.field = A.field
 
     def _lift(self, v, level):
-        # level: 0 scalar, 1 A, 2 AA; a bare A-element lifts as v (x) 1
+        # level: 0 scalar, 1 A, 2 AA
         cur = self._level(v)
         while cur < level:
             if cur == 0:
-                v = self.tc.A.from_scalar(v)
+                v = self.A.from_scalar(v)
             else:
-                v = self.tc.pair(v, self.tc.A.one())
+                v = self.tc.pair(v, self.A.one())
             cur += 1
         return v
 
     def _level(self, v):
         if isinstance(v, FieldElement):
             return 0
-        return 1 if v.algebra == self.tc.A else 2
+        return 1 if v.algebra == self.A else 2
 
     def from_int(self, n):
         return self.field.element(n)
@@ -306,27 +194,8 @@ class _TensorDomain(exprs.Domain):
     def name(self, name):
         if name in self.env:
             return self.env[name]
-        try:
-            return self.field.named_element(name)
-        except FieldError:
-            pass
-        A = self.tc.A
-        labels = getattr(A, "labels", None)
-        if labels and name in labels:
-            return A.basis_element(labels.index(name))
-        ngens = getattr(A, "ngens", None)
-        if ngens is not None:
-            stem = "u" if isinstance(A, LaurentAlgebra) else "y"
-            if name == stem and ngens == 1:
-                return A.gen(0)
-            if name.startswith(stem):
-                try:
-                    i = int(name[len(stem):])
-                except ValueError:
-                    i = None
-                if i is not None and 1 <= i <= ngens:
-                    return A.gen(i - 1)
-        raise exprs.ExprError(f"unknown name {name!r}")
+        x = self.A.named_element(name)
+        return self.field.named_element(name) if x is None else x
 
     def _binop(self, a, b, op):
         lvl = max(self._level(a), self._level(b))
@@ -343,26 +212,20 @@ class _TensorDomain(exprs.Domain):
         return self._binop(a, b, lambda x, y: x * y)
 
     def div(self, a, b):
-        if self._level(b) != 0:
-            raise exprs.ExprError("can only divide by base field elements")
-        return self.mul(a, b.inv())
-
-    def neg(self, a):
-        return -a
-
-    def pow(self, a, n):
-        return a ** n
+        return self.mul(a, b.inv() if self._level(b) == 0 else b.inverse())
 
     def tensor(self, a, b):
+        if self.tc is None:
+            return super().tensor(a, b)
         if self._level(a) > 1 or self._level(b) > 1:
             raise exprs.ExprError("tensor separator takes two A-elements")
         return self.tc.pair(self._lift(a, 1), self._lift(b, 1))
 
 
-def parse_tensor_literal(tc: TensorContext, text: str, env: dict):
-    value = exprs.parse(text, _TensorDomain(tc, env))
-    dom = _TensorDomain(tc, env)
-    return dom._lift(value, 2)
+def parse_literal(A, text: str, env: dict = None, tc: TensorContext = None):
+    """An element of A, or of A(x)A when A's TensorContext tc is given."""
+    dom = _TensorDomain(A, env or {}, tc)
+    return dom._lift(exprs.parse(text, dom), 1 if tc is None else 2)
 
 
 def algebra_env(field, desc: str, algebra) -> dict:
@@ -462,7 +325,7 @@ def _cocycle_args(args):
 
 def cmd_cocycle_check(args, base):
     G, tc, env = _cocycle_args(args)
-    value = parse_tensor_literal(tc, args.chi, env)
+    value = parse_literal(tc.A, args.chi, env, tc)
     res = is_cocycle(G, tc, value)
     payload = outcome_json(res)
     # attach the family invariant as the checkable witness where available
@@ -477,8 +340,8 @@ def cmd_cocycle_check(args, base):
 
 def cmd_cocycle_equiv(args, base):
     G, tc, env = _cocycle_args(args)
-    c1 = Cocycle(G, tc, parse_tensor_literal(tc, args.chi, env))
-    c2 = Cocycle(G, tc, parse_tensor_literal(tc, args.chi2, env))
+    c1 = Cocycle(G, tc, parse_literal(tc.A, args.chi, env, tc))
+    c2 = Cocycle(G, tc, parse_literal(tc.A, args.chi2, env, tc))
     for c in (c1, c2):
         chk = is_cocycle(G, tc, c.value)
         if not chk:
@@ -512,6 +375,8 @@ def cmd_iso(args, base):
         a2, b2 = (field.element(t) for t in args.rhs.split(","))
         X, Y = MuTorsor(a1, b1), MuTorsor(a2, b2)
     elif args.family == "add":
+        if args.op is None:
+            raise CliError("add isomorphism needs --op")
         L = DifferenceOperator.parse(field, args.op)
         X = AdditiveTorsor(L, field.element(args.lhs))
         Y = AdditiveTorsor(L, field.element(args.rhs))
@@ -523,6 +388,8 @@ def cmd_iso(args, base):
         X = DiagonalTorsor(fs, [field.element(t) for t in args.lhs.split(",")])
         Y = DiagonalTorsor(fs, [field.element(t) for t in args.rhs.split(",")])
     elif args.family == "twist":
+        if args.twist is None:
+            raise CliError("twist isomorphism needs --twist")
         base_, n, d, psi, _ = _parse_twist_parts(args.twist, want_a=False)
         X = FrobeniusTwistTorsor(field, base_, n, d, psi, parse_matrix(field, args.lhs))
         Y = FrobeniusTwistTorsor(field, base_, n, d, psi, parse_matrix(field, args.rhs))
@@ -542,7 +409,7 @@ def cmd_torsor_points(args, base):
 
 def cmd_normalize(args, base):
     G, tc, env = _cocycle_args(args)
-    value = parse_tensor_literal(tc, args.chi, env)
+    value = parse_literal(tc.A, args.chi, env, tc)
     chk = is_cocycle(G, tc, value)
     if not chk:
         raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
@@ -595,7 +462,7 @@ def cmd_descend(args, base):
     if args.chi:
         tc = TensorContext(A)
         env = algebra_env(field, args.algebra, A)
-        chi = parse_tensor_literal(tc, args.chi, env)
+        chi = parse_literal(tc.A, args.chi, env, tc)
         datum = mu_twisted_datum(A, chi)
     elif args.c0:
         C0 = parse_algebra(field, args.c0)
@@ -615,11 +482,14 @@ def cmd_descend(args, base):
 # verify: re-check witnesses with field arithmetic only
 
 
-def _verify_matrix_relation(field, n, d, psi, a1, a2, c) -> bool:
-    """psi(c)^{-1} a1 sigma^d(c) = a2 in field arithmetic; false when c or
-    psi(c) is singular.  With a1 = 1 it says that c is a point of the twist
-    torsor sigma^d(x) = psi(x) a2."""
+def _verify_matrix_relation(field, base, n, d, psi, a1, a2, c) -> bool:
+    """psi(c)^{-1} a1 sigma^d(c) = a2 in field arithmetic; false when c lies
+    outside the base group GL_n or SL_n, or psi(c) is singular.  With a1 = 1
+    it says that c is a point of the twist torsor sigma^d(x) = psi(x) a2."""
     c = tuple(map(tuple, c))
+    det = mat_det(c)
+    if det.is_zero() or (base == "SL" and not det.is_one()):
+        return False
     if psi == "trivial":
         psi_c = mat_identity(field, n)
     else:
@@ -645,6 +515,35 @@ def _translates(field, family, c, lhs, rhs, op):
     return None
 
 
+class _Line(dict):
+    """A JSON object of the line verify reads; a key it lacks is a parse error."""
+
+    def __missing__(self, key):
+        raise CliError(f"the line verify reads has no {key!r}")
+
+
+def _algebra_witness(X, R, w):
+    """The point over R that the witness w of a torsor-points answer names,
+    or None when w does not parse or does not have the shape of X's points."""
+    G = X.presentation
+    ref = G.point_shape((R.one(),) * G.slots)
+
+    def shape(v):
+        return tuple(map(shape, v)) if isinstance(v, tuple) else None
+
+    def read(v):
+        if isinstance(v, list):
+            return tuple(map(read, v))
+        if not isinstance(v, str):
+            raise ValueError("witness entries are strings")
+        return parse_literal(R, v)
+    try:
+        x = read(w.get("value"))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return x if w.get("type") == witness_json(ref)["type"] and shape(x) == shape(ref) else None
+
+
 def cmd_verify(args, base):
     line = json.loads(args.line) if args.line else json.loads(sys.stdin.read())
     qargs = line.get("args") if isinstance(line, dict) else None
@@ -652,6 +551,7 @@ def cmd_verify(args, base):
             and isinstance(line.get("witness") or {}, dict)):
         raise CliError("verify reads one output line: a JSON object whose args name "
                        "the field and whose witness is an object")
+    line, qargs = _Line(line), _Line(qargs)
     cmd = line.get("cmd")
     field = make_field(qargs["field"])
     w = line.get("witness")
@@ -676,12 +576,18 @@ def cmd_verify(args, base):
     elif cmd == "iso" and qargs.get("family") == "twist" and w and w.get("type") == "matrix":
         base_, n, d, psi, _ = _parse_twist_parts(qargs["twist"], want_a=False)
         c = [[field.element(e) for e in row] for row in w["value"]]
-        ok = _verify_matrix_relation(field, n, d, psi, parse_matrix(field, qargs["lhs"]),
+        ok = _verify_matrix_relation(field, base_, n, d, psi, parse_matrix(field, qargs["lhs"]),
                                      parse_matrix(field, qargs["rhs"]), c)
     elif cmd == "torsor-points" and w:
-        # the parsed torsor supplies its data, field arithmetic the check
+        # the parsed torsor supplies its data, field arithmetic the check; a
+        # point over an algebra R is checked by the family's equations over R
         X, kind = parse_torsor(field, qargs["torsor"]), w.get("type")
-        if X.kind == "mu" and kind == "scalar":
+        if qargs.get("algebra"):
+            R = parse_algebra(field, qargs["algebra"])
+            x = _algebra_witness(X, R, w)
+            if x is not None:
+                ok = is_point(X, x, R)
+        elif X.kind == "mu" and kind == "scalar":
             x = field.element(w["value"])
             ok = x * x == X.a and sigma_apply(x) == X.b * x
         elif X.kind == "additive" and kind == "scalar":
@@ -689,7 +595,8 @@ def cmd_verify(args, base):
         elif X.kind == "twist" and kind == "matrix":
             G = X.presentation
             x = [[field.element(e) for e in row] for row in w["value"]]
-            ok = _verify_matrix_relation(field, G.n, G.d, G.psi, mat_identity(field, G.n), X.a, x)
+            ok = _verify_matrix_relation(field, G.base, G.n, G.d, G.psi,
+                                         mat_identity(field, G.n), X.a, x)
         elif X.kind == "diagonal" and kind == "tuple":
             x = tuple(field.element(t) for t in w["value"])
             ok = all(f.eval(x) == a for f, a in zip(X.functions, X.avec))

@@ -690,30 +690,18 @@ class AdditiveKernel(GroupPresentation):
         A = tc.A
         field = A.field
         zero = field.zero()
-        if isinstance(A, FinDimAlgebra):
-            keys = tc.AA.index_list()
-            monos = A.index_list()
-            images = [tc.d1(A.basis_element(i)) - tc.d2(A.basis_element(i)) for i in monos]
-        elif isinstance(A, FreePolyAlgebra):
-            degree = max((sum(w) for w in value.data), default=0)
-            monos = [w for w in itertools.product(range(degree + 1), repeat=A.ngens)
-                     if sum(w) <= degree]
-            images = []
-            keys = set(value.data)
-            for w in monos:
-                m = AlgElement(A, {w: field.one()})
-                images.append(tc.d1(m) - tc.d2(m))
-                keys.update(images[-1].data)
-            keys = sorted(keys)
-        else:
+        span = A.trivialization_span(value)
+        if span is None:
             raise CocycleError("additive invariant supports FinDim and FreePoly algebras")
+        images = [tc.d1(m) - tc.d2(m) for m in span]
+        keys = sorted(set(value.data).union(*(img.data for img in images)))
         mat = [[img.data.get(key, zero) for img in images] for key in keys]
         sol = linalg.solve(mat, [value.data.get(key, zero) for key in keys], field)
         if sol is None:
             raise CocycleError("additive cocycle failed to trivialize (bug)")
         alpha = A.zero()
-        for w, c in zip(monos, sol):
-            alpha = alpha + AlgElement(A, {w: c})
+        for m, c in zip(span, sol):
+            alpha = alpha + m * c
         (a,) = _scalar_parts([self.L.apply(alpha)], "L(alpha)")
         return a
 

@@ -16,7 +16,8 @@ cocycle_from_point each have one body: the family's torsor equations,
 point search, invariant, decision on targets and H^1 listing are methods
 of the group presentation (see groups), and the normal form is looked up
 by the group's torsor_kind.  Only the twisted form, whose group may be of
-any family, has equations of its own.
+any family, has equations of its own: it overrides the presentation's
+is_point, points, cocycle_from_point and normal_form.
 
 Both directions of the classification bijection are computable: a point
 x of a torsor over A yields the unique cocycle with f1(x) = chi.f2(x),
@@ -53,14 +54,40 @@ class TorsorError(ValueError):
 
 
 class TorsorPresentation:
-    """The pair (group presentation, target)."""
+    """The pair (group presentation, target).
+
+    Its points satisfy the group's equations with the target in place of 1,
+    and every method defers to the family protocol of the group; the twisted
+    form overrides them with the equations of its cocycle, chi (None here).
+    """
 
     kind = "abstract"
+    chi = None
 
     def __init__(self, presentation: GroupPresentation, target):
         self.presentation = presentation
         self.field = presentation.field
         self.target = target
+
+    def is_point(self, x, R: SigmaAlgebra = None) -> bool:
+        return self.presentation.torsor_point(x, self.target, R)
+
+    def points(self, R: SigmaAlgebra, budget: int) -> Outcome:
+        if R is None:
+            return self.presentation.rational_point(self.target, budget)
+        return _points_over_algebra(self, R, budget)
+
+    def cocycle_from_point(self, x, A: SigmaAlgebra) -> Cocycle:
+        if A is None:
+            raise TorsorError("need the trivializing algebra A")
+        if not self.is_point(x, A):
+            raise TorsorError("x is not a point of X over A")
+        tc = TensorContext(A)
+        G = self.presentation
+        return make_cocycle(G, tc, G.mul(G.map(tc.d1, x), G.inv(G.map(tc.d2, x))))
+
+    def normal_form(self) -> "TorsorPresentation":
+        return self
 
 
 class MuTorsor(TorsorPresentation):
@@ -141,6 +168,40 @@ class TwistedForm(TorsorPresentation):
     def canonical_point(self):
         return self.presentation.inv(self.chi.value)
 
+    def is_point(self, x, R=None):
+        tc = self.chi.context
+        if R is not None and R != tc.A:
+            raise TorsorError("twisted-form membership is realized over its own algebra")
+        G = self.presentation
+        lhs = G.mul(G.map(tc.dd2, x), G.map(tc.dd1, self.chi.value))
+        return G.equal(lhs, G.map(tc.dd3, x)) and contains(G, x, tc.AA)
+
+    def points(self, R, budget):
+        if R is not None and R != self.chi.context.A:
+            return outcome.undecided("twisted-form-over-foreign-algebra")
+        x = self.canonical_point()
+        if not self.is_point(x):
+            raise TorsorError("canonical point fails membership (bug)")
+        return outcome.yes(x)
+
+    def cocycle_from_point(self, z, A=None):
+        tc = self.chi.context
+        G = self.presentation
+        if not self.is_point(z):
+            raise TorsorError("z is not a point of the twisted form")
+        prod = G.mul(G.map(tc.dd1, z), G.inv(G.map(tc.dd2, z)))
+        cand = G.map(tc.untensor_third, prod)
+        if not G.equal(G.map(tc.dd3, cand), prod):
+            raise TorsorError("uniqueness solve failed for the extracted cocycle")
+        return make_cocycle(G, tc, cand)
+
+    def normal_form(self):
+        G = self.presentation
+        make = NORMAL_FORMS.get(G.torsor_kind)
+        if make is None:
+            raise TorsorError(f"normalization unsupported for group kind {G.kind}")
+        return make(G, invariant(self.chi))
+
     def __repr__(self):
         return f"TwistedForm(group={self.chi.group.kind})"
 
@@ -160,14 +221,7 @@ NORMAL_FORMS = {
 
 def is_point(X: TorsorPresentation, x, R: SigmaAlgebra = None) -> bool:
     """Does x satisfy the defining equations of X (over R or over k)?"""
-    if not isinstance(X, TwistedForm):
-        return X.presentation.torsor_point(x, X.target, R)
-    tc = X.chi.context
-    if R is not None and R != tc.A:
-        raise TorsorError("twisted-form membership is realized over its own algebra")
-    G = X.presentation
-    lhs = G.mul(G.map(tc.dd2, x), G.map(tc.dd1, X.chi.value))
-    return G.equal(lhs, G.map(tc.dd3, x)) and contains(G, x, tc.AA)
+    return X.is_point(x, R)
 
 
 def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
@@ -181,17 +235,9 @@ def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
     (q-1)^n units of a torus search (mu2^sigma's too) and the q^(n^2)
     matrices of a twist search answer undecided, and the q^(dim R * slots)
     points of a search over R raise BudgetExceeded, when they exceed it.
+    A twisted form answers with its canonical point over its own algebra.
     """
-    if isinstance(X, TwistedForm):
-        if R is not None and R != X.chi.context.A:
-            return outcome.undecided("twisted-form-over-foreign-algebra")
-        x = X.canonical_point()
-        if not is_point(X, x):
-            raise TorsorError("canonical point fails membership (bug)")
-        return outcome.yes(x)
-    if R is None:
-        return X.presentation.rational_point(X.target, budget)
-    return _points_over_algebra(X, R, budget)
+    return X.points(R, budget)
 
 
 def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
@@ -218,49 +264,7 @@ def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
 
 def cocycle_from_point(X: TorsorPresentation, x, A: SigmaAlgebra = None) -> Cocycle:
     """The unique cocycle with f1(x) = chi . f2(x) for a point x in X(A)."""
-    if isinstance(X, TwistedForm):
-        return _cocycle_from_twisted_point(X, x)
-    if A is None:
-        raise TorsorError("need the trivializing algebra A")
-    if not is_point(X, x, A):
-        raise TorsorError("x is not a point of X over A")
-    tc = TensorContext(A)
-    G = X.presentation
-    return make_cocycle(G, tc, G.mul(G.map(tc.d1, x), G.inv(G.map(tc.d2, x))))
-
-
-def _untensor_third(tc: TensorContext, w):
-    """Invert dd3 on its image: strip the trailing tensor-1 factor."""
-    A = tc.A
-    if isinstance(A, FinDimAlgebra):
-        unit = A.unit_data()
-        i0, u0 = next(iter(unit.items()))
-        # key the result with AA's own index tuples, shared by every element
-        own = {k: k for k in tc.AA.index_list()}
-        out = {}
-        for (i, j, r), c in w.data.items():
-            if r == i0:
-                out[own[i, j]] = c / u0
-        return tc.AA.element(out)
-    r = A.ngens
-    out = {}
-    for key, c in w.data.items():
-        if any(e != 0 for e in key[2 * r:]):
-            continue
-        out[key[:2 * r]] = c
-    return tc.AA.element(out)
-
-
-def _cocycle_from_twisted_point(X: TwistedForm, z) -> Cocycle:
-    tc = X.chi.context
-    G = X.presentation
-    if not is_point(X, z):
-        raise TorsorError("z is not a point of the twisted form")
-    prod = G.mul(G.map(tc.dd1, z), G.inv(G.map(tc.dd2, z)))
-    cand = G.map(lambda e: _untensor_third(tc, e), prod)
-    if not G.equal(G.map(tc.dd3, cand), prod):
-        raise TorsorError("uniqueness solve failed for the extracted cocycle")
-    return make_cocycle(G, tc, cand)
+    return X.cocycle_from_point(x, A)
 
 
 def torsor_from_cocycle(chi: Cocycle) -> TwistedForm:
@@ -276,13 +280,7 @@ def torsor_from_cocycle(chi: Cocycle) -> TwistedForm:
 
 def normalize(X: TorsorPresentation) -> TorsorPresentation:
     """Family normal form of a twisted form, via the family invariant."""
-    if not isinstance(X, TwistedForm):
-        return X
-    G = X.presentation
-    make = NORMAL_FORMS.get(G.torsor_kind)
-    if make is None:
-        raise TorsorError(f"normalization unsupported for group kind {G.kind}")
-    return make(G, invariant(X.chi))
+    return X.normal_form()
 
 
 # --------------------------------------------------------------------------
@@ -293,8 +291,7 @@ def isomorphic(X: TorsorPresentation, Y: TorsorPresentation,
                budget: int = 10 ** 6) -> Outcome:
     """A torsor isomorphism witness (a translation datum), or a certificate:
     the family's decision on the targets of the normal forms."""
-    if isinstance(X, TwistedForm) and isinstance(Y, TwistedForm) \
-            and X.chi.context.A == Y.chi.context.A:
+    if X.chi is not None and Y.chi is not None and X.chi.context.A == Y.chi.context.A:
         return equivalent(X.chi, Y.chi, budget)
     X, Y = normalize(X), normalize(Y)
     if X.kind != Y.kind:

@@ -174,6 +174,53 @@ def test_freepoly_algebra(shift_field):
     assert tc.simplicial_check([y, y * y + A.one()])
 
 
+def test_power_equals_repeated_product(gf9):
+    w = gf9.element("w")
+    A = make_mu_algebra(w, w)
+    AA = TensorContext(A).AA
+    L = LaurentAlgebra(gf9, 2, [(w, (0, 1)), (gf9.one(), (1, 0))])
+    units = [A.basis_element(1), A.one() * w + A.basis_element(1),
+             AA.pure_tensor(A.basis_element(1), A.one() + A.basis_element(1)),
+             L.gen(0) * L.gen(1) ** -2 * w]
+    for x in units:
+        assert x.is_unit()
+        for n in range(-3, 10):
+            expected = x.algebra.one()
+            for _ in range(abs(n)):
+                expected = expected * (x if n > 0 else x.inverse())
+            assert x ** n == expected, (x, n)
+
+
+def test_monomial_algebras_share_one_protocol(shift_field):
+    k = shift_field
+    t = k.element("t")
+    L = LaurentAlgebra(k, 2, [(t, (0, -1)), (k.one(), (1, 0))])
+    # the data form of the sigma images gives the same algebra as the pairs
+    assert L == LaurentAlgebra(k, 2, [img.data for img in L.images])
+    P = FreePolyAlgebra(k, 2, [(k.zero(), [k.zero(), k.one()]), (t, [k.one(), k.one()])])
+    assert P == FreePolyAlgebra(k, 2, [img.data for img in P.images])
+    for A in (L, P):
+        tc = TensorContext(A)
+        assert tc.AA == algebras.tensor_square(A) == A.tensor_power(2)
+        assert tc.AA.ngens == 2 * A.ngens and tc.AAA.ngens == 3 * A.ngens
+        x, y = A.generators()
+        z = tc.pair(x * y, y)
+        assert [A.join_keys(A.split_key(key, 2)) for key in z.data] == list(z.data)
+        assert tc.untensor_third(tc.dd3(z)) == z
+        assert tc.pair(x, y).sigma() == tc.pair(x.sigma(), y.sigma())
+        assert A.named_element(A.stem + "2") == y and A.named_element("v") is None
+        swap = AlgebraMorphism(A, A, [y, x], check=False)
+        assert swap.apply(x * x * y + t) == y * y * x + t
+    with pytest.raises(AlgebraError, match="Laurent sigma images must be monomials"):
+        LaurentAlgebra(k, 1, [{(1,): k.one(), (0,): k.one()}])
+    with pytest.raises(AlgebraError, match="must be a unit"):
+        LaurentAlgebra(k, 1, [{(1,): k.zero()}])
+    with pytest.raises(AlgebraError, match="affine-linear"):
+        FreePolyAlgebra(k, 1, [{(2,): k.one()}])
+    with pytest.raises(AlgebraError, match="missing sigma image for a Laurent generator"):
+        LaurentAlgebra(k, 2, [None, {(1, 0): k.one()}])
+
+
 def test_descent_canonical_recovers_c0(QQ, gf9):
     C0 = make_mu_algebra(QQ.element(2), QQ.one())
     A = make_split_algebra(QQ, 2, [1, 0])

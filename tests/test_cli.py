@@ -302,3 +302,56 @@ def test_verify_reports_malformed_lines_as_errors():
         vcode, vlines = run_cli(["verify", "--line", doctored])
         assert vcode == 2 and vlines[0]["ok"] is False, doctored
 
+
+
+def test_missing_arguments_are_parse_errors():
+    """iso without its family's --op or --twist, and verify of a line that
+    lacks an argument its check reads, print one JSON line and exit 2."""
+    no_lhs = {"cmd": "iso", "args": {"field": "GF(9);frob^1", "family": "mu"},
+              "result": True, "witness": {"type": "scalar", "value": "1"}}
+    for argv in (["iso", "--field", "QQ", "--family", "add", "--lhs", "0", "--rhs", "1"],
+                 ["iso", "--field", "GF(9);frob^1", "--family", "twist", "--lhs", "1",
+                  "--rhs", "1"],
+                 ["verify", "--line", json.dumps(no_lhs)]):
+        code, lines = run_cli(argv)
+        assert code == 2 and len(lines) == 1 and lines[0]["ok"] is False, argv
+
+
+def test_verify_rejects_a_twist_witness_outside_the_base_group():
+    code, lines = run_cli(["iso", "--field", "GF(9);frob^1", "--family", "twist",
+                           "--twist", "SL2;d=1;psi=id", "--lhs", "[[1,0],[0,1]]",
+                           "--rhs", "[[1,0],[0,1]]"])
+    assert code == 0 and lines[0]["witness"]["value"] == [["0", "1"], ["2", "0"]]
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 0 and vlines[0]["result"] is True
+    # det 2: the relation holds, but the witness is not in SL2
+    doctored = dict(lines[0], witness={"type": "matrix", "value": [["2", "0"], ["0", "1"]]})
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(doctored)])
+    assert vcode == 1 and vlines[0]["result"] is False
+
+
+# torsor-points answers over an algebra, each with a doctored witness that
+# is not a point
+ALGEBRA_POINTS = [
+    (["torsor-points", "--field", "GF(3);frob^1", "--torsor", "twist:GL1;d=1;psi=id;a=-1",
+      "--algebra", "split:2;perm=1,0"], {"type": "matrix", "value": [["e1"]]}),
+    (["torsor-points", "--field", "QQ(t);shift", "--torsor", "add:s-1;1/t",
+      "--algebra", "freepoly:1;sigma(y1)=y1+1/t"], {"type": "algebra-element", "value": "2*y"}),
+    (["torsor-points", "--field", "GF(3);frob^1", "--torsor", "diag:2;y1^2,s(y2)/y2;1,1",
+      "--algebra", "split:2;perm=1,0"], {"type": "tuple", "value": ["e1", "e1 + e2"]}),
+]
+
+
+@pytest.mark.parametrize("argv,doctored", ALGEBRA_POINTS, ids=[a[4] for a, _ in ALGEBRA_POINTS])
+def test_verify_checks_points_over_an_algebra(argv, doctored):
+    code, lines = run_cli(argv)
+    assert code == 0 and lines[0]["result"] is True
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 0 and vlines[0]["result"] is True
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], witness=doctored))])
+    assert vcode == 1 and vlines[0]["result"] is False
+    # a witness that does not parse, or has another shape, stays unverified
+    for bad in (dict(doctored, value=["e9"] if doctored["type"] == "tuple" else "e9"),
+                {"type": "scalar" if doctored["type"] != "scalar" else "tuple", "value": "1"}):
+        vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], witness=bad))])
+        assert vcode == 3 and vlines[0]["result"] == "unverified", bad

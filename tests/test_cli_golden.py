@@ -1,7 +1,7 @@
 """Golden CLI lines: the exact stdout and exit code of every subcommand.
 
 Any change to an answer, a witness, a certificate or a JSON byte shows up
-here as a failed string comparison.  `verify` re-checks three of the
+here as a failed string comparison.  `verify` re-checks five of the
 lines.
 """
 
@@ -74,6 +74,36 @@ GOLDEN = [
     (["field-eval", "--field", "GF(6)", "--expr", "1"],
      2,
      '{"args": {"budget": 1000000, "expr": "1", "field": "GF(6)"}, "certificate": "error: 6 is not a prime power", "cmd": "field-eval", "ok": false, "result": null, "undecided": false, "witness": null}'),
+    # the monomial algebras: the Laurent lift of delta, free-polynomial
+    # additive cocycles and points, Laurent sigma images with inverses and
+    # divisions, and two rejected descriptors with their error texts
+    (["delta", "--field", "QQ(t);subst:t^2", "--d", "2", "--x", "t^4+1"],
+     0,
+     '{"args": {"budget": 1000000, "d": 2, "field": "QQ(t);subst:t^2", "x": "t^4+1"}, "certificate": null, "cmd": "delta", "detail": null, "ok": true, "result": {"cocycle": "1", "trivial": true}, "undecided": false, "witness": {"type": "scalar", "value": "t + 1"}}'),
+    (["cocycle-equiv", "--field", "QQ(t);shift", "--algebra", "freepoly:1;sigma(y1)=y1+1/t", "--group", "addker:s-1", "--chi", "1#y - y#1", "--chi2", "0"],
+     0,
+     '{"args": {"algebra": "freepoly:1;sigma(y1)=y1+1/t", "budget": 1000000, "chi": "1#y - y#1", "chi2": "0", "field": "QQ(t);shift", "group": "addker:s-1"}, "certificate": "no-rational-solution", "cmd": "cocycle-equiv", "detail": {"family": "add", "lhs_invariant": "1/(t)", "operator": "s + -1", "rhs_invariant": "0"}, "ok": true, "result": false, "undecided": false, "witness": null}'),
+    (["normalize", "--field", "QQ(t);shift", "--algebra", "freepoly:1;sigma(y1)=y1+1/t", "--group", "addker:s-1", "--chi", "1#y - y#1"],
+     0,
+     '{"args": {"algebra": "freepoly:1;sigma(y1)=y1+1/t", "budget": 1000000, "chi": "1#y - y#1", "field": "QQ(t);shift", "group": "addker:s-1"}, "certificate": null, "cmd": "normalize", "ok": true, "result": {"a": "1/(t)", "family": "add", "operator": "s + -1"}, "undecided": false, "witness": null}'),
+    (["torsor-points", "--field", "QQ(t);shift", "--torsor", "add:s-1;1/t", "--algebra", "freepoly:1;sigma(y1)=y1+1/t"],
+     0,
+     '{"args": {"algebra": "freepoly:1;sigma(y1)=y1+1/t", "budget": 1000000, "field": "QQ(t);shift", "torsor": "add:s-1;1/t"}, "certificate": null, "cmd": "torsor-points", "detail": null, "ok": true, "result": true, "undecided": false, "witness": {"type": "algebra-element", "value": "y"}}'),
+    (["torsor-points", "--field", "GF(3);frob^1", "--torsor", "twist:GL1;d=1;psi=id;a=-1", "--algebra", "split:2;perm=1,0"],
+     0,
+     '{"args": {"algebra": "split:2;perm=1,0", "budget": 1000000, "field": "GF(3);frob^1", "torsor": "twist:GL1;d=1;psi=id;a=-1"}, "certificate": null, "cmd": "torsor-points", "detail": null, "ok": true, "result": true, "undecided": false, "witness": {"type": "matrix", "value": [["e1 + 2*e2"]]}}'),
+    (["cocycle-check", "--field", "QQ(t);shift", "--algebra", "laurent:2;sigma(u1)=t*u2^-1;sigma(u2)=u1", "--group", "twist:GL1;d=2;psi=id", "--chi", "u1^-1#u1"],
+     0,
+     '{"args": {"algebra": "laurent:2;sigma(u1)=t*u2^-1;sigma(u2)=u1", "budget": 1000000, "chi": "u1^-1#u1", "field": "QQ(t);shift", "group": "twist:GL1;d=2;psi=id"}, "certificate": "not-a-group-element", "cmd": "cocycle-check", "detail": null, "ok": true, "result": false, "undecided": false, "witness": null}'),
+    (["cocycle-check", "--field", "QQ(t);subst:t^2", "--algebra", "laurent:1;sigma(u)=t/u", "--group", "mu2sigma", "--chi", "u^-1#u"],
+     0,
+     '{"args": {"algebra": "laurent:1;sigma(u)=t/u", "budget": 1000000, "chi": "u^-1#u", "field": "QQ(t);subst:t^2", "group": "mu2sigma"}, "certificate": "not-a-group-element", "cmd": "cocycle-check", "detail": null, "ok": true, "result": false, "undecided": false, "witness": null}'),
+    (["cocycle-check", "--field", "QQ(t);shift", "--algebra", "laurent:1;sigma(u)=u+1", "--group", "mu2sigma", "--chi", "1"],
+     2,
+     '{"args": {"algebra": "laurent:1;sigma(u)=u+1", "budget": 1000000, "chi": "1", "field": "QQ(t);shift", "group": "mu2sigma"}, "certificate": "error: Laurent sigma images must be monomials", "cmd": "cocycle-check", "ok": false, "result": null, "undecided": false, "witness": null}'),
+    (["cocycle-check", "--field", "QQ(t);shift", "--algebra", "freepoly:1;sigma(y1)=y1*y1", "--group", "addker:s-1", "--chi", "0"],
+     2,
+     '{"args": {"algebra": "freepoly:1;sigma(y1)=y1*y1", "budget": 1000000, "chi": "0", "field": "QQ(t);shift", "group": "addker:s-1"}, "certificate": "error: sigma images must be affine-linear", "cmd": "cocycle-check", "ok": false, "result": null, "undecided": false, "witness": null}'),
 ]
 
 # (index of the verified line in GOLDEN, exit code, verify's line)
@@ -85,6 +115,10 @@ VERIFY = [
     (5, 0,
      '{"args": {"target": "cocycle-equiv"}, "certificate": null, "cmd": "verify", "ok": true, "result": true, "undecided": false, "witness": null}'),
 ]
+
+# torsor-points lines found over an algebra, which `verify` checks with the
+# family's torsor equations over that algebra
+VERIFY_OVER_ALGEBRA = [23, 24]
 
 
 def run_raw(argv):
@@ -104,3 +138,11 @@ def test_golden_line(argv, code, line):
                          ids=[GOLDEN[v[0]][0][0] for v in VERIFY])
 def test_golden_verify(target, code, line):
     assert run_raw(["verify", "--line", GOLDEN[target][2]]) == (code, line + "\n")
+
+
+@pytest.mark.parametrize("target", VERIFY_OVER_ALGEBRA,
+                         ids=[GOLDEN[i][0][-1] for i in VERIFY_OVER_ALGEBRA])
+def test_golden_verify_over_an_algebra(target):
+    assert run_raw(["verify", "--line", GOLDEN[target][2]]) == (
+        0, '{"args": {"target": "torsor-points"}, "certificate": null, "cmd": "verify", '
+           '"ok": true, "result": true, "undecided": false, "witness": null}\n')
