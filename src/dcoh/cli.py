@@ -6,11 +6,12 @@ Each invocation prints one JSON object per query with the shape
      "witness": ..., "certificate": ..., "undecided": bool}
 
 and exits 0 on success, 2 on a parse error, 3 when a query came back
-undecided (budget exhaustion or an out-of-scope instance).  Re-running
-a command is bit-identical.  Positive answers carry witnesses in base
-field terms wherever the mathematics allows it, and `dcoh verify`
-re-checks those witnesses using only field arithmetic, sigma, and
-operator application -- a deliberately small trusted core.
+undecided (budget exhaustion or an out-of-scope instance), and 4 when a
+solver's self-check of its own witness failed (an internal error).
+Re-running a command is bit-identical.  Positive answers carry
+witnesses in base field terms wherever the mathematics allows it, and
+`dcoh verify` re-checks those witnesses using only field arithmetic,
+sigma, and operator application -- a deliberately small trusted core.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ def _parse_monomial(field, cls, rest: str):
         if not m:
             raise CliError(f"bad {cls.kind} clause {item!r}")
         idx = int(m.group(1)) if m.group(1) else 1
+        if not 1 <= idx <= r:
+            raise CliError(f"{cls.kind} clause {item!r} names a generator "
+                           f"outside {cls.stem}1..{cls.stem}{r}")
         images[idx - 1] = parse_literal(free, m.group(2)).data
     return cls(field, r, images)
 
@@ -748,6 +752,19 @@ PARSE_ERRORS = (CliError, FieldError, AlgebraError, GroupError, CocycleError,
                 ValueError, ZeroDivisionError)
 
 
+def _answerless_line(args, base, certificate: str, code: int) -> int:
+    """Print the line of a query that ended without an answer; return `code`.
+
+    Exit 3 (budget exhausted) is an undecided answer; exits 2 (parse
+    error) and 4 (internal error) are not ok.
+    """
+    undecided = code == 3
+    print(json.dumps({"cmd": args.cmd, "args": base["args"], "ok": undecided,
+                      "result": None, "witness": None, "certificate": certificate,
+                      "undecided": undecided}, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -757,17 +774,11 @@ def main(argv=None) -> int:
     try:
         return HANDLERS[args.cmd](args, base)
     except BudgetExceeded as e:
-        print(json.dumps({"cmd": args.cmd, "args": base["args"], "ok": True,
-                          "result": None, "witness": None,
-                          "certificate": f"budget-exhausted: {e}",
-                          "undecided": True}, sort_keys=True))
-        return 3
+        return _answerless_line(args, base, f"budget-exhausted: {e}", 3)
     except PARSE_ERRORS as e:
-        print(json.dumps({"cmd": args.cmd, "args": base["args"], "ok": False,
-                          "result": None, "witness": None,
-                          "certificate": f"error: {e}", "undecided": False},
-                         sort_keys=True))
-        return 2
+        return _answerless_line(args, base, f"error: {e}", 2)
+    except outcome.InternalError as e:
+        return _answerless_line(args, base, f"internal-error: {e}", 4)
 
 
 if __name__ == "__main__":

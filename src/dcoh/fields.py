@@ -207,6 +207,8 @@ class SigmaField:
     # entries swell under elimination by pivot division; linalg's
     # cross-multiplication with normalize_row keeps them small
     swells_under_division = False
+    # linalg eliminates on rows cleared to integers (values are Fractions)
+    integer_elimination = False
 
     def element(self, obj) -> FieldElement:
         if isinstance(obj, FieldElement):
@@ -275,6 +277,7 @@ class RationalField(SigmaField):
     characteristic = 0
     inversive = True
     finite = False
+    integer_elimination = True
 
     def _from_int_like(self, obj):
         if isinstance(obj, (int, Fraction)):

@@ -707,7 +707,7 @@ class AdditiveKernel(GroupPresentation):
 
     def equivalent_targets(self, a1, a2, budget):
         """c in k with L(c) = a2 - a1: x -> x + c carries L(x) = a1 to a2."""
-        return solve_additive_full(self.L, a2 - a1)
+        return solve_additive_full(self.L, a2 - a1, budget)
 
     def classify(self, budget):
         if self.L is None:
@@ -726,7 +726,7 @@ class AdditiveKernel(GroupPresentation):
         return self.L.apply(x) == (R.from_scalar(a) if R is not None else a)
 
     def rational_point(self, a, budget):
-        return solve_additive_full(self.L, a)
+        return solve_additive_full(self.L, a, budget)
 
     def canonical_point(self, a, R):
         """The generator of k[y_1..y_n] with L(y_1) = a."""

@@ -1,11 +1,22 @@
 """Exact linear algebra over the sigma-fields.
 
-Matrices are lists of rows of FieldElements.  Elimination is done by
-cross-multiplication (no pivot division inside the loop), and after
-each combination the field's normalize_row hook may rescale the row;
-over QQ(t) this keeps entries polynomial with small content, which is
-what tames expression swell there.  Pivot divisions happen only once,
-when reading off kernels or solutions.
+Matrices are lists of rows of FieldElements.  row_echelon brings a matrix
+to reduced echelon form in one of two ways:
+
+  * over QQ (a field with integer_elimination) each row is cleared to
+    primitive integers and reduced by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968): every update p * a - c * b is divided
+    exactly by the previous pivot, so entries stay minors of the cleared
+    matrix instead of swelling, and only the final rows, divided by their
+    pivots, become field elements again;
+  * elsewhere by cross-multiplication (no pivot division inside the
+    loop), and after each combination the field's normalize_row hook may
+    rescale the row; over QQ(t) this keeps entries polynomial with small
+    content, which is what tames expression swell there.  Pivot divisions
+    happen only once, when reading off kernels or solutions.
+
+The reduced echelon form is unique up to scaling its rows, so kernels and
+solutions read from either are the same.
 
 solve_square_raw is the exception: a Gauss-Jordan solver on raw field
 values (FieldElement.value) for square systems with a unique solution,
@@ -14,12 +25,17 @@ which the finite-dimensional algebras use to invert units.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 
 def row_echelon(matrix, field):
-    """Reduced echelon form (pivots not normalized to 1).
+    """Reduced echelon form: pivots 1 over QQ, not normalized elsewhere.
 
     Returns (rows, pivots) where pivots is a list of (row, col) pairs.
     """
+    if field.integer_elimination:
+        return _row_echelon_integer(matrix, field)
     rows = [list(r) for r in matrix]
     pivots = []
     r = 0
@@ -52,6 +68,56 @@ def row_echelon(matrix, field):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _row_echelon_integer(matrix, field):
+    """row_echelon over QQ by fraction-free Gauss-Jordan on integer rows."""
+    rows = []
+    for row in matrix:
+        vals = [x.value for x in row]
+        den = math.lcm(*[v.denominator for v in vals])
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        g = math.gcd(*ints)
+        rows.append([c // g for c in ints] if g > 1 else ints)
+    pivots = []
+    prev = 1
+    r = 0
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        ref = rows[r]
+        pv = ref[col]
+        for i in range(nrows):
+            if i == r:
+                continue
+            c = rows[i][col]
+            if c:
+                rows[i] = [(pv * a - c * b) // prev for a, b in zip(rows[i], ref)]
+            elif pv != prev:
+                # a row with nothing to eliminate is still rescaled, so that
+                # every entry stays a minor and the next division is exact
+                rows[i] = [pv * a // prev for a in rows[i]]
+        prev = pv
+        pivots.append((r, col))
+        r += 1
+        if r == nrows:
+            break
+    wrap = field.wrap
+    zero = field.zero()
+    out = []
+    for i, row in enumerate(rows):
+        # rows past the rank are zero; each pivot row is divided by its pivot
+        pv = row[pivots[i][1]] if i < r else 1
+        out.append([wrap(Fraction(a, pv)) if a else zero for a in row])
+    return out, pivots
 
 
 def rank(matrix, field) -> int:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import linalg, outcome, polys
 from .fields import (FieldElement, FiniteField, RationalField,
                      RationalFunctionField, make_field)
-from .outcome import Outcome
+from .outcome import InternalError, Outcome
 from .polys import ONE, ZERO, deg, pdiv_exact, pgcd, plcm, pmul, poly
 
 
@@ -183,7 +183,8 @@ def _solve_finite(L: DifferenceOperator, a: FieldElement) -> Outcome:
     if sol is None:
         return outcome.no("not-in-image", operator=str(L))
     b = k.wrap(tuple(c.value[0] for c in sol))
-    assert L.apply(b) == a
+    if L.apply(b) != a:
+        raise InternalError("finite-field solution failed verification")
     return outcome.yes(b)
 
 
@@ -315,7 +316,7 @@ def polynomial_solutions(ps, q, bound: int):
     return poly([c.value for c in sol])
 
 
-def _solve_shift(L: DifferenceOperator, a: FieldElement) -> Outcome:
+def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> Outcome:
     k: RationalFunctionField = L.field
     ps, q = _clear_denominators(L, a)
     u = universal_denominator(ps)
@@ -326,6 +327,10 @@ def _solve_shift(L: DifferenceOperator, a: FieldElement) -> Outcome:
     Ps = [pmul(ps[i], pdiv_exact(big, polys.shift(u, i))) for i in range(n + 1)]
     Q = pmul(q, big)
     bound = degree_bound(Ps, deg(Q))
+    # the ansatz matrix has (max deg P_i + bound + 1) x (bound + 1) cells
+    cells = (max(deg(p) for p in Ps) + bound + 1) * (bound + 1)
+    if budget is not None and cells > budget:
+        return outcome.undecided("budget-exhausted", space=cells)
     z = polynomial_solutions(Ps, Q, bound)
     if z is None:
         return outcome.no(
@@ -334,7 +339,8 @@ def _solve_shift(L: DifferenceOperator, a: FieldElement) -> Outcome:
             degree_bound=bound,
         )
     b = k.ratfun(z, u)
-    assert L.apply(b) == a, "Abramov solution failed verification"
+    if L.apply(b) != a:
+        raise InternalError("Abramov solution failed verification")
     return outcome.yes(b, universal_denominator=polys.poly_str(u), degree_bound=bound)
 
 
@@ -370,8 +376,14 @@ def _bounded_search(L: DifferenceOperator, a: FieldElement, max_deg: int) -> Out
     return outcome.undecided("budgeted-search-exhausted", max_degree=max_deg)
 
 
-def solve_additive_full(L: DifferenceOperator, a: FieldElement) -> Outcome:
-    """Decide L(b) = a with a witness or a nonexistence certificate."""
+def solve_additive_full(L: DifferenceOperator, a: FieldElement,
+                        budget: int | None = None) -> Outcome:
+    """Decide L(b) = a with a witness or a nonexistence certificate.
+
+    With a budget, the Abramov ansatz over QQ(t);shift is charged its
+    matrix cells first and answers undecided "budget-exhausted" when they
+    exceed it; without one every instance is decided.
+    """
     a = L.field.element(a)
     if a.is_zero():
         return outcome.yes(L.field.zero())
@@ -385,7 +397,7 @@ def solve_additive_full(L: DifferenceOperator, a: FieldElement) -> Outcome:
         return outcome.yes(a / c)
     if isinstance(k, RationalFunctionField):
         if k.mode == "shift":
-            return _solve_shift(L, a)
+            return _solve_shift(L, a, budget)
         return _bounded_search(L, a, max_deg=4)
     raise OperatorError(f"unsupported field {k.descriptor}")
 
@@ -433,7 +445,8 @@ def additive_kernel_basis(L: DifferenceOperator):
         for vec in ker:
             z = poly([c.value for c in vec])
             elt = k.ratfun(z, u)
-            assert L.apply(elt).is_zero()
+            if not L.apply(elt).is_zero():
+                raise InternalError("Abramov kernel element failed verification")
             out.append(elt)
         return out
     raise OperatorError(f"kernel computation unsupported over {k.descriptor}")
@@ -547,7 +560,8 @@ def _solve_sigma_quotient_shift(a: FieldElement, d: int) -> Outcome:
                 w = pmul(w, polys.shift(g, i * d))
             f = f / k.ratfun(w)
     if p == ONE and q == ONE:
-        assert f.sigma(d) == a * f
+        if f.sigma(d) != a * f:
+            raise InternalError("sigma-quotient solution failed verification")
         return outcome.yes(f)
     return outcome.no("multiplicative-obstruction",
                       reduced_numerator=polys.poly_str(p),

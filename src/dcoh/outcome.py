@@ -4,6 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+
+class InternalError(RuntimeError):
+    """A decision procedure's self-check of its own witness failed: a bug,
+    never a property of the input.  Raised explicitly, so it fires under
+    python -O too."""
+
+
 YES = "yes"
 NO = "no"
 UNDECIDED = "undecided"

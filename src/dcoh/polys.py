@@ -5,11 +5,18 @@ A polynomial a_0 + a_1 t + ... + a_n t^n is represented as the tuple
 the empty tuple.  All operations return normalized tuples, so equality
 of polynomials is tuple equality.
 
-Products (`pmul`) and shifts by an integer (`shift`) are computed over
-Python ints: each operand is cleared to integer coefficients over one
-common denominator, the integer result is formed, and only then divided
-back into canonical Fractions.  The results are the same tuples the
-Fraction formulas give.
+The inner loops run over Python ints.  Products (`pmul`), shifts by an
+integer (`shift`) and division with remainder (`pdivmod`, `pdiv_exact`)
+clear each operand to integer coefficients over one common denominator,
+form the integer result, and only then divide back into canonical
+Fractions; division is pseudo-division that scales the dividend only by
+the part of the leading coefficient a step needs.  `pgcd` works on
+primitive integer parts (Collins 1967; Brown 1971): a prefilter modulo
+the prime 2^61 - 1 certifies a trivial gcd whenever the gcd of the
+reductions is constant and the prime divides neither leading
+coefficient, which is the common case; otherwise the primitive
+remainder sequence over the integers gives the gcd exactly.  Every
+result is the tuple the Fraction formulas give.
 
 This module also provides the number-theoretic helpers the difference
 solvers need: exact square roots, resultants, integer root isolation and
@@ -104,19 +111,48 @@ def pscale(a, c) -> tuple:
     return tuple(x * c for x in a)
 
 
+def _integer_divmod(A: list, B: list) -> tuple[list, list, int]:
+    """(Q, R, m) with m * A == Q * B + R, deg R < deg B and m > 0.
+
+    Pseudo-division of integer coefficient lists (B[-1] != 0).  A step
+    whose leading term the leading coefficient of B does not divide
+    scales the dividend by the missing factor only, so m stays 1 when
+    every quotient coefficient is an integer.
+    """
+    n = len(B) - 1
+    lb = B[-1]
+    r = list(A)
+    q = [0] * max(len(A) - n, 0)
+    m = 1
+    for i in range(len(A) - len(B), -1, -1):
+        c = r[i + n]
+        if not c:
+            continue
+        s = abs(lb) // math.gcd(c, lb)
+        if s != 1:
+            m *= s
+            r = [x * s for x in r]
+            q = [x * s for x in q]
+            c *= s
+        c //= lb
+        q[i] = c
+        r[i + n] = 0
+        for j in range(n):
+            r[i + j] -= c * B[j]
+    del r[n:]
+    return q, r, m
+
+
 def pdivmod(a, b) -> tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = r[i + len(b) - 1] * inv
-        if c != 0:
-            q[i] = c
-            for j, bj in enumerate(b):
-                r[i + j] -= c * bj
-    return poly(q), poly(r)
+    if len(a) < len(b):
+        return ZERO, poly(a)
+    ia, da = _cleared(a)
+    ib, db = _cleared(b)
+    # a = ia / da and b = ib / db, so m * a = (iq * db / da) * b + ir / da
+    iq, ir, m = _integer_divmod(ia, ib)
+    return _from_cleared([c * db for c in iq], m * da), _from_cleared(ir, m * da)
 
 
 def pdiv_exact(a, b) -> tuple:
@@ -132,11 +168,64 @@ def monic(p) -> tuple:
     return pscale(p, 1 / p[-1])
 
 
+# the modular gcd prefilter's prime, the Mersenne prime 2^61 - 1
+PRIME = (1 << 61) - 1
+
+
+def _primitive(cs: list) -> list:
+    """cs divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _gcd_degree_mod(A: list, B: list, p: int) -> int:
+    """Degree of gcd(A mod p, B mod p); p divides neither leading coefficient."""
+    a = [c % p for c in A]
+    b = [c % p for c in B]
+    while b:
+        inv = pow(b[-1], -1, p)
+        nb = len(b) - 1
+        while len(a) > nb:
+            c = a[-1] * inv % p
+            if c:
+                off = len(a) - 1 - nb
+                for j in range(nb):
+                    a[off + j] = (a[off + j] - c * b[j]) % p
+            a.pop()
+            _trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
 def pgcd(a, b) -> tuple:
     """Monic gcd."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return monic(a)
+    if not a or not b:
+        return monic(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return ONE
+    A = _primitive(_cleared(a)[0])
+    B = _primitive(_cleared(b)[0])
+    # reduction mod p keeps both degrees, so deg gcd mod p >= deg gcd over QQ
+    if A[-1] % PRIME and B[-1] % PRIME and _gcd_degree_mod(A, B, PRIME) == 0:
+        return ONE
+    if len(A) < len(B):
+        A, B = B, A
+    while True:
+        R = _trim(_integer_divmod(A, B)[1])
+        if not R:
+            break
+        if len(R) == 1:
+            return ONE
+        A, B = B, _primitive(R)
+    return tuple([Fraction(c, B[-1]) for c in B])
 
 
 def plcm(a, b) -> tuple:

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -355,3 +359,59 @@ def test_verify_checks_points_over_an_algebra(argv, doctored):
                 {"type": "scalar" if doctored["type"] != "scalar" else "tuple", "value": "1"}):
         vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], witness=bad))])
         assert vcode == 3 and vlines[0]["result"] == "unverified", bad
+
+
+@pytest.mark.parametrize("algebra", ["laurent:1;sigma(u2)=u",
+                                     "laurent:2;sigma(u0)=t*u1;sigma(u1)=u1",
+                                     "freepoly:2;sigma(y3)=y1"])
+def test_monomial_clauses_name_an_existing_generator(algebra):
+    code, lines = run_cli(["cocycle-check", "--field", "QQ(t);shift", "--algebra", algebra,
+                           "--group", "mu2sigma", "--chi", "1"])
+    assert code == 2 and len(lines) == 1
+    assert lines[0]["ok"] is False and "outside" in lines[0]["certificate"]
+
+
+def test_abramov_ansatz_is_charged_to_the_budget():
+    t0 = time.perf_counter()
+    code, lines = run_cli(["iso", "--field", "QQ(t);shift", "--family", "add",
+                           "--op", "s - 1", "--lhs", "0", "--rhs", "t^200000"])
+    assert code == 3 and len(lines) == 1
+    assert lines[0]["undecided"] is True and lines[0]["certificate"] == "budget-exhausted"
+    assert time.perf_counter() - t0 < 20
+    # the same shape within the budget is decided: t^20 = L(b) for a degree-21 b
+    code, lines = run_cli(["iso", "--field", "QQ(t);shift", "--family", "add",
+                           "--op", "s - 1", "--lhs", "0", "--rhs", "t^20"])
+    assert code == 0 and lines[0]["result"] is True
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+# an Abramov query run under python -O; with --doctor its polynomial ansatz
+# returns a wrong numerator, which the solver's self-check must still catch
+OPTIMIZED_QUERY = """
+import sys
+from dcoh import operators, polys
+from dcoh.cli import main
+if "--doctor" in sys.argv:
+    solve = operators.polynomial_solutions
+    operators.polynomial_solutions = lambda *a: polys.padd(solve(*a), polys.ONE)
+print(sys.flags.optimize, file=sys.stderr)
+sys.exit(main(["iso", "--field", "QQ(t);shift", "--family", "add", "--op", "s-1",
+               "--lhs", "0", "--rhs", "1/(t*(t+1))"]))
+"""
+
+
+@pytest.mark.parametrize("doctor", [False, True])
+def test_witness_self_checks_fire_under_python_O(doctor):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-O", "-c", OPTIMIZED_QUERY] + (["--doctor"] if doctor else [])
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip() == "1"
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 1
+    if doctor:
+        assert proc.returncode == 4
+        assert lines[0]["ok"] is False
+        assert lines[0]["certificate"].startswith("internal-error: Abramov")
+    else:
+        assert proc.returncode == 0
+        assert lines[0]["result"] is True and lines[0]["witness"]["value"] == "-1/(t)"
