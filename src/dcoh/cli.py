@@ -20,21 +20,20 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from . import exprs, outcome
 from .algebras import (AlgebraError, FreePolyAlgebra, LaurentAlgebra,
                        TensorContext, amitsur_audit, canonical_descent_datum,
                        descend_invariants, make_mu_algebra, make_split_algebra,
-                       mu_twisted_datum, scalar_algebra)
+                       mu_twisted_datum)
 from .fields import FieldElement, FieldError, make_field, sigma_apply
 from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult, FrobeniusTwist,
-                     GroupError, _charge, mat_det, mat_identity, mat_maybe_inverse, mat_mul,
-                     mat_transpose, mu2sigma_group)
+                     GroupError, _charge, mu2sigma_group, mu_pair_space)
 from .cocycles import CocycleError, Cocycle, equivalent, invariant, is_cocycle
 from .operators import DifferenceOperator, OperatorError
 from .sigma_poly import SigmaPolyError, parse_multiplicative
-from .torsors import (AdditiveTorsor, DiagonalTorsor, FrobeniusTwistTorsor,
-                      MuTorsor, TorsorError, classify_h1, connecting_delta,
+from .torsors import (NORMAL_FORMS, TorsorError, classify_h1, connecting_delta,
                       exactness_audit, is_point, isomorphic, normalize,
                       torsor_from_cocycle, torsor_points)
 
@@ -90,50 +89,6 @@ def _parse_monomial(field, cls, rest: str):
     return cls(field, r, images)
 
 
-_TWIST_RE = re.compile(r"(GL|SL)(\d+)")
-
-
-def parse_group(field, desc: str):
-    if desc == "mu2sigma":
-        return mu2sigma_group(field)
-    if desc.startswith("addker:"):
-        return AdditiveKernel(DifferenceOperator.parse(field, desc[len("addker:"):]))
-    if desc.startswith("diag:"):
-        parts = desc[len("diag:"):].split(";")
-        n = int(parts[0])
-        fs = [parse_multiplicative(txt, n) for txt in parts[1].split(",")]
-        return DiagonalMult(field, n, fs)
-    if desc.startswith("twist:"):
-        base, n, d, psi, _ = _parse_twist_parts(desc[len("twist:"):], want_a=False)
-        return FrobeniusTwist(field, base, n, d, psi)
-    raise CliError(f"unknown group descriptor {desc!r}")
-
-
-def _parse_twist_parts(rest: str, want_a: bool):
-    parts = rest.split(";")
-    m = _TWIST_RE.fullmatch(parts[0])
-    if not m:
-        raise CliError("twist base must look like GL1 or SL2")
-    base, n = m.group(1), int(m.group(2))
-    d = None
-    psi = None
-    a_txt = None
-    for item in parts[1:]:
-        if item.startswith("d="):
-            d = int(item[2:])
-        elif item.startswith("psi="):
-            psi = item[4:]
-        elif item.startswith("a="):
-            a_txt = item[2:]
-        else:
-            raise CliError(f"unknown twist option {item!r}")
-    if d is None or psi is None:
-        raise CliError("twist descriptor needs d= and psi=")
-    if want_a and a_txt is None:
-        raise CliError("twist torsor descriptor needs a=")
-    return base, n, d, psi, a_txt
-
-
 def parse_matrix(field, text: str):
     text = text.strip()
     if not text.startswith("["):
@@ -144,24 +99,90 @@ def parse_matrix(field, text: str):
     return tuple(tuple(field.element(e) for e in row.split(",")) for row in rows)
 
 
+# --------------------------------------------------------------------------
+# torsor families: one reader each, which builds the group from its options
+# and the target from its text; the torsor is the family's normal form
+
+
+def _diag_group(field, options: str) -> DiagonalMult:
+    n_txt, fs = options.split(";")
+    n = int(n_txt)
+    return DiagonalMult(field, n, [parse_multiplicative(t, n) for t in fs.split(",")])
+
+
+def _twist_group(field, options: str) -> FrobeniusTwist:
+    base, *items = options.split(";")
+    m = re.fullmatch(r"(GL|SL)(\d+)", base)
+    opts = dict(item.partition("=")[::2] for item in items)
+    if not m or len(items) != 2 or set(opts) != {"d", "psi"}:
+        raise CliError("a twist group is <GL|SL><n>;d=<d>;psi=<psi>")
+    return FrobeniusTwist(field, m.group(1), int(m.group(2)), int(opts["d"]), opts["psi"])
+
+
+def _pair(field, text: str):
+    a, b = text.split(",")
+    return field.element(a), field.element(b)
+
+
+def _a_item(rest: str):
+    items = rest.split(";")
+    targets = [item for item in items if item.startswith("a=")]
+    if not targets:
+        raise CliError("twist torsor descriptor needs a=")
+    return ";".join(item for item in items if item != targets[-1]), targets[-1][2:]
+
+
+class Family(NamedTuple):
+    group_prefix: str       # a group descriptor is this prefix, then the options
+    group: Callable         # (field, options) -> the group
+    target: Callable        # (field, text) -> a target
+    iso_flags: tuple        # the iso flags whose values, joined by ';', are the options
+    split: Callable = lambda rest: rest.rpartition(";")[::2]    # torsor '<family>:<rest>'
+
+
+FAMILIES = {
+    "mu": Family("mu2sigma", lambda field, _: mu2sigma_group(field), _pair, (),
+                 lambda rest: ("", rest)),
+    "add": Family("addker:", lambda field, op: AdditiveKernel(DifferenceOperator.parse(field, op)),
+                  lambda field, text: field.element(text), ("op",)),
+    "diag": Family("diag:", _diag_group,
+                   lambda field, text: tuple(field.element(t) for t in text.split(",")),
+                   ("diag_arity", "functions")),
+    "twist": Family("twist:", _twist_group, parse_matrix, ("twist",), _a_item),
+}
+
+
+def parse_group(field, desc: str):
+    name, colon, options = desc.partition(":")
+    for fam in FAMILIES.values():
+        if fam.group_prefix == name + colon:
+            return fam.group(field, options)
+    raise CliError(f"unknown group descriptor {desc!r}")
+
+
 def parse_torsor(field, desc: str):
-    if desc.startswith("mu:"):
-        a_txt, b_txt = desc[3:].split(",")
-        return MuTorsor(field.element(a_txt), field.element(b_txt))
-    if desc.startswith("add:"):
-        op_txt, a_txt = desc[len("add:"):].split(";")
-        return AdditiveTorsor(DifferenceOperator.parse(field, op_txt),
-                              field.element(a_txt))
-    if desc.startswith("diag:"):
-        parts = desc[len("diag:"):].split(";")
-        n = int(parts[0])
-        fs = [parse_multiplicative(txt, n) for txt in parts[1].split(",")]
-        avec = [field.element(txt) for txt in parts[2].split(",")]
-        return DiagonalTorsor(fs, avec)
-    if desc.startswith("twist:"):
-        base, n, d, psi, a_txt = _parse_twist_parts(desc[len("twist:"):], want_a=True)
-        return FrobeniusTwistTorsor(field, base, n, d, psi, parse_matrix(field, a_txt))
-    raise CliError(f"unknown torsor descriptor {desc!r}")
+    name, colon, rest = desc.partition(":")
+    fam = FAMILIES.get(name) if colon else None
+    if fam is None:
+        raise CliError(f"unknown torsor descriptor {desc!r}")
+    options, text = fam.split(rest)
+    G = fam.group(field, options)
+    return NORMAL_FORMS[G.torsor_kind](G, fam.target(field, text))
+
+
+def iso_torsors(field, q):
+    """The torsors X, Y of an iso query's --lhs and --rhs, from q, its
+    arguments by name (parsed, or those of a line verify reads)."""
+    family = q["family"]
+    fam = FAMILIES.get(str(family))
+    if fam is None:
+        raise CliError(f"unknown family {family!r}")
+    if any(q.get(flag) in (None, "") for flag in fam.iso_flags):
+        raise CliError(f"{family} isomorphism needs " +
+                       " and ".join("--" + flag.replace("_", "-") for flag in fam.iso_flags))
+    G = fam.group(field, ";".join(str(q[flag]) for flag in fam.iso_flags))
+    return tuple(NORMAL_FORMS[G.torsor_kind](G, fam.target(field, q[side]))
+                 for side in ("lhs", "rhs"))
 
 
 class _TensorDomain(exprs.Domain):
@@ -373,34 +394,8 @@ def cmd_classify(args, base):
 
 
 def cmd_iso(args, base):
-    field = make_field(args.field)
-    if args.family == "mu":
-        a1, b1 = (field.element(t) for t in args.lhs.split(","))
-        a2, b2 = (field.element(t) for t in args.rhs.split(","))
-        X, Y = MuTorsor(a1, b1), MuTorsor(a2, b2)
-    elif args.family == "add":
-        if args.op is None:
-            raise CliError("add isomorphism needs --op")
-        L = DifferenceOperator.parse(field, args.op)
-        X = AdditiveTorsor(L, field.element(args.lhs))
-        Y = AdditiveTorsor(L, field.element(args.rhs))
-    elif args.family == "diag":
-        if args.diag_arity is None or not args.functions:
-            raise CliError("diag isomorphism needs --diag-arity and --functions")
-        n = args.diag_arity
-        fs = [parse_multiplicative(t, n) for t in args.functions.split(",")]
-        X = DiagonalTorsor(fs, [field.element(t) for t in args.lhs.split(",")])
-        Y = DiagonalTorsor(fs, [field.element(t) for t in args.rhs.split(",")])
-    elif args.family == "twist":
-        if args.twist is None:
-            raise CliError("twist isomorphism needs --twist")
-        base_, n, d, psi, _ = _parse_twist_parts(args.twist, want_a=False)
-        X = FrobeniusTwistTorsor(field, base_, n, d, psi, parse_matrix(field, args.lhs))
-        Y = FrobeniusTwistTorsor(field, base_, n, d, psi, parse_matrix(field, args.rhs))
-    else:
-        raise CliError(f"unknown family {args.family!r}")
-    res = isomorphic(X, Y, budget=args.budget)
-    return _emit(args, outcome_json(res), base)
+    X, Y = iso_torsors(make_field(args.field), vars(args))
+    return _emit(args, outcome_json(isomorphic(X, Y, budget=args.budget)), base)
 
 
 def cmd_torsor_points(args, base):
@@ -486,39 +481,6 @@ def cmd_descend(args, base):
 # verify: re-check witnesses with field arithmetic only
 
 
-def _verify_matrix_relation(field, base, n, d, psi, a1, a2, c) -> bool:
-    """psi(c)^{-1} a1 sigma^d(c) = a2 in field arithmetic; false when c lies
-    outside the base group GL_n or SL_n, or psi(c) is singular.  With a1 = 1
-    it says that c is a point of the twist torsor sigma^d(x) = psi(x) a2."""
-    c = tuple(map(tuple, c))
-    det = mat_det(c)
-    if det.is_zero() or (base == "SL" and not det.is_one()):
-        return False
-    if psi == "trivial":
-        psi_c = mat_identity(field, n)
-    else:
-        psi_c = c if psi == "id" else mat_maybe_inverse(mat_transpose(c))
-    psi_c_inv = None if psi_c is None else mat_maybe_inverse(psi_c)
-    if psi_c_inv is None:
-        return False
-    sig_c = tuple(tuple(sigma_apply(e, d) for e in row) for row in c)
-    lhs = mat_mul(mat_mul(psi_c_inv, tuple(map(tuple, a1))), sig_c)
-    return all(lhs[i][j] == a2[i][j] for i in range(n) for j in range(n))
-
-
-def _translates(field, family, c, lhs, rhs, op):
-    """Does the scalar c carry the target lhs onto rhs: (a, b) to
-    (c^2 a, sigma(c)/c b) for mu, a to a + L(c) for add?  Targets are
-    texts; None for another family."""
-    if family == "mu":
-        (a1, b1), (a2, b2) = ([field.element(t) for t in v] for v in (lhs, rhs))
-        return a2 == c * c * a1 and b2 == sigma_apply(c) / c * b1
-    if family == "add":
-        L = DifferenceOperator.parse(field, op)
-        return L.apply(c) == field.element(rhs) - field.element(lhs)
-    return None
-
-
 class _Line(dict):
     """A JSON object of the line verify reads; a key it lacks is a parse error."""
 
@@ -526,26 +488,42 @@ class _Line(dict):
         raise CliError(f"the line verify reads has no {key!r}")
 
 
-def _algebra_witness(X, R, w):
-    """The point over R that the witness w of a torsor-points answer names,
-    or None when w does not parse or does not have the shape of X's points."""
-    G = X.presentation
-    ref = G.point_shape((R.one(),) * G.slots)
+def _read_point(G, R, w):
+    """The point of G over R (over k when R is None) that the witness w
+    names, or None when w does not parse or does not have the shape of G's
+    points."""
+    ring = G.field if R is None else R
+    ref = G.point_shape((ring.one(),) * G.slots)
 
-    def shape(v):
-        return tuple(map(shape, v)) if isinstance(v, tuple) else None
-
-    def read(v):
-        if isinstance(v, list):
-            return tuple(map(read, v))
+    def read(v, like):
+        if isinstance(like, tuple):
+            if not (isinstance(v, list) and len(v) == len(like)):
+                raise ValueError("the witness has another shape")
+            return tuple(map(read, v, like))
         if not isinstance(v, str):
             raise ValueError("witness entries are strings")
-        return parse_literal(R, v)
+        return ring.element(v) if R is None else parse_literal(R, v)
     try:
-        x = read(w.get("value"))
+        x = read(w.get("value"), ref)
     except (ValueError, ZeroDivisionError):
         return None
-    return x if w.get("type") == witness_json(ref)["type"] and shape(x) == shape(ref) else None
+    return x if w.get("type") == witness_json(ref)["type"] else None
+
+
+def _carries(X, Y, w):
+    """Does the witness w name a point c of the group over k with
+    translate(c, target of X) = target of Y?  None when it names no point."""
+    G = X.presentation
+    c = _read_point(G, None, w)
+    return None if c is None else G.translate(c, X.target) == Y.target
+
+
+def _invariant_text(v) -> str:
+    """A target's text from the JSON of a cocycle-equiv invariant."""
+    texts = v if isinstance(v, list) else [v]
+    if not all(isinstance(t, str) for t in texts):
+        raise CliError("an invariant is a field element or a list of them")
+    return ",".join(texts)
 
 
 def cmd_verify(args, base):
@@ -566,44 +544,22 @@ def cmd_verify(args, base):
         unverified = "negative-answer-not-rechecked"
     elif cmd == "field-eval":
         ok = str(field.element(qargs["expr"])) == line["result"]
-    elif cmd == "iso" and qargs.get("family") in ("mu", "add") and w and w.get("type") == "scalar":
-        split = (lambda t: t.split(",")) if qargs["family"] == "mu" else (lambda t: t)
-        ok = _translates(field, qargs["family"], field.element(w["value"]),
-                         split(qargs["lhs"]), split(qargs["rhs"]), qargs.get("op"))
-    elif cmd == "iso" and qargs.get("family") == "diag" and w and w.get("type") == "tuple":
-        n = int(qargs["diag_arity"])
-        fs = [parse_multiplicative(t, n) for t in qargs["functions"].split(",")]
-        lam = tuple(field.element(t) for t in w["value"])
-        lhs = [field.element(t) for t in qargs["lhs"].split(",")]
-        rhs = [field.element(t) for t in qargs["rhs"].split(",")]
-        ok = all(r == l * f.eval(lam) for l, r, f in zip(lhs, rhs, fs))
-    elif cmd == "iso" and qargs.get("family") == "twist" and w and w.get("type") == "matrix":
-        base_, n, d, psi, _ = _parse_twist_parts(qargs["twist"], want_a=False)
-        c = [[field.element(e) for e in row] for row in w["value"]]
-        ok = _verify_matrix_relation(field, base_, n, d, psi, parse_matrix(field, qargs["lhs"]),
-                                     parse_matrix(field, qargs["rhs"]), c)
+    elif cmd == "iso" and w:
+        ok = _carries(*iso_torsors(field, qargs), w)
+    elif cmd == "cocycle-equiv" and w and isinstance(line.get("detail"), dict):
+        # the witness carries the lhs invariant onto the rhs invariant: the
+        # detail reads as an iso query of its family
+        detail = _Line(line["detail"])
+        ok = _carries(*iso_torsors(field, {
+            "family": detail["family"], "op": detail.get("operator"),
+            "lhs": _invariant_text(detail["lhs_invariant"]),
+            "rhs": _invariant_text(detail["rhs_invariant"])}), w)
     elif cmd == "torsor-points" and w:
-        # the parsed torsor supplies its data, field arithmetic the check; a
-        # point over an algebra R is checked by the family's equations over R
-        X, kind = parse_torsor(field, qargs["torsor"]), w.get("type")
-        if qargs.get("algebra"):
-            R = parse_algebra(field, qargs["algebra"])
-            x = _algebra_witness(X, R, w)
-            if x is not None:
-                ok = is_point(X, x, R)
-        elif X.kind == "mu" and kind == "scalar":
-            x = field.element(w["value"])
-            ok = x * x == X.a and sigma_apply(x) == X.b * x
-        elif X.kind == "additive" and kind == "scalar":
-            ok = X.L.apply(field.element(w["value"])) == X.a
-        elif X.kind == "twist" and kind == "matrix":
-            G = X.presentation
-            x = [[field.element(e) for e in row] for row in w["value"]]
-            ok = _verify_matrix_relation(field, G.base, G.n, G.d, G.psi,
-                                         mat_identity(field, G.n), X.a, x)
-        elif X.kind == "diagonal" and kind == "tuple":
-            x = tuple(field.element(t) for t in w["value"])
-            ok = all(f.eval(x) == a for f, a in zip(X.functions, X.avec))
+        # a point over k or over an algebra R satisfies the torsor's equations
+        X = parse_torsor(field, qargs["torsor"])
+        R = parse_algebra(field, qargs["algebra"]) if qargs.get("algebra") else None
+        x = _read_point(X.presentation, R, w)
+        ok = None if x is None else is_point(X, x, R)
     elif cmd == "delta" and w and w.get("type") == "scalar":
         y = field.element(w["value"])
         x = field.element(qargs["x"])
@@ -611,12 +567,6 @@ def cmd_verify(args, base):
     elif cmd == "classify" and qargs.get("group") == "mu2sigma" \
             and isinstance(line["result"], dict) and line["result"].get("kind") == "finite-list":
         ok = _verify_mu_classes(field, line["result"], args.budget)
-    elif cmd == "cocycle-equiv" and w and w.get("type") == "scalar":
-        # the witness carries the lhs invariant onto the rhs invariant
-        detail = line.get("detail") or {}
-        ok = _translates(field, detail.get("family"), field.element(w["value"]),
-                         detail.get("lhs_invariant"), detail.get("rhs_invariant"),
-                         detail.get("operator"))
     if ok is None:
         payload = {"result": "unverified", "certificate": unverified}
     else:
@@ -629,25 +579,25 @@ def cmd_verify(args, base):
 
 
 def _verify_mu_classes(field, result, budget) -> bool:
-    """A mu2^sigma class list: every representative (a, b) lies in
-    M = {sigma(a) = a*b^2}, the orbits under lambda -> (lambda^2 a,
-    sigma(lambda)/lambda b) are pairwise disjoint, and their sizes sum to
-    |M|; the (q-1)^2 pairs of M are charged to the budget first."""
+    """A mu2^sigma class list: every representative lies in
+    M = {sigma(a) = a*b^2}, their orbits under translate are pairwise
+    disjoint, and their sizes sum to |M|; the (q-1)^2 pairs of M are
+    charged to the budget first."""
+    if not field.finite:
+        raise CliError("a mu2sigma class list is a list over a finite field")
     _charge((field.size - 1) ** 2, budget)
-    units = list(field.units())
     texts = result.get("representatives")
     if not isinstance(texts, list) or not all(
             isinstance(r, list) and len(r) == 2 and all(isinstance(t, str) for t in r)
             for r in texts):
         raise CliError("mu2sigma representatives must be pairs of field elements")
     reps = [(field.element(a), field.element(b)) for a, b in texts]
-    if len(reps) != result.get("classes") or \
-            any(sigma_apply(a) != a * b * b for a, b in reps):
+    space = set(mu_pair_space(field))
+    if len(reps) != result.get("classes") or not space.issuperset(reps):
         return False
-    orbits = [{(lam * lam * a, sigma_apply(lam) / lam * b) for lam in units} for a, b in reps]
-    size_m = sum(1 for a in units for b in units if sigma_apply(a) == a * b * b)
-    sizes = sum(len(o) for o in orbits)
-    return sizes == len(set().union(*orbits)) == size_m
+    G = mu2sigma_group(field)
+    orbits = [{G.translate(lam, t) for lam in field.units()} for t in reps]
+    return sum(map(len, orbits)) == len(set().union(*orbits)) == len(space)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,7 @@ import math
 from fractions import Fraction
 
 from . import exprs, polys
+from .outcome import InternalError
 from .polys import ZERO, deg, monic, pdiv_exact, pgcd, pmul, poly, poly_str
 
 
@@ -124,13 +125,14 @@ class FieldElement:
             return NotImplemented
         base = self if n >= 0 else self.inv()
         n = abs(n)
-        r = self.field.one()
+        r = None
         while n:
             if n & 1:
-                r = r * base
-            base = base * base
+                r = base if r is None else r * base
             n >>= 1
-        return r
+            if n:
+                base = base * base
+        return self.field.one() if r is None else r
 
     def inv(self):
         if self.is_zero():
@@ -446,7 +448,8 @@ class RationalFunctionField(SigmaField):
     @staticmethod
     def _halve(p):
         # a reduced even rational function has even numerator and denominator
-        assert all(c == 0 for c in p[1::2]), "odd coefficient in even rational function"
+        if any(p[1::2]):
+            raise InternalError("odd coefficient in even rational function")
         return p[0::2]
 
     def normalize_row(self, row):

@@ -20,9 +20,10 @@ cocycles and torsors calls instead of testing the class:
   values   slots, shape(ys), contains(x, R), identity(R), mul, inv, equal,
            map(func, x), linear_relations(), points(R, budget, keep),
            coefficient_twist(d), components(x);
-  torsors  torsor_kind, invariant(tc, value), equivalent_targets(t1, t2,
-           budget), classify(budget), torsor_point(x, t, R),
-           rational_point(t, budget), canonical_point(t, R), point_shape(ys).
+  torsors  torsor_kind, invariant(tc, value), translate(c, t),
+           equivalent_targets(t1, t2, budget), classify(budget),
+           torsor_point(x, t, R), rational_point(t, budget),
+           canonical_point(t, R), point_shape(ys).
 
 Budgets: a listing (points, classify, the H^1 lists) charges its search
 space with _charge first and raises BudgetExceeded; a decision that
@@ -38,14 +39,17 @@ f_i(x) = a_i, sigma^d(x) = psi(x) a.  A cocycle's invariant is the target
 of the torsor it classifies, found by trivializing the cocycle in the
 ambient group (H^1 of Gm, GL_n and Ga vanishes); torsor_kind names the
 normal-form torsor class in torsors, None for a family without invariant.
+translate(c, t), the family's one action of G(k) on targets, is the
+target that translation by c carries the torsor of t onto, or None when c
+lies outside the ambient group; it uses field arithmetic only.
 
 A 1 x 1 MatrixGroup whose relations are binomials m - m' is the torus
 {m/m' = 1}: its `torus` is that DiagonalMult, and every torsor method of
 the group is the torus's, with the 1-tuples of the torus unwrapped to bare
 scalars.  mu2^sigma = {y^2 = 1, sigma(y) = y} is DiagonalMult(1, [y^2,
-s(y)/y]).  Functions exactly (y^2, s(y)/y) are mu-shaped and get the mu
-fast paths: the pair space M = {(a, b) : sigma(a) = a b^2} with the action
-of lambda by (lambda^2, sigma(lambda)/lambda), square roots over infinite
+s(y)/y]), so lambda acts on its targets by (lambda^2, sigma(lambda)/lambda).
+Functions exactly (y^2, s(y)/y) are mu-shaped and get the mu paths: the
+pair space M = {(a, b) : sigma(a) = a b^2}, square roots over infinite
 fields, and the canonical point y of the mu-algebra.
 
 Over a finite base field, enumerate_points lists G(R) for a
@@ -213,7 +217,8 @@ def _orbit_partition(items, orbit_of):
         if it in seen:
             continue
         orbit = orbit_of(it)
-        assert it in orbit
+        if it not in orbit:
+            raise outcome.InternalError("an orbit misses its own representative")
         seen.update(orbit)
         reps.append(it)
     return reps
@@ -227,20 +232,7 @@ def mu_pair_space(field):
 
 def mu_pairs_equivalent(field, pair1, pair2) -> Outcome:
     """(a,b) ~ (a',b') iff a' = l^2 a and b' = sigma(l)/l * b for some unit l."""
-    a1, b1 = pair1
-    a2, b2 = pair2
-    if field.finite:
-        for lam in field.units():
-            if a2 == lam * lam * a1 and b2 == lam.sigma() / lam * b1:
-                return outcome.yes(lam)
-        return outcome.no("exhausted-units")
-    r = a2 / a1
-    lam = field.is_square(r)
-    if lam is None:
-        return outcome.no("ratio-not-a-square", ratio=str(r))
-    if b2 == lam.sigma() / lam * b1:
-        return outcome.yes(lam)
-    return outcome.no("sigma-ratio-mismatch", candidate=str(lam))
+    return mu2sigma_group(field).equivalent_targets(tuple(pair1), tuple(pair2), math.inf)
 
 
 def diagonal_constraints(G: DiagonalMult, extra_degree: int = 2):
@@ -409,7 +401,8 @@ def additive_torsor_algebra(L: DifferenceOperator, a) -> FreePolyAlgebra:
     last = [-L.coeffs[j] for j in range(n)]
     images.append((a, last))
     A = FreePolyAlgebra(field, n, images)
-    assert L.apply(A.gen(0)) == A.from_scalar(a)
+    if L.apply(A.gen(0)) != A.from_scalar(a):
+        raise outcome.InternalError("additive torsor algebra fails L(y_1) = a")
     return A
 
 
@@ -501,8 +494,8 @@ class GroupPresentation:
         return None
 
     # -- torsors: the defaults of a family without a classification; a
-    # classified family also supplies equivalent_targets(t1, t2, budget),
-    # torsor_point(x, t, R) and rational_point(t, budget)
+    # classified family also supplies translate(c, t), equivalent_targets(t1,
+    # t2, budget), torsor_point(x, t, R) and rational_point(t, budget)
 
     def invariant(self, tc, value):
         """The target of the torsor classified by the cocycle `value`; None
@@ -607,6 +600,9 @@ class MatrixGroup(GroupPresentation):
 
     # the torus decisions, with the 1-tuples of its values unwrapped
 
+    def translate(self, c, target):
+        return self.torus.translate((c,), target)
+
     def equivalent_targets(self, t1, t2, budget):
         return _first_of_witness(self.torus.equivalent_targets(t1, t2, budget))
 
@@ -705,8 +701,12 @@ class AdditiveKernel(GroupPresentation):
         (a,) = _scalar_parts([self.L.apply(alpha)], "L(alpha)")
         return a
 
+    def translate(self, c, a):
+        """a + L(c): x -> x + c carries L(x) = a onto L(x) = a + L(c)."""
+        return a + self.L.apply(c)
+
     def equivalent_targets(self, a1, a2, budget):
-        """c in k with L(c) = a2 - a1: x -> x + c carries L(x) = a1 to a2."""
+        """c in k with L(c) = a2 - a1, so that translate(c, a1) = a2."""
         return solve_additive_full(self.L, a2 - a1, budget)
 
     def classify(self, budget):
@@ -807,46 +807,48 @@ class DiagonalMult(GroupPresentation):
         gs = tuple(gm_trivialize(tc, comp) for comp in value)
         return tuple(_scalar_parts([f.eval(gs) for f in self.functions], "f_i(g)"))
 
+    def translate(self, lam, v):
+        """(v_i * f_i(lambda)): x -> lambda x carries f(x) = v onto f(x) =
+        translate(lambda, v); None when lambda has a zero entry."""
+        if any(c.is_zero() for c in lam):
+            return None
+        return tuple(a * f.eval(lam) for a, f in zip(v, self.functions))
+
     def equivalent_targets(self, v1, v2, budget):
-        """lambda in (k^x)^n with v2_i = v1_i * f_i(lambda), or a certificate;
-        undecided when the (q-1)^n candidates of a finite field exceed the
-        budget."""
+        """lambda in (k^x)^n with translate(lambda, v1) = v2, or a certificate:
+        the first of the (q-1)^n units of a finite field (undecided over the
+        budget), a square root of a2/a1 over an infinite field when mu-shaped."""
         field = self.field
         if field.finite:
             count = (field.size - 1) ** self.n
             if count > budget:
                 return outcome.undecided("budget-exhausted", space=count)
-        if self.mu_shaped:
-            res = mu_pairs_equivalent(field, v1, v2)
-            return outcome.yes((res.witness,)) if res else res
-        if not field.finite:
+            return self._unit_search(lambda lam: self.translate(lam, v1) == v2, "exhausted-units")
+        if not self.mu_shaped:
             return outcome.undecided("diagonal-equivalence-undecided")
-        # the group is commutative: lambda is a point of the torsor of v2/v1
-        return self._unit_search(tuple(b / a for a, b in zip(v1, v2)), "exhausted-units")
+        r = v2[0] / v1[0]
+        lam = field.is_square(r)
+        if lam is None:
+            return outcome.no("ratio-not-a-square", ratio=str(r))
+        if self.translate((lam,), v1) == v2:
+            return outcome.yes((lam,))
+        return outcome.no("sigma-ratio-mismatch", candidate=str(lam))
 
     def h1_targets(self, budget):
         """Representatives of the target vectors up to the lambda action over
-        a finite field, (q-1)^#functions charged first: M with its orbits
-        when mu-shaped, else the vectors meeting the syzygy constraints."""
+        a finite field, (q-1)^#functions charged first: of M when
+        mu-shaped, else of the vectors meeting the syzygy constraints."""
         field = self.field
         _charge((field.size - 1) ** len(self.functions), budget)
         units = list(field.units())
         if self.mu_shaped:
             space = mu_pair_space(field)
-
-            def orbit(pair):
-                a, b = pair
-                return {(lam * lam * a, lam.sigma() / lam * b) for lam in units}
         else:
             constraints = diagonal_constraints(self)
             space = [vec for vec in itertools.product(units, repeat=len(self.functions))
                      if _satisfies_constraints(vec, constraints)]
-            lam_space = list(itertools.product(units, repeat=self.n))
-
-            def orbit(vec):
-                return {tuple(a * f.eval(lam) for a, f in zip(vec, self.functions))
-                        for lam in lam_space}
-        return _orbit_partition(space, orbit)
+        lams = list(itertools.product(units, repeat=self.n))
+        return _orbit_partition(space, lambda v: {self.translate(lam, v) for lam in lams})
 
     def classify(self, budget, label="diagonal"):
         mu = self.mu_shaped
@@ -877,8 +879,8 @@ class DiagonalMult(GroupPresentation):
             if (field.size - 1) ** self.n > budget:
                 return outcome.undecided("budget-exhausted")
             # a mu-shaped point is a square root of a, sought in k
-            return self._unit_search(avec, "exhausted-field" if self.mu_shaped
-                                     else "exhausted-units")
+            return self._unit_search(lambda x: self.torsor_point(x, avec),
+                                     "exhausted-field" if self.mu_shaped else "exhausted-units")
         if not self.mu_shaped:
             return outcome.undecided("diagonal-points-undecided-over-infinite-field")
         a, b = avec
@@ -890,11 +892,10 @@ class DiagonalMult(GroupPresentation):
         return outcome.no("sigma-ratio-mismatch", root=str(lam),
                           ratio=str(lam.sigma() / lam))
 
-    def _unit_search(self, avec, exhausted: str) -> Outcome:
-        for combo in itertools.product(list(self.field.units()), repeat=self.n):
-            if self.torsor_point(combo, avec):
-                return outcome.yes(combo)
-        return outcome.no(exhausted)
+    def _unit_search(self, found, exhausted: str) -> Outcome:
+        """The first unit vector in product order that `found` accepts."""
+        lam = next(filter(found, itertools.product(list(self.field.units()), repeat=self.n)), None)
+        return outcome.no(exhausted) if lam is None else outcome.yes(lam)
 
     def canonical_point(self, avec, R):
         """(y,) in the mu-algebra k[y]/(y^2 - a), sigma(y) = b*y, for
@@ -965,8 +966,13 @@ class FrobeniusTwist(GroupPresentation):
         d = self.d
         return lambda ys: [y.sigma(d) - y for y in ys]
 
-    def _translate(self, c, a):
-        """psi(c)^{-1} a sigma^d(c) for c in base(k)."""
+    def translate(self, c, a):
+        """psi(c)^{-1} a sigma^d(c): x -> x c carries sigma^d(x) = psi(x) a
+        onto the torsor of that target; None when c lies outside GL_n(k), or
+        SL_n(k) for base SL."""
+        det = mat_det(c)
+        if det.is_zero() or (self.base == "SL" and not det.is_one()):
+            return None
         return mat_mul(mat_mul(mat_inverse(self.psi_apply(c, self.field)), a),
                        mat_sigma(c, self.d))
 
@@ -988,9 +994,7 @@ class FrobeniusTwist(GroupPresentation):
         count = field.size ** (self.n * self.n)
         if count > budget:
             return outcome.undecided("budget-exhausted", space=count)
-        c = next((c for c in _enumerate_field_matrices(field, self.n, self.base == "SL")
-                  if mat_eq(self._translate(c, a1), a2)), None)
-        return outcome.no("exhausted-rational-points") if c is None else outcome.yes(c)
+        return self._matrix_search(lambda c: self.translate(c, a1) == a2)
 
     def classify(self, budget):
         field = self.field
@@ -1005,7 +1009,7 @@ class FrobeniusTwist(GroupPresentation):
         if len(mats) ** 2 > budget:
             return ClassifyReport(group="twist", kind="oracle",
                                   note="orbit enumeration exceeds budget")
-        reps = _orbit_partition(mats, lambda m: {self._translate(c, m) for c in mats})
+        reps = _orbit_partition(mats, lambda m: {self.translate(c, m) for c in mats})
         return ClassifyReport(group="twist", kind="finite-list",
                               count=len(reps), representatives=reps)
 
@@ -1020,6 +1024,17 @@ class FrobeniusTwist(GroupPresentation):
         target = a if R is None else tuple(tuple(R.from_scalar(e) for e in row) for row in a)
         return mat_eq(mat_sigma(m, self.d), mat_mul(self.psi_apply(m, ring), target))
 
+    def _matrix_search(self, found) -> Outcome:
+        """The first matrix of base(k) that `found` accepts, k finite."""
+        c = next(filter(found, _enumerate_field_matrices(self.field, self.n, self.base == "SL")),
+                 None)
+        return outcome.no("exhausted-rational-points") if c is None else outcome.yes(c)
+
+    def _checked_point(self, x, a) -> Outcome:
+        if not self.torsor_point(x, a):
+            raise outcome.InternalError("twist point failed verification")
+        return outcome.yes(x)
+
     def rational_point(self, a, budget):
         """sigma^{-d}(a) entrywise for trivial psi (with the sigma-image
         obstruction when sigma is not onto); every matrix over a finite
@@ -1032,20 +1047,15 @@ class FrobeniusTwist(GroupPresentation):
                 if y is None:
                     return outcome.no("sigma-image-obstruction", entry=str(e), failing_step=step)
             x = tuple(tuple(y for y, _ in row) for row in pre)
-            assert self.torsor_point(x, a)
-            return outcome.yes(x)
+            return self._checked_point(x, a)
         if field.finite:
             if field.size ** (self.n * self.n) > budget:
                 return outcome.undecided("budget-exhausted")
-            m = next((m for m in _enumerate_field_matrices(field, self.n, self.base == "SL")
-                      if self.torsor_point(m, a)), None)
-            return outcome.no("exhausted-rational-points") if m is None else outcome.yes(m)
+            return self._matrix_search(lambda m: self.torsor_point(m, a))
         if self.psi == "id" and self.n == 1:
-            res = solve_sigma_quotient(a[0][0], self.d)
+            res = solve_sigma_quotient(a[0][0], self.d, budget)
             if res:
-                x = ((res.witness,),)
-                assert self.torsor_point(x, a)
-                return outcome.yes(x)
+                return self._checked_point(((res.witness,),), a)
             if res.status == outcome.NO:
                 return outcome.no(res.certificate, **res.detail)
             return res

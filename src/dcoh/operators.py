@@ -213,8 +213,9 @@ def _dispersion_window(A, B) -> int:
     return int(polys.cauchy_root_bound(A) + polys.cauchy_root_bound(B)) + 1
 
 
-def dispersion_set(A, B) -> list:
-    """All h >= 0 with deg gcd(A(t), B(t+h)) > 0.
+def dispersion_set(A, B, budget: int | None = None) -> list | None:
+    """All h >= 0 with deg gcd(A(t), B(t+h)) > 0; None when the gcds of
+    the window exceed the budget.
 
     The candidates are the nonnegative integer roots of the resultant
     Res_t(A(t), B(t+h)) in h; they live inside the root-bound window, and
@@ -224,6 +225,8 @@ def dispersion_set(A, B) -> list:
     if deg(A) <= 0 or deg(B) <= 0:
         return []
     top = _dispersion_window(A, B)
+    if budget is not None and top + 1 > budget:
+        return None
     return [h for h in range(top + 1) if deg(pgcd(A, polys.shift(B, h))) > 0]
 
 
@@ -242,13 +245,17 @@ def dispersion_set_resultant(A, B) -> list:
     return [h for h in range(top + 1) if polys.peval(res_poly, Fraction(h)) == 0]
 
 
-def universal_denominator(ps) -> tuple:
-    """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t)."""
+def universal_denominator(ps, budget: int | None = None) -> tuple | None:
+    """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t); None
+    when the gcds of the dispersion window exceed the budget."""
     n = len(ps) - 1
     A = polys.shift(ps[n], -n)
     B = ps[0]
+    hs = dispersion_set(A, B, budget)
+    if hs is None:
+        return None
     u = ONE
-    for h in sorted(dispersion_set(A, B), reverse=True):
+    for h in sorted(hs, reverse=True):
         g = pgcd(A, polys.shift(B, h))
         if deg(g) <= 0:
             continue
@@ -319,7 +326,9 @@ def polynomial_solutions(ps, q, bound: int):
 def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> Outcome:
     k: RationalFunctionField = L.field
     ps, q = _clear_denominators(L, a)
-    u = universal_denominator(ps)
+    u = universal_denominator(ps, budget)
+    if u is None:
+        return outcome.undecided("budget-exhausted")
     n = len(ps) - 1
     big = ONE
     for i in range(n + 1):
@@ -485,8 +494,9 @@ def classify_additive_h1(L: DifferenceOperator) -> AdditiveH1:
             for r, c in zip(free_rows, coords):
                 vec[r] = c
             reps.append(k.wrap(tuple(vec)))
-        assert len(reps) == k.p ** (k.m - rank)
-        return AdditiveH1("finite", L, size=k.p ** (k.m - rank),
+        if len(reps) != k.p ** (k.m - rank):
+            raise InternalError("cokernel representatives miss the rank count")
+        return AdditiveH1("finite", L, size=len(reps),
                           representatives=sorted(reps, key=lambda x: x.value))
     if isinstance(k, RationalField):
         c = L.scalar_value()
@@ -502,8 +512,13 @@ def classify_additive_h1(L: DifferenceOperator) -> AdditiveH1:
 # first-order multiplicative equations sigma^d(x) = a * x
 
 
-def solve_sigma_quotient(a: FieldElement, d: int = 1) -> Outcome:
-    """x in k^x with sigma^d(x) / x = a, or a certificate that none exists."""
+def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: int | None = None) -> Outcome:
+    """x in k^x with sigma^d(x) / x = a, or a certificate that none exists.
+
+    With a budget, each shift window over QQ(t);shift is charged its gcds
+    first, and the solver answers undecided "budget-exhausted" when their
+    total exceeds it; without one every instance is decided.
+    """
     k = a.field
     if a.is_zero():
         return outcome.no("target-not-a-unit")
@@ -517,11 +532,22 @@ def solve_sigma_quotient(a: FieldElement, d: int = 1) -> Outcome:
             return outcome.yes(k.one())
         return outcome.no("sigma-is-identity")
     if isinstance(k, RationalFunctionField) and k.mode == "shift":
-        return _solve_sigma_quotient_shift(a, d)
+        return _solve_sigma_quotient_shift(a, d, budget)
     return outcome.undecided("multiplicative-solver-unsupported", field=k.descriptor)
 
 
-def _solve_sigma_quotient_shift(a: FieldElement, d: int) -> Outcome:
+def _first_shift(p, q, d: int, top: int):
+    """The first j != 0 in -top..top with deg gcd(p, q(t + j*d)) > 0, and
+    that gcd; (None, None) when there is none."""
+    for j in range(-top, top + 1):
+        if j:
+            g = pgcd(p, polys.shift(q, j * d))
+            if deg(g) > 0:
+                return j, g
+    return None, None
+
+
+def _solve_sigma_quotient_shift(a: FieldElement, d: int, budget: int | None) -> Outcome:
     k = a.field
     num, den = a.value
     if num[-1] != 1:
@@ -529,22 +555,14 @@ def _solve_sigma_quotient_shift(a: FieldElement, d: int) -> Outcome:
                           leading=str(num[-1]))
     p, q = num, den
     f = k.one()
-
-    def find_shift(p, q):
-        if deg(p) <= 0 or deg(q) <= 0:
-            return None, None
-        bound = polys.cauchy_root_bound(p) + polys.cauchy_root_bound(q)
-        top = int(bound / d) + 1
-        for j in range(-top, top + 1):
-            if j == 0:
-                continue
-            g = pgcd(p, polys.shift(q, j * d))
-            if deg(g) > 0:
-                return j, g
-        return None, None
-
-    while True:
-        j, g = find_shift(p, q)
+    spent = 0
+    while deg(p) > 0 and deg(q) > 0:
+        # one gcd per j of the root-bound window, charged before the search
+        top = int((polys.cauchy_root_bound(p) + polys.cauchy_root_bound(q)) / d) + 1
+        spent += 2 * top
+        if budget is not None and spent > budget:
+            return outcome.undecided("budget-exhausted", space=spent)
+        j, g = _first_shift(p, q, d, top)
         if j is None:
             break
         p = pdiv_exact(p, g)

@@ -385,7 +385,8 @@ def cauchy_root_bound(p) -> Fraction:
 
 
 def lagrange_interpolate(xs, ys) -> tuple:
-    assert len(xs) == len(ys)
+    if len(xs) != len(ys):
+        raise ValueError("interpolation needs one value per node")
     total = ZERO
     for i, xi in enumerate(xs):
         num = ONE

@@ -358,12 +358,13 @@ def connecting_delta(field: SigmaField, d: int, x: FieldElement) -> DeltaResult:
         chi = make_cocycle(N, tc, ((tc.AA.one(),),))
         g = A.gen(0)
         n_elt = g * A.from_scalar(y).inverse()
-        assert n_elt.sigma(d) == A.one()
         cb = N.mul(N.map(tc.d1, ((n_elt,),)), N.inv(N.map(tc.d2, ((n_elt,),))))
-        assert N.equal(cb, ((tc.pair(g.inverse(), g),),))
+        if n_elt.sigma(d) != A.one() or not N.equal(cb, ((tc.pair(g.inverse(), g),),)):
+            raise outcome.InternalError("the rational lift fails to trivialize delta(x)")
         return DeltaResult(cocycle=chi, lift_algebra=A, trivial=outcome.yes(y))
     g = A.gen(0)
-    assert g.sigma(d) == A.from_scalar(x)
+    if g.sigma(d) != A.from_scalar(x):
+        raise outcome.InternalError("the lift algebra fails sigma^d(u_1) = x")
     value = tc.pair(g.inverse(), g)
     chi = make_cocycle(N, tc, ((value,),))
     cert_detail = {"failing_step": step}

@@ -237,6 +237,11 @@ BUDGET_PROBES = [
      "twist:GL2;d=1;psi=id;a=[[1,0],[0,1]]"],
     ["classify", "--field", "GF(3^8);frob^1", "--group", "twist:GL2;d=1;psi=id"],
     ["audit-exactness", "--field", "GF(3^12);frob^1", "--d", "1"],
+    # a pole far from the origin: shift windows of about 2*10^9 gcds
+    ["iso", "--field", "QQ(t);shift", "--family", "add", "--op", "s - 1", "--lhs", "0",
+     "--rhs", "1/(t+1000000000)"],
+    ["torsor-points", "--field", "QQ(t);shift", "--torsor",
+     "twist:GL1;d=1;psi=id;a=(t+1000000000)/t"],
 ]
 
 
@@ -307,6 +312,12 @@ def test_verify_reports_malformed_lines_as_errors():
         assert vcode == 2 and vlines[0]["ok"] is False, doctored
 
 
+def test_verify_reads_class_lists_over_finite_fields_only():
+    line = {"cmd": "classify", "args": {"field": "QQ", "group": "mu2sigma"},
+            "result": {"kind": "finite-list", "classes": 1, "representatives": [["1", "1"]]}}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(line)])
+    assert vcode == 2 and len(vlines) == 1 and vlines[0]["ok"] is False
+
 
 def test_missing_arguments_are_parse_errors():
     """iso without its family's --op or --twist, and verify of a line that
@@ -361,6 +372,60 @@ def test_verify_checks_points_over_an_algebra(argv, doctored):
         assert vcode == 3 and vlines[0]["result"] == "unverified", bad
 
 
+# a "yes" iso and a torsor-points answer over the base field for each
+# family, and an additive cocycle-equiv answer, with a doctored witness that
+# verify must reject and a witness of another shape that it must leave
+# unverified
+FIELD_WITNESSES = [
+    (["iso", "--field", "GF(9);frob^1", "--family", "mu", "--lhs", "1,1", "--rhs", "w^2,w^2"],
+     {"type": "scalar", "value": "1"}, {"type": "tuple", "value": ["w"]}),
+    (["torsor-points", "--field", "GF(9);frob^1", "--torsor", "mu:w^2,w^2"],
+     {"type": "scalar", "value": "1"}, {"type": "tuple", "value": ["w"]}),
+    (["iso", "--field", "QQ(t);shift", "--family", "add", "--op", "s-1", "--lhs", "0",
+      "--rhs", "1/(t*(t+1))"],
+     {"type": "scalar", "value": "t"}, {"type": "tuple", "value": ["-1/t"]}),
+    (["torsor-points", "--field", "QQ(t);shift", "--torsor", "add:s-1;1/(t*(t+1))"],
+     {"type": "scalar", "value": "t"}, {"type": "tuple", "value": ["-1/t"]}),
+    (["iso", "--field", "GF(9);frob^1", "--family", "diag", "--diag-arity", "2",
+      "--functions", "y1^2,y2^2", "--lhs", "1,1", "--rhs", "w^2,1"],
+     {"type": "tuple", "value": ["1", "1"]}, {"type": "scalar", "value": "w"}),
+    (["torsor-points", "--field", "GF(9);frob^1", "--torsor", "diag:2;y1^2,y2^2;w^2,1"],
+     {"type": "tuple", "value": ["1", "1"]}, {"type": "scalar", "value": "w"}),
+    (["iso", "--field", "GF(9);frob^1", "--family", "twist", "--twist", "SL2;d=1;psi=id",
+      "--lhs", "[[1,0],[0,1]]", "--rhs", "[[1,0],[0,1]]"],
+     {"type": "matrix", "value": [["1", "w"], ["0", "1"]]}, {"type": "scalar", "value": "1"}),
+    (["torsor-points", "--field", "GF(9);frob^1", "--torsor",
+      "twist:GL2;d=1;psi=id;a=[[1,0],[0,1]]"],
+     {"type": "matrix", "value": [["w", "0"], ["0", "1"]]}, {"type": "scalar", "value": "1"}),
+    (["cocycle-equiv", "--field", "QQ(t);shift", "--algebra", "freepoly:1;sigma(y1)=y1+1/(t*(t+1))",
+      "--group", "addker:s-1", "--chi", "1#y - y#1", "--chi2", "0"],
+     {"type": "scalar", "value": "t"}, {"type": "tuple", "value": ["1/t"]}),
+]
+
+
+@pytest.mark.parametrize("argv,doctored,misshapen", FIELD_WITNESSES,
+                         ids=[f"{a[0]}-{a[4].split(':')[0]}" for a, _, _ in FIELD_WITNESSES])
+def test_verify_checks_witnesses_over_the_base_field(argv, doctored, misshapen):
+    code, lines = run_cli(argv)
+    assert code == 0 and lines[0]["result"] is True
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 0 and vlines[0]["result"] is True
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], witness=doctored))])
+    assert vcode == 1 and vlines[0]["result"] is False
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], witness=misshapen))])
+    assert vcode == 3 and vlines[0]["result"] == "unverified"
+
+
+def test_verify_leaves_witnesses_of_another_length_unverified():
+    code, lines = run_cli(["torsor-points", "--field", "GF(9);frob^1", "--torsor",
+                           "diag:2;y1^2,y2^2;w^2,1"])
+    assert code == 0 and lines[0]["witness"]["value"] == ["w", "1"]
+    for value in (["w"], ["w", "1", "1"]):
+        line = dict(lines[0], witness={"type": "tuple", "value": value})
+        vcode, vlines = run_cli(["verify", "--line", json.dumps(line)])
+        assert vcode == 3 and vlines[0]["result"] == "unverified", value
+
+
 @pytest.mark.parametrize("algebra", ["laurent:1;sigma(u2)=u",
                                      "laurent:2;sigma(u0)=t*u1;sigma(u1)=u1",
                                      "freepoly:2;sigma(y3)=y1"])
@@ -386,24 +451,31 @@ def test_abramov_ansatz_is_charged_to_the_budget():
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 # an Abramov query run under python -O; with --doctor its polynomial ansatz
-# returns a wrong numerator, which the solver's self-check must still catch
+# returns a wrong numerator, which the solver's self-check must still catch;
+# with --doctor-twist the sigma-preimages of a trivial-psi twist point are
+# wrong, which the twist's self-check must catch
 OPTIMIZED_QUERY = """
 import sys
-from dcoh import operators, polys
+from dcoh import groups, operators, polys
 from dcoh.cli import main
 if "--doctor" in sys.argv:
     solve = operators.polynomial_solutions
     operators.polynomial_solutions = lambda *a: polys.padd(solve(*a), polys.ONE)
 print(sys.flags.optimize, file=sys.stderr)
+if "--doctor-twist" in sys.argv:
+    groups._sigma_preimage_chain = lambda x, d: (x, None)
+    sys.exit(main(["torsor-points", "--field", "QQ(t);shift", "--torsor",
+                   "twist:GL1;d=1;psi=trivial;a=t"]))
 sys.exit(main(["iso", "--field", "QQ(t);shift", "--family", "add", "--op", "s-1",
                "--lhs", "0", "--rhs", "1/(t*(t+1))"]))
 """
+DOCTOR_FLAGS = {False: [], True: ["--doctor"], "twist": ["--doctor-twist"]}
 
 
-@pytest.mark.parametrize("doctor", [False, True])
+@pytest.mark.parametrize("doctor", list(DOCTOR_FLAGS))
 def test_witness_self_checks_fire_under_python_O(doctor):
     env = dict(os.environ, PYTHONPATH=SRC)
-    argv = [sys.executable, "-O", "-c", OPTIMIZED_QUERY] + (["--doctor"] if doctor else [])
+    argv = [sys.executable, "-O", "-c", OPTIMIZED_QUERY] + DOCTOR_FLAGS[doctor]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr.strip() == "1"
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -411,7 +483,8 @@ def test_witness_self_checks_fire_under_python_O(doctor):
     if doctor:
         assert proc.returncode == 4
         assert lines[0]["ok"] is False
-        assert lines[0]["certificate"].startswith("internal-error: Abramov")
+        assert lines[0]["certificate"].startswith(
+            "internal-error: " + ("twist" if doctor == "twist" else "Abramov"))
     else:
         assert proc.returncode == 0
         assert lines[0]["result"] is True and lines[0]["witness"]["value"] == "-1/(t)"

@@ -191,3 +191,15 @@ def test_small_finite_fields_hand_out_canonical_elements():
         assert all((x + y) is F.wrap((x + y).value) for x in elems for y in elems)
         w = elems[-1]
         assert w.inv() is F.wrap(w.inv().value) and w.sigma() is F.wrap(w.sigma().value)
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "QQ(t);shift", "GF(9);frob^1"])
+def test_power_is_the_repeated_product(descriptor):
+    F = make_field(descriptor)
+    x = F.element({"QQ": "-2/3", "QQ(t);shift": "(t+1)/(t^2-2)", "GF(9);frob^1": "w + 2"}[descriptor])
+    for n in range(-3, 10):
+        base = x if n >= 0 else x.inv()
+        want = F.one()
+        for _ in range(abs(n)):
+            want = want * base
+        assert x ** n == want, n
