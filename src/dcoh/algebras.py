@@ -1158,18 +1158,19 @@ class DescentDatum:
             total = total + self.phi_images[k] * c
         return total
 
-    def _mod_action_ba(self, i, j, x: AlgElement) -> AlgElement:
-        # (e_i (x) e_j) . (b (x) a) = (iota(e_i) b) (x) (e_j a)
-        fac = self.BA.pure_tensor(self.iota.apply(self.A.basis_element(i)),
-                                  self.A.basis_element(j))
-        return fac * x
-
-    def _mod_action_ab(self, i, j, x: AlgElement) -> AlgElement:
-        fac = self.AB.pure_tensor(self.A.basis_element(i),
-                                  self.iota.apply(self.A.basis_element(j)))
-        return fac * x
-
     def validate(self):
+        """phi is unital, multiplicative, sigma-equivariant, A(x)A-linear and
+        bijective, and satisfies the cocycle condition, checked in that order.
+
+        e_i (x) e_j in A(x)A acts on B(x)A as multiplication by
+        U = iota(e_i) (x) e_j and on A(x)B by V = e_i (x) iota(e_j), so
+        linearity is phi(U x) = V phi(x) for every x.  apply is k-linear by
+        construction, and the checks before it make phi unital and
+        multiplicative: then phi(U x) = phi(U) phi(x), and x = 1 shows that
+        linearity holds exactly when phi(U) = V.  That is m^2 checks for
+        m = dim A instead of m^2 |B(x)A|, and validation as a whole costs
+        m^2 + |B(x)A|^2 products.
+        """
         self.iota.validate()
         idx_ba = self.BA.index_list()
         if set(self.phi_images) != set(idx_ba):
@@ -1184,13 +1185,12 @@ class DescentDatum:
         for k in idx_ba:
             if self.apply(basis[k].sigma()) != self.phi_images[k].sigma():
                 raise AlgebraError("phi does not commute with sigma")
-        for i in self.A.index_list():
-            for j in self.A.index_list():
-                for k in idx_ba:
-                    lhs = self.apply(self._mod_action_ba(i, j, basis[k]))
-                    rhs = self._mod_action_ab(i, j, self.phi_images[k])
-                    if lhs != rhs:
-                        raise AlgebraError("phi is not A(x)A-linear")
+        # A(x)A-linearity on the m^2 action elements alone (see the docstring)
+        pairs = [(e, self.iota.apply(e)) for e in map(self.A.basis_element, self.A.index_list())]
+        for e_i, iota_i in pairs:
+            for e_j, iota_j in pairs:
+                if self.apply(self.BA.pure_tensor(iota_i, e_j)) != self.AB.pure_tensor(e_i, iota_j):
+                    raise AlgebraError("phi is not A(x)A-linear")
         zero = self.A.field.zero()
         idx_ab = self.AB.index_list()
         mat = [[self.phi_images[c].data.get(r, zero) for c in idx_ba] for r in idx_ab]

@@ -17,6 +17,7 @@ sigma, and operator application -- a deliberately small trusted core.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -389,7 +390,7 @@ def cmd_classify(args, base):
     G = parse_group(field, args.group)
     rep = classify_h1(G, budget=args.budget)
     result = {"kind": rep.kind, "classes": rep.count,
-              "representatives": ser(rep.describe_reps()), "note": rep.note}
+              "representatives": ser(rep.representatives), "note": rep.note}
     return _emit(args, {"result": result}, base)
 
 
@@ -604,7 +605,9 @@ def _verify_mu_classes(field, result, budget) -> bool:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     ap = argparse.ArgumentParser(prog="dcoh",
                                  description="difference-algebraic cohomology and torsors")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -716,8 +719,7 @@ def _answerless_line(args, base, certificate: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     base = {"cmd": args.cmd,
             "args": {k: v for k, v in sorted(vars(args).items())
                      if k != "cmd" and v is not None}}

@@ -205,10 +205,6 @@ class ClassifyReport:
     representatives: list = dc_field(default_factory=list)
     note: str | None = None
 
-    def describe_reps(self):
-        return [tuple(str(c) for c in rep) if isinstance(rep, tuple) else str(rep)
-                for rep in self.representatives]
-
 
 def _orbit_partition(items, orbit_of):
     seen = set()

@@ -9,7 +9,7 @@ from conftest import (random_findim_algebra, small_element,
                       table_isomorphism_by_search)
 
 from dcoh import algebras, linalg
-from dcoh.algebras import (AlgebraError, AlgebraMorphism,
+from dcoh.algebras import (AlgebraError, AlgebraMorphism, DescentDatum,
                            TensorAlgebra, TensorContext, amitsur_audit,
                            canonical_descent_datum, change_basis,
                            descend_invariants, direct_sum, FreePolyAlgebra,
@@ -439,3 +439,98 @@ def test_equal_table_algebras_share_key_and_views_match_input(gf9):
     assert list(A1._unit) == unit
     assert [list(v) for v in A1._sigma] == sigma
     assert not hasattr(A1, "__dict__")
+
+
+LINEARITY = "phi is not A(x)A-linear"
+
+
+def _all_pairs_validate(datum):
+    """DescentDatum.validate with its A(x)A-linearity check written out over
+    all m^2 * |B(x)A| pairs (e_i (x) e_j) . x, x a basis element of B(x)A:
+    the oracle for the m^2-element check."""
+    A, BA, AB, iota = datum.A, datum.BA, datum.AB, datum.iota
+    iota.validate()
+    idx_ba = BA.index_list()
+    if set(datum.phi_images) != set(idx_ba):
+        raise AlgebraError("phi must be defined on the whole tensor basis")
+    if datum.apply(BA.one()) != AB.one():
+        raise AlgebraError("phi does not preserve 1")
+    basis = {k: BA.basis_element(k) for k in idx_ba}
+    for k1 in idx_ba:
+        for k2 in idx_ba:
+            if datum.apply(basis[k1] * basis[k2]) != datum.phi_images[k1] * datum.phi_images[k2]:
+                raise AlgebraError("phi is not a ring morphism")
+    for k in idx_ba:
+        if datum.apply(basis[k].sigma()) != datum.phi_images[k].sigma():
+            raise AlgebraError("phi does not commute with sigma")
+    for i in A.index_list():
+        for j in A.index_list():
+            e_i, e_j = A.basis_element(i), A.basis_element(j)
+            for k in idx_ba:
+                lhs = datum.apply(BA.pure_tensor(iota.apply(e_i), e_j) * basis[k])
+                rhs = AB.pure_tensor(e_i, iota.apply(e_j)) * datum.phi_images[k]
+                if lhs != rhs:
+                    raise AlgebraError(LINEARITY)
+    zero = A.field.zero()
+    mat = [[datum.phi_images[c].data.get(r, zero) for c in idx_ba] for r in AB.index_list()]
+    if linalg.rank(mat, A.field) != len(idx_ba):
+        raise AlgebraError("phi is not bijective")
+    datum._check_cocycle()
+
+
+def _error(check):
+    try:
+        check()
+    except AlgebraError as e:
+        return str(e)
+    return None
+
+
+def _swap_composed(datum):
+    """phi . (id_B (x) s) for the swap s of A = split:2: still a bijective ring
+    morphism commuting with sigma, but not A(x)A-linear."""
+    A, B = datum.A, datum.B
+    e0, e1 = A.basis_element(0), A.basis_element(1)
+    s = AlgebraMorphism(A, A, [e1, e0], check=False)
+    images = {(b, a): datum.apply(datum.BA.pure_tensor(B.basis_element(b),
+                                                       s.apply(A.basis_element(a))))
+              for (b, a) in datum.BA.index_list()}
+    return DescentDatum(A, B, datum.iota, images, check=False)
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_descent_rejects_a_datum_that_is_not_linear(field, request):
+    k = request.getfixturevalue(field)
+    A = make_split_algebra(k, 2, [1, 0])
+    a = k.element(2) if field == "QQ" else k.element("w")
+    C0 = make_mu_algebra(a, k.one() if field == "QQ" else a)
+    bad = _swap_composed(canonical_descent_datum(C0, A))
+    with pytest.raises(AlgebraError, match=r"^phi is not A\(x\)A-linear$"):
+        descend_invariants(bad)
+    assert _error(lambda: _all_pairs_validate(bad)) == LINEARITY
+
+
+def _swapped_columns(datum):
+    keys = list(datum.phi_images)
+    datum.phi_images[keys[0]], datum.phi_images[keys[1]] = \
+        datum.phi_images[keys[1]], datum.phi_images[keys[0]]
+    return datum
+
+
+def test_descent_linearity_check_agrees_with_all_pairs(QQ, gf9):
+    data = []
+    for k, (a, b) in ((QQ, (3, 1)), (gf9, ("w", "w"))):
+        for perm in ([1, 0], [0, 1]):
+            C0 = make_mu_algebra(k.element(a), k.element(b))
+            data.append(canonical_descent_datum(C0, make_split_algebra(k, 2, perm)))
+    A = make_mu_algebra(gf9.element("w"), gf9.element("w"))
+    tc = TensorContext(A)
+    y = A.basis_element(1)
+    data += [mu_twisted_datum(A, tc.pair(y.inverse(), y)), mu_twisted_datum(A, tc.AA.one()),
+             _swapped_columns(canonical_descent_datum(scalar_algebra(QQ),
+                                                      make_split_algebra(QQ, 2, [1, 0]))),
+             _swap_composed(canonical_descent_datum(scalar_algebra(gf9),
+                                                    make_split_algebra(gf9, 2, [1, 0])))]
+    errors = [_error(d.validate) for d in data]
+    assert errors == [_error(lambda: _all_pairs_validate(d)) for d in data]
+    assert errors[:6] == [None] * 6 and errors[6] is not None and errors[7] == LINEARITY

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -488,3 +488,112 @@ def test_witness_self_checks_fire_under_python_O(doctor):
     else:
         assert proc.returncode == 0
         assert lines[0]["result"] is True and lines[0]["witness"]["value"] == "-1/(t)"
+
+
+def test_classify_prints_twist_representatives_as_matrices():
+    classify = ["classify", "--field", "GF(3)", "--group"]
+    code, lines = run_cli(classify + ["twist:GL1;d=1;psi=id"])
+    assert code == 0 and lines[0]["result"] == {
+        "classes": 2, "kind": "finite-list", "note": None,
+        "representatives": [[["1"]], [["2"]]]}
+    code, lines = run_cli(classify + ["twist:GL2;d=1;psi=id"])
+    assert code == 0 and lines[0]["result"]["classes"] == 8
+    assert lines[0]["result"]["representatives"] == [
+        [["0", "1"], ["1", "0"]], [["0", "1"], ["1", "1"]], [["0", "1"], ["1", "2"]],
+        [["0", "1"], ["2", "0"]], [["0", "1"], ["2", "1"]], [["0", "1"], ["2", "2"]],
+        [["1", "0"], ["0", "1"]], [["2", "0"], ["0", "2"]]]
+
+
+FIELD_EVAL_LINE = ('{"args": {"budget": 1000000, "expr": "1/2 + 3", "field": "QQ"}, '
+                   '"certificate": null, "cmd": "field-eval", "ok": true, "result": "7/2", '
+                   '"undecided": false, "witness": {"type": "scalar", "value": "7/2"}}')
+GF9 = "GF(9);frob^1"
+# every subcommand, then argparse usage errors (exit 2 with usage text on
+# stderr), a parse error of a descriptor, --budget overrides and --help
+PARSER_REUSE_ARGVS = [
+    ["field-eval", "--field", "QQ", "--expr", "1/2 + 3"],
+    ["cocycle-check", "--field", GF9, "--algebra", "mu:w,w", "--group", "mu2sigma",
+     "--chi", "(1/a)*(y#y)"],
+    ["cocycle-equiv", "--field", GF9, "--algebra", "mu:w,w", "--group", "mu2sigma",
+     "--chi", "1", "--chi2", "(1/a)*(y#y)"],
+    ["classify", "--field", GF9, "--group", "mu2sigma"],
+    ["iso", "--field", "QQ(t);shift", "--family", "add", "--op", "s-1",
+     "--lhs", "0", "--rhs", "1/(t*(t+1))"],
+    ["torsor-points", "--field", GF9, "--torsor", "mu:w,w"],
+    ["normalize", "--field", GF9, "--algebra", "mu:w,w", "--group", "mu2sigma",
+     "--chi", "(1/a)*(y#y)"],
+    ["delta", "--field", "QQ(t);subst:t^2", "--d", "1", "--x", "t^4 + 1"],
+    ["audit-amitsur", "--field", GF9, "--algebra", "split:2;perm=1,0"],
+    ["audit-exactness", "--field", "GF(4);frob^1", "--d", "1"],
+    ["descend", "--field", "QQ", "--algebra", "split:2;perm=1,0", "--c0", "mu:2,1"],
+    ["verify", "--line", FIELD_EVAL_LINE],
+    ["field-eval", "--field", "QQ"],
+    ["iso", "--field", "QQ", "--family", "nope", "--lhs", "0", "--rhs", "1"],
+    ["frobnicate"],
+    [],
+    ["classify", "--field", "QQ", "--group", "nonsense"],
+    ["torsor-points", "--field", GF9, "--torsor", "diag:2;y1^2,y2^2;1,1", "--budget", "5"],
+    ["field-eval", "--field", "QQ", "--expr", "1", "--budget", "many"],
+    ["verify", "--line", FIELD_EVAL_LINE, "--budget", "7"],
+    ["--help"],
+    ["descend", "--help"],
+]
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "dcoh.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = [_in_process(argv) for argv in PARSER_REUSE_ARGVS]
+    again = [_in_process(argv) for argv in PARSER_REUSE_ARGVS]
+    fresh = [_fresh_process(argv) for argv in PARSER_REUSE_ARGVS]
+    assert first == again == fresh
+    codes = [code for code, _, _ in fresh]
+    assert codes == [0] * 12 + [2, 2, 2, 2, 2, 3, 2, 0, 0, 0]
+    assert fresh[12][2] == ("usage: dcoh field-eval [-h] --field FIELD [--budget BUDGET] "
+                            "--expr EXPR\ndcoh field-eval: error: the following arguments "
+                            "are required: --expr\n")
+    assert fresh[-2][1] == DCOH_HELP and fresh[-1][1] == DESCEND_HELP
+
+
+# `dcoh --help` and `dcoh descend --help` at 80 columns (Python 3.11's argparse)
+DCOH_HELP = """\
+usage: dcoh [-h]
+            {field-eval,cocycle-check,cocycle-equiv,classify,iso,torsor-points,normalize,delta,audit-amitsur,audit-exactness,descend,verify}
+            ...
+
+difference-algebraic cohomology and torsors
+
+positional arguments:
+  {field-eval,cocycle-check,cocycle-equiv,classify,iso,torsor-points,normalize,delta,audit-amitsur,audit-exactness,descend,verify}
+
+options:
+  -h, --help            show this help message and exit
+"""
+DESCEND_HELP = """\
+usage: dcoh descend [-h] --field FIELD [--budget BUDGET] --algebra ALGEBRA
+                    [--c0 C0] [--chi CHI]
+
+options:
+  -h, --help         show this help message and exit
+  --field FIELD
+  --budget BUDGET
+  --algebra ALGEBRA  the faithfully flat algebra A
+  --c0 C0            descend the canonical datum on C0 (x) A
+  --chi CHI          descend the mu-twist datum for this cocycle
+"""
