@@ -391,11 +391,7 @@ class FinDimAlgebra(SigmaAlgebra):
         unit = self.unit_data()
         rhs = [unit[r].value if r in unit else zero for r in idx]
         wrap = f.wrap
-        if f.swells_under_division:
-            sol = linalg.solve([list(map(wrap, row)) for row in matrix], list(map(wrap, rhs)), f)
-            sol = None if sol is None else [c.value for c in sol]
-        else:
-            sol = linalg.solve_square_raw(matrix, rhs, f)
+        sol = linalg.solve_square_raw(matrix, rhs, f)
         if sol is None:
             return None
         return {i: wrap(v) for i, v in zip(idx, sol) if not is_zero(v)}

@@ -206,10 +206,8 @@ class SigmaField:
     characteristic: int
     inversive: bool
     finite: bool
-    # entries swell under elimination by pivot division; linalg's
-    # cross-multiplication with normalize_row keeps them small
-    swells_under_division = False
-    # linalg eliminates on rows cleared to integers (values are Fractions)
+    # linalg.row_echelon runs fraction-free elimination on rows cleared to
+    # integers (values are Fractions), not Gauss-Jordan on raw values
     integer_elimination = False
 
     def element(self, obj) -> FieldElement:
@@ -255,10 +253,6 @@ class SigmaField:
 
     def elements(self):
         raise FieldError(f"{self.descriptor} is not finite")
-
-    def normalize_row(self, row):
-        """Hook for the exact linear algebra: rescale a row to tame entries."""
-        return row
 
     def __eq__(self, other):
         return isinstance(other, SigmaField) and other.descriptor == self.descriptor
@@ -325,7 +319,6 @@ class RationalField(SigmaField):
 class RationalFunctionField(SigmaField):
     characteristic = 0
     finite = False
-    swells_under_division = True
 
     def __init__(self, mode: str, q: Fraction | None = None):
         if mode not in ("shift", "dilate", "subst"):
@@ -451,29 +444,6 @@ class RationalFunctionField(SigmaField):
         if any(p[1::2]):
             raise InternalError("odd coefficient in even rational function")
         return p[0::2]
-
-    def normalize_row(self, row):
-        dens = [x.value[1] for x in row if not x.is_zero()]
-        if not dens:
-            return row
-        common = functools.reduce(polys.plcm, dens)
-        nums = []
-        for x in row:
-            if x.is_zero():
-                nums.append(ZERO)
-            else:
-                nums.append(pmul(x.value[0], pdiv_exact(common, x.value[1])))
-        g = ZERO
-        for n in nums:
-            g = pgcd(g, n)
-            if g == polys.ONE:
-                break
-        if deg(g) > 0:
-            nums = [pdiv_exact(n, g) if n else ZERO for n in nums]
-        scale = math.lcm(*[c.denominator for n in nums for c in n]) if nums else 1
-        content = math.gcd(*[c.numerator * scale // c.denominator for n in nums for c in n])
-        factor = Fraction(scale, content if content else 1)
-        return [FieldElement(self, (polys.pscale(n, factor), polys.ONE)) for n in nums]
 
     def random_element(self, rng, max_deg: int = 2):
         while True:

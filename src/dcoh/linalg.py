@@ -1,26 +1,23 @@
 """Exact linear algebra over the sigma-fields.
 
 Matrices are lists of rows of FieldElements.  row_echelon brings a matrix
-to reduced echelon form in one of two ways:
+to its reduced echelon form, pivot entries one(), by one of two
+eliminations, chosen by field.integer_elimination:
 
-  * over QQ (a field with integer_elimination) each row is cleared to
-    primitive integers and reduced by fraction-free Gauss-Jordan
-    elimination (Bareiss 1968): every update p * a - c * b is divided
-    exactly by the previous pivot, so entries stay minors of the cleared
-    matrix instead of swelling, and only the final rows, divided by their
-    pivots, become field elements again;
-  * elsewhere by cross-multiplication (no pivot division inside the
-    loop), and after each combination the field's normalize_row hook may
-    rescale the row; over QQ(t) this keeps entries polynomial with small
-    content, which is what tames expression swell there.  Pivot divisions
-    happen only once, when reading off kernels or solutions.
+  * over QQ each row is cleared to primitive integers and reduced by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968): every update
+    p * a - c * b is divided exactly by the previous pivot, so entries stay
+    minors of the cleared matrix, and only the final rows, divided by their
+    pivots, become Fractions again.  Pivot division on Fractions would pay
+    a gcd per operation in the Abramov ansatz, the QQ(t) deciders' hot path;
+  * over every other field by Gauss-Jordan with pivot division on raw
+    values (FieldElement.value).  GF(q) entries cannot swell, and the QQ(t)
+    systems that reach linalg (algebra kernels and inverses) stay small
+    because every QQ(t) operation reduces its result by a gcd.
 
-The reduced echelon form is unique up to scaling its rows, so kernels and
-solutions read from either are the same.
-
-solve_square_raw is the exception: a Gauss-Jordan solver on raw field
-values (FieldElement.value) for square systems with a unique solution,
-which the finite-dimensional algebras use to invert units.
+solve_square_raw runs the second elimination on the raw values of a square
+system over any field, QQ included; the finite-dimensional algebras use it
+to invert units.
 """
 
 from __future__ import annotations
@@ -30,42 +27,52 @@ from fractions import Fraction
 
 
 def row_echelon(matrix, field):
-    """Reduced echelon form: pivots 1 over QQ, not normalized elsewhere.
+    """Reduced echelon form with every pivot entry one().
 
     Returns (rows, pivots) where pivots is a list of (row, col) pairs.
     """
     if field.integer_elimination:
         return _row_echelon_integer(matrix, field)
-    rows = [list(r) for r in matrix]
+    rows, pivots = _gauss_jordan_raw([[x.value for x in row] for row in matrix], field)
+    wrap = field.wrap
+    return [list(map(wrap, row)) for row in rows], pivots
+
+
+def _gauss_jordan_raw(rows, field):
+    """(rows, pivots) of row_echelon for rows of raw field values.
+
+    Gauss-Jordan with pivot division, through the field's _mul/_add/_neg/
+    _inv/_is_zero; the rows are reduced in place.
+    """
+    mul, add, neg, inv, is_zero = field._mul, field._add, field._neg, field._inv, field._is_zero
     pivots = []
     r = 0
+    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
+        for i in range(r, nrows):
+            if not is_zero(rows[i][col]):
                 piv = i
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(len(rows)):
-            if i == r:
-                continue
+        s = inv(rows[r][col])
+        prow = rows[r] = [a if is_zero(a) else mul(s, a) for a in rows[r]]
+        for i in range(nrows):
             c = rows[i][col]
-            if c.is_zero():
+            if i == r or is_zero(c):
                 continue
-            base = rows[i]
-            ref = rows[r]
-            combined = [
-                pv * a - c * b if not (a.is_zero() and b.is_zero()) else a
-                for a, b in zip(base, ref)
-            ]
-            rows[i] = field.normalize_row(combined)
+            nc = neg(c)
+            row = rows[i]
+            for k in range(col, ncols):
+                b = prow[k]
+                if not is_zero(b):
+                    row[k] = add(row[k], mul(nc, b))
         pivots.append((r, col))
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows, pivots
 
@@ -141,7 +148,7 @@ def kernel_basis(matrix, field, ncols=None):
         vec = [zero] * ncols
         vec[free] = one
         for col, r in pivot_of_col.items():
-            vec[col] = -rows[r][free] / rows[r][col]
+            vec[col] = -rows[r][free]
         basis.append(vec)
     return basis
 
@@ -159,7 +166,7 @@ def solve(matrix, rhs, field):
     zero = field.zero()
     x = [zero] * ncols
     for r, c in pivots:
-        x[c] = rows[r][ncols] / rows[r][c]
+        x[c] = rows[r][ncols]
     return x
 
 
@@ -181,43 +188,14 @@ def invert_matrix(matrix, field):
     rows, pivots = row_echelon(aug, field)
     if len(pivots) < n or any(c >= n for _, c in pivots):
         return None
-    inv = [[zero] * n for _ in range(n)]
-    for r, c in pivots:
-        pv = rows[r][c]
-        for j in range(n):
-            inv[c][j] = rows[r][n + j] / pv
-    return inv
+    # n pivots in the first n columns: row i is e_i followed by row i of the inverse
+    return [row[n:] for row in rows]
 
 
 def solve_square_raw(matrix, rhs, field):
-    """x with M x = rhs for a square M of raw field values; None if M is singular.
-
-    Gauss-Jordan with pivot division, through the field's _mul/_add/_neg/
-    _inv/_is_zero; the solution is unique, so it is the one any exact
-    method finds.
-    """
-    mul, add, neg, inv, is_zero = field._mul, field._add, field._neg, field._inv, field._is_zero
+    """x with M x = rhs for a square M of raw field values; None if M is singular."""
     n = len(matrix)
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if not is_zero(rows[i][col]):
-                piv = i
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        s = inv(rows[col][col])
-        prow = rows[col] = [a if is_zero(a) else mul(s, a) for a in rows[col]]
-        for i in range(n):
-            c = rows[i][col]
-            if i == col or is_zero(c):
-                continue
-            nc = neg(c)
-            row = rows[i]
-            for k in range(col, n + 1):
-                b = prow[k]
-                if not is_zero(b):
-                    row[k] = add(row[k], mul(nc, b))
+    rows, pivots = _gauss_jordan_raw([list(row) + [b] for row, b in zip(matrix, rhs)], field)
+    if len(pivots) < n or any(c >= n for _, c in pivots):
+        return None
     return [row[n] for row in rows]

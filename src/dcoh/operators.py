@@ -299,43 +299,60 @@ def degree_bound(ps, qdeg: int):
     raise OperatorError("degree bound cascade failed to terminate")
 
 
-def polynomial_solutions(ps, q, bound: int):
-    """A particular solution with degree <= bound, or None."""
-    if bound < 0:
-        return None if q else ZERO
+def _ansatz_matrix(ps, bound: int):
+    """Coefficients over QQ of sum p_i(t) (t+i)^d, one column per d <= bound."""
     QQ = make_field("QQ")
     b = max(deg(p) for p in ps)
-    nrows = b + bound + 1
     cols = []
     for d in range(bound + 1):
         img = ZERO
         for i, p in enumerate(ps):
             img = polys.padd(img, pmul(p, polys.shift(poly([0] * d + [1]), i)))
         cols.append(img)
-    mat = [[QQ.element(col[r] if r < len(col) else 0) for col in cols]
-           for r in range(nrows)]
-    rhs = [QQ.element(q[r] if r < len(q) else 0) for r in range(nrows)]
-    if deg(q) >= nrows:
+    return [[QQ.element(col[r] if r < len(col) else 0) for col in cols]
+            for r in range(b + bound + 1)]
+
+
+def polynomial_solutions(ps, q, bound: int):
+    """A particular solution with degree <= bound, or None."""
+    if bound < 0:
+        return None if q else ZERO
+    mat = _ansatz_matrix(ps, bound)
+    if deg(q) >= len(mat):
         return None
+    QQ = make_field("QQ")
+    rhs = [QQ.element(q[r] if r < len(q) else 0) for r in range(len(mat))]
     sol = linalg.solve(mat, rhs, QQ)
     if sol is None:
         return None
     return poly([c.value for c in sol])
 
 
-def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> Outcome:
-    k: RationalFunctionField = L.field
+def _abramov_reduction(L: DifferenceOperator, a: FieldElement, budget: int | None = None):
+    """(u, Ps, Q, bound): b = z/u solves L(b) = a over QQ(t);shift exactly
+    when the polynomial z solves sum P_i(t) z(t+i) = Q(t), and such z have
+    degree <= bound; None when the dispersion gcds exceed the budget."""
     ps, q = _clear_denominators(L, a)
     u = universal_denominator(ps, budget)
     if u is None:
-        return outcome.undecided("budget-exhausted")
+        return None
     n = len(ps) - 1
     big = ONE
     for i in range(n + 1):
         big = plcm(big, polys.shift(u, i))
     Ps = [pmul(ps[i], pdiv_exact(big, polys.shift(u, i))) for i in range(n + 1)]
     Q = pmul(q, big)
-    bound = degree_bound(Ps, deg(Q))
+    # with Q = 0 no degree is forced by the right side
+    bound = degree_bound(Ps, deg(Q) if Q else -10 ** 9)
+    return u, Ps, Q, bound
+
+
+def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> Outcome:
+    k: RationalFunctionField = L.field
+    reduction = _abramov_reduction(L, a, budget)
+    if reduction is None:
+        return outcome.undecided("budget-exhausted")
+    u, Ps, Q, bound = reduction
     # the ansatz matrix has (max deg P_i + bound + 1) x (bound + 1) cells
     cells = (max(deg(p) for p in Ps) + bound + 1) * (bound + 1)
     if budget is not None and cells > budget:
@@ -429,27 +446,10 @@ def additive_kernel_basis(L: DifferenceOperator):
     if isinstance(k, RationalField):
         return [] if not L.scalar_value().is_zero() else [k.one()]
     if isinstance(k, RationalFunctionField) and k.mode == "shift":
-        ps, _ = _clear_denominators(L, k.zero())
-        u = universal_denominator(ps)
-        n = len(ps) - 1
-        big = ONE
-        for i in range(n + 1):
-            big = plcm(big, polys.shift(u, i))
-        Ps = [pmul(ps[i], pdiv_exact(big, polys.shift(u, i))) for i in range(n + 1)]
-        bound = degree_bound(Ps, -10 ** 9)
+        u, Ps, _, bound = _abramov_reduction(L, k.zero())
         if bound < 0:
             return []
-        QQ = make_field("QQ")
-        b = max(deg(p) for p in Ps)
-        cols = []
-        for d in range(bound + 1):
-            img = ZERO
-            for i, p in enumerate(Ps):
-                img = polys.padd(img, pmul(p, polys.shift(poly([0] * d + [1]), i)))
-            cols.append(img)
-        mat = [[QQ.element(col[r] if r < len(col) else 0) for col in cols]
-               for r in range(b + bound + 1)]
-        ker = linalg.kernel_basis(mat, QQ, ncols=bound + 1)
+        ker = linalg.kernel_basis(_ansatz_matrix(Ps, bound), make_field("QQ"), ncols=bound + 1)
         out = []
         for vec in ker:
             z = poly([c.value for c in vec])

@@ -1,10 +1,15 @@
-"""linalg over QQ (fraction-free elimination) against a Fraction Gauss-Jordan."""
+"""linalg against Gauss-Jordan references: Fractions over QQ (fraction-free
+elimination), FieldElements over GF(9) and QQ(t);shift."""
 
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from dcoh import linalg
+from dcoh.algebras import make_split_algebra
+from dcoh.fields import FiniteField, make_field
 
 
 def reference_rref(matrix):
@@ -146,3 +151,194 @@ def test_dense_24_by_24_solve_is_fast(QQ):
     elapsed = time.perf_counter() - t0
     assert [c.value for c in x] == x0
     assert elapsed < 1.0, f"dense {n}x{n} QQ solve took {elapsed:.2f} s"
+
+
+# --------------------------------------------------------------------------
+# every other field: GF(9) and QQ(t);shift against a FieldElement Gauss-Jordan
+
+OTHER_FIELDS = ["GF(9);frob^1", "QQ(t);shift"]
+
+
+def element_rref(matrix):
+    """Reduced echelon form with pivots one(), by Gauss-Jordan on FieldElements."""
+    rows = [list(r) for r in matrix]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        rows[r] = [a / p for a in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != r and not c.is_zero():
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+    return rows, pivots
+
+
+def element_kernel(matrix, field, ncols):
+    rows, pivots = element_rref(matrix)
+    pivot_of_col = {c: r for r, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_of_col:
+            continue
+        vec = [field.zero()] * ncols
+        vec[free] = field.one()
+        for col, r in pivot_of_col.items():
+            vec[col] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
+def element_solve(matrix, rhs, field):
+    ncols = len(matrix[0])
+    rows, pivots = element_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if any(c == ncols for _, c in pivots):
+        return None
+    x = [field.zero()] * ncols
+    for r, c in pivots:
+        x[c] = rows[r][ncols]
+    return x
+
+
+def random_element_entry(field, rng, rational):
+    """A random entry; over QQ(t) a linear polynomial, over (t + c) if rational."""
+    if not field.descriptor.startswith("QQ(t)"):
+        return field.random_element(rng)
+    t = field.element("t")
+    x = rng.randint(-3, 3) * t + rng.randint(-3, 3)
+    return x / (t + rng.randint(1, 3)) if rational else x
+
+
+def random_element_matrix(field, rng, nrows, ncols, rank, rational):
+    """random_matrix over any field: rank at most `rank`, a few zero columns
+    and duplicated rows."""
+    zero = field.zero()
+    left = [[random_element_entry(field, rng, rational) for _ in range(rank)]
+            for _ in range(nrows)]
+    right = [[random_element_entry(field, rng, rational) for _ in range(ncols)]
+             for _ in range(rank)]
+    for c in rng.sample(range(ncols), min(ncols, rng.randint(0, 2))):
+        for row in right:
+            row[c] = zero
+    m = [[sum((left[i][k] * right[k][j] for k in range(rank)), zero)
+          for j in range(ncols)] for i in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        m[-1] = list(m[0])
+    return m
+
+
+def element_cases(field, seed=9, count=30, size=5):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, size), rng.randint(1, size)
+        rank = rng.randint(0, min(nrows, ncols))
+        yield random_element_matrix(field, rng, nrows, ncols, rank,
+                                    rng.random() < 0.5), rng
+
+
+def dot(row, x, field):
+    return sum((a * b for a, b in zip(row, x)), field.zero())
+
+
+@pytest.mark.parametrize("descriptor", OTHER_FIELDS)
+def test_kernel_basis_and_rank_match_element_reference(descriptor):
+    field = make_field(descriptor)
+    for m, _ in element_cases(field):
+        ncols = len(m[0])
+        ker = linalg.kernel_basis(m, field)
+        assert ker == element_kernel(m, field, ncols)
+        for vec in ker:
+            assert all(dot(row, vec, field).is_zero() for row in m)
+        assert linalg.rank(m, field) == len(element_rref(m)[1])
+
+
+@pytest.mark.parametrize("descriptor", OTHER_FIELDS)
+def test_solve_matches_element_reference_on_consistent_and_inconsistent_systems(descriptor):
+    field = make_field(descriptor)
+    for m, rng in element_cases(field):
+        ncols = len(m[0])
+        x0 = [random_element_entry(field, rng, True) for _ in range(ncols)]
+        consistent = [dot(row, x0, field) for row in m]
+        off = [random_element_entry(field, rng, True) for _ in m]
+        for rhs in (consistent, off):
+            got = linalg.solve(m, rhs, field)
+            assert got == element_solve(m, rhs, field)
+            if got is not None:
+                assert [dot(row, got, field) for row in m] == rhs
+        assert linalg.solve(m, consistent, field) is not None
+
+
+@pytest.mark.parametrize("descriptor", OTHER_FIELDS)
+def test_invert_matrix_matches_element_reference(descriptor):
+    field = make_field(descriptor)
+    rng = random.Random(5)
+    zero, one = field.zero(), field.one()
+    for n in range(1, 5):
+        for _ in range(3):
+            m = random_element_matrix(field, rng, n, n, n, rng.random() < 0.5)
+            inv = linalg.invert_matrix(m, field)
+            ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            rows, _ = element_rref([row + e for row, e in zip(m, ident)])
+            if [r[:n] for r in rows] != ident:
+                assert inv is None
+            else:
+                assert inv == [r[n:] for r in rows]
+
+
+@pytest.mark.parametrize("descriptor", ["QQ"] + OTHER_FIELDS)
+def test_row_echelon_pivot_entries_are_one(descriptor):
+    field = make_field(descriptor)
+    for m, _ in element_cases(field):
+        rows, pivots = linalg.row_echelon(m, field)
+        assert all(rows[r][c] == field.one() for r, c in pivots)
+        assert (rows, pivots) == element_rref(m)
+
+
+# --------------------------------------------------------------------------
+# fields above FiniteField.TABLE_LIMIT invert by extended Euclid
+
+LARGE_FIELDS = ["GF(2^10);frob^1", "GF(1031^1);frob^1"]
+
+
+@pytest.mark.parametrize("descriptor", LARGE_FIELDS)
+def test_inverse_above_the_table_limit(descriptor):
+    field = make_field(descriptor)
+    assert field.size > FiniteField.TABLE_LIMIT
+    rng = random.Random(3)
+    for _ in range(50):
+        x = field.random_element(rng)
+        if not x.is_zero():
+            assert x * x.inv() == field.one()
+
+
+@pytest.mark.parametrize("descriptor", LARGE_FIELDS)
+def test_solve_above_the_table_limit(descriptor):
+    field = make_field(descriptor)
+    rng = random.Random(4)
+    for n in range(1, 6):
+        m = [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
+        x0 = [field.random_element(rng) for _ in range(n)]
+        rhs = [dot(row, x0, field) for row in m]
+        x = linalg.solve(m, rhs, field)
+        assert [dot(row, x, field) for row in m] == rhs
+
+
+@pytest.mark.parametrize("descriptor", LARGE_FIELDS)
+def test_unit_inverse_in_a_split_algebra_above_the_table_limit(descriptor):
+    field = make_field(descriptor)
+    rng = random.Random(6)
+    A = make_split_algebra(field, 3, [1, 2, 0])
+    for _ in range(5):
+        coords = [field.random_element(rng) for _ in range(3)]
+        x = A.element({i: c for i, c in zip(A.index_list(), coords) if not c.is_zero()})
+        if any(c.is_zero() for c in coords):
+            assert x.maybe_inverse() is None
+        else:
+            assert x * x.inverse() == A.one()
