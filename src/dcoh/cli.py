@@ -90,14 +90,16 @@ def _parse_monomial(field, cls, rest: str):
     return cls(field, r, images)
 
 
-def parse_matrix(field, text: str):
+def parse_matrix(read, text: str):
+    """A matrix literal [[..,..],[..,..]] as a tuple of rows, each entry read
+    by `read`; a bare entry is the 1x1 matrix."""
     text = text.strip()
     if not text.startswith("["):
-        return ((field.element(text),),)
+        return ((read(text),),)
     if not (text.startswith("[[") and text.endswith("]]")):
         raise CliError("matrix literal must look like [[...],[...]]")
-    rows = text[2:-2].split("],[")
-    return tuple(tuple(field.element(e) for e in row.split(",")) for row in rows)
+    rows = re.split(r"\]\s*,\s*\[", text[2:-2])
+    return tuple(tuple(read(e) for e in row.split(",")) for row in rows)
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +151,8 @@ FAMILIES = {
     "diag": Family("diag:", _diag_group,
                    lambda field, text: tuple(field.element(t) for t in text.split(",")),
                    ("diag_arity", "functions")),
-    "twist": Family("twist:", _twist_group, parse_matrix, ("twist",), _a_item),
+    "twist": Family("twist:", _twist_group,
+                    lambda field, text: parse_matrix(field.element, text), ("twist",), _a_item),
 }
 
 
@@ -254,6 +257,12 @@ def parse_literal(A, text: str, env: dict = None, tc: TensorContext = None):
     return dom._lift(exprs.parse(text, dom), 1 if tc is None else 2)
 
 
+def parse_chi(tc: TensorContext, text: str, env: dict):
+    """A --chi value: an element of A(x)A, or a matrix literal of them."""
+    read = lambda e: parse_literal(tc.A, e, env, tc)
+    return parse_matrix(read, text) if text.lstrip().startswith("[") else read(text)
+
+
 def algebra_env(field, desc: str, algebra) -> dict:
     env = {}
     if desc.startswith("mu:"):
@@ -351,7 +360,7 @@ def _cocycle_args(args):
 
 def cmd_cocycle_check(args, base):
     G, tc, env = _cocycle_args(args)
-    value = parse_literal(tc.A, args.chi, env, tc)
+    value = parse_chi(tc, args.chi, env)
     res = is_cocycle(G, tc, value)
     payload = outcome_json(res)
     # attach the family invariant as the checkable witness where available
@@ -366,8 +375,8 @@ def cmd_cocycle_check(args, base):
 
 def cmd_cocycle_equiv(args, base):
     G, tc, env = _cocycle_args(args)
-    c1 = Cocycle(G, tc, parse_literal(tc.A, args.chi, env, tc))
-    c2 = Cocycle(G, tc, parse_literal(tc.A, args.chi2, env, tc))
+    c1 = Cocycle(G, tc, parse_chi(tc, args.chi, env))
+    c2 = Cocycle(G, tc, parse_chi(tc, args.chi2, env))
     for c in (c1, c2):
         chk = is_cocycle(G, tc, c.value)
         if not chk:
@@ -409,7 +418,7 @@ def cmd_torsor_points(args, base):
 
 def cmd_normalize(args, base):
     G, tc, env = _cocycle_args(args)
-    value = parse_literal(tc.A, args.chi, env, tc)
+    value = parse_chi(tc, args.chi, env)
     chk = is_cocycle(G, tc, value)
     if not chk:
         raise CliError(f"--chi value is not a cocycle: {chk.certificate}")

@@ -37,7 +37,8 @@ a 1 x 1 matrix, kept bare by the group law), or a tuple of component values
 the equations of G with the target t in place of 1: L(x) = a,
 f_i(x) = a_i, sigma^d(x) = psi(x) a.  A cocycle's invariant is the target
 of the torsor it classifies, found by trivializing the cocycle in the
-ambient group (H^1 of Gm, GL_n and Ga vanishes); torsor_kind names the
+ambient group (H^1 of Gm, GL_n and Ga vanishes; gl_trivialize does Gm
+and GL_n by one descent kernel solve); torsor_kind names the
 normal-form torsor class in torsors, None for a family without invariant.
 translate(c, t), the family's one action of G(k) on targets, is the
 target that translation by c carries the torsor of t onto, or None when c
@@ -293,96 +294,47 @@ def _enumerate_field_matrices(field, n: int, det_one: bool, budget: int | None =
 # trivialization inside the ambient group (H^1 of Gm / GL_n is trivial)
 
 
-def gm_trivialize(tc, chi: AlgElement) -> AlgElement:
-    """alpha in A^x with chi = alpha^{-1} (x) alpha, by a linear kernel solve."""
+def gl_trivialize(tc, chi, n: int):
+    """h in GL_n(A) with chi * d2(h) = d1(h), i.e. chi = d1(h) d2(h)^{-1}.
+
+    Descent: over a field every nonzero A is faithfully flat, so a
+    GL_n-cocycle chi descends A^n to the k-space M = {v in A^n :
+    chi * d2(v) = d1(v)}, with M (x) A = A^n; hence dim M = n and the
+    columns of any k-basis of M form an invertible h (Hilbert 90).  M is
+    one kernel solve in n * dim A unknowns.  A kernel of another
+    dimension, or a basis that is not invertible, certifies that chi is
+    no cocycle; the answer is re-checked with field arithmetic."""
     A = tc.A
-    field = A.field
     if not isinstance(A, FinDimAlgebra):
         raise CocycleError("trivialization implemented for finite-dimensional algebras")
-    idxAA = tc.AA.index_list()
-    zero = field.zero()
-    cols = []
-    for i in A.index_list():
-        e = A.basis_element(i)
-        cols.append(chi * tc.d2(e) - tc.d1(e))
-    mat = [[col.data.get(r, zero) for col in cols] for r in idxAA]
-    for vec in linalg.kernel_basis(mat, field, ncols=len(cols)):
-        alpha = A.from_vector(vec)
-        if alpha.is_unit():
-            if tc.pair(alpha.inverse(), alpha) == chi:
-                return alpha
-    raise CocycleError("no unit trivialization found (is chi a Gm-cocycle?)")
-
-
-def _grid(field, size, radius=4):
-    if field.finite:
-        pools = [list(field.elements()) for _ in range(size)]
-    else:
-        pools = [[field.element(v) for v in range(radius)] for _ in range(size)]
-    return itertools.product(*pools)
-
-
-def gl_trivialize(tc, chi, n: int):
-    """h in GL_n(A) with chi = (1(x)h) * (h(x)1)^{-1}."""
-    A = tc.A
     field = A.field
-    idxA = A.index_list()
     zero = field.zero()
-    slots = [(r, c) for r in range(n) for c in range(n)]
     cols = []
-    unknowns = []
-    for (r, c) in slots:
-        for i in idxA:
+    for r in range(n):
+        for i in A.index_list():
             e = A.basis_element(i)
-            hmat = tuple(tuple(tc.d2(e) if (rr, cc) == (r, c) else tc.AA.zero()
-                               for cc in range(n)) for rr in range(n))
-            lhs = mat_mul(chi, hmat)
-            rhs = tuple(tuple(tc.d1(e) if (rr, cc) == (r, c) else tc.AA.zero()
-                              for cc in range(n)) for rr in range(n))
-            diff = tuple(tuple(lhs[rr][cc] - rhs[rr][cc] for cc in range(n))
-                         for rr in range(n))
-            cols.append(diff)
-            unknowns.append(((r, c), i))
-    rows = []
-    for (rr, cc) in slots:
-        for key in tc.AA.index_list():
-            rows.append([col[rr][cc].data.get(key, zero) for col in cols])
+            d2e = tc.d2(e)
+            cols.append([chi[s][r] * d2e - tc.d1(e) if s == r else chi[s][r] * d2e
+                         for s in range(n)])
+    rows = [[col[s].data.get(key, zero) for col in cols]
+            for s in range(n) for key in tc.AA.index_list()]
     ker = linalg.kernel_basis(rows, field, ncols=len(cols))
-    if not ker:
-        raise CocycleError("no trivialization found (is chi a GL-cocycle?)")
+    if len(ker) != n:
+        raise CocycleError(f"not a GL{n}-cocycle: its descent space has dimension "
+                           f"{len(ker)}, not {n}")
+    m = A.dim
+    h = tuple(tuple(A.from_vector(v[s * m:(s + 1) * m]) for v in ker) for s in range(n))
+    if not mat_det(h).is_unit():
+        raise CocycleError(f"not a GL{n}-cocycle: its descent space has no invertible basis")
+    if not mat_eq(mat_mul(chi, tuple(tuple(tc.d2(e) for e in row) for row in h)),
+                  tuple(tuple(tc.d1(e) for e in row) for row in h)):
+        raise outcome.InternalError("descent trivializer fails chi * d2(h) = d1(h)")
+    return h
 
-    def assemble(vec):
-        entries = {}
-        for coef, ((r, c), i) in zip(vec, unknowns):
-            if not coef.is_zero():
-                cur = entries.get((r, c), A.zero())
-                entries[(r, c)] = cur + A.basis_element(i) * coef
-        return tuple(tuple(entries.get((r, c), A.zero()) for c in range(n))
-                     for r in range(n))
 
-    def check(h):
-        if mat_maybe_inverse(h) is None:
-            return None
-        lhs = mat_mul(chi, tuple(tuple(tc.d2(e) for e in row) for row in h))
-        rhs = tuple(tuple(tc.d1(e) for e in row) for row in h)
-        return h if mat_eq(lhs, rhs) else None
-
-    for vec in ker:
-        got = check(assemble(vec))
-        if got is not None:
-            return got
-    # generic combination: det is a nonzero polynomial in the coefficients,
-    # so a grid of size n+2 per coordinate meets an invertible point
-    if len(ker) <= 6:
-        for coeffs in _grid(field, len(ker), radius=n + 2):
-            if all(c.is_zero() for c in coeffs):
-                continue
-            vec = [sum((c * v[i] for c, v in zip(coeffs, ker)), field.zero())
-                   for i in range(len(ker[0]))]
-            got = check(assemble(vec))
-            if got is not None:
-                return got
-    raise CocycleError("no invertible trivialization found")
+def gm_trivialize(tc, chi: AlgElement) -> AlgElement:
+    """alpha in A^x with chi = alpha^{-1} (x) alpha: the n = 1 descent."""
+    return gl_trivialize(tc, ((chi,),), 1)[0][0]
 
 
 def additive_torsor_algebra(L: DifferenceOperator, a) -> FreePolyAlgebra:
@@ -753,7 +705,7 @@ class DiagonalMult(GroupPresentation):
         return tuple(ys)
 
     def contains(self, x, R):
-        if not isinstance(x, tuple) or len(x) != self.n:
+        if not isinstance(x, tuple) or len(x) != self.n or (x and isinstance(x[0], tuple)):
             raise GroupError("shape mismatch for diagonal element")
         if not all(e.is_unit() for e in x):
             return False

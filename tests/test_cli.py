@@ -58,6 +58,37 @@ def test_cocycle_check_paper_cocycle():
     assert out["witness"]["type"] == "mu-invariant"
 
 
+TWIST_GL3 = ["--field", "GF(3);frob^1", "--algebra", "split:2",
+             "--group", "twist:GL3;d=1;psi=id"]
+
+
+@pytest.mark.parametrize("chi", ["[[1,0,0],[0,1,0],[0,0,1]]",
+                                 "[[1, 1#e2 - e2#1, 0], [0, 1, 0], [0, 0, 1]]"])
+def test_cocycle_check_reads_matrix_literals(chi):
+    """--chi takes [[..],..] with tensor-expression entries; the second is
+    d1(g) d2(g)^{-1} for g = [[1,e2,0],[0,1,0],[0,0,1]], which sigma fixes,
+    so both normalize to the identity target."""
+    code, lines = run_cli(["cocycle-check"] + TWIST_GL3 + ["--chi", chi])
+    assert code == 0 and lines[0]["result"] is True
+    code, lines = run_cli(["normalize"] + TWIST_GL3 + ["--chi", chi])
+    assert code == 0
+    assert lines[0]["result"] == {"family": "twist",
+                                  "a": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
+@pytest.mark.parametrize("group,chi", [
+    ("twist:GL3;d=1;psi=id", "[[1,0],[0,1]]"),
+    ("twist:GL3;d=1;psi=id", "[[1,0,0],[0,1],[0,0,1]]"),
+    ("twist:GL3;d=1;psi=id", "1"),
+    ("twist:GL2;d=1;psi=id", "[[1,0],[0,1]"),
+    ("diag:1;y^2", "[[1]]")])
+def test_cocycle_check_refuses_a_literal_of_another_shape(group, chi):
+    code, lines = run_cli(["cocycle-check", "--field", "GF(3);frob^1",
+                           "--algebra", "split:2", "--group", group, "--chi", chi])
+    assert code == 2 and len(lines) == 1
+    assert lines[0]["ok"] is False and lines[0]["certificate"].startswith("error: ")
+
+
 def test_cocycle_equiv():
     code, lines = run_cli(["cocycle-equiv", "--field", "GF(9);frob^1",
                            "--algebra", "mu:w,w", "--group", "mu2sigma",

@@ -4,18 +4,19 @@ import random
 
 import pytest
 
-from dcoh.algebras import (AlgebraMorphism, TensorContext,
-                           make_mu_algebra, make_split_algebra, scalar_algebra)
+from dcoh.algebras import (AlgebraMorphism, TensorContext, make_mu_algebra,
+                           make_split_algebra, scalar_algebra, tensor_square)
 from dcoh.cocycles import (Cocycle, additive_invariant,
-                           coboundary, enumerate_cocycles, equivalent,
+                           coboundary, enumerate_cocycles, equivalent, invariant,
                            is_cocycle, make_cocycle, mu_invariant,
                            mu_pairs_equivalent, product_merge, product_split,
                            pushforward_algebra, pushforward_group,
                            trivial_cocycle)
-from dcoh.fields import make_field
+from dcoh.fields import FieldElement, make_field
 from dcoh.groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist, ProductGroup,
-                         ambient_ga, ambient_gl, enumerate_points,
-                         group_identity, mu2sigma_group)
+                         ambient_ga, ambient_gl, enumerate_points, gl_trivialize,
+                         group_identity, mat_det, mat_identity, mat_inverse,
+                         mat_mul, mat_sigma, mu2sigma_group)
 from dcoh.operators import DifferenceOperator
 from dcoh.sigma_poly import parse_multiplicative
 from dcoh.torsors import additive_torsor_algebra, mu_pair_space
@@ -441,3 +442,54 @@ def test_additive_invariant_findim(gf9):
     y = A.basis_element(1)
     chi = make_cocycle(G, tc, tc.d1(y) - tc.d2(y))
     assert additive_invariant(chi) == gf9.zero()
+
+
+def _random_invertible(A, n, rng, base="GL"):
+    """A random g in GL_n(A) with sigma(g) = g (SL_n(A) with base SL): its
+    entries are sigma-orbit sums, so g is a point of the twist with d = 1
+    and psi = id."""
+    def orbit_sum(x):
+        total, y = x, x.sigma()
+        while y != x:
+            total, y = total + y, y.sigma()
+        return total
+
+    while True:
+        g = tuple(tuple(orbit_sum(A.from_vector([A.field.random_element(rng)
+                                                 for _ in range(A.dim)]))
+                        for _ in range(n)) for _ in range(n))
+        dinv = mat_det(g).maybe_inverse()
+        if dinv is not None:
+            break
+    return g if base == "GL" else (tuple(e * dinv for e in g[0]),) + g[1:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("algebra", ["split", "mu", "tensor-square"])
+@pytest.mark.parametrize("descriptor", ["GF(3);frob^1", "GF(9);frob^1", "QQ"])
+def test_twist_invariant_of_trivial_and_coboundary(descriptor, algebra, n):
+    """Over a field H^1(A/k, GL_n) is trivial, so the trivial cocycle and a
+    coboundary chi = d1(g) d2(g)^{-1} of the GL_n and SL_n twists (d = 1,
+    psi = id) trivialize by descent: the trivializer h has g^{-1} h = c in
+    GL_n(k), and the invariant is c^{-1} sigma(c), the target the identity
+    torsor translates to."""
+    F = make_field(descriptor)
+    A = {"split": lambda: make_split_algebra(F, 3, [1, 0, 2]),
+         "mu": lambda: make_mu_algebra(F.one(), F.one()),
+         "tensor-square": lambda: tensor_square(make_split_algebra(F, 2, [1, 0]))}[algebra]()
+    tc = TensorContext(A)
+    rng = random.Random(n)
+    for base in ("GL", "SL") if n > 1 else ("GL",):
+        G = FrobeniusTwist(F, base, n, 1, "id")
+        triv = cob = trivial_cocycle(G, tc)
+        while cob == triv:
+            g = _random_invertible(A, n, rng, base)
+            cob = coboundary(G, tc, g)
+        for g, chi in ((mat_identity(A, n), triv), (g, cob)):
+            t = invariant(chi)
+            assert all(isinstance(e, FieldElement) for row in t for e in row)
+            assert not mat_det(t).is_zero()
+            c = mat_mul(mat_inverse(g), gl_trivialize(tc, chi.value, n))
+            c = tuple(tuple(e.scalar_part() for e in row) for row in c)
+            assert t == mat_mul(mat_inverse(c), mat_sigma(c))
+            assert equivalent(chi, chi)

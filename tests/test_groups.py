@@ -6,12 +6,14 @@ import pytest
 
 from dcoh.algebras import (TensorContext, make_mu_algebra, make_split_algebra,
                            scalar_algebra)
+from dcoh import linalg
 from dcoh.fields import make_field
-from dcoh.groups import (AdditiveKernel, BudgetExceeded, DiagonalMult,
+from dcoh.groups import (AdditiveKernel, BudgetExceeded, CocycleError, DiagonalMult,
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
-                         contains, enumerate_points, group_identity, group_inv,
-                         group_mul, kernel_of_sigma_power, mu2sigma_group,
-                         scalar_value)
+                         contains, enumerate_points, gl_trivialize, gm_trivialize,
+                         group_identity, group_inv, group_mul, kernel_of_sigma_power,
+                         mu2sigma_group, scalar_value)
+from dcoh.outcome import InternalError
 from dcoh.operators import DifferenceOperator
 from dcoh.sigma_poly import SigmaPolynomial, parse_multiplicative
 
@@ -216,3 +218,24 @@ def test_budget_charges_the_full_space():
     with pytest.raises(BudgetExceeded):
         enumerate_points(G, AA, budget=9 ** 4 - 1)
     assert len(enumerate_points(G, AA, budget=9 ** 4)) == 3 ** 4
+
+
+def test_gl_trivialize_certifies_non_cocycles_and_checks_itself(monkeypatch):
+    """A value that is no cocycle has a descent space of the wrong
+    dimension, and the message names it; a wrong kernel basis trips the
+    self-check.  Both are explicit raises, so they hold under python -O."""
+    F = make_field("GF(3);frob^1")
+    A = make_mu_algebra(F.one(), F.one())
+    tc = TensorContext(A)
+    y = A.basis_element(1)
+    one, zero = tc.AA.one(), tc.AA.zero()
+    with pytest.raises(CocycleError, match="descent space has dimension 1, not 2"):
+        gl_trivialize(tc, ((one, zero), (zero, tc.pair(y, A.one()))), 2)
+    with pytest.raises(CocycleError, match="descent space has dimension 0, not 1"):
+        gm_trivialize(tc, tc.pair(y, A.one()))
+
+    chi = tc.pair(y.inverse(), y)
+    assert gm_trivialize(tc, chi) == y
+    monkeypatch.setattr(linalg, "kernel_basis", lambda *args, **kw: [[F.one(), F.zero()]])
+    with pytest.raises(InternalError, match="fails chi"):
+        gm_trivialize(tc, chi)
