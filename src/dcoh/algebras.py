@@ -40,7 +40,7 @@ import weakref
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .fields import FieldElement, SigmaField
+from .fields import FieldElement, SigmaField, _LazyTable
 
 
 class AlgebraError(ValueError):
@@ -429,7 +429,7 @@ class TableAlgebra(FinDimAlgebra):
     __slots__ = ()
     kind = "findim"
 
-    def __init__(self, field, labels, mult, unit, sigma, check: bool = True):
+    def __init__(self, field, labels, mult, unit, sigma):
         """mult[i][j], sigma[i]: dense coefficient vectors; unit: dense vector."""
         self.field = field
         labels = tuple(labels)
@@ -454,8 +454,7 @@ class TableAlgebra(FinDimAlgebra):
 
         self._tables = _shared_tables(("table", field.descriptor, labels, mult, unit, sigma),
                                       build)
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def labels(self) -> tuple:
@@ -543,20 +542,6 @@ def _shared_tables(key, build) -> _RawTables:
         tables = _TABLES[key] = build()
         tables.key = key
     return tables
-
-
-class _LazyTable(dict):
-    """A dict that builds a missing entry with build(key) and keeps it."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        got = self[key] = self.build(key)
-        return got
 
 
 def _tensor_pairs(field, parts) -> tuple:
@@ -887,7 +872,7 @@ class TensorContext:
 
 def make_findim(field, labels, mult, unit, sigma) -> TableAlgebra:
     """Validated finite-dimensional algebra from raw tables."""
-    return TableAlgebra(field, labels, mult, unit, sigma, check=True)
+    return TableAlgebra(field, labels, mult, unit, sigma)
 
 
 def make_mu_algebra(a: FieldElement, b: FieldElement) -> TableAlgebra:

@@ -340,6 +340,9 @@ INVARIANT_JSON = {
     "additive": (lambda G, t: {"type": "additive-invariant", "a": str(t)},
                  lambda G, t1, t2: {"family": "add", "operator": str(G.L),
                                     "lhs_invariant": str(t1), "rhs_invariant": str(t2)}),
+    "twist": (lambda G, t: {"type": "twist-invariant", "a": ser(t)},
+              lambda G, t1, t2: {"family": "twist", "twist": f"{G.base}{G.n};d={G.d};psi={G.psi}",
+                                 "lhs_invariant": ser(t1), "rhs_invariant": ser(t2)}),
 }
 
 # the JSON form of each normal-form torsor, by its kind
@@ -529,10 +532,13 @@ def _carries(X, Y, w):
 
 
 def _invariant_text(v) -> str:
-    """A target's text from the JSON of a cocycle-equiv invariant."""
+    """A target's text from the JSON of a cocycle-equiv invariant: a field
+    element, a list of them, or a matrix as a list of rows."""
+    if isinstance(v, list) and v and all(isinstance(row, list) for row in v):
+        return "[" + ",".join(f"[{_invariant_text(row)}]" for row in v) + "]"
     texts = v if isinstance(v, list) else [v]
     if not all(isinstance(t, str) for t in texts):
-        raise CliError("an invariant is a field element or a list of them")
+        raise CliError("an invariant is a field element, a list of them or a list of rows")
     return ",".join(texts)
 
 
@@ -562,6 +568,7 @@ def cmd_verify(args, base):
         detail = _Line(line["detail"])
         ok = _carries(*iso_torsors(field, {
             "family": detail["family"], "op": detail.get("operator"),
+            "twist": detail.get("twist"),
             "lhs": _invariant_text(detail["lhs_invariant"]),
             "rhs": _invariant_text(detail["rhs_invariant"])}), w)
     elif cmd == "torsor-points" and w:

@@ -14,15 +14,16 @@ is plain coordinate equality:
   * rationals are Fractions;
   * rational functions are coprime (numerator, denominator) pairs of
     Fraction-coefficient polynomials with monic denominator;
-  * finite field elements are coefficient tuples modulo a fixed
-    irreducible modulus (see MODULUS_TABLE).
+  * finite field elements are coefficient tuples modulo the
+    lexicographically smallest monic irreducible of degree m over GF(p).
 
 A field makes its elements from raw values through `wrap`.  GF(q) with
 q <= FiniteField.TABLE_LIMIT builds one canonical FieldElement per value
 up front, and every element it hands out (arithmetic results, element(),
 elements(), the algebras' coefficients) is that object, so kept answers
 share their coefficients.  Equality never relies on this: it compares
-values.
+values.  Such a field's add, mul, sigma and inverse tables fill on first
+use, one entry at a time.
 
 Beyond the arithmetic the module provides the two decidable predicates
 the classification procedures rely on: exact square roots (is_square)
@@ -459,24 +460,6 @@ class RationalFunctionField(SigmaField):
 # Internal arithmetic on coefficient tuples mod p (ascending degree,
 # fixed length m).  The modulus is monic irreducible of degree m.
 
-MODULUS_TABLE = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (5, 2): (2, 0, 1),
-    (7, 2): (1, 0, 1),
-}
-
-
-def _ip_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 def _ip_mulmod(a, b, modulus, p):
     out = [0] * (len(a) + len(b) - 1 or 1)
     for i, ai in enumerate(a):
@@ -490,7 +473,7 @@ def _ip_mulmod(a, b, modulus, p):
         if c:
             for j in range(len(modulus)):
                 out[i - m + j] = (out[i - m + j] - c * modulus[j]) % p
-    return _ip_trim(out[:m])
+    return polys._trim(out[:m])
 
 
 def _ip_powmod(a, n, modulus, p):
@@ -505,8 +488,8 @@ def _ip_powmod(a, n, modulus, p):
 
 
 def _ip_divmod(a, b, p):
-    a = _ip_trim(a)
-    b = _ip_trim(b)
+    a = polys._trim(list(a))
+    b = polys._trim(list(b))
     if not b:
         raise ZeroDivisionError
     inv = pow(b[-1], -1, p)
@@ -518,17 +501,7 @@ def _ip_divmod(a, b, p):
             q[i] = c
             for j, bj in enumerate(b):
                 r[i + j] = (r[i + j] - c * bj) % p
-    return _ip_trim(q), _ip_trim(r)
-
-
-def _ip_gcd(a, b, p):
-    a, b = _ip_trim(a), _ip_trim(b)
-    while b:
-        a, b = b, _ip_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+    return polys._trim(q), polys._trim(r)
 
 
 def _is_prime(n: int) -> bool:
@@ -546,13 +519,14 @@ def _ip_sub_x(cs, p):
     # cs - x, padded as needed
     out = list(cs) + [0] * max(0, 2 - len(cs))
     out[1] = (out[1] - 1) % p
-    return _ip_trim(out)
+    return polys._trim(out)
 
 
 def _irreducible(modulus, p) -> bool:
+    """Is the monic modulus irreducible over GF(p)?  Degree 2 and up only:
+    _ip_sub_x does not reduce x mod f, so a linear modulus reads as
+    reducible."""
     m = len(modulus) - 1
-    if m <= 0:
-        return False
     x = [0, 1]
     # f is irreducible of degree m iff x^(p^m) == x mod f and
     # gcd(x^(p^(m/q)) - x, f) = 1 for every prime q dividing m
@@ -561,40 +535,42 @@ def _irreducible(modulus, p) -> bool:
     for q in range(2, m + 1):
         if m % q == 0 and _is_prime(q):
             diff = _ip_sub_x(_ip_powmod(x, p ** (m // q), modulus, p), p)
-            if len(_ip_gcd(diff, modulus, p)) != 1:
+            if polys._gcd_degree_mod(diff, modulus, p) != 0:
                 return False
     return True
 
 
 def _find_modulus(p: int, m: int):
+    """The lexicographically smallest monic irreducible of degree m over
+    GF(p), as coefficients in ascending degree."""
     if m == 1:
         return (0, 1)
-    if (p, m) in MODULUS_TABLE:
-        mod = MODULUS_TABLE[(p, m)]
-        if not _irreducible(list(mod), p):
-            raise FieldError(f"table modulus for GF({p}^{m}) is reducible")
-        return mod
-    # deterministic fallback: lexicographically smallest monic irreducible
-    def candidates():
-        for packed in range(p ** m):
-            cs = []
-            v = packed
-            for _ in range(m):
-                cs.append(v % p)
-                v //= p
-            yield tuple(cs) + (1,)
-
-    for mod in candidates():
-        if _irreducible(list(mod), p):
+    for digits in itertools.product(range(p), repeat=m):
+        mod = digits[::-1] + (1,)
+        if _irreducible(mod, p):
             return mod
     raise FieldError(f"no irreducible modulus found for GF({p}^{m})")
+
+
+class _LazyTable(dict):
+    """A dict that builds a missing entry with build(key) and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
 
 
 class FiniteField(SigmaField):
     finite = True
 
-    # full operation tables are built lazily for fields this small; they
-    # make the exhaustive classification searches fast
+    # fields this small memoize add, mul, sigma and inverse, each entry
+    # computed by the raw kernel on first use; the limit bounds the memo
     TABLE_LIMIT = 512
 
     def __init__(self, p: int, m: int, frob_power: int = 1):
@@ -613,7 +589,6 @@ class FiniteField(SigmaField):
         self.inversive = True
         self.descriptor = f"GF({p}^{m});frob^{frob_power}"
         self._zero = (0,) * m
-        self._ops = None
         self._sqrt = None
         if self.size <= self.TABLE_LIMIT:
             # one canonical element per value, handed out by the element
@@ -621,24 +596,12 @@ class FiniteField(SigmaField):
             canon = {v: FieldElement(self, v)
                      for v in itertools.product(range(p), repeat=m)}
             self.wrap = canon.__getitem__
-
-    def _tables(self):
-        if self._ops is None:
-            values = [tuple(v) for v in itertools.product(range(self.p), repeat=self.m)]
-            mul = {}
-            add = {}
-            for a in values:
-                for b in values:
-                    mul[(a, b)] = self._mul_raw(a, b)
-                    add[(a, b)] = tuple((x + y) % self.p for x, y in zip(a, b))
-            sig = {a: self._sigma_raw(a) for a in values}
-            inv = {}
-            for a in values:
-                for b in values:
-                    if mul[(a, b)] == self._from_int_like(1):
-                        inv[a] = b
-            self._ops = (add, mul, sig, inv)
-        return self._ops
+            add = _LazyTable(lambda a: _LazyTable(lambda b: self._add_raw(a, b)))
+            mul = _LazyTable(lambda a: _LazyTable(lambda b: self._mul_raw(a, b)))
+            self._add = lambda a, b: add[a][b]
+            self._mul = lambda a, b: mul[a][b]
+            self._sigma = _LazyTable(self._sigma_raw).__getitem__
+            self._inv = _LazyTable(self._inv_raw).__getitem__
 
     def _from_int_like(self, obj):
         if isinstance(obj, int):
@@ -658,65 +621,41 @@ class FiniteField(SigmaField):
     def _pad(self, cs):
         return tuple(cs) + (0,) * (self.m - len(cs))
 
-    def _add(self, a, b):
-        ops = self._ops
-        if ops is not None or self.size <= self.TABLE_LIMIT:
-            return (ops or self._tables())[0][(a, b)]
+    # the raw kernel; above TABLE_LIMIT it is the arithmetic itself
+
+    def _add_raw(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def _mul(self, a, b):
-        ops = self._ops
-        if ops is not None or self.size <= self.TABLE_LIMIT:
-            return (ops or self._tables())[1][(a, b)]
-        return self._mul_raw(a, b)
-
     def _mul_raw(self, a, b):
-        return self._pad(_ip_mulmod(_ip_trim(a), _ip_trim(b), list(self.modulus), self.p))
-
-    def _inv(self, a):
-        if self.size <= self.TABLE_LIMIT:
-            got = self._tables()[3].get(a)
-            if got is None:
-                raise ZeroDivisionError("element not invertible")
-            return got
-        return self._inv_raw(a)
+        return self._pad(_ip_mulmod(polys._trim(list(a)), polys._trim(list(b)),
+                                    self.modulus, self.p))
 
     def _inv_raw(self, a):
         # extended Euclid in GF(p)[x] against the modulus
-        r0, r1 = list(self.modulus), _ip_trim(a)
+        p, modulus = self.p, self.modulus
+        r0, r1 = list(modulus), polys._trim(list(a))
         s0, s1 = [], [1]
-        p = self.p
         while r1:
             q, r = _ip_divmod(r0, r1, p)
             r0, r1 = r1, r
-            prod = [0] * (len(q) + len(s1) or 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] = (prod[i + j] + qi * sj) % p
-            s_new = [(x - y) % p for x, y in
-                     zip(s0 + [0] * max(0, len(prod) - len(s0)),
-                         prod + [0] * max(0, len(s0) - len(prod)))]
-            s0, s1 = s1, _ip_trim(s_new)
+            prod = _ip_mulmod(q, s1, modulus, p)
+            s0, s1 = s1, polys._trim([(x - y) % p for x, y in
+                                      itertools.zip_longest(s0, prod, fillvalue=0)])
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible")
         c = pow(r0[0], -1, p)
         return self._pad([x * c % p for x in s0])
 
+    def _sigma_raw(self, a):
+        return self._pad(_ip_powmod(polys._trim(list(a)), self.p ** self.e, self.modulus, self.p))
+
+    _add, _mul, _inv, _sigma = _add_raw, _mul_raw, _inv_raw, _sigma_raw
+
     def _is_zero(self, a):
         return a == self._zero
-
-    def _sigma(self, a):
-        ops = self._ops
-        if ops is not None or self.size <= self.TABLE_LIMIT:
-            return (ops or self._tables())[2][a]
-        return self._sigma_raw(a)
-
-    def _sigma_raw(self, a):
-        return self._pad(_ip_powmod(_ip_trim(a), self.p ** self.e, list(self.modulus), self.p))
 
     def format(self, a):
         if self.m == 1:
@@ -724,13 +663,7 @@ class FiniteField(SigmaField):
         return poly_str(poly([Fraction(c) for c in a]), var="w")
 
     def elements(self):
-        for packed in range(self.size):
-            cs = []
-            v = packed
-            for _ in range(self.m):
-                cs.append(v % self.p)
-                v //= self.p
-            yield self.wrap(tuple(cs))
+        return (self.wrap(d[::-1]) for d in itertools.product(range(self.p), repeat=self.m))
 
     def units(self):
         for x in self.elements():
@@ -754,7 +687,7 @@ class FiniteField(SigmaField):
             self._sqrt = table
         root = self._sqrt.get(x.value)
         if root is None:
-            raise AssertionError("Euler criterion passed but no square root found")
+            raise InternalError("Euler criterion passed but no square root found")
         return root
 
     def sigma_order(self) -> int:

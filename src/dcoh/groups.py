@@ -137,17 +137,11 @@ def mat_identity(R, n: int):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _inv_entry(x):
-    if isinstance(x, AlgElement):
-        return x.maybe_inverse()
-    return None if x.is_zero() else x.inv()
-
-
 def mat_maybe_inverse(x):
     """Adjugate inverse; None when det is not a unit."""
     n = len(x)
     d = mat_det(x)
-    dinv = _inv_entry(d)
+    dinv = d.maybe_inverse()
     if dinv is None:
         return None
     if n == 1:
@@ -492,7 +486,7 @@ class MatrixGroup(GroupPresentation):
                     return False
             else:
                 need_aux.append(rel)
-        det_inv = _inv_entry(mat_det(m))
+        det_inv = mat_det(m).maybe_inverse()
         if det_inv is None:
             return False
         return all(rel.eval(entries + (det_inv,)).is_zero() for rel in need_aux)
@@ -901,7 +895,7 @@ class FrobeniusTwist(GroupPresentation):
     def contains(self, x, R):
         m = self._matrix(x)
         det = mat_det(m)
-        if _inv_entry(det) is None:
+        if det.maybe_inverse() is None:
             return False
         if self.base == "SL" and det != R.one():
             return False
@@ -937,12 +931,15 @@ class FrobeniusTwist(GroupPresentation):
         if self.psi == "trivial" or (self.psi == "id" and self.n == 1):
             return self.rational_point(mat_mul(mat_inverse(a1), a2), budget)
         field = self.field
-        if not field.finite:
+        count = field.size ** (self.n * self.n) if field.finite else None
+        if count is not None and count <= budget:
+            return self._matrix_search(lambda c: self.translate(c, a1) == a2)
+        # the search is out of reach, but c = 1 carries a1 onto itself
+        if a1 == a2:
+            return outcome.yes(mat_identity(field, self.n))
+        if count is None:
             return outcome.undecided("twist-translation-undecided", psi=self.psi)
-        count = field.size ** (self.n * self.n)
-        if count > budget:
-            return outcome.undecided("budget-exhausted", space=count)
-        return self._matrix_search(lambda c: self.translate(c, a1) == a2)
+        return outcome.undecided("budget-exhausted", space=count)
 
     def classify(self, budget):
         field = self.field

@@ -75,11 +75,12 @@ class DifferenceOperator:
                 return {k: -v for k, v in a.items()}
 
             def mul(self, a, b):
+                # composition: (u s^i)(v s^j) = u sigma^i(v) s^(i+j)
                 out = {}
                 for i, u in a.items():
                     for j, v in b.items():
                         k = i + j
-                        w = u * v
+                        w = u * v.sigma(i)
                         out[k] = out[k] + w if k in out else w
                 return out
 

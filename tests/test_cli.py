@@ -89,6 +89,34 @@ def test_cocycle_check_refuses_a_literal_of_another_shape(group, chi):
     assert lines[0]["ok"] is False and lines[0]["certificate"].startswith("error: ")
 
 
+@pytest.mark.parametrize("field,chi,bad", [
+    ("QQ", "[[1, 1#e2 - e2#1], [0, 1]]", "0"),
+    ("GF(9);frob^1", "[[1, 1#e2 - e2#1, 0], [0, 1, 0], [0, 0, 1]]", "w")])
+def test_twist_cocycle_equiv_carries_its_invariants_to_verify(field, chi, bad):
+    """A coboundary against the trivial cocycle, out of the search's reach
+    (QQ is infinite, 9^9 exceeds the budget): c = 1 is the witness, and the
+    detail lets verify re-check it."""
+    n = chi.count("[") - 1
+    ident = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    group = ["--field", field, "--algebra", "split:2", "--group", f"twist:GL{n};d=1;psi=id"]
+    code, lines = run_cli(["cocycle-check"] + group + ["--chi", chi])
+    assert code == 0 and lines[0]["witness"] == {"type": "twist-invariant", "a": ident}
+    code, lines = run_cli(["cocycle-equiv"] + group +
+                          ["--chi", chi, "--chi2", json.dumps(ident).replace('"', "")])
+    out = lines[0]
+    assert code == 0 and out["result"] is True and out["witness"]["value"] == ident
+    assert out["detail"] == {"family": "twist", "twist": f"GL{n};d=1;psi=id",
+                             "lhs_invariant": ident, "rhs_invariant": ident}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(out)])
+    assert vcode == 0 and vlines[0]["result"] is True
+    # c = diag(bad, 1, ..): singular over QQ; over GF(9) sigma(w)/w = w^2 moves the identity
+    doctored = [[bad if (i, j) == (0, 0) else e for j, e in enumerate(row)]
+                for i, row in enumerate(ident)]
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(
+        dict(out, witness={"type": "matrix", "value": doctored}))])
+    assert vcode == 1 and vlines[0]["certificate"] == "witness-rejected"
+
+
 def test_cocycle_equiv():
     code, lines = run_cli(["cocycle-equiv", "--field", "GF(9);frob^1",
                            "--algebra", "mu:w,w", "--group", "mu2sigma",

@@ -1,10 +1,11 @@
 """Field layer: exact arithmetic, sigma, squares, sigma-image membership."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from dcoh.fields import (FieldError, FieldParseError, field_arith,
+from dcoh.fields import (FieldError, FieldParseError, FiniteField, field_arith,
                          in_sigma_image, is_square, make_field, sigma_apply)
 
 ALL_DESCRIPTORS = ["QQ", "QQ(t);shift", "QQ(t);dilate:3/2", "QQ(t);subst:t^2",
@@ -177,6 +178,54 @@ def test_gf4_modulus_is_documented_one():
     g4 = make_field("GF(4);frob^1")
     w = g4.element("w")
     assert w * w == w + 1  # modulus x^2 + x + 1
+
+
+@pytest.mark.parametrize("descriptor,modulus", [
+    ("GF(2^2)", (1, 1, 1)),
+    ("GF(2^3)", (1, 1, 0, 1)),
+    ("GF(2^4)", (1, 1, 0, 0, 1)),
+    ("GF(3^2)", (1, 0, 1)),
+    ("GF(3^3)", (1, 2, 0, 1)),
+    ("GF(5^2)", (2, 0, 1)),
+    ("GF(7^2)", (1, 0, 1)),
+    ("GF(2^10)", (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_modulus_is_the_smallest_monic_irreducible(descriptor, modulus):
+    # ascending coefficients; element values and output text depend on them
+    assert make_field(descriptor + ";frob^1").modulus == modulus
+
+
+def test_first_operations_of_a_tabled_field_fill_only_what_they_use():
+    # built directly, so no cached field has filled its tables already
+    F = FiniteField(2, 9)
+    assert F.size <= FiniteField.TABLE_LIMIT
+    w = F.element("w")
+    tracemalloc.start()
+    try:
+        u = w * w + w
+        x = u.inv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert x * u == F.one()
+
+
+@pytest.mark.parametrize("descriptor", ["GF(2^8);frob^1", "GF(509);frob^1"])
+def test_tabled_arithmetic_keeps_the_field_axioms(descriptor):
+    F = make_field(descriptor)
+    zero, one = F.zero(), F.one()
+    with pytest.raises(ZeroDivisionError):
+        F._inv(zero.value)
+    rng = random.Random(descriptor)
+    for _ in range(300):
+        x, y, z = (F.random_element(rng) for _ in range(3))
+        assert x + y == y + x and (x + y) + z == x + (y + z)
+        assert x * y == y * x and (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + zero == x and x * one == x and x - x == zero
+        assert x.is_zero() or x * x.inv() == one
+        assert (x * y).sigma() == x.sigma() * y.sigma()
 
 
 def test_small_finite_fields_hand_out_canonical_elements():

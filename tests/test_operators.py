@@ -384,3 +384,19 @@ def test_degree_bound_recovers_polynomial_solutions(shift_field):
         ps = ps + [polys.ONE]
         bound = degree_bound(ps, polys.deg(a.value[0]))
         assert bound >= polys.deg(z)
+
+
+@pytest.mark.parametrize("descriptor,x", [("QQ(t);shift", "t^2/(t + 3)"),
+                                          ("GF(9);frob^1", "w + 2")])
+def test_operator_products_compose(descriptor, x):
+    """A product parses as the composition, sigma*c = sigma(c)*sigma."""
+    F = make_field(descriptor)
+    c = "t" if descriptor.startswith("QQ") else "w"
+    x = F.element(x)
+    for left, right in [("s - 1", f"s - {c}"), (f"s - {c}", "s - 1"),
+                        (f"s + {c}", f"s^2 - {c}*s + 1")]:
+        L, R = DifferenceOperator.parse(F, left), DifferenceOperator.parse(F, right)
+        LR = DifferenceOperator.parse(F, f"({left})*({right})")
+        assert LR.apply(x) == L.apply(R.apply(x)), (left, right)
+    if c == "t":
+        assert str(DifferenceOperator.parse(F, "(s-1)*(s-t)")) == "s^2 + (-t - 2)*s + t"
