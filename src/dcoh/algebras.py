@@ -196,6 +196,19 @@ def _clean_element(algebra, data: dict) -> AlgElement:
     return x
 
 
+def _linear_image(images, x: AlgElement, target) -> AlgElement:
+    """sum of images[k] * c over the terms c e_k of x, in one dict of raw values."""
+    f = target.field
+    mul, add, is_zero, wrap = f._mul, f._add, f._is_zero, f.wrap
+    out = {}
+    for k, c in x.data.items():
+        c = c.value
+        for r, v in images[k].data.items():
+            w = mul(v.value, c)
+            out[r] = add(out[r], w) if r in out else w
+    return _clean_element(target, {r: wrap(v) for r, v in out.items() if not is_zero(v)})
+
+
 # --------------------------------------------------------------------------
 # algebra base
 
@@ -314,8 +327,7 @@ class FinDimAlgebra(SigmaAlgebra):
         return [self.basis_element(k) for k in self.index_list()]
 
     def evaluate(self, images, x, target):
-        return sum((img * x.data[k] for k, img in zip(self.index_list(), images)
-                    if k in x.data), target.zero())
+        return _linear_image(dict(zip(self.index_list(), images)), x, target)
 
     def named_element(self, name):
         for k in self.index_list():
@@ -1134,10 +1146,7 @@ class DescentDatum:
             self.validate()
 
     def apply(self, x: AlgElement) -> AlgElement:
-        total = self.AB.zero()
-        for k, c in x.data.items():
-            total = total + self.phi_images[k] * c
-        return total
+        return _linear_image(self.phi_images, x, self.AB)
 
     def validate(self):
         """phi is unital, multiplicative, sigma-equivariant, A(x)A-linear and
@@ -1180,40 +1189,26 @@ class DescentDatum:
         self._check_cocycle()
 
     def _check_cocycle(self):
-        BAA = TensorAlgebra([self.B, self.A, self.A])
-        ABA = TensorAlgebra([self.A, self.B, self.A])
-        AAB = TensorAlgebra([self.A, self.A, self.B])
+        """phi13 = phi23 . phi12 on every basis element of B(x)A(x)A, where
+        phi_ij reads (b, a) from tensor slots i and j and writes each term
+        (r, s) of phi(b (x) a) back into the same slots."""
+        f = self.A.field
+        mul, add, is_zero = f._mul, f._add, f._is_zero
 
-        def phi12(x):
-            # B(x)A(x)A -> A(x)B(x)A
-            total = ABA.zero()
-            for (b, a1, a2), c in x.data.items():
-                img = self.phi_images[(b, a1)]
-                for (r, s), v in img.data.items():
-                    total = total + ABA.element({(r, s, a2): v * c})
-            return total
+        def phi_at(i, j, data):
+            out = {}
+            for key, c in data.items():
+                slots = list(key)
+                for (slots[i], slots[j]), v in self.phi_images[(key[i], key[j])].data.items():
+                    new, w = tuple(slots), mul(v.value, c)
+                    out[new] = add(out[new], w) if new in out else w
+            return {k: v for k, v in out.items() if not is_zero(v)}
 
-        def phi23(x):
-            # A(x)B(x)A -> A(x)A(x)B
-            total = AAB.zero()
-            for (a0, b, a2), c in x.data.items():
-                img = self.phi_images[(b, a2)]
-                for (r, s), v in img.data.items():
-                    total = total + AAB.element({(a0, r, s): v * c})
-            return total
-
-        def phi13(x):
-            # B(x)A(x)A -> A(x)A(x)B, untouched middle slot
-            total = AAB.zero()
-            for (b, a1, a2), c in x.data.items():
-                img = self.phi_images[(b, a2)]
-                for (r, s), v in img.data.items():
-                    total = total + AAB.element({(r, a1, s): v * c})
-            return total
-
-        for key in BAA.index_list():
-            e = BAA.basis_element(key)
-            if phi13(e) != phi23(phi12(e)):
+        one = f.one().value
+        idx_a = self.A.index_list()
+        for key in itertools.product(self.B.index_list(), idx_a, idx_a):
+            e = {key: one}
+            if phi_at(0, 2, e) != phi_at(1, 2, phi_at(0, 1, e)):
                 raise AlgebraError("descent cocycle condition phi13 = phi12 . phi23 fails")
 
 
@@ -1280,20 +1275,18 @@ def descend_invariants(datum: DescentDatum) -> DescentResult:
     idxB = B.index_list()
     idxAB = datum.AB.index_list()
 
-    cols = []
-    for i in idxB:
-        b = B.basis_element(i)
-        img = datum.apply(datum.BA.pure_tensor(b, A.one())) \
-            - datum.AB.pure_tensor(A.one(), b)
-        cols.append(img)
+    cols = [datum.apply(datum.BA.pure_tensor(b, A.one())) - datum.AB.pure_tensor(A.one(), b)
+            for b in map(B.basis_element, idxB)]
     mat = [[col.data.get(r, zero) for col in cols] for r in idxAB]
     ker = linalg.kernel_basis(mat, field, ncols=len(idxB))
     basis = [B.from_vector(v) for v in ker]
-    vecs = [B.to_vector(x) for x in basis]
+    # each kernel vector is one at its free column, its last nonzero entry,
+    # and zero at the other free columns: coordinates are read off there
+    free = [max(c for c, v in enumerate(vec) if not v.is_zero()) for vec in ker]
 
     def coords_of(x: AlgElement):
-        sol = linalg.in_span(vecs, B.to_vector(x), field)
-        if sol is None:
+        sol = [x.data.get(idxB[c], zero) for c in free]
+        if sum((b * c for b, c in zip(basis, sol)), B.zero()) != x:
             raise AlgebraError("descended invariants are not closed")
         return sol
 
@@ -1302,17 +1295,12 @@ def descend_invariants(datum: DescentDatum) -> DescentResult:
     mult = [[None] * n0 for _ in range(n0)]
     for i in range(n0):
         for j in range(i, n0):
-            c = coords_of(basis[i] * basis[j])
-            mult[i][j] = c
-            mult[j][i] = c
+            mult[i][j] = mult[j][i] = coords_of(basis[i] * basis[j])
     sigma = [coords_of(x.sigma()) for x in basis]
     B0 = TableAlgebra(field, tuple(f"b{i}" for i in range(n0)), mult, unit_coords, sigma)
 
     # canonical map B0 (x) A -> B given by b0 (x) a -> b0 * iota(a)
-    image_cols = []
-    for i in range(n0):
-        for j in A.index_list():
-            image_cols.append(basis[i] * datum.iota.apply(A.basis_element(j)))
+    image_cols = [b * datum.iota.apply(A.basis_element(j)) for b in basis for j in A.index_list()]
     mat2 = [[col.data.get(r, zero) for col in image_cols] for r in idxB]
     iso = (n0 * A.dim == B.dim) and linalg.rank(mat2, field) == B.dim
     return DescentResult(invariants=B0, basis_in_B=basis, base_change_is_isomorphism=iso)

@@ -432,6 +432,9 @@ def cmd_normalize(args, base):
 def cmd_delta(args, base):
     field = make_field(args.field)
     x = field.element(args.x)
+    if args.d >= 1 and not x.is_zero():
+        # the lift algebra's d sigma-images are exponent vectors of length d
+        _charge(args.d * args.d, args.budget)
     res = connecting_delta(field, args.d, x)
     payload = outcome_json(res.trivial)
     payload["result"] = {"trivial": bool(res.trivial),
@@ -581,9 +584,12 @@ def cmd_verify(args, base):
         y = field.element(w["value"])
         x = field.element(qargs["x"])
         ok = sigma_apply(y, int(qargs["d"])) == x
-    elif cmd == "classify" and qargs.get("group") == "mu2sigma" \
-            and isinstance(line["result"], dict) and line["result"].get("kind") == "finite-list":
-        ok = _verify_mu_classes(field, line["result"], args.budget)
+    elif cmd == "classify":
+        G = parse_group(field, str(qargs["group"]))
+        result = line["result"]
+        if G.torsor_kind == "mu" and isinstance(result, dict) \
+                and result.get("kind") == "finite-list":
+            ok = _verify_mu_classes(G, result, args.budget)
     if ok is None:
         payload = {"result": "unverified", "certificate": unverified}
     else:
@@ -595,11 +601,12 @@ def cmd_verify(args, base):
     return 0 if ok else (3 if ok is None else 1)
 
 
-def _verify_mu_classes(field, result, budget) -> bool:
-    """A mu2^sigma class list: every representative lies in
-    M = {sigma(a) = a*b^2}, their orbits under translate are pairwise
-    disjoint, and their sizes sum to |M|; the (q-1)^2 pairs of M are
-    charged to the budget first."""
+def _verify_mu_classes(G, result, budget) -> bool:
+    """A class list of the mu-shaped torus G (mu2^sigma): every
+    representative lies in M = {sigma(a) = a*b^2}, their orbits under G's
+    translate are pairwise disjoint, and their sizes sum to |M|; the
+    (q-1)^2 pairs of M are charged to the budget first."""
+    field = G.field
     if not field.finite:
         raise CliError("a mu2sigma class list is a list over a finite field")
     _charge((field.size - 1) ** 2, budget)
@@ -612,7 +619,6 @@ def _verify_mu_classes(field, result, budget) -> bool:
     space = set(mu_pair_space(field))
     if len(reps) != result.get("classes") or not space.issuperset(reps):
         return False
-    G = mu2sigma_group(field)
     orbits = [{G.translate(lam, t) for lam in field.units()} for t in reps]
     return sum(map(len, orbits)) == len(set().union(*orbits)) == len(space)
 

@@ -487,23 +487,6 @@ def _ip_powmod(a, n, modulus, p):
     return r
 
 
-def _ip_divmod(a, b, p):
-    a = polys._trim(list(a))
-    b = polys._trim(list(b))
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    for i in range(len(a) - len(b), -1, -1):
-        c = r[i + len(b) - 1] * inv % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] - c * bj) % p
-    return polys._trim(q), polys._trim(r)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -634,20 +617,10 @@ class FiniteField(SigmaField):
                                     self.modulus, self.p))
 
     def _inv_raw(self, a):
-        # extended Euclid in GF(p)[x] against the modulus
-        p, modulus = self.p, self.modulus
-        r0, r1 = list(modulus), polys._trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _ip_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            prod = _ip_mulmod(q, s1, modulus, p)
-            s0, s1 = s1, polys._trim([(x - y) % p for x, y in
-                                      itertools.zip_longest(s0, prod, fillvalue=0)])
-        if len(r0) != 1:
+        # a^(q-2) = a^-1 in the cyclic group of order q - 1
+        if a == self._zero:
             raise ZeroDivisionError("element not invertible")
-        c = pow(r0[0], -1, p)
-        return self._pad([x * c % p for x in s0])
+        return self._pad(_ip_powmod(polys._trim(list(a)), self.size - 2, self.modulus, self.p))
 
     def _sigma_raw(self, a):
         return self._pad(_ip_powmod(polys._trim(list(a)), self.p ** self.e, self.modulus, self.p))

@@ -226,7 +226,10 @@ def mu_pairs_equivalent(field, pair1, pair2) -> Outcome:
     return mu2sigma_group(field).equivalent_targets(tuple(pair1), tuple(pair2), math.inf)
 
 
-def diagonal_constraints(G: DiagonalMult, extra_degree: int = 2):
+SYZYGY_EXTRA_DEGREE = 2  # diagonal_constraints: sigma-degrees up to sum of orders + this
+
+
+def diagonal_constraints(G: DiagonalMult):
     """Integer syzygies among the exponent data of the defining functions.
 
     Each returned vector c gives the necessary constraint
@@ -235,7 +238,7 @@ def diagonal_constraints(G: DiagonalMult, extra_degree: int = 2):
     QQ = make_field("QQ")
     m = len(G.functions)
     orders = [f.order for f in G.functions]
-    D = sum(orders) + extra_degree
+    D = sum(orders) + SYZYGY_EXTRA_DEGREE
     unknowns = [(i, l) for i in range(m) for l in range(D + 1)]
     max_power = D + max(orders)
     rows = []

@@ -132,11 +132,11 @@ def rank(matrix, field) -> int:
 
 
 def kernel_basis(matrix, field, ncols=None):
-    """Basis of {x : M x = 0}; rows of the matrix are the equations."""
+    """Basis of {x : M x = 0}; rows of the matrix are the equations.  Vector
+    i is one at the i-th free (non-pivot) column of the reduced echelon
+    form, zero at the other free columns and zero past its own."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        matrix = []
     rows, pivots = row_echelon(matrix, field)
     pivot_of_col = {c: r for r, c in pivots}
     zero = field.zero()

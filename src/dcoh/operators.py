@@ -1,7 +1,8 @@
 """Monic linear difference operators and the decision procedures for L(b) = a.
 
 An operator L = sigma^n + l_{n-1} sigma^(n-1) + ... + l_0 applies to any
-element carrying a sigma action.  The solvers decide L(b) = a exactly:
+element carrying a sigma action.  The solvers decide L(b) = a exactly
+but in the last case:
 
   * over a finite field, L is an F_p-linear map on a finite-dimensional
     F_p-space and the equation is plain linear algebra;
@@ -9,7 +10,10 @@ element carrying a sigma action.  The solvers decide L(b) = a exactly:
   * over QQ(t) with the shift, rational solutions are found by an
     Abramov-style procedure: a universal denominator from the dispersion
     of the trailing/leading coefficients, then a bounded-degree
-    polynomial ansatz solved by exact linear algebra.
+    polynomial ansatz solved by exact linear algebra;
+  * over QQ(t) with a dilation or t -> t^2, the same reduction and ansatz
+    search numerators of degree <= SEARCH_DEGREE over up to three denominators;
+    a miss is undecided.
 
 The module also solves the first-order multiplicative analogue
 sigma^d(x) = a * x over the same fields (Gosper-Petkovsek style over the
@@ -18,6 +22,7 @@ shift field); higher-order multiplicative equations are out of scope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -195,17 +200,10 @@ def _solve_finite(L: DifferenceOperator, a: FieldElement) -> Outcome:
 
 def _clear_denominators(L: DifferenceOperator, a: FieldElement):
     """Common-denominator form: polynomial p_0..p_n and right side q."""
-    dens = [a.value[1]] + [c.value[1] for c in L.coeffs]
-    lcd = ONE
-    for d in dens:
-        lcd = plcm(lcd, d)
-    ps = []
-    for c in L.coeffs:
-        num, den = c.value
-        ps.append(pmul(num, pdiv_exact(lcd, den)))
-    ps.append(lcd)  # monic leading coefficient of sigma^n
-    q = pmul(a.value[0], pdiv_exact(lcd, a.value[1]))
-    return ps, q
+    lcd = functools.reduce(plcm, [a.value[1]] + [c.value[1] for c in L.coeffs], ONE)
+    ps = [pmul(num, pdiv_exact(lcd, den)) for num, den in (c.value for c in L.coeffs)]
+    # the leading coefficient of sigma^n is 1, cleared to lcd
+    return ps + [lcd], pmul(a.value[0], pdiv_exact(lcd, a.value[1]))
 
 
 def _dispersion_window(A, B) -> int:
@@ -300,33 +298,48 @@ def degree_bound(ps, qdeg: int):
     raise OperatorError("degree bound cascade failed to terminate")
 
 
-def _ansatz_matrix(ps, bound: int):
-    """Coefficients over QQ of sum p_i(t) (t+i)^d, one column per d <= bound."""
+def _sigma_orbit(k, p, n: int) -> list:
+    """[p, sigma(p), ..., sigma^(n-1)(p)] for a polynomial p over k = QQ(t)."""
+    out = [p]
+    for _ in range(n - 1):
+        out.append(k._sigma_poly(out[-1]))
+    return out
+
+
+def _ansatz_matrix(k, ps, bound: int):
+    """Coefficients over QQ of sum p_i sigma^i(t^d), one column per d <= bound,
+    with sigma^i(t^(d+1)) = sigma^i(t) sigma^i(t^d)."""
+    sigma_t = _sigma_orbit(k, polys.T, len(ps))
+    powers, cols = [ONE] * len(ps), []
+    for _ in range(bound + 1):
+        cols.append(functools.reduce(polys.padd, map(pmul, ps, powers), ZERO))
+        powers = list(map(pmul, sigma_t, powers))
+    rows = max(deg(p) for p in ps) + bound * deg(sigma_t[-1]) + 1
     QQ = make_field("QQ")
-    b = max(deg(p) for p in ps)
-    cols = []
-    for d in range(bound + 1):
-        img = ZERO
-        for i, p in enumerate(ps):
-            img = polys.padd(img, pmul(p, polys.shift(poly([0] * d + [1]), i)))
-        cols.append(img)
     return [[QQ.element(col[r] if r < len(col) else 0) for col in cols]
-            for r in range(b + bound + 1)]
+            for r in range(rows)]
 
 
-def polynomial_solutions(ps, q, bound: int):
-    """A particular solution with degree <= bound, or None."""
+def polynomial_solutions(k, ps, q, bound: int):
+    """A particular solution z of sum p_i sigma^i(z) = q with degree <= bound,
+    or None."""
     if bound < 0:
         return None if q else ZERO
-    mat = _ansatz_matrix(ps, bound)
+    mat = _ansatz_matrix(k, ps, bound)
     if deg(q) >= len(mat):
         return None
     QQ = make_field("QQ")
-    rhs = [QQ.element(q[r] if r < len(q) else 0) for r in range(len(mat))]
-    sol = linalg.solve(mat, rhs, QQ)
-    if sol is None:
-        return None
-    return poly([c.value for c in sol])
+    sol = linalg.solve(mat, [QQ.element(q[r] if r < len(q) else 0) for r in range(len(mat))], QQ)
+    return None if sol is None else poly([c.value for c in sol])
+
+
+def _denominator_reduction(k, ps, q, u):
+    """(Ps, Q): b = z/u solves sum p_i sigma^i(b) = q exactly when the
+    polynomial z solves sum P_i sigma^i(z) = Q, where
+    P_i = p_i lcm_j sigma^j(u) / sigma^i(u) and Q = q lcm_j sigma^j(u)."""
+    sigma_u = _sigma_orbit(k, u, len(ps))
+    big = functools.reduce(plcm, sigma_u)
+    return [pmul(p, pdiv_exact(big, s)) for p, s in zip(ps, sigma_u)], pmul(q, big)
 
 
 def _abramov_reduction(L: DifferenceOperator, a: FieldElement, budget: int | None = None):
@@ -337,15 +350,9 @@ def _abramov_reduction(L: DifferenceOperator, a: FieldElement, budget: int | Non
     u = universal_denominator(ps, budget)
     if u is None:
         return None
-    n = len(ps) - 1
-    big = ONE
-    for i in range(n + 1):
-        big = plcm(big, polys.shift(u, i))
-    Ps = [pmul(ps[i], pdiv_exact(big, polys.shift(u, i))) for i in range(n + 1)]
-    Q = pmul(q, big)
+    Ps, Q = _denominator_reduction(L.field, ps, q, u)
     # with Q = 0 no degree is forced by the right side
-    bound = degree_bound(Ps, deg(Q) if Q else -10 ** 9)
-    return u, Ps, Q, bound
+    return u, Ps, Q, degree_bound(Ps, deg(Q) if Q else -10 ** 9)
 
 
 def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> Outcome:
@@ -358,49 +365,35 @@ def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> 
     cells = (max(deg(p) for p in Ps) + bound + 1) * (bound + 1)
     if budget is not None and cells > budget:
         return outcome.undecided("budget-exhausted", space=cells)
-    z = polynomial_solutions(Ps, Q, bound)
+    z = polynomial_solutions(k, Ps, Q, bound)
+    detail = {"universal_denominator": polys.poly_str(u), "degree_bound": bound}
     if z is None:
-        return outcome.no(
-            "no-rational-solution",
-            universal_denominator=polys.poly_str(u),
-            degree_bound=bound,
-        )
+        return outcome.no("no-rational-solution", **detail)
     b = k.ratfun(z, u)
     if L.apply(b) != a:
         raise InternalError("Abramov solution failed verification")
-    return outcome.yes(b, universal_denominator=polys.poly_str(u), degree_bound=bound)
+    return outcome.yes(b, **detail)
 
 
-def _bounded_search(L: DifferenceOperator, a: FieldElement, max_deg: int) -> Outcome:
+# numerator degree of the budgeted search over QQ(t) without a decision procedure
+SEARCH_DEGREE = 4
+
+
+def _bounded_search(L: DifferenceOperator, a: FieldElement) -> Outcome:
     """Budgeted ansatz for field instances without a full decision procedure.
 
-    Tries numerators of degree <= max_deg over a short list of candidate
-    denominators; the equation is linear in the numerator coefficients.
+    Tries numerators of degree <= SEARCH_DEGREE over a short list of
+    candidate denominators, each through the denominator reduction and the
+    ansatz of the Abramov procedure.
     """
     k = L.field
-    dens = [ONE, a.value[1], pmul(a.value[1], k._sigma_poly(a.value[1]))]
-    QQ = make_field("QQ")
-    tried = set()
-    for den in dens:
-        if tuple(den) in tried:
-            continue
-        tried.add(tuple(den))
-        cols = [L.apply(k.ratfun(poly([0] * d + [1]), den)) for d in range(max_deg + 1)]
-        common = a.value[1]
-        for col in cols:
-            common = plcm(common, col.value[1])
-        numified = [pmul(col.value[0], pdiv_exact(common, col.value[1])) for col in cols]
-        target = pmul(a.value[0], pdiv_exact(common, a.value[1]))
-        rows = max([deg(n) for n in numified] + [deg(target)]) + 1
-        mat = [[QQ.element(n[r] if r < len(n) else 0) for n in numified]
-               for r in range(rows)]
-        rhs = [QQ.element(target[r] if r < len(target) else 0) for r in range(rows)]
-        sol = linalg.solve(mat, rhs, QQ)
-        if sol is not None:
-            b = k.ratfun(poly([c.value for c in sol]), den)
-            if L.apply(b) == a:
-                return outcome.yes(b)
-    return outcome.undecided("budgeted-search-exhausted", max_degree=max_deg)
+    ps, q = _clear_denominators(L, a)
+    den = a.value[1]
+    for u in dict.fromkeys([ONE, den, pmul(den, k._sigma_poly(den))]):
+        z = polynomial_solutions(k, *_denominator_reduction(k, ps, q, u), SEARCH_DEGREE)
+        if z is not None and L.apply(b := k.ratfun(z, u)) == a:
+            return outcome.yes(b)
+    return outcome.undecided("budgeted-search-exhausted", max_degree=SEARCH_DEGREE)
 
 
 def solve_additive_full(L: DifferenceOperator, a: FieldElement,
@@ -425,7 +418,7 @@ def solve_additive_full(L: DifferenceOperator, a: FieldElement,
     if isinstance(k, RationalFunctionField):
         if k.mode == "shift":
             return _solve_shift(L, a, budget)
-        return _bounded_search(L, a, max_deg=4)
+        return _bounded_search(L, a)
     raise OperatorError(f"unsupported field {k.descriptor}")
 
 
@@ -450,7 +443,7 @@ def additive_kernel_basis(L: DifferenceOperator):
         u, Ps, _, bound = _abramov_reduction(L, k.zero())
         if bound < 0:
             return []
-        ker = linalg.kernel_basis(_ansatz_matrix(Ps, bound), make_field("QQ"), ncols=bound + 1)
+        ker = linalg.kernel_basis(_ansatz_matrix(k, Ps, bound), make_field("QQ"), ncols=bound + 1)
         out = []
         for vec in ker:
             z = poly([c.value for c in vec])

@@ -275,6 +275,22 @@ def test_mu_twisted_datum_recovers_mu_algebra(gf9):
     assert found
 
 
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_descent_rejects_a_ring_map_that_is_no_cocycle(field, request):
+    """Twisting by chi = -1 gives a bijective, linear, sigma-equivariant
+    ring map phi, but phi13 = phi23 . phi12 fails: phi12 and phi23 each
+    multiply the g-component by -1 where phi13 does it once."""
+    k = request.getfixturevalue(field)
+    if field == "QQ":
+        A = make_mu_algebra(k.element(2), k.one())
+    else:
+        A = make_mu_algebra(k.element("w"), k.element("w"))
+    datum = mu_twisted_datum(A, -TensorContext(A).AA.one())
+    with pytest.raises(AlgebraError,
+                       match=r"^descent cocycle condition phi13 = phi12 \. phi23 fails$"):
+        descend_invariants(datum)
+
+
 def test_morphism_validation(gf9):
     lam = gf9.element("w")
     a, b = lam * lam, lam.sigma() / lam

@@ -188,6 +188,41 @@ def test_delta_verify():
     assert lines2[0]["certificate"] == "not-in-sigma-image"
 
 
+def test_delta_charges_its_lift_algebra_before_building_it():
+    """The lift algebra of delta has d sigma-images of length d: d*d is
+    charged to the budget before any is built; d < 1 stays a parse error."""
+    start = time.perf_counter()
+    code, lines = run_cli(["delta", "--field", "QQ(t);shift", "--d", "1000000000",
+                           "--x", "t", "--budget", "1000"])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and len(lines) == 1
+    assert lines[0]["certificate"].startswith("budget-exhausted")
+    code, lines = run_cli(["delta", "--field", "QQ(t);shift", "--d", "0", "--x", "t"])
+    assert code == 2 and len(lines) == 1 and lines[0]["certificate"] == "error: d must be >= 1"
+
+
+# the budgeted search over QQ(t) with a dilation or t -> t^2: witnesses and
+# the exhausted search's detail, byte for byte
+BOUNDED_SEARCH_LINES = [
+    (["iso", "--field", "QQ(t);dilate:2", "--family", "add", "--op", "s-1",
+      "--lhs", "0", "--rhs", "3*t^2"], 0,
+     '{"args": {"budget": 1000000, "family": "add", "field": "QQ(t);dilate:2", "lhs": "0", "op": "s-1", "rhs": "3*t^2"}, "certificate": null, "cmd": "iso", "detail": null, "ok": true, "result": true, "undecided": false, "witness": {"type": "scalar", "value": "t^2"}}'),
+    (["iso", "--field", "QQ(t);subst:t^2", "--family", "add", "--op", "s-1",
+      "--lhs", "0", "--rhs", "t^2-t"], 0,
+     '{"args": {"budget": 1000000, "family": "add", "field": "QQ(t);subst:t^2", "lhs": "0", "op": "s-1", "rhs": "t^2-t"}, "certificate": null, "cmd": "iso", "detail": null, "ok": true, "result": true, "undecided": false, "witness": {"type": "scalar", "value": "t"}}'),
+    (["torsor-points", "--field", "QQ(t);dilate:2", "--torsor", "add:s-t;1/(t+1)"], 3,
+     '{"args": {"budget": 1000000, "field": "QQ(t);dilate:2", "torsor": "add:s-t;1/(t+1)"}, "certificate": "budgeted-search-exhausted", "cmd": "torsor-points", "detail": {"max_degree": 4}, "ok": true, "result": false, "undecided": true, "witness": null}'),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", BOUNDED_SEARCH_LINES)
+def test_bounded_search_lines(argv, code, line):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = main(argv)
+    assert (got, buf.getvalue()) == (code, line + "\n")
+
+
 def test_audits():
     code, lines = run_cli(["audit-amitsur", "--field", "QQ",
                            "--algebra", "mu:1,1"])
@@ -369,6 +404,14 @@ def test_verify_reports_malformed_lines_as_errors():
                      json.dumps(dict(true_line, witness="1"))):
         vcode, vlines = run_cli(["verify", "--line", doctored])
         assert vcode == 2 and vlines[0]["ok"] is False, doctored
+
+
+def test_verify_of_a_class_list_with_an_unknown_group_is_a_parse_error():
+    line = {"cmd": "classify", "args": {"field": "GF(9);frob^1", "group": "nonsense"},
+            "result": {"kind": "finite-list", "classes": 1, "representatives": [["1", "1"]]}}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(line)])
+    assert vcode == 2 and len(vlines) == 1 and vlines[0]["ok"] is False
+    assert vlines[0]["certificate"] == "error: unknown group descriptor 'nonsense'"
 
 
 def test_verify_reads_class_lists_over_finite_fields_only():

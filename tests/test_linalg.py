@@ -302,7 +302,7 @@ def test_row_echelon_pivot_entries_are_one(descriptor):
 
 
 # --------------------------------------------------------------------------
-# fields above FiniteField.TABLE_LIMIT invert by extended Euclid
+# fields above FiniteField.TABLE_LIMIT invert by a^(q-2), with no table
 
 LARGE_FIELDS = ["GF(2^10);frob^1", "GF(1031^1);frob^1"]
 
