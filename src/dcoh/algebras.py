@@ -813,13 +813,12 @@ class TensorContext:
     dd2(a(x)b) = a(x)1(x)b, dd3(a(x)b) = a(x)b(x)1.
     """
 
-    __slots__ = ("A", "AA", "AAA", "_keys")
+    __slots__ = ("A", "AA", "AAA")
 
     def __init__(self, A: SigmaAlgebra):
         self.A = A
         self.AA = tensor_square(A)
         self.AAA = tensor_cube(A)
-        self._keys = {}
 
     def pair(self, x: AlgElement, y: AlgElement) -> AlgElement:
         return self.AA.pure_tensor(x, y)
@@ -844,17 +843,15 @@ class TensorContext:
         return _clean_element(self.AAA, out)
 
     def untensor_third(self, w: AlgElement) -> AlgElement:
-        """Invert dd3 on its image: strip the trailing tensor-1 factor.  The
-        results share their keys, so that kept results stay small."""
+        """Invert dd3 on its image: strip the trailing tensor-1 factor."""
         A = self.A
-        split, join, keys = A.split_key, A.join_keys, self._keys
+        split, join = A.split_key, A.join_keys
         r0, u0 = next(iter(A.unit_data().items()))
         out = {}
         for key, c in w.data.items():
             a, b, r = split(key, 3)
             if r == r0:
-                k = join((a, b))
-                out[keys.setdefault(k, k)] = c / u0
+                out[join((a, b))] = c / u0
         return _clean_element(self.AA, out)
 
     def dd1(self, z: AlgElement) -> AlgElement:

@@ -97,11 +97,13 @@ def coboundary(G: GroupPresentation, tc: TensorContext, alpha) -> Cocycle:
 
 def enumerate_cocycles(G: GroupPresentation, tc: TensorContext,
                        budget: int = 10 ** 6) -> list:
-    """All of Z^1(A/k, G) by exhaustive search (finite base field); the
-    points enumerate_points yields are members already, so only the cocycle
-    identity is tested."""
+    """All of Z^1(A/k, G) by exhaustive search (finite base field), in
+    enumerate_points order.  Its points are members already, so only the
+    cocycle identity is tested; where the identity is linear
+    (cocycle_relations) it is also solved, so only Z^1 is streamed."""
     values = enumerate_points(G, tc.AA, budget,
-                              keep=lambda value: _cocycle_identity(G, tc, value))
+                              keep=lambda value: _cocycle_identity(G, tc, value),
+                              relations=G.cocycle_relations(tc))
     return [Cocycle(G, tc, value) for value in values]
 
 

@@ -461,19 +461,20 @@ class RationalFunctionField(SigmaField):
 # fixed length m).  The modulus is monic irreducible of degree m.
 
 def _ip_mulmod(a, b, modulus, p):
+    # integer sums; each coefficient is reduced mod p once, when read or at the end
     out = [0] * (len(a) + len(b) - 1 or 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] += ai * bj
     m = len(modulus) - 1
     inv_lead = pow(modulus[-1], -1, p)
     for i in range(len(out) - 1, m - 1, -1):
         c = out[i] * inv_lead % p
         if c:
-            for j in range(len(modulus)):
-                out[i - m + j] = (out[i - m + j] - c * modulus[j]) % p
-    return polys._trim(out[:m])
+            for j in range(m):
+                out[i - m + j] -= c * modulus[j]
+    return polys._trim([c % p for c in out[:m]])
 
 
 def _ip_powmod(a, n, modulus, p):

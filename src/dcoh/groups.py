@@ -18,8 +18,8 @@ Every presentation supplies one protocol, which the generic code in
 cocycles and torsors calls instead of testing the class:
 
   values   slots, shape(ys), contains(x, R), identity(R), mul, inv, equal,
-           map(func, x), linear_relations(), points(R, budget, keep),
-           coefficient_twist(d), components(x);
+           map(func, x), linear_relations(), cocycle_relations(tc),
+           points(R, budget, keep, relations), coefficient_twist(d), components(x);
   torsors  torsor_kind, invariant(tc, value), translate(c, t),
            equivalent_targets(t1, t2, budget), classify(budget),
            torsor_point(x, t, R), rational_point(t, budget),
@@ -57,8 +57,9 @@ Over a finite base field, enumerate_points lists G(R) for a
 finite-dimensional R.  It charges the whole search space
 q^(dim R * slots) to the budget first, then solves the relations that are
 sigma-semilinear (L(y) = 0, sigma(y) = y, sigma^a(y_i) = sigma^b(y_j),
-sigma^d(g) = g) as F_p-linear equations on R^slots and streams only their
-kernel, in the order of the full product, through the membership test.
+sigma^d(g) = g; for an additive Z^1 also dd2(y) = dd1(y) + dd3(y)) as
+F_p-linear equations on R^slots and streams only their kernel, in the
+order of the full product, through the membership test.
 """
 
 from __future__ import annotations
@@ -415,15 +416,22 @@ class GroupPresentation:
         on G(R); None when there are none.  Each is F_p-linear."""
         return None
 
-    def points(self, R: FinDimAlgebra, budget: int, keep):
+    def cocycle_relations(self, tc):
+        """The cocycle identity as an F_p-linear map like linear_relations."""
+        return None
+
+    def points(self, R: FinDimAlgebra, budget: int, keep, relations=None):
         """The body of enumerate_points for one presentation."""
         field = R.field
         if not field.finite:
             raise GroupError("point enumeration needs a finite base field")
         slots = self.slots
         _charge(field.size ** (R.dim * slots), budget)
+        own, extra = self.linear_relations(), relations
+        if own is not None and extra is not None:
+            relations = lambda ys: own(ys) + extra(ys)
         out = []
-        for ys in _kernel_points(R, slots, self.linear_relations()):
+        for ys in _kernel_points(R, slots, relations or own):
             x = self.shape(ys)
             if self.contains(x, R) and (keep is None or keep(x)):
                 out.append(x)
@@ -614,6 +622,9 @@ class AdditiveKernel(GroupPresentation):
     def linear_relations(self):
         L = self.L
         return None if L is None else (lambda ys: [L.apply(ys[0])])
+
+    def cocycle_relations(self, tc):
+        return lambda ys: [tc.dd2(ys[0]) - tc.dd1(ys[0]) - tc.dd3(ys[0])]
 
     def coefficient_twist(self, d):
         if self.L is None:
@@ -1045,7 +1056,7 @@ class ProductGroup(GroupPresentation):
     def map(self, func, x):
         return tuple(f.map(func, c) for f, c in zip(self.factors, x))
 
-    def points(self, R, budget, keep):
+    def points(self, R, budget, keep, relations=None):
         parts = [enumerate_points(f, R, budget) for f in self.factors]
         return [combo for combo in itertools.product(*parts) if keep is None or keep(combo)]
 
@@ -1114,10 +1125,12 @@ def scalar_value(G, x):
 
 
 def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 ** 6,
-                     keep=None):
+                     keep=None, relations=None):
     """Complete list of G(R) for finite base fields, deterministic order;
     with a predicate `keep`, only the points of G(R) it accepts, so a caller
-    that wants a small subset never holds all of G(R) at once.
+    that wants a small subset never holds all of G(R) at once.  `relations`
+    (cocycle_relations) is solved together with G's own and may only drop
+    points that `keep` rejects; a product ignores it.
 
     The search is charged q^(dim R * slots) against the budget before any
     work, whatever the relations cut away: BudgetExceeded when that is
@@ -1131,7 +1144,7 @@ def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 **
     field.elements(), filtered by membership.  A product lists the
     product of its factors' lists.
     """
-    return G.points(R, budget, keep)
+    return G.points(R, budget, keep, relations)
 
 
 def _kernel_points(R: FinDimAlgebra, slots: int, relations):
@@ -1186,7 +1199,8 @@ def _kernel_coords(R: FinDimAlgebra, slots: int, relations):
 def _kernel_basis(R: FinDimAlgebra, slots: int, relations, order) -> list:
     """Reduced echelon basis of the kernel of `relations` on the digit
     vectors of R^slots, for the significance order `order`, most
-    significant leading column first.
+    significant leading column first; each relation value is read over its
+    own algebra's basis (A(x)A(x)A for the cocycle identity).
 
     linalg.kernel_basis over GF(p) gives, for each free column c, the
     vector with 1 at c, 0 at the other free columns and entries only at
@@ -1206,7 +1220,7 @@ def _kernel_basis(R: FinDimAlgebra, slots: int, relations, order) -> list:
         ys[s] = _clean_element(R, {idx[b]: field.wrap(tuple(int(i == k) for i in range(m)))})
         digits = []
         for z in relations(tuple(ys)):
-            for r in idx:
+            for r in z.algebra.index_list():
                 c = z.data.get(r)
                 digits.extend(c.value if c is not None else (0,) * m)
         cols.append(digits)

@@ -193,7 +193,8 @@ class TwistedForm(TorsorPresentation):
         cand = G.map(tc.untensor_third, prod)
         if not G.equal(G.map(tc.dd3, cand), prod):
             raise TorsorError("uniqueness solve failed for the extracted cocycle")
-        return make_cocycle(G, tc, cand)
+        chi = make_cocycle(G, tc, cand)
+        return self.chi if chi == self.chi else chi
 
     def normal_form(self):
         G = self.presentation

@@ -162,6 +162,71 @@ def test_enumerate_cocycles_tests_membership_once(gf9, monkeypatch):
     assert enumerate_cocycles(G, tc) == expected
 
 
+# (field, mu pair) for the additive Z^1 grid; the pairs give |Z^1| > 1 for
+# some L of each field
+ADDITIVE_GRID = [("GF(3);frob^1", "2", "2"), ("GF(4);frob^1", "w", "w+1"),
+                 ("GF(7);frob^1", "3", "6"), ("GF(9);frob^1", "w", "w")]
+ADDITIVE_OPERATORS = ["s - 1", "s + 1", "s^2 - 1", None]
+
+
+def _additive_setup(descriptor, a, b, op, algebra):
+    F = make_field(descriptor)
+    G = ambient_ga(F) if op is None else AdditiveKernel(DifferenceOperator.parse(F, op))
+    A = make_mu_algebra(F.element(a), F.element(b)) if algebra == "mu" \
+        else make_split_algebra(F, 2)
+    return G, TensorContext(A)
+
+
+def _counting_identity(monkeypatch):
+    from dcoh import cocycles
+    calls = []
+    identity = cocycles._cocycle_identity
+
+    def counted(G, tc, value):
+        calls.append(value)
+        return identity(G, tc, value)
+
+    monkeypatch.setattr(cocycles, "_cocycle_identity", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algebra", ["mu", "split"])
+@pytest.mark.parametrize("op", ADDITIVE_OPERATORS)
+@pytest.mark.parametrize("descriptor,a,b", ADDITIVE_GRID)
+def test_additive_cocycles_in_point_order(descriptor, a, b, op, algebra):
+    """Solving the cocycle identity as a linear relation keeps Z^1 and its
+    order: the members of G(A(x)A) in enumerate_points order that pass the
+    identity."""
+    from dcoh.cocycles import _cocycle_identity
+    G, tc = _additive_setup(descriptor, a, b, op, algebra)
+    brute = [x for x in enumerate_points(G, tc.AA) if _cocycle_identity(G, tc, x)]
+    assert [chi.value for chi in enumerate_cocycles(G, tc)] == brute
+
+
+@pytest.mark.parametrize("algebra", ["mu", "split"])
+@pytest.mark.parametrize("op", ADDITIVE_OPERATORS)
+@pytest.mark.parametrize("descriptor,a,b", ADDITIVE_GRID)
+def test_additive_cocycle_identity_runs_once_per_cocycle(descriptor, a, b, op, algebra,
+                                                         monkeypatch):
+    """Only the points of Z^1 are streamed, and each is still checked."""
+    G, tc = _additive_setup(descriptor, a, b, op, algebra)
+    calls = _counting_identity(monkeypatch)
+    zs = enumerate_cocycles(G, tc)
+    assert zs and calls == [chi.value for chi in zs]
+
+
+@pytest.mark.parametrize("descriptor,a,b", ADDITIVE_GRID)
+def test_additive_cocycles_without_the_relation(descriptor, a, b, monkeypatch):
+    """Without cocycle_relations the identity runs on every point of ker L,
+    and Z^1 comes out the same."""
+    G, tc = _additive_setup(descriptor, a, b, "s - 1", "mu")
+    expected = enumerate_cocycles(G, tc)
+    monkeypatch.setattr(AdditiveKernel, "cocycle_relations", lambda self, tc: None)
+    calls = _counting_identity(monkeypatch)
+    assert enumerate_cocycles(G, tc) == expected
+    assert calls == enumerate_points(G, tc.AA)
+
+
 def _equiv_by_enumeration(G, tc, c1, c2):
     from dcoh.cocycles import map_value, values_equal
     from dcoh.groups import group_inv, group_mul

@@ -102,6 +102,36 @@ def test_torsor_from_cocycle_round_trip(gf9):
             assert back == chi
 
 
+def test_twisted_form_round_trip_keeps_its_cocycle(gf9, monkeypatch):
+    """The canonical point gives chi back as the same object; another point
+    gives a fresh cocycle, still checked by make_cocycle, in chi's class."""
+    from dcoh import torsors
+    from dcoh.algebras import make_split_algebra
+    from dcoh.cocycles import equivalent
+    checked = []
+    make = torsors.make_cocycle
+    monkeypatch.setattr(torsors, "make_cocycle",
+                        lambda G, tc, value: checked.append(value) or make(G, tc, value))
+    G = mu2sigma_group(gf9)
+    tc = TensorContext(make_mu_algebra(gf9.element("w"), gf9.element("w")))
+    for chi in enumerate_cocycles(G, tc):
+        X = torsor_from_cocycle(chi)
+        assert cocycle_from_point(X, X.canonical_point()) is chi
+    assert len(checked) == len(enumerate_cocycles(G, tc)) > 1
+
+    F = make_field("GF(3);frob^1")
+    G = AdditiveKernel(DifferenceOperator.parse(F, "s - 1"))
+    tc = TensorContext(make_split_algebra(F, 2))
+    alpha = tc.A.basis_element(0)
+    assert G.contains(alpha, tc.A) and tc.d1(alpha) != tc.d2(alpha)
+    for chi in enumerate_cocycles(G, tc):
+        X = torsor_from_cocycle(chi)
+        checked.clear()
+        back = cocycle_from_point(X, X.canonical_point() + tc.d2(alpha))
+        assert checked == [back.value] and back is not chi and back != chi
+        assert equivalent(back, chi)
+
+
 def test_normalize(gf9):
     G = mu2sigma_group(gf9)
     a = gf9.element("w")
