@@ -23,8 +23,8 @@ from .operators import (DifferenceOperator, OperatorError, classify_additive_h1,
                         solve_sigma_quotient)
 from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult,
                      FrobeniusTwist, GroupError, GroupPresentation,
-                     MatrixGroup, ProductGroup, contains, enumerate_points,
-                     group_identity, group_inv, group_mul,
+                     MatrixGroup, ProductGroup, ScalarTorus, contains,
+                     enumerate_points, group_identity, group_inv, group_mul,
                      kernel_of_sigma_power, mu2sigma_group)
 from .cocycles import (Cocycle, CocycleError, additive_invariant, coboundary,
                        enumerate_cocycles, equivalent, invariant, is_cocycle,

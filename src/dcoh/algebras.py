@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .fields import FieldElement, SigmaField, _LazyTable
@@ -1007,7 +1007,6 @@ class AmitsurReport:
     dim_image_first: int
     composite_is_zero: bool
     exact: bool
-    second_kernel: list = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -1059,7 +1058,6 @@ def amitsur_audit(A: FinDimAlgebra) -> AmitsurReport:
         dim_image_first=dim_im1,
         composite_is_zero=composite_zero,
         exact=exact,
-        second_kernel=[tc.AA.from_vector(v) for v in ker2_vecs],
     )
 
 
@@ -1105,8 +1103,7 @@ class AlgebraMorphism:
                 if self.apply(g * h) != img * img2:
                     raise AlgebraError("morphism is not multiplicative")
 
-    def square_apply(self, ctx_src: TensorContext, ctx_tgt: TensorContext,
-                     x: AlgElement) -> AlgElement:
+    def square_apply(self, ctx_tgt: TensorContext, x: AlgElement) -> AlgElement:
         """Induced map A(x)A -> B(x)B on a tensor-square element."""
         A = self.source
         total = ctx_tgt.AA.zero()

@@ -263,7 +263,7 @@ def parse_chi(tc: TensorContext, text: str, env: dict):
     return parse_matrix(read, text) if text.lstrip().startswith("[") else read(text)
 
 
-def algebra_env(field, desc: str, algebra) -> dict:
+def algebra_env(field, desc: str) -> dict:
     env = {}
     if desc.startswith("mu:"):
         a_txt, b_txt = desc[3:].split(",")
@@ -314,7 +314,7 @@ def outcome_json(res: outcome.Outcome) -> dict:
 # subcommands
 
 
-def _emit(args, payload: dict, base: dict) -> int:
+def _emit(payload: dict, base: dict) -> int:
     line = {"cmd": base["cmd"], "args": base["args"], "ok": True,
             "result": None, "witness": None, "certificate": None,
             "undecided": False}
@@ -326,8 +326,7 @@ def _emit(args, payload: dict, base: dict) -> int:
 def cmd_field_eval(args, base):
     field = make_field(args.field)
     val = field.element(args.expr)
-    return _emit(args, {"result": str(val),
-                        "witness": {"type": "scalar", "value": str(val)}}, base)
+    return _emit({"result": str(val), "witness": {"type": "scalar", "value": str(val)}}, base)
 
 
 # each family's invariant in JSON, by the group's torsor_kind, as the pair
@@ -358,7 +357,7 @@ def _cocycle_args(args):
     """(G, tc, env) for the --field, --algebra and --group of a cocycle query."""
     field = make_field(args.field)
     A = parse_algebra(field, args.algebra)
-    return parse_group(field, args.group), TensorContext(A), algebra_env(field, args.algebra, A)
+    return parse_group(field, args.group), TensorContext(A), algebra_env(field, args.algebra)
 
 
 def cmd_cocycle_check(args, base):
@@ -373,7 +372,7 @@ def cmd_cocycle_check(args, base):
             payload["witness"] = forms[0](G, invariant(Cocycle(G, tc, value)))
         except CocycleError:
             pass
-    return _emit(args, payload, base)
+    return _emit(payload, base)
 
 
 def cmd_cocycle_equiv(args, base):
@@ -394,7 +393,7 @@ def cmd_cocycle_equiv(args, base):
             payload["detail"] = forms[1](G, invariant(c1), invariant(c2))
         except CocycleError:
             pass
-    return _emit(args, payload, base)
+    return _emit(payload, base)
 
 
 def cmd_classify(args, base):
@@ -403,12 +402,12 @@ def cmd_classify(args, base):
     rep = classify_h1(G, budget=args.budget)
     result = {"kind": rep.kind, "classes": rep.count,
               "representatives": ser(rep.representatives), "note": rep.note}
-    return _emit(args, {"result": result}, base)
+    return _emit({"result": result}, base)
 
 
 def cmd_iso(args, base):
     X, Y = iso_torsors(make_field(args.field), vars(args))
-    return _emit(args, outcome_json(isomorphic(X, Y, budget=args.budget)), base)
+    return _emit(outcome_json(isomorphic(X, Y, budget=args.budget)), base)
 
 
 def cmd_torsor_points(args, base):
@@ -416,7 +415,7 @@ def cmd_torsor_points(args, base):
     X = parse_torsor(field, args.torsor)
     R = parse_algebra(field, args.algebra) if args.algebra else None
     res = torsor_points(X, R, budget=args.budget)
-    return _emit(args, outcome_json(res), base)
+    return _emit(outcome_json(res), base)
 
 
 def cmd_normalize(args, base):
@@ -426,7 +425,7 @@ def cmd_normalize(args, base):
     if not chk:
         raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
     nf = normalize(torsor_from_cocycle(Cocycle(G, tc, value)))
-    return _emit(args, {"result": NORMAL_FORM_JSON[nf.kind](nf)}, base)
+    return _emit({"result": NORMAL_FORM_JSON[nf.kind](nf)}, base)
 
 
 def cmd_delta(args, base):
@@ -440,7 +439,7 @@ def cmd_delta(args, base):
     payload["result"] = {"trivial": bool(res.trivial),
                          "cocycle": str(res.cocycle.value[0][0])}
     payload["undecided"] = False
-    return _emit(args, payload, base)
+    return _emit(payload, base)
 
 
 def cmd_audit_amitsur(args, base):
@@ -454,7 +453,7 @@ def cmd_audit_amitsur(args, base):
         "dim_image_first": rep.dim_image_first,
         "first_kernel": [str(x) for x in rep.first_kernel],
     }
-    return _emit(args, {"result": result}, base)
+    return _emit({"result": result}, base)
 
 
 def cmd_audit_exactness(args, base):
@@ -468,7 +467,7 @@ def cmd_audit_exactness(args, base):
         "delta_matches_lifting": rep.delta_matches_lifting,
         "torsors_all_trivial": rep.torsors_all_trivial,
     }
-    return _emit(args, {"result": result}, base)
+    return _emit({"result": result}, base)
 
 
 def cmd_descend(args, base):
@@ -476,7 +475,7 @@ def cmd_descend(args, base):
     A = parse_algebra(field, args.algebra)
     if args.chi:
         tc = TensorContext(A)
-        env = algebra_env(field, args.algebra, A)
+        env = algebra_env(field, args.algebra)
         chi = parse_literal(tc.A, args.chi, env, tc)
         datum = mu_twisted_datum(A, chi)
     elif args.c0:
@@ -490,7 +489,7 @@ def cmd_descend(args, base):
         "base_change_is_isomorphism": res.base_change_is_isomorphism,
         "labels": list(res.invariants.labels),
     }
-    return _emit(args, {"result": result}, base)
+    return _emit({"result": result}, base)
 
 
 # --------------------------------------------------------------------------

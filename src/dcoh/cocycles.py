@@ -174,9 +174,8 @@ def pushforward_algebra(chi: Cocycle, h: AlgebraMorphism) -> Cocycle:
     h.validate()
     if h.source != chi.context.A:
         raise CocycleError("morphism source does not match the cocycle algebra")
-    tc_src = chi.context
     tc_tgt = TensorContext(h.target)
-    value = chi.group.map(lambda e: h.square_apply(tc_src, tc_tgt, e), chi.value)
+    value = chi.group.map(lambda e: h.square_apply(tc_tgt, e), chi.value)
     return make_cocycle(chi.group, tc_tgt, value)
 
 

@@ -3,8 +3,7 @@
 Four presentation kinds cover every family classified here:
 
   * MatrixGroup    -- sigma-closed subgroups of GL_n cut out by
-                      sigma-polynomial relations (with det^-1 available
-                      as an auxiliary variable);
+                      sigma-polynomial relations in the n^2 entries;
   * AdditiveKernel -- {g : L(g) = 0} for a monic linear difference
                       operator L (L = None is the full additive group);
   * DiagonalMult   -- the torus family {g in (R^x)^n : f_i(g) = 1} for
@@ -44,14 +43,15 @@ translate(c, t), the family's one action of G(k) on targets, is the
 target that translation by c carries the torsor of t onto, or None when c
 lies outside the ambient group; it uses field arithmetic only.
 
-A 1 x 1 MatrixGroup whose relations are binomials m - m' is the torus
-{m/m' = 1}: its `torus` is that DiagonalMult, and every torsor method of
-the group is the torus's, with the 1-tuples of the torus unwrapped to bare
-scalars.  mu2^sigma = {y^2 = 1, sigma(y) = y} is DiagonalMult(1, [y^2,
-s(y)/y]), so lambda acts on its targets by (lambda^2, sigma(lambda)/lambda).
-Functions exactly (y^2, s(y)/y) are mu-shaped and get the mu paths: the
-pair space M = {(a, b) : sigma(a) = a b^2}, square roots over infinite
-fields, and the canonical point y of the mu-algebra.
+A ScalarTorus is a rank-one torus DiagonalMult(1, [f_1, ...]) presented
+as the 1 x 1 MatrixGroup {f_i(y) = 1}: its relations are numerator(f_i) -
+denominator(f_i), and every torsor method is the torus's, with the
+1-tuples of the torus unwrapped to bare scalars.  mu2^sigma = {y^2 = 1,
+sigma(y) = y} is the ScalarTorus of DiagonalMult(1, [y^2, s(y)/y]), so
+lambda acts on its targets by (lambda^2, sigma(lambda)/lambda).  Functions
+exactly (y^2, s(y)/y) are mu-shaped and get the mu paths: the pair space
+M = {(a, b) : sigma(a) = a b^2}, square roots over infinite fields, and
+the canonical point y of the mu-algebra.
 
 Over a finite base field, enumerate_points lists G(R) for a
 finite-dimensional R.  It charges the whole search space
@@ -76,7 +76,7 @@ from .fields import make_field
 from .operators import (DifferenceOperator, classify_additive_h1,
                         solve_additive_full, solve_sigma_quotient)
 from .outcome import Outcome
-from .sigma_poly import MultiplicativeFunction, SigmaPolynomial
+from .sigma_poly import MultiplicativeFunction, SigmaPolynomial, relation_from_multiplicative
 
 
 class GroupError(ValueError):
@@ -195,7 +195,6 @@ def _scalar_parts(values, what: str):
 
 @dataclass
 class ClassifyReport:
-    group: str
     kind: str                       # "finite-list" | "oracle"
     count: int | None = None
     representatives: list = dc_field(default_factory=list)
@@ -360,7 +359,6 @@ class GroupPresentation:
     """The family protocol; the defaults are those of matrix values."""
 
     kind = "abstract"
-    name: str | None = None
     torsor_kind: str | None = None
 
     def __eq__(self, other):
@@ -471,16 +469,15 @@ class GroupPresentation:
 class MatrixGroup(GroupPresentation):
     kind = "matrix"
 
-    def __init__(self, field, n: int, relations, name: str | None = None):
+    def __init__(self, field, n: int, relations):
         self.field = field
         self.n = n
         self.relations = tuple(relations)
         for rel in self.relations:
             if not isinstance(rel, SigmaPolynomial):
                 raise GroupError("relations must be sigma-polynomials")
-            if rel.nvars not in (n * n, n * n + 1):
-                raise GroupError("relation arity must be n^2 (+1 for det inverse)")
-        self.name = name
+            if rel.nvars != n * n:
+                raise GroupError("relation arity must be n^2")
 
     def _key(self):
         return (self.field, self.n, self.relations)
@@ -488,70 +485,45 @@ class MatrixGroup(GroupPresentation):
     def contains(self, x, R):
         m = self._matrix(x)
         entries = tuple(e for row in m for e in row)
-        # relations without the det-inverse variable are cheap; test them
-        # before paying for the invertibility solve
-        need_aux = []
-        for rel in self.relations:
-            if rel.nvars == self.n * self.n:
-                if not rel.eval(entries).is_zero():
-                    return False
-            else:
-                need_aux.append(rel)
-        det_inv = mat_det(m).maybe_inverse()
-        if det_inv is None:
-            return False
-        return all(rel.eval(entries + (det_inv,)).is_zero() for rel in need_aux)
+        # the relations are cheap; test them before paying for the
+        # invertibility solve
+        return (all(rel.eval(entries).is_zero() for rel in self.relations)
+                and mat_det(m).is_unit())
 
     def linear_relations(self):
-        """The relations of arity n^2 whose monomials are single variables to
-        the first power, without a constant term (sigma(y) - y for mu2^sigma)."""
+        """The relations whose monomials are single variables to the first
+        power, without a constant term (sigma(y) - y for mu2^sigma)."""
         rels = [rel for rel in self.relations
-                if rel.nvars == self.n * self.n and rel.terms
-                and all(len(mono) == 1 and mono[0][1] == 1 for mono in rel.terms)]
+                if rel.terms and all(len(mono) == 1 and mono[0][1] == 1 for mono in rel.terms)]
         return (lambda ys: [rel.eval(ys) for rel in rels]) if rels else None
 
     def coefficient_twist(self, d):
         rels = [SigmaPolynomial(r.field, r.nvars, {m: c.sigma(d) for m, c in r.terms.items()})
                 for r in self.relations]
-        return MatrixGroup(self.field, self.n, rels, name=self.name)
+        return MatrixGroup(self.field, self.n, rels)
 
-    # -- the torus of a 1 x 1 group with binomial relations
 
-    @functools.cached_property
-    def torus(self):
-        """DiagonalMult(1, [f_1, ...]) with the same points when G is 1 x 1
-        and every relation is a binomial m - m' with coefficients 1 and -1:
-        f = m/m', inverted if need be so that its highest sigma-order has a
-        positive exponent.  None otherwise."""
-        if self.n != 1 or not self.relations:
-            return None
-        one = self.field.one()
-        functions = []
-        for rel in self.relations:
-            if rel.nvars != 1 or len(rel.terms) != 2 or set(rel.terms.values()) != {one, -one}:
-                return None
-            exps = {}
-            for mono, sign in zip(rel.terms, (1, -1)):
-                for (_, j), e in mono:
-                    exps[j] = exps.get(j, 0) + sign * e
-            top = max(j for j, e in exps.items() if e)
-            sign = 1 if exps[top] > 0 else -1
-            functions.append(MultiplicativeFunction(
-                1, [(sign * exps.get(j, 0),) for j in range(top + 1)]))
-        return DiagonalMult(self.field, 1, functions)
+class ScalarTorus(MatrixGroup):
+    """A rank-one torus as the 1 x 1 matrix group {f_i(y) = 1}, its
+    relations numerator(f_i) - denominator(f_i); every torsor method is the
+    torus's, with the 1-tuples of its values unwrapped."""
+
+    def __init__(self, torus: DiagonalMult):
+        if torus.n != 1:
+            raise GroupError("a scalar torus has rank one")
+        super().__init__(torus.field, 1, [relation_from_multiplicative(f, torus.field, 1)
+                                          for f in torus.functions])
+        self.torus = torus
 
     @property
     def torsor_kind(self):
-        if self.torus is None:
-            return None
         return "mu" if self.torus.mu_shaped else "diagonal"
 
-    def invariant(self, tc, value):
-        if self.torus is None:
-            return None
-        return self.torus.invariant(tc, (_as_matrix(value)[0][0],))
+    def coefficient_twist(self, d):
+        return self
 
-    # the torus decisions, with the 1-tuples of its values unwrapped
+    def invariant(self, tc, value):
+        return self.torus.invariant(tc, (_as_matrix(value)[0][0],))
 
     def translate(self, c, target):
         return self.torus.translate((c,), target)
@@ -560,9 +532,7 @@ class MatrixGroup(GroupPresentation):
         return _first_of_witness(self.torus.equivalent_targets(t1, t2, budget))
 
     def classify(self, budget):
-        if self.torus is None:
-            return None
-        return self.torus.classify(budget, label=self.name or self.kind)
+        return self.torus.classify(budget)
 
     def torsor_point(self, x, target, R=None):
         return self.torus.torsor_point((x,), target, R)
@@ -591,7 +561,6 @@ class AdditiveKernel(GroupPresentation):
             raise GroupError("the full additive group needs an explicit field")
         self.L = L
         self.field = field if L is None else L.field
-        self.name = "Ga" if L is None else None
 
     def _key(self):
         return (self.field, self.L)
@@ -670,12 +639,12 @@ class AdditiveKernel(GroupPresentation):
             return None
         h1 = classify_additive_h1(self.L)
         if h1.kind == "finite" or (h1.kind == "scalar" and h1.size == 1):
-            return ClassifyReport(group="additive", kind="finite-list",
-                                  count=h1.size, representatives=h1.representatives)
+            return ClassifyReport(kind="finite-list", count=h1.size,
+                                  representatives=h1.representatives)
         if h1.kind == "scalar":
-            return ClassifyReport(group="additive", kind="oracle",
+            return ClassifyReport(kind="oracle",
                                   note="sigma = id and L = 0: H^1 = k, classes are elements")
-        return ClassifyReport(group="additive", kind="oracle",
+        return ClassifyReport(kind="oracle",
                               note="decide a ~ a' via solve_additive(L, a'-a)")
 
     def torsor_point(self, x, a, R=None):
@@ -693,14 +662,13 @@ class DiagonalMult(GroupPresentation):
     kind = "diagonal"
     torsor_kind = "diagonal"
 
-    def __init__(self, field, n: int, functions, name: str | None = None):
+    def __init__(self, field, n: int, functions):
         self.field = field
         self.n = n
         self.functions = tuple(functions)
         for f in self.functions:
             if not isinstance(f, MultiplicativeFunction) or f.nvars != n:
                 raise GroupError("defining functions must be multiplicative of arity n")
-        self.name = name
 
     def _key(self):
         return (self.field, self.n, self.functions)
@@ -806,15 +774,14 @@ class DiagonalMult(GroupPresentation):
         lams = list(itertools.product(units, repeat=self.n))
         return _orbit_partition(space, lambda v: {self.translate(lam, v) for lam in lams})
 
-    def classify(self, budget, label="diagonal"):
+    def classify(self, budget):
         mu = self.mu_shaped
         if not self.field.finite:
             note = ("normal form x^2=a, sigma(x)=b*x; decide via isomorphic" if mu
                     else "normal form f_i(x) = a_i; pairwise decider only")
-            return ClassifyReport(group=label, kind="oracle", note=note)
+            return ClassifyReport(kind="oracle", note=note)
         reps = self.h1_targets(budget)
-        return ClassifyReport(group=label, kind="finite-list", count=len(reps),
-                              representatives=reps,
+        return ClassifyReport(kind="finite-list", count=len(reps), representatives=reps,
                               note=None if mu else "targets constrained by bounded-degree syzygies")
 
     def torsor_point(self, x, avec, R=None):
@@ -958,19 +925,16 @@ class FrobeniusTwist(GroupPresentation):
     def classify(self, budget):
         field = self.field
         if self.psi == "trivial" and field.inversive:
-            return ClassifyReport(group="twist", kind="finite-list", count=1,
+            return ClassifyReport(kind="finite-list", count=1,
                                   representatives=[mat_identity(field, self.n)],
                                   note="sigma bijective: every torsor is trivial")
         if not field.finite:
-            return ClassifyReport(group="twist", kind="oracle",
-                                  note="decide via isomorphic")
+            return ClassifyReport(kind="oracle", note="decide via isomorphic")
         mats = list(_enumerate_field_matrices(field, self.n, self.base == "SL", budget))
         if len(mats) ** 2 > budget:
-            return ClassifyReport(group="twist", kind="oracle",
-                                  note="orbit enumeration exceeds budget")
+            return ClassifyReport(kind="oracle", note="orbit enumeration exceeds budget")
         reps = _orbit_partition(mats, lambda m: {self.translate(c, m) for c in mats})
-        return ClassifyReport(group="twist", kind="finite-list",
-                              count=len(reps), representatives=reps)
+        return ClassifyReport(kind="finite-list", count=len(reps), representatives=reps)
 
     def torsor_point(self, x, a, R=None):
         m = _as_matrix(x)
@@ -1070,24 +1034,23 @@ class ProductGroup(GroupPresentation):
         if all(p.kind == "finite-list" for p in parts):
             reps = [tuple(combo) for combo in
                     itertools.product(*[p.representatives for p in parts])]
-            return ClassifyReport(group="product", kind="finite-list",
+            return ClassifyReport(kind="finite-list",
                                   count=math.prod(p.count for p in parts),
                                   representatives=reps)
-        return ClassifyReport(group="product", kind="oracle",
-                              note="some factor lacks a finite listing")
+        return ClassifyReport(kind="oracle", note="some factor lacks a finite listing")
 
 
 @functools.lru_cache(maxsize=None)
-def mu2sigma_group(field) -> MatrixGroup:
-    """{g : g^2 = 1, sigma(g) = g} inside Gm; one presentation per field,
-    shared by every caller (fields themselves are built once per descriptor)."""
-    y = SigmaPolynomial.variable(field, 1, 0)
-    one = SigmaPolynomial.constant(field, 1, 1)
-    return MatrixGroup(field, 1, [y * y - one, y.shift() - y], name="mu2sigma")
+def mu2sigma_group(field) -> ScalarTorus:
+    """{g : g^2 = 1, sigma(g) = g} inside Gm, the torus of (y^2, s(y)/y);
+    one presentation per field, shared by every caller (fields themselves
+    are built once per descriptor)."""
+    return ScalarTorus(DiagonalMult(field, 1, [MultiplicativeFunction(1, [(2,)]),
+                                               MultiplicativeFunction(1, [(-1,), (1,)])]))
 
 
 def ambient_gl(field, n: int) -> MatrixGroup:
-    return MatrixGroup(field, n, [], name=f"GL{n}")
+    return MatrixGroup(field, n, [])
 
 
 def ambient_ga(field) -> AdditiveKernel:

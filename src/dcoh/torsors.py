@@ -329,7 +329,6 @@ def classify_h1(G: GroupPresentation, budget: int = 10 ** 6) -> ClassifyReport:
 @dataclass
 class DeltaResult:
     cocycle: Cocycle
-    lift_algebra: LaurentAlgebra
     trivial: Outcome
 
 
@@ -362,7 +361,7 @@ def connecting_delta(field: SigmaField, d: int, x: FieldElement) -> DeltaResult:
         cb = N.mul(N.map(tc.d1, ((n_elt,),)), N.inv(N.map(tc.d2, ((n_elt,),))))
         if n_elt.sigma(d) != A.one() or not N.equal(cb, ((tc.pair(g.inverse(), g),),)):
             raise outcome.InternalError("the rational lift fails to trivialize delta(x)")
-        return DeltaResult(cocycle=chi, lift_algebra=A, trivial=outcome.yes(y))
+        return DeltaResult(cocycle=chi, trivial=outcome.yes(y))
     g = A.gen(0)
     if g.sigma(d) != A.from_scalar(x):
         raise outcome.InternalError("the lift algebra fails sigma^d(u_1) = x")
@@ -372,7 +371,7 @@ def connecting_delta(field: SigmaField, d: int, x: FieldElement) -> DeltaResult:
     if getattr(field, "mode", None) == "subst":
         cert_detail["obstruction"] = "parity"
     trivial = outcome.no("not-in-sigma-image", **cert_detail)
-    return DeltaResult(cocycle=chi, lift_algebra=A, trivial=trivial)
+    return DeltaResult(cocycle=chi, trivial=trivial)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dcoh import linalg
 from dcoh.fields import make_field
 from dcoh.groups import (AdditiveKernel, BudgetExceeded, CocycleError, DiagonalMult,
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
-                         contains, enumerate_points, gl_trivialize, gm_trivialize,
+                         ScalarTorus, contains, enumerate_points, gl_trivialize, gm_trivialize,
                          group_identity, group_inv, group_mul, kernel_of_sigma_power,
                          mu2sigma_group, scalar_value)
 from dcoh.outcome import InternalError
@@ -78,6 +78,54 @@ def test_enumerate_points_examples(gf4):
     y = SigmaPolynomial.variable(gf4, 1, 0)
     trivial = MatrixGroup(gf4, 1, [y - one])
     assert len(enumerate_points(trivial, R4)) == 1
+
+
+def test_matrix_relations_take_exactly_the_entries(gf4):
+    two_vars = SigmaPolynomial.variable(gf4, 2, 1) - SigmaPolynomial.constant(gf4, 2, 1)
+    with pytest.raises(GroupError, match="arity"):
+        MatrixGroup(gf4, 1, [two_vars])
+
+
+def test_mu2sigma_relations_come_from_its_torus(gf9, QQ):
+    for F in (gf9, QQ):
+        G = mu2sigma_group(F)
+        y = SigmaPolynomial.variable(F, 1, 0)
+        assert G.relations == (y * y - SigmaPolynomial.constant(F, 1, 1), y.shift() - y)
+        assert G.torus.functions == (parse_multiplicative("y^2", 1),
+                                     parse_multiplicative("s(y)/y", 1))
+        assert G.kind == "matrix" and G.torsor_kind == "mu"
+
+
+@pytest.mark.parametrize("descriptor", ["GF(7);frob^1", "GF(9);frob^1"])
+def test_scalar_torus_answers_as_its_torus(descriptor):
+    """A rank-one torus that is not mu2^sigma, as a 1 x 1 matrix group:
+    membership and every torsor answer are the DiagonalMult's, with the
+    1-tuples of its points unwrapped."""
+    F = make_field(descriptor)
+    T = DiagonalMult(F, 1, [parse_multiplicative("s(y)/y^2", 1)])
+    G = ScalarTorus(T)
+    y = SigmaPolynomial.variable(F, 1, 0)
+    assert G.relations == (y.shift() - y * y,)
+    assert G.kind == "matrix" and G.torsor_kind == "diagonal"
+    R = scalar_algebra(F)
+    for c in F.elements():
+        x = R.from_scalar(c)
+        assert contains(G, x, R) == contains(T, (x,), R)
+    assert G.classify(10 ** 4) == T.classify(10 ** 4)
+
+    def unwrapped(res):
+        return (res.status, res.certificate, res.witness[0] if res else res.witness)
+
+    targets = [(c,) for c in F.units()]
+    for t1 in targets:
+        res = G.rational_point(t1, 10 ** 4)
+        assert (res.status, res.certificate, res.witness) == unwrapped(T.rational_point(t1, 10 ** 4))
+        assert not res or G.torsor_point(res.witness, t1)
+        for t2 in targets:
+            res = G.equivalent_targets(t1, t2, 10 ** 4)
+            assert (res.status, res.certificate, res.witness) == \
+                unwrapped(T.equivalent_targets(t1, t2, 10 ** 4))
+            assert not res or G.translate(res.witness, t1) == t2
 
 
 def test_enumeration_is_audited(gf9):
