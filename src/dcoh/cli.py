@@ -6,8 +6,9 @@ Each invocation prints one JSON object per query with the shape
      "witness": ..., "certificate": ..., "undecided": bool}
 
 and exits 0 on success, 2 on a parse error, 3 when a query came back
-undecided (budget exhaustion or an out-of-scope instance), and 4 when a
-solver's self-check of its own witness failed (an internal error).
+undecided (budget exhaustion or an out-of-scope instance), and 4 on an
+internal fault: a solver's self-check of its own witness failed, or any
+error that is not a ValueError.
 Re-running a command is bit-identical.  Positive answers carry
 witnesses in base field terms wherever the mathematics allows it, and
 `dcoh verify` re-checks those witnesses using only field arithmetic,
@@ -24,19 +25,16 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import exprs, outcome
-from .algebras import (AlgebraError, FreePolyAlgebra, LaurentAlgebra,
-                       TensorContext, amitsur_audit, canonical_descent_datum,
-                       descend_invariants, make_mu_algebra, make_split_algebra,
-                       mu_twisted_datum)
-from .fields import FieldElement, FieldError, make_field, sigma_apply
-from .groups import (AdditiveKernel, BudgetExceeded, DiagonalMult, FrobeniusTwist,
-                     GroupError, _charge, mu2sigma_group, mu_pair_space)
+from .algebras import (FreePolyAlgebra, LaurentAlgebra, TensorContext, amitsur_audit,
+                       canonical_descent_datum, descend_invariants, make_mu_algebra,
+                       make_split_algebra, mu_twisted_datum)
+from .fields import FieldElement, make_field, sigma_apply
+from .groups import AdditiveKernel, DiagonalMult, FrobeniusTwist, mu2sigma_group, mu_pair_space
 from .cocycles import CocycleError, Cocycle, equivalent, invariant, is_cocycle
-from .operators import DifferenceOperator, OperatorError
-from .sigma_poly import SigmaPolyError, parse_multiplicative
-from .torsors import (NORMAL_FORMS, TorsorError, classify_h1, connecting_delta,
-                      exactness_audit, is_point, isomorphic, normalize,
-                      torsor_from_cocycle, torsor_points)
+from .operators import DifferenceOperator
+from .sigma_poly import parse_multiplicative
+from .torsors import (NORMAL_FORMS, classify_h1, connecting_delta, exactness_audit,
+                      is_point, isomorphic, normalize, torsor_from_cocycle, torsor_points)
 
 
 class CliError(ValueError):
@@ -433,7 +431,7 @@ def cmd_delta(args, base):
     x = field.element(args.x)
     if args.d >= 1 and not x.is_zero():
         # the lift algebra's d sigma-images are exponent vectors of length d
-        _charge(args.d * args.d, args.budget)
+        outcome.charge(args.d * args.d, args.budget)
     res = connecting_delta(field, args.d, x)
     payload = outcome_json(res.trivial)
     payload["result"] = {"trivial": bool(res.trivial),
@@ -608,7 +606,7 @@ def _verify_mu_classes(G, result, budget) -> bool:
     field = G.field
     if not field.finite:
         raise CliError("a mu2sigma class list is a list over a finite field")
-    _charge((field.size - 1) ** 2, budget)
+    outcome.charge((field.size - 1) ** 2, budget)
     texts = result.get("representatives")
     if not isinstance(texts, list) or not all(
             isinstance(r, list) and len(r) == 2 and all(isinstance(t, str) for t in r)
@@ -721,9 +719,8 @@ HANDLERS = {
     "verify": cmd_verify,
 }
 
-PARSE_ERRORS = (CliError, FieldError, AlgebraError, GroupError, CocycleError,
-                OperatorError, SigmaPolyError, TorsorError, exprs.ExprError,
-                ValueError, ZeroDivisionError)
+# every package error is a ValueError; anything else is a fault (exit 4)
+PARSE_ERRORS = (ValueError, ZeroDivisionError)
 
 
 def _answerless_line(args, base, certificate: str, code: int) -> int:
@@ -746,11 +743,11 @@ def main(argv=None) -> int:
                      if k != "cmd" and v is not None}}
     try:
         return HANDLERS[args.cmd](args, base)
-    except BudgetExceeded as e:
+    except outcome.BudgetExceeded as e:
         return _answerless_line(args, base, f"budget-exhausted: {e}", 3)
     except PARSE_ERRORS as e:
         return _answerless_line(args, base, f"error: {e}", 2)
-    except outcome.InternalError as e:
+    except Exception as e:
         return _answerless_line(args, base, f"internal-error: {e}", 4)
 
 

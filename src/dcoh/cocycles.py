@@ -28,7 +28,7 @@ from .algebras import AlgebraMorphism, FinDimAlgebra, TensorContext
 from .groups import (CocycleError, GroupError, GroupPresentation, ProductGroup,
                      contains, enumerate_points)
 from .groups import mu_pairs_equivalent  # noqa: F401  (re-exported)
-from .outcome import Outcome
+from .outcome import BudgetExceeded, Outcome
 
 
 @dataclass(slots=True)
@@ -156,8 +156,8 @@ def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = 10 ** 6) -> Outcome:
         return outcome.undecided("no-decision-procedure")
     try:
         candidates = enumerate_points(G, tc.A, budget)
-    except GroupError as e:
-        return outcome.undecided("budget-exhausted", reason=str(e))
+    except BudgetExceeded as e:
+        return outcome.undecided("budget-exhausted", space=e.space)
     for alpha in candidates:
         cand = G.mul(G.map(tc.d1, alpha), G.mul(chi2.value, G.inv(G.map(tc.d2, alpha))))
         if G.equal(chi1.value, cand):

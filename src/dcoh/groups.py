@@ -24,10 +24,12 @@ cocycles and torsors calls instead of testing the class:
            torsor_point(x, t, R), rational_point(t, budget),
            canonical_point(t, R), point_shape(ys).
 
-Budgets: a listing (points, classify, the H^1 lists) charges its search
-space with _charge first and raises BudgetExceeded; a decision that
-returns an Outcome (rational_point, equivalent_targets) answers undecided
-"budget-exhausted" instead.
+Budgets: each search calls outcome.charge(space, budget) itself before it
+starts, and a budget is a number (math.inf for none).  A listing (points,
+classify, the H^1 lists) lets the BudgetExceeded through; a decision
+answers undecided "budget-exhausted" instead, with the refused space for
+equivalent_targets and without it for rational_point.  The twist classify
+falls back to its oracle report when the orbit check exceeds the budget.
 
 Group values are plain: an algebra element (additive), a tuple of them
 (diagonal), a matrix of them (matrix and twist; a bare element stands for
@@ -75,7 +77,7 @@ from .algebras import (AlgebraError, AlgElement, FinDimAlgebra, FreePolyAlgebra,
 from .fields import make_field
 from .operators import (DifferenceOperator, classify_additive_h1,
                         solve_additive_full, solve_sigma_quotient)
-from .outcome import Outcome
+from .outcome import BudgetExceeded, Outcome, charge  # BudgetExceeded is re-exported
 from .sigma_poly import MultiplicativeFunction, SigmaPolynomial, relation_from_multiplicative
 
 
@@ -83,18 +85,8 @@ class GroupError(ValueError):
     pass
 
 
-class BudgetExceeded(GroupError):
-    pass
-
-
 class CocycleError(ValueError):
     pass
-
-
-def _charge(count: int, budget: int):
-    """Refuse a search of `count` candidates before starting it."""
-    if count > budget:
-        raise BudgetExceeded(f"search space {count} exceeds budget {budget}")
 
 
 # --------------------------------------------------------------------------
@@ -271,11 +263,10 @@ def _satisfies_constraints(vec, constraints) -> bool:
     return True
 
 
-def _enumerate_field_matrices(field, n: int, det_one: bool, budget: int | None = None):
+def _enumerate_field_matrices(field, n: int, det_one: bool, budget: float):
     """The matrices of GL_n(k) (SL_n(k) with det_one) of a finite field k,
-    charging q^(n^2) to the budget first when one is given."""
-    if budget is not None:
-        _charge(field.size ** (n * n), budget)
+    charging q^(n^2) to the budget first."""
+    charge(field.size ** (n * n), budget)
     elems = list(field.elements())
     for combo in itertools.product(elems, repeat=n * n):
         m = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
@@ -424,7 +415,7 @@ class GroupPresentation:
         if not field.finite:
             raise GroupError("point enumeration needs a finite base field")
         slots = self.slots
-        _charge(field.size ** (R.dim * slots), budget)
+        charge(field.size ** (R.dim * slots), budget)
         own, extra = self.linear_relations(), relations
         if own is not None and extra is not None:
             relations = lambda ys: own(ys) + extra(ys)
@@ -744,10 +735,11 @@ class DiagonalMult(GroupPresentation):
         budget), a square root of a2/a1 over an infinite field when mu-shaped."""
         field = self.field
         if field.finite:
-            count = (field.size - 1) ** self.n
-            if count > budget:
-                return outcome.undecided("budget-exhausted", space=count)
-            return self._unit_search(lambda lam: self.translate(lam, v1) == v2, "exhausted-units")
+            try:
+                return self._unit_search(lambda lam: self.translate(lam, v1) == v2,
+                                         "exhausted-units", budget)
+            except BudgetExceeded as e:
+                return outcome.undecided("budget-exhausted", space=e.space)
         if not self.mu_shaped:
             return outcome.undecided("diagonal-equivalence-undecided")
         r = v2[0] / v1[0]
@@ -763,7 +755,7 @@ class DiagonalMult(GroupPresentation):
         a finite field, (q-1)^#functions charged first: of M when
         mu-shaped, else of the vectors meeting the syzygy constraints."""
         field = self.field
-        _charge((field.size - 1) ** len(self.functions), budget)
+        charge((field.size - 1) ** len(self.functions), budget)
         units = list(field.units())
         if self.mu_shaped:
             space = mu_pair_space(field)
@@ -799,11 +791,12 @@ class DiagonalMult(GroupPresentation):
         sigma(x)/x), else undecided."""
         field = self.field
         if field.finite:
-            if (field.size - 1) ** self.n > budget:
-                return outcome.undecided("budget-exhausted")
             # a mu-shaped point is a square root of a, sought in k
-            return self._unit_search(lambda x: self.torsor_point(x, avec),
-                                     "exhausted-field" if self.mu_shaped else "exhausted-units")
+            exhausted = "exhausted-field" if self.mu_shaped else "exhausted-units"
+            try:
+                return self._unit_search(lambda x: self.torsor_point(x, avec), exhausted, budget)
+            except BudgetExceeded:
+                return outcome.undecided("budget-exhausted")
         if not self.mu_shaped:
             return outcome.undecided("diagonal-points-undecided-over-infinite-field")
         a, b = avec
@@ -815,8 +808,10 @@ class DiagonalMult(GroupPresentation):
         return outcome.no("sigma-ratio-mismatch", root=str(lam),
                           ratio=str(lam.sigma() / lam))
 
-    def _unit_search(self, found, exhausted: str) -> Outcome:
-        """The first unit vector in product order that `found` accepts."""
+    def _unit_search(self, found, exhausted: str, budget) -> Outcome:
+        """The first unit vector in product order that `found` accepts; the
+        (q-1)^n candidates are charged first."""
+        charge((self.field.size - 1) ** self.n, budget)
         lam = next(filter(found, itertools.product(list(self.field.units()), repeat=self.n)), None)
         return outcome.no(exhausted) if lam is None else outcome.yes(lam)
 
@@ -853,6 +848,8 @@ class FrobeniusTwist(GroupPresentation):
     def __init__(self, field, base: str, n: int, d: int, psi: str):
         if base not in ("GL", "SL"):
             raise GroupError("base must be GL or SL")
+        if n < 1:
+            raise GroupError("n must be >= 1")
         if psi not in PSI_SPECS:
             raise GroupError(f"psi must be one of {PSI_SPECS}")
         if d < 1:
@@ -912,15 +909,14 @@ class FrobeniusTwist(GroupPresentation):
         if self.psi == "trivial" or (self.psi == "id" and self.n == 1):
             return self.rational_point(mat_mul(mat_inverse(a1), a2), budget)
         field = self.field
-        count = field.size ** (self.n * self.n) if field.finite else None
-        if count is not None and count <= budget:
-            return self._matrix_search(lambda c: self.translate(c, a1) == a2)
+        try:
+            if field.finite:
+                return self._matrix_search(lambda c: self.translate(c, a1) == a2, budget)
+            refusal = outcome.undecided("twist-translation-undecided", psi=self.psi)
+        except BudgetExceeded as e:
+            refusal = outcome.undecided("budget-exhausted", space=e.space)
         # the search is out of reach, but c = 1 carries a1 onto itself
-        if a1 == a2:
-            return outcome.yes(mat_identity(field, self.n))
-        if count is None:
-            return outcome.undecided("twist-translation-undecided", psi=self.psi)
-        return outcome.undecided("budget-exhausted", space=count)
+        return outcome.yes(mat_identity(field, self.n)) if a1 == a2 else refusal
 
     def classify(self, budget):
         field = self.field
@@ -931,7 +927,9 @@ class FrobeniusTwist(GroupPresentation):
         if not field.finite:
             return ClassifyReport(kind="oracle", note="decide via isomorphic")
         mats = list(_enumerate_field_matrices(field, self.n, self.base == "SL", budget))
-        if len(mats) ** 2 > budget:
+        try:
+            charge(len(mats) ** 2, budget)
+        except BudgetExceeded:
             return ClassifyReport(kind="oracle", note="orbit enumeration exceeds budget")
         reps = _orbit_partition(mats, lambda m: {self.translate(c, m) for c in mats})
         return ClassifyReport(kind="finite-list", count=len(reps), representatives=reps)
@@ -947,10 +945,10 @@ class FrobeniusTwist(GroupPresentation):
         target = a if R is None else tuple(tuple(R.from_scalar(e) for e in row) for row in a)
         return mat_eq(mat_sigma(m, self.d), mat_mul(self.psi_apply(m, ring), target))
 
-    def _matrix_search(self, found) -> Outcome:
+    def _matrix_search(self, found, budget) -> Outcome:
         """The first matrix of base(k) that `found` accepts, k finite."""
-        c = next(filter(found, _enumerate_field_matrices(self.field, self.n, self.base == "SL")),
-                 None)
+        mats = _enumerate_field_matrices(self.field, self.n, self.base == "SL", budget)
+        c = next(filter(found, mats), None)
         return outcome.no("exhausted-rational-points") if c is None else outcome.yes(c)
 
     def _checked_point(self, x, a) -> Outcome:
@@ -972,9 +970,10 @@ class FrobeniusTwist(GroupPresentation):
             x = tuple(tuple(y for y, _ in row) for row in pre)
             return self._checked_point(x, a)
         if field.finite:
-            if field.size ** (self.n * self.n) > budget:
+            try:
+                return self._matrix_search(lambda m: self.torsor_point(m, a), budget)
+            except BudgetExceeded:
                 return outcome.undecided("budget-exhausted")
-            return self._matrix_search(lambda m: self.torsor_point(m, a))
         if self.psi == "id" and self.n == 1:
             res = solve_sigma_quotient(a[0][0], self.d, budget)
             if res:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import linalg, outcome, polys
 from .fields import (FieldElement, FiniteField, RationalField,
                      RationalFunctionField, make_field)
-from .outcome import InternalError, Outcome
+from .outcome import BudgetExceeded, InternalError, Outcome, charge
 from .polys import ONE, ZERO, deg, pdiv_exact, pgcd, plcm, pmul, poly
 
 
@@ -212,9 +212,9 @@ def _dispersion_window(A, B) -> int:
     return int(polys.cauchy_root_bound(A) + polys.cauchy_root_bound(B)) + 1
 
 
-def dispersion_set(A, B, budget: int | None = None) -> list | None:
-    """All h >= 0 with deg gcd(A(t), B(t+h)) > 0; None when the gcds of
-    the window exceed the budget.
+def dispersion_set(A, B, budget: float = math.inf) -> list:
+    """All h >= 0 with deg gcd(A(t), B(t+h)) > 0; the gcds of the window
+    are charged to the budget first (BudgetExceeded).
 
     The candidates are the nonnegative integer roots of the resultant
     Res_t(A(t), B(t+h)) in h; they live inside the root-bound window, and
@@ -224,8 +224,7 @@ def dispersion_set(A, B, budget: int | None = None) -> list | None:
     if deg(A) <= 0 or deg(B) <= 0:
         return []
     top = _dispersion_window(A, B)
-    if budget is not None and top + 1 > budget:
-        return None
+    charge(top + 1, budget)
     return [h for h in range(top + 1) if deg(pgcd(A, polys.shift(B, h))) > 0]
 
 
@@ -244,17 +243,13 @@ def dispersion_set_resultant(A, B) -> list:
     return [h for h in range(top + 1) if polys.peval(res_poly, Fraction(h)) == 0]
 
 
-def universal_denominator(ps, budget: int | None = None) -> tuple | None:
-    """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t); None
-    when the gcds of the dispersion window exceed the budget."""
+def universal_denominator(ps, budget: float = math.inf) -> tuple:
+    """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t)."""
     n = len(ps) - 1
     A = polys.shift(ps[n], -n)
     B = ps[0]
-    hs = dispersion_set(A, B, budget)
-    if hs is None:
-        return None
     u = ONE
-    for h in sorted(hs, reverse=True):
+    for h in sorted(dispersion_set(A, B, budget), reverse=True):
         g = pgcd(A, polys.shift(B, h))
         if deg(g) <= 0:
             continue
@@ -342,29 +337,22 @@ def _denominator_reduction(k, ps, q, u):
     return [pmul(p, pdiv_exact(big, s)) for p, s in zip(ps, sigma_u)], pmul(q, big)
 
 
-def _abramov_reduction(L: DifferenceOperator, a: FieldElement, budget: int | None = None):
+def _abramov_reduction(L: DifferenceOperator, a: FieldElement, budget: float = math.inf):
     """(u, Ps, Q, bound): b = z/u solves L(b) = a over QQ(t);shift exactly
     when the polynomial z solves sum P_i(t) z(t+i) = Q(t), and such z have
-    degree <= bound; None when the dispersion gcds exceed the budget."""
+    degree <= bound."""
     ps, q = _clear_denominators(L, a)
     u = universal_denominator(ps, budget)
-    if u is None:
-        return None
     Ps, Q = _denominator_reduction(L.field, ps, q, u)
     # with Q = 0 no degree is forced by the right side
     return u, Ps, Q, degree_bound(Ps, deg(Q) if Q else -10 ** 9)
 
 
-def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: int | None) -> Outcome:
+def _solve_shift(L: DifferenceOperator, a: FieldElement, budget: float) -> Outcome:
     k: RationalFunctionField = L.field
-    reduction = _abramov_reduction(L, a, budget)
-    if reduction is None:
-        return outcome.undecided("budget-exhausted")
-    u, Ps, Q, bound = reduction
+    u, Ps, Q, bound = _abramov_reduction(L, a, budget)
     # the ansatz matrix has (max deg P_i + bound + 1) x (bound + 1) cells
-    cells = (max(deg(p) for p in Ps) + bound + 1) * (bound + 1)
-    if budget is not None and cells > budget:
-        return outcome.undecided("budget-exhausted", space=cells)
+    charge((max(deg(p) for p in Ps) + bound + 1) * (bound + 1), budget)
     z = polynomial_solutions(k, Ps, Q, bound)
     detail = {"universal_denominator": polys.poly_str(u), "degree_bound": bound}
     if z is None:
@@ -397,12 +385,13 @@ def _bounded_search(L: DifferenceOperator, a: FieldElement) -> Outcome:
 
 
 def solve_additive_full(L: DifferenceOperator, a: FieldElement,
-                        budget: int | None = None) -> Outcome:
+                        budget: float = math.inf) -> Outcome:
     """Decide L(b) = a with a witness or a nonexistence certificate.
 
-    With a budget, the Abramov ansatz over QQ(t);shift is charged its
-    matrix cells first and answers undecided "budget-exhausted" when they
-    exceed it; without one every instance is decided.
+    Over QQ(t);shift the dispersion window and the cells of the Abramov
+    ansatz are charged to the budget first, and the solver answers
+    undecided "budget-exhausted" when either exceeds it; without a budget
+    every instance is decided.
     """
     a = L.field.element(a)
     if a.is_zero():
@@ -417,7 +406,10 @@ def solve_additive_full(L: DifferenceOperator, a: FieldElement,
         return outcome.yes(a / c)
     if isinstance(k, RationalFunctionField):
         if k.mode == "shift":
-            return _solve_shift(L, a, budget)
+            try:
+                return _solve_shift(L, a, budget)
+            except BudgetExceeded as e:
+                return outcome.undecided("budget-exhausted", space=e.space)
         return _bounded_search(L, a)
     raise OperatorError(f"unsupported field {k.descriptor}")
 
@@ -506,7 +498,7 @@ def classify_additive_h1(L: DifferenceOperator) -> AdditiveH1:
 # first-order multiplicative equations sigma^d(x) = a * x
 
 
-def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: int | None = None) -> Outcome:
+def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: float = math.inf) -> Outcome:
     """x in k^x with sigma^d(x) / x = a, or a certificate that none exists.
 
     With a budget, each shift window over QQ(t);shift is charged its gcds
@@ -526,7 +518,10 @@ def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: int | None = None)
             return outcome.yes(k.one())
         return outcome.no("sigma-is-identity")
     if isinstance(k, RationalFunctionField) and k.mode == "shift":
-        return _solve_sigma_quotient_shift(a, d, budget)
+        try:
+            return _solve_sigma_quotient_shift(a, d, budget)
+        except BudgetExceeded as e:
+            return outcome.undecided("budget-exhausted", space=e.space)
     return outcome.undecided("multiplicative-solver-unsupported", field=k.descriptor)
 
 
@@ -541,7 +536,7 @@ def _first_shift(p, q, d: int, top: int):
     return None, None
 
 
-def _solve_sigma_quotient_shift(a: FieldElement, d: int, budget: int | None) -> Outcome:
+def _solve_sigma_quotient_shift(a: FieldElement, d: int, budget: float) -> Outcome:
     k = a.field
     num, den = a.value
     if num[-1] != 1:
@@ -554,8 +549,7 @@ def _solve_sigma_quotient_shift(a: FieldElement, d: int, budget: int | None) -> 
         # one gcd per j of the root-bound window, charged before the search
         top = int((polys.cauchy_root_bound(p) + polys.cauchy_root_bound(q)) / d) + 1
         spent += 2 * top
-        if budget is not None and spent > budget:
-            return outcome.undecided("budget-exhausted", space=spent)
+        charge(spent, budget)
         j, g = _first_shift(p, q, d, top)
         if j is None:
             break

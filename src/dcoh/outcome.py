@@ -1,4 +1,4 @@
-"""Three-valued decision results with witnesses and certificates."""
+"""Three-valued decision results with witnesses and certificates; the budget rule."""
 
 from __future__ import annotations
 
@@ -9,6 +9,21 @@ class InternalError(RuntimeError):
     """A decision procedure's self-check of its own witness failed: a bug,
     never a property of the input.  Raised explicitly, so it fires under
     python -O too."""
+
+
+class BudgetExceeded(ValueError):
+    """A search refused before it started: its `space` exceeds the budget."""
+
+    def __init__(self, space: int, budget):
+        super().__init__(f"search space {space} exceeds budget {budget}")
+        self.space = space
+
+
+def charge(space: int, budget) -> None:
+    """Refuse a search of `space` candidates larger than `budget` (a number,
+    math.inf for no limit); the package's only comparison with a budget."""
+    if space > budget:
+        raise BudgetExceeded(space, budget)
 
 
 YES = "yes"

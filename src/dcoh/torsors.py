@@ -35,14 +35,14 @@ from .algebras import FinDimAlgebra, LaurentAlgebra, SigmaAlgebra, TensorContext
 from .cocycles import Cocycle, equivalent, invariant, is_cocycle, make_cocycle
 from .fields import FieldElement, SigmaField
 from .groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist,
-                     GroupPresentation, _charge, _kernel_points, _sigma_preimage_chain,
+                     GroupPresentation, _kernel_points, _sigma_preimage_chain,
                      contains, kernel_of_sigma_power, mat_det, mu2sigma_group)
 # re-exported: the H^1 listings and the additive torsor algebra live with their families
 from .groups import (ClassifyReport, _enumerate_field_matrices,  # noqa: F401
                      _satisfies_constraints, additive_torsor_algebra,
                      diagonal_constraints, mu_pair_space)
 from .operators import DifferenceOperator
-from .outcome import Outcome
+from .outcome import Outcome, charge
 
 
 class TorsorError(ValueError):
@@ -251,7 +251,7 @@ def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
         if x is not None and is_point(X, x, R):
             return outcome.yes(x)
         return outcome.undecided("enumeration-needs-finite-data")
-    _charge(field.size ** (R.dim * G.slots), budget)
+    charge(field.size ** (R.dim * G.slots), budget)
     for ys in _kernel_points(R, G.slots, None):
         x = G.point_shape(ys)
         if is_point(X, x, R):
@@ -401,7 +401,7 @@ def exactness_audit(field: SigmaField, d: int, budget: int = 10 ** 6) -> Exactne
     """
     if not field.finite:
         raise TorsorError("exactness audit enumerates a finite field")
-    _charge((field.size - 1) * (d + 2), budget)
+    charge((field.size - 1) * (d + 2), budget)
     units = list(field.units())
     # N(k) by the group's own membership test, checked against sigma^d(g) = 1
     N = kernel_of_sigma_power(field, "GL", 1, d)

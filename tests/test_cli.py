@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from dcoh.cli import main
+from dcoh.groups import DiagonalMult
 
 
 def run_cli(argv):
@@ -344,6 +345,24 @@ def test_budget_is_charged_before_the_search(argv):
     code, lines = run_cli(argv)
     assert code == 3 and lines[0]["undecided"] is True
     assert lines[0]["certificate"].startswith("budget-exhausted")
+
+
+@pytest.mark.parametrize("group", ["twist:GL0;d=1;psi=id", "twist:SL0;d=1;psi=trivial"])
+def test_twist_of_size_zero_is_a_parse_error(group):
+    code, lines = run_cli(["classify", "--field", "GF(5)", "--group", group])
+    assert code == 2 and len(lines) == 1
+    assert lines[0]["ok"] is False and lines[0]["certificate"] == "error: n must be >= 1"
+
+
+def test_a_fault_in_a_decider_exits_4_with_one_line(monkeypatch):
+    """An error that is no ValueError is a fault, not a parse error."""
+    def fault(self, budget):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(DiagonalMult, "classify", fault)
+    code, lines = run_cli(["classify", "--field", "GF(9);frob^1", "--group", "mu2sigma"])
+    assert code == 4 and len(lines) == 1
+    assert lines[0]["ok"] is False and lines[0]["certificate"].startswith("internal-error:")
 
 
 def test_verify_does_not_pass_unchecked_negatives():

@@ -80,6 +80,18 @@ def test_coboundary(gf9):
     assert cba.value == tcF.d1(alpha) - tcF.d2(alpha)
 
 
+def test_search_fallback_refusal_carries_its_space(gf9):
+    """Gm as a matrix group has no invariant, so equivalence searches G(A):
+    9^2 candidates, refused under budget 1 and decided without it."""
+    G, A, tc, a, b = mu_setup(gf9)
+    Gm = ambient_gl(gf9, 1)
+    chi = coboundary(Gm, tc, ((A.basis_element(1),),))
+    res = equivalent(chi, trivial_cocycle(Gm, tc), budget=1)
+    assert not res.decided and res.certificate == "budget-exhausted"
+    assert res.detail == {"space": 81}
+    assert equivalent(chi, trivial_cocycle(Gm, tc))
+
+
 def test_coboundaries_always_cocycles(gf9):
     G, A, tc, a, b = mu_setup(gf9)
     for alpha in enumerate_points(G, A):

@@ -192,6 +192,17 @@ def test_budget_guard(gf9):
         enumerate_points(G, A, budget=10)
 
 
+def test_a_budget_refusal_is_no_group_error_and_names_its_space(gf9):
+    """A refusal is told apart from a malformed group: catching GroupError
+    (as is_cocycle does) must not swallow it."""
+    A = make_mu_algebra(gf9.element("w"), gf9.element("w"))
+    G = FrobeniusTwist(gf9, "GL", 2, 1, "trivial")
+    with pytest.raises(BudgetExceeded, match=f"search space {9 ** 8} exceeds budget 10") as e:
+        enumerate_points(G, A, budget=10)
+    assert e.value.space == 9 ** 8
+    assert not isinstance(e.value, GroupError) and isinstance(e.value, ValueError)
+
+
 # --------------------------------------------------------------------------
 # linear-first enumeration against the brute-force filter
 

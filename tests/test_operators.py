@@ -12,6 +12,7 @@ from dcoh.operators import (DifferenceOperator, OperatorError,
                             dispersion_set_resultant, op_apply, solve_additive,
                             solve_additive_full, solve_sigma_quotient,
                             universal_denominator)
+from dcoh.outcome import BudgetExceeded
 
 
 def op(field, text):
@@ -275,6 +276,28 @@ def test_dispersion_cross_check():
     B = polys.poly([5, 1])           # t + 5: B(t + (-5)) = t, so shift -5...
     assert dispersion_set(B, A) == [5]
     assert dispersion_set_resultant(B, A) == [5]
+
+
+def test_dispersion_window_over_the_budget_raises():
+    A, B = polys.poly([0, 1]), polys.poly([5, 1])
+    with pytest.raises(BudgetExceeded) as e:
+        dispersion_set(B, A, budget=1)
+    assert e.value.space > 1
+    assert dispersion_set(B, A, budget=e.value.space) == [5]
+
+
+def test_shift_solvers_decide_without_a_budget_and_refuse_under_one(shift_field):
+    k = shift_field
+    L = op(k, "s - 1")
+    assert solve_additive_full(L, k.element("t^20"))
+    res = solve_additive_full(L, k.element("t^20"), budget=10)
+    assert res.status == "undecided" and res.certificate == "budget-exhausted"
+    assert res.detail["space"] > 10
+    a = k.element("(t+50)/t")
+    res = solve_sigma_quotient(a)
+    assert res and res.witness.sigma() == a * res.witness
+    res = solve_sigma_quotient(a, budget=10)
+    assert res.status == "undecided" and res.detail["space"] > 10
 
 
 def test_universal_denominator_divides_solution_denominator(shift_field):
