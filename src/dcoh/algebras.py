@@ -136,7 +136,7 @@ class AlgElement:
         return inv
 
     def is_unit(self) -> bool:
-        return self.maybe_inverse() is not None
+        return self.algebra._is_unit_data(self.data)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -289,6 +289,11 @@ class SigmaAlgebra:
         there is no finite such span."""
         return None
 
+    def _is_unit_data(self, d) -> bool:
+        """Whether the element with data d is a unit: by default, whether
+        it has an inverse; an algebra with a cheaper test overrides this."""
+        return self._invert_data(d) is not None
+
 
 class FinDimAlgebra(SigmaAlgebra):
     """Common interface: a finite basis, structure constants, sigma matrix.
@@ -380,14 +385,13 @@ class FinDimAlgebra(SigmaAlgebra):
                 out[r] = v if cur is None else add(cur, v)
         return self._wrap_nonzero(out)
 
-    def _invert_data(self, d):
-        if not d:
-            return None
+    def _mult_matrix_raw(self, d) -> list:
+        """Rows of raw values of L_x, the matrix of multiplication by x:
+        column j is x * e_j."""
         f = self.field
-        mul, add, is_zero = f._mul, f._add, f._is_zero
+        mul, add = f._mul, f._add
         idx = self.index_list()
         table = self._tables.mult
-        # column j of the matrix of multiplication by x is x * e_j
         cols = []
         for j in idx:
             col = {}
@@ -399,14 +403,25 @@ class FinDimAlgebra(SigmaAlgebra):
                     col[r] = v if cur is None else add(cur, v)
             cols.append(col)
         zero = f.zero().value
-        matrix = [[col.get(r, zero) for col in cols] for r in idx]
+        return [[col.get(r, zero) for col in cols] for r in idx]
+
+    def _invert_data(self, d):
+        if not d:
+            return None
+        f = self.field
+        zero = f.zero().value
         unit = self.unit_data()
-        rhs = [unit[r].value if r in unit else zero for r in idx]
-        wrap = f.wrap
-        sol = linalg.solve_square_raw(matrix, rhs, f)
+        rhs = [unit[r].value if r in unit else zero for r in self.index_list()]
+        sol = linalg.solve_square_raw(self._mult_matrix_raw(d), rhs, f)
         if sol is None:
             return None
-        return {i: wrap(v) for i, v in zip(idx, sol) if not is_zero(v)}
+        wrap, is_zero = f.wrap, f._is_zero
+        return {i: wrap(v) for i, v in zip(self.index_list(), sol) if not is_zero(v)}
+
+    def _is_unit_data(self, d) -> bool:
+        """x is a unit exactly when L_x is nonsingular (x y = 1 makes L_x
+        L_y the identity), decided without solving for the inverse."""
+        return bool(d) and linalg.nonsingular_raw(self._mult_matrix_raw(d), self.field)
 
     def to_vector(self, x: AlgElement) -> list:
         zero = self.field.zero()

@@ -62,6 +62,17 @@ sigma-semilinear (L(y) = 0, sigma(y) = y, sigma^a(y_i) = sigma^b(y_j),
 sigma^d(g) = g; for an additive Z^1 also dd2(y) = dd1(y) + dd3(y)) as
 F_p-linear equations on R^slots and streams only their kernel, in the
 order of the full product, through the membership test.
+
+Membership (contains) and torsor_point refute by the cheapest check first
+and take no inverse.  A matrix group tests its relations, then whether det
+is a unit; a torus tests f_i(x) = t_i as num(x) = t_i den(x), the
+nonnegative powers of relation_from_multiplicative, then whether each entry
+is a unit; a twist tests sigma^d(g) = psi(g) t, for psi = (g^T)^-1 as g^T
+sigma^d(g) = t, then det = 1 for SL (a unit already) or whether det is a
+unit for GL.  The unit test (AlgElement.is_unit) asks whether
+multiplication by the element is nonsingular and solves for no inverse.
+On units each form is equivalent to the textbook one, and a non-unit still
+ends False, so answers and enumeration order do not depend on this order.
 """
 
 from __future__ import annotations
@@ -674,10 +685,9 @@ class DiagonalMult(GroupPresentation):
     def contains(self, x, R):
         if not isinstance(x, tuple) or len(x) != self.n or (x and isinstance(x[0], tuple)):
             raise GroupError("shape mismatch for diagonal element")
-        if not all(e.is_unit() for e in x):
-            return False
-        one = R.one()
-        return all(f.eval(x) == one for f in self.functions)
+        # num(x) = den(x) refutes most candidates before any unit test
+        sides = (f.split_eval(x) for f in self.functions)
+        return all(num == den for num, den in sides) and all(e.is_unit() for e in x)
 
     def identity(self, R):
         return tuple(R.one() for _ in range(self.n))
@@ -779,10 +789,9 @@ class DiagonalMult(GroupPresentation):
     def torsor_point(self, x, avec, R=None):
         if len(x) != self.n:
             raise GroupError("arity mismatch")
-        if not all(e.is_unit() for e in x):
-            return False
-        return all(f.eval(x) == (R.from_scalar(a) if R is not None else a)
-                   for f, a in zip(self.functions, avec))
+        sides = (f.split_eval(x) for f in self.functions)
+        return (all(num == den * a for (num, den), a in zip(sides, avec))
+                and all(e.is_unit() for e in x))
 
     def rational_point(self, avec, budget):
         """Every unit vector of a finite field, undecided when its (q-1)^n
@@ -871,13 +880,24 @@ class FrobeniusTwist(GroupPresentation):
         return mat_inverse(mat_transpose(x))
 
     def contains(self, x, R):
-        m = self._matrix(x)
+        return self._solves(self._matrix(x), None, R)
+
+    def _solves(self, m, target, ring) -> bool:
+        """sigma^d(m) = psi(m) target (target None for 1), then det(m) = 1
+        for SL, then det(m) a unit: the cheapest refutation first.  psi =
+        transposeinv is tested as m^T sigma^d(m) = target, so that no
+        inverse is taken; on invertible m the two agree."""
+        s = mat_sigma(m, self.d)
+        if self.psi == "transposeinv":
+            s = mat_mul(mat_transpose(m), s)
+        if self.psi == "id":
+            rhs = m if target is None else mat_mul(m, target)
+        else:
+            rhs = mat_identity(ring, self.n) if target is None else target
+        if not mat_eq(s, rhs):
+            return False
         det = mat_det(m)
-        if det.maybe_inverse() is None:
-            return False
-        if self.base == "SL" and det != R.one():
-            return False
-        return mat_eq(mat_sigma(m, self.d), self.psi_apply(m, R))
+        return det == ring.one() if self.base == "SL" else det.is_unit()
 
     def linear_relations(self):
         """sigma^d(g) - g entry by entry when psi = id."""
@@ -935,15 +955,9 @@ class FrobeniusTwist(GroupPresentation):
         return ClassifyReport(kind="finite-list", count=len(reps), representatives=reps)
 
     def torsor_point(self, x, a, R=None):
-        m = _as_matrix(x)
-        det = mat_det(m)
-        if not det.is_unit():
-            return False
-        ring = R if R is not None else self.field
-        if self.base == "SL" and det != ring.one():
-            return False
-        target = a if R is None else tuple(tuple(R.from_scalar(e) for e in row) for row in a)
-        return mat_eq(mat_sigma(m, self.d), mat_mul(self.psi_apply(m, ring), target))
+        if R is not None:
+            a = tuple(tuple(R.from_scalar(e) for e in row) for row in a)
+        return self._solves(_as_matrix(x), a, self.field if R is None else R)
 
     def _matrix_search(self, found, budget) -> Outcome:
         """The first matrix of base(k) that `found` accepts, k finite."""

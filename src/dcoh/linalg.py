@@ -17,7 +17,7 @@ eliminations, chosen by field.integer_elimination:
 
 solve_square_raw runs the second elimination on the raw values of a square
 system over any field, QQ included; the finite-dimensional algebras use it
-to invert units.
+to invert units, and nonsingular_raw, its rank alone, to test them.
 """
 
 from __future__ import annotations
@@ -190,6 +190,13 @@ def invert_matrix(matrix, field):
         return None
     # n pivots in the first n columns: row i is e_i followed by row i of the inverse
     return [row[n:] for row in rows]
+
+
+def nonsingular_raw(matrix, field) -> bool:
+    """Whether a square matrix of raw field values is invertible: its rank
+    by solve_square_raw's elimination, without a right-hand side.  The rows
+    are reduced in place."""
+    return len(_gauss_jordan_raw(matrix, field)[1]) == len(matrix)
 
 
 def solve_square_raw(matrix, rhs, field):

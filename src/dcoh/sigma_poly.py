@@ -265,6 +265,13 @@ class MultiplicativeFunction:
     def order(self) -> int:
         return len(self.exps) - 1
 
+    def factors(self, sign: int) -> list:
+        """(i, j, k) with k > 0 for each exponent sign * k of y_i in layer j:
+        sign 1 lists the numerator sigma^j(y_i)^k of f, sign -1 its
+        denominator."""
+        return [(i, j, e * sign) for j, alpha in enumerate(self.exps)
+                for i, e in enumerate(alpha) if e * sign > 0]
+
     def eval(self, point):
         """prod_j sigma^j(point^(alpha_j)); entries must be invertible."""
         first = _check_entries(point)
@@ -287,6 +294,23 @@ class MultiplicativeFunction:
                 return first.field.one()
             return first.algebra.one()
         return total
+
+    def split_eval(self, point):
+        """(num, den) with f(point) = num / den on units: the numerator and
+        the denominator of f at point.  Only nonnegative powers occur, so no
+        entry is inverted and a non-unit point is evaluated too."""
+        first = _check_entries(point)
+        if len(point) != self.nvars:
+            raise SigmaPolyError(f"arity mismatch: expected {self.nvars} entries")
+        one = first.field.one() if isinstance(first, FieldElement) else first.algebra.one()
+        out = []
+        for sign in (1, -1):
+            p = None
+            for i, j, k in self.factors(sign):
+                t = (point[i].sigma(j) if j else point[i]) ** k
+                p = t if p is None else p * t
+            out.append(one if p is None else p)
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, MultiplicativeFunction):
@@ -380,14 +404,11 @@ def relation_from_multiplicative(f: MultiplicativeFunction, field, target) -> Si
     Clears the negative exponents of f by the documented convention, so
     f(x) = target becomes a polynomial relation on invertible points.
     """
-    num = SigmaPolynomial.constant(field, f.nvars, 1)
-    den = SigmaPolynomial.constant(field, f.nvars, 1)
-    for j, alpha in enumerate(f.exps):
-        for i, e in enumerate(alpha):
-            if e > 0:
-                num = num * SigmaPolynomial.variable(field, f.nvars, i, j) ** e
-            elif e < 0:
-                den = den * SigmaPolynomial.variable(field, f.nvars, i, j) ** (-e)
+    num = den = SigmaPolynomial.constant(field, f.nvars, 1)
+    for i, j, k in f.factors(1):
+        num = num * SigmaPolynomial.variable(field, f.nvars, i, j) ** k
+    for i, j, k in f.factors(-1):
+        den = den * SigmaPolynomial.variable(field, f.nvars, i, j) ** k
     return num - SigmaPolynomial.constant(field, f.nvars, target) * den
 
 

@@ -412,6 +412,74 @@ def test_raw_kernel_matches_schoolbook(descriptor):
                     assert x * inv == R.one()
 
 
+# the unit test (nonsingularity of L_x) against the inverse's solve
+
+
+def _mu_algebras(F):
+    """A mu algebra k[y]/(y^2 - a) for a square a, and one for a non-square
+    a if there is one; their units depend on a alone."""
+    units = list(F.units())
+    pairs = {}
+    for a in units:
+        for b in units:
+            if a.sigma() == a * b * b:
+                pairs.setdefault(any(c * c == a for c in units), (a, b))
+    return [make_mu_algebra(a, b) for a, b in pairs.values()]
+
+
+def _unit_test_agrees_with_the_solve(x):
+    inv = x.maybe_inverse()
+    assert x.is_unit() is (inv is not None), x
+    assert inv is None or x * inv == x.algebra.one()
+    return inv is not None
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_unit_test_agrees_with_the_solve_on_every_element(q):
+    """Every element of the mu and split:2 algebras over GF(q) and of their
+    tensor squares (at most 9^4 elements each)."""
+    F = make_field(f"GF({q});frob^1")
+    for A in _mu_algebras(F) + [make_split_algebra(F, 2)]:
+        for R in (A, TensorContext(A).AA):
+            units = sum(map(_unit_test_agrees_with_the_solve, R.enumerate_elements()))
+            assert 0 < units < F.size ** R.dim
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "QQ(t);shift"])
+def test_unit_test_agrees_with_the_solve_on_random_algebras(descriptor):
+    field = make_field(descriptor)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(6):
+        A = random_findim_algebra(field, rng, max_dim=3)
+        for R in (A, TensorContext(A).AA):
+            basis = [R.basis_element(i) for i in R.index_list()]
+            samples = [R.zero(), R.one()] + basis + [R.one() + e for e in basis]
+            # dense random elements of a QQ(t) tensor square take seconds each
+            if R is A:
+                samples += [_random_element(R, rng) for _ in range(6)]
+            for x in samples:
+                verdicts.add(_unit_test_agrees_with_the_solve(x))
+    assert verdicts == {True, False}
+
+
+def test_monomial_unit_test_keeps_its_answer(gf9, shift_field):
+    """Laurent monomials are the Laurent units; constants alone are the
+    free-polynomial units."""
+    w = gf9.element("w")
+    L = LaurentAlgebra(gf9, 2, [(w, (0, 1)), (gf9.one(), (1, 0))])
+    u1, u2 = L.gen(0), L.gen(1)
+    k = shift_field
+    P = FreePolyAlgebra(k, 1, [(k.element("1/t"), [k.one()])])
+    y = P.gen(0)
+    cases = [(u1, True), (u1 ** -2 * u2 * w, True), (L.one() * w, True),
+             (u1 + L.one(), False), (L.zero(), False),
+             (P.one() * k.element("t"), True), (y, False), (y + P.one(), False),
+             (P.zero(), False)]
+    for x, unit in cases:
+        assert _unit_test_agrees_with_the_solve(x) is unit, x
+
+
 def test_equal_tensor_contexts_share_tables(gf9):
     w = gf9.element("w")
     t1 = TensorContext(make_mu_algebra(w, w))

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from dcoh.algebras import (TensorContext, make_mu_algebra, make_split_algebra,
+from dcoh.algebras import (FinDimAlgebra, TensorContext, make_mu_algebra, make_split_algebra,
                            scalar_algebra)
 from dcoh import linalg
 from dcoh.fields import make_field
@@ -12,7 +12,7 @@ from dcoh.groups import (AdditiveKernel, BudgetExceeded, CocycleError, DiagonalM
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
                          ScalarTorus, contains, enumerate_points, gl_trivialize, gm_trivialize,
                          group_identity, group_inv, group_mul, kernel_of_sigma_power,
-                         mu2sigma_group, scalar_value)
+                         mat_det, mat_eq, mat_mul, mat_sigma, mu2sigma_group, scalar_value)
 from dcoh.outcome import InternalError
 from dcoh.operators import DifferenceOperator
 from dcoh.sigma_poly import SigmaPolynomial, parse_multiplicative
@@ -298,3 +298,152 @@ def test_gl_trivialize_certifies_non_cocycles_and_checks_itself(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_basis", lambda *args, **kw: [[F.one(), F.zero()]])
     with pytest.raises(InternalError, match="fails chi"):
         gm_trivialize(tc, chi)
+
+
+# --------------------------------------------------------------------------
+# membership by its cheapest refutation: same answers as units-first, and
+# no inverse inside a membership test
+
+
+def _head_is_unit(e):
+    return e.maybe_inverse() is not None
+
+
+def _head_contains(G, x, R):
+    """contains() as it was with the unit test first, kept as an oracle."""
+    if isinstance(G, DiagonalMult):
+        if not all(_head_is_unit(e) for e in x):
+            return False
+        one = R.one()
+        return all(f.eval(x) == one for f in G.functions)
+    m = G._matrix(x)
+    det = mat_det(m)
+    if det.maybe_inverse() is None:
+        return False
+    if G.base == "SL" and det != R.one():
+        return False
+    return mat_eq(mat_sigma(m, G.d), G.psi_apply(m, R))
+
+
+def _head_torsor_point(G, x, t, R):
+    """torsor_point() as it was with the unit test first, kept as an oracle."""
+    if isinstance(G, DiagonalMult):
+        if not all(_head_is_unit(e) for e in x):
+            return False
+        return all(f.eval(x) == R.from_scalar(a) for f, a in zip(G.functions, t))
+    m = G._matrix(x)
+    det = mat_det(m)
+    if not _head_is_unit(det):
+        return False
+    if G.base == "SL" and det != R.one():
+        return False
+    target = tuple(tuple(R.from_scalar(e) for e in row) for row in t)
+    return mat_eq(mat_sigma(m, G.d), mat_mul(G.psi_apply(m, R), target))
+
+
+def _membership_cases(F):
+    """(G, a torsor target of G) for the diagonal groups and the GL1, GL2
+    and SL2 twists with every psi, and the dim-2 algebras over F."""
+    units = list(F.units())
+    pairs = [(a, b) for a in units for b in units if a.sigma() == a * b * b]
+    a, b = max(pairs, key=lambda ab: ab[0] != ab[1] * ab[1])    # y^2 = a, a not b^2 if any
+    one, zero = F.one(), F.zero()
+    cases = [(DiagonalMult(F, 1, [parse_multiplicative(t, 1) for t in ("y^2", "s(y)/y")]), (a, b)),
+             (DiagonalMult(F, 2, [parse_multiplicative(t, 2) for t in ("y1^2", "s(y2)/y2")]),
+              (a, b))]
+    for base, n in (("GL", 1), ("GL", 2), ("SL", 2)):
+        target = ((a,),) if n == 1 else ((zero, one), (-one, one))
+        cases += [(FrobeniusTwist(F, base, n, 1, psi), target)
+                  for psi in ("trivial", "id", "transposeinv")]
+    return cases, [make_mu_algebra(a, b), make_split_algebra(F, 2, [1, 0])]
+
+
+def _candidates(G, R, entries):
+    slots = G.n if G.kind == "diagonal" else G.n * G.n
+    for ys in itertools.product(entries, repeat=slots):
+        yield G.shape(ys)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_cost_order_keeps_every_membership_answer(q):
+    """Relations first and no inverse give the answers of units-first on
+    every element of R^slots, and with a nontrivial torsor target: the
+    rewrites agree on units, and a non-unit still ends False without
+    raising.  The 2 x 2 twists take the entries with coordinates 0 and 1
+    (q^8 matrices over R would take minutes); among those, sigma(m) = m
+    holds on singular matrices such as the all-ones one."""
+    F = make_field(f"GF({q});frob^1")
+    groups, algebras = _membership_cases(F)
+    for R in algebras:
+        elements = list(R.enumerate_elements())
+        zero_one = [x for x in elements if all(c.is_one() for c in x.data.values())]
+        for G, target in groups:
+            entries = zero_one if G.kind == "twist" and G.n == 2 else elements
+            accepted = 0
+            for x in _candidates(G, R, entries):
+                got = contains(G, x, R)
+                assert got == _head_contains(G, x, R), (G.kind, x)
+                assert G.torsor_point(x, target, R) == _head_torsor_point(G, x, target, R)
+                accepted += got
+            assert accepted, (G.kind, q)
+
+
+def _relations_hold(G, x, R):
+    """G's equations at x with the unit conditions left out, written out
+    here without any inverse."""
+    if isinstance(G, MatrixGroup):
+        return all(rel.eval(tuple(e for row in G._matrix(x) for e in row)).is_zero()
+                   for rel in G.relations)
+    if isinstance(G, DiagonalMult):
+        def side(f, sign):
+            p = R.one()
+            for j, alpha in enumerate(f.exps):
+                for i, e in enumerate(alpha):
+                    if e * sign > 0:
+                        p = p * x[i].sigma(j) ** (e * sign)
+            return p
+        return all(side(f, 1) == side(f, -1) for f in G.functions)
+    m = G._matrix(x)
+    s = mat_sigma(m, G.d)
+    if G.psi == "transposeinv":
+        s = mat_mul(tuple(zip(*m)), s)
+    holds = mat_eq(s, m if G.psi == "id" else group_identity(G, R))
+    return holds and (G.base == "GL" or mat_det(m) == R.one())
+
+
+def test_membership_never_solves_and_tests_units_only_after_the_relations(monkeypatch):
+    """contains and torsor_point take no inverse, and contains pays for a
+    unit test only on a candidate that satisfies every relation (det = 1
+    included for SL, which makes the unit test needless)."""
+    F = make_field("GF(3);frob^1")
+    groups, algebras = _membership_cases(F)
+    groups.append((mu2sigma_group(F), None))
+    calls = {"solve": 0, "unit": 0}
+
+    def counted(name, method):
+        def wrapper(self, d):
+            calls[name] += 1
+            return method(self, d)
+        return wrapper
+
+    monkeypatch.setattr(FinDimAlgebra, "_invert_data",
+                        counted("solve", FinDimAlgebra._invert_data))
+    monkeypatch.setattr(FinDimAlgebra, "_is_unit_data",
+                        counted("unit", FinDimAlgebra._is_unit_data))
+    unit_tests = 0
+    for R in algebras:
+        elements = list(R.enumerate_elements())
+        zero_one = [x for x in elements if all(c.is_one() for c in x.data.values())]
+        for G, target in groups:
+            entries = zero_one if G.kind == "twist" and G.n == 2 else elements
+            for x in _candidates(G, R, entries):
+                calls.update(solve=0, unit=0)
+                contains(G, x, R)
+                assert calls["solve"] == 0, (G.kind, x)
+                if not _relations_hold(G, x, R):
+                    assert calls["unit"] == 0, (G.kind, x)
+                unit_tests += calls["unit"]
+                if target is not None:
+                    G.torsor_point(x, target, R)
+                    assert calls["solve"] == 0, (G.kind, x)
+    assert unit_tests > 0
