@@ -27,10 +27,11 @@ Equal tensor products share one table, built entry by entry on first use
 and dropped when no algebra uses it any more.
 
 On top of the algebras the module builds tensor squares and cubes with
-their Amitsur face maps, the exactness audit of the complex
-0 -> k -> A -> A(x)A -> A(x)A(x)A, and finite-dimensional faithfully
-flat descent: the invariants B0 = {b : phi(b(x)1) = 1(x)b} of a descent
-datum, together with the check that B0 (x) A -> B is an isomorphism.
+their Amitsur face maps and contracting homotopy, the exactness audit of
+the complex 0 -> k -> A -> A(x)A -> A(x)A(x)A, and finite-dimensional
+faithfully flat descent: the invariants B0 = {b : phi(b(x)1) = 1(x)b} of
+a descent datum, together with the check that B0 (x) A -> B is an
+isomorphism.
 """
 
 from __future__ import annotations
@@ -283,12 +284,6 @@ class SigmaAlgebra:
         generator name), or None."""
         return None
 
-    def trivialization_span(self, value: AlgElement):
-        """The elements of this algebra an alpha with 1(x)alpha - alpha(x)1 =
-        value is sought among (value in the tensor square), or None when
-        there is no finite such span."""
-        return None
-
     def _is_unit_data(self, d) -> bool:
         """Whether the element with data d is a unit: by default, whether
         it has an inverse; an algebra with a cheaper test overrides this."""
@@ -339,9 +334,6 @@ class FinDimAlgebra(SigmaAlgebra):
             if self.index_label(k) == name:
                 return self.basis_element(k)
         return None
-
-    def trivialization_span(self, value):
-        return self.generators()
 
     def _wrap(self, pairs) -> dict:
         wrap = self.field.wrap
@@ -802,12 +794,6 @@ class FreePolyAlgebra(MonomialAlgebra):
         if any(sum(w) > 1 for w in data):
             raise AlgebraError("sigma images must be affine-linear")
 
-    def trivialization_span(self, value):
-        degree = max((sum(w) for w in value.data), default=0)
-        return [self.basis_element(w)
-                for w in itertools.product(range(degree + 1), repeat=self.ngens)
-                if sum(w) <= degree]
-
 
 # --------------------------------------------------------------------------
 # tensor squares, cubes, face maps
@@ -868,6 +854,19 @@ class TensorContext:
             if r == r0:
                 out[join((a, b))] = c / u0
         return _clean_element(self.AA, out)
+
+    def contract(self, z: AlgElement) -> AlgElement:
+        """(lambda(x)id)(z) for lambda(x) = x_r / u_r, r the last key of
+        1 = sum u_k e_k: the Amitsur contracting homotopy, 1(x)a - a(x)1 ->
+        a - lambda(a)."""
+        A = self.A
+        r, u = list(A.unit_data().items())[-1]
+        out = {}
+        for key, c in z.data.items():
+            a, b = A.split_key(key, 2)
+            if a == r:
+                out[b] = c / u
+        return _clean_element(A, out)
 
     def dd1(self, z: AlgElement) -> AlgElement:
         return self._insert(z, 0)
@@ -1048,8 +1047,8 @@ def amitsur_audit(A: FinDimAlgebra) -> AmitsurReport:
     m1 = [[img.data.get(r, zero) for img in first_images] for r in idxAA]
     ker1_vecs = linalg.kernel_basis(m1, field, ncols=len(idxA))
     ker1 = [A.from_vector(v) for v in ker1_vecs]
-    unit_ok = len(ker1_vecs) == 1 and linalg.in_span(
-        [A.to_vector(k) for k in ker1], A.to_vector(A.one()), field) is not None
+    # the one kernel vector is nonzero, so 1 spans it exactly when it is a scalar
+    unit_ok = len(ker1) == 1 and ker1[0].scalar_part() is not None
 
     def second_map(z: AlgElement) -> AlgElement:
         return tc.dd3(z) - tc.dd2(z) + tc.dd1(z)

@@ -634,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, field=True):
         if field:
             p.add_argument("--field", required=True)
-        p.add_argument("--budget", type=int, default=10 ** 6)
+        p.add_argument("--budget", type=int, default=outcome.DEFAULT_BUDGET)
 
     p = sub.add_parser("field-eval")
     common(p)
@@ -699,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify")
     p.add_argument("--line", help="a JSON output line; stdin when omitted")
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=int, default=outcome.DEFAULT_BUDGET)
 
     return ap
 

@@ -12,8 +12,9 @@ descriptions of H^1 for the classified groups.  A mu2 cocycle is
 alpha^{-1}(x)alpha for a unit alpha with alpha^2 and sigma(alpha)/alpha in
 k (its invariant is that pair, the torus invariant for the functions y^2
 and s(y)/y), and an additive cocycle is 1(x)alpha - alpha(x)1 with
-invariant L(alpha) in k.  Both trivializations are linear solves, which is
-where the vanishing of H^1 for Gm and Ga does the work.  Equivalence
+invariant L(alpha) in k.  The vanishing of H^1 for Gm and Ga does the
+work: alpha is a descent kernel solve for Gm, and is read off for Ga by
+the Amitsur complex's contracting homotopy.  Equivalence
 splits a product into its factors (components), compares the invariants
 by the family's decision on targets, and falls back to a search of G(A)
 for groups without one.
@@ -28,7 +29,7 @@ from .algebras import AlgebraMorphism, FinDimAlgebra, TensorContext
 from .groups import (CocycleError, GroupError, GroupPresentation, ProductGroup,
                      contains, enumerate_points)
 from .groups import mu_pairs_equivalent  # noqa: F401  (re-exported)
-from .outcome import BudgetExceeded, Outcome
+from .outcome import DEFAULT_BUDGET, BudgetExceeded, Outcome
 
 
 @dataclass(slots=True)
@@ -96,7 +97,7 @@ def coboundary(G: GroupPresentation, tc: TensorContext, alpha) -> Cocycle:
 
 
 def enumerate_cocycles(G: GroupPresentation, tc: TensorContext,
-                       budget: int = 10 ** 6) -> list:
+                       budget: int = DEFAULT_BUDGET) -> list:
     """All of Z^1(A/k, G) by exhaustive search (finite base field), in
     enumerate_points order.  Its points are members already, so only the
     cocycle identity is tested; where the identity is linear
@@ -125,7 +126,7 @@ def invariant(chi: Cocycle):
 mu_invariant = additive_invariant = invariant
 
 
-def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = 10 ** 6) -> Outcome:
+def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = DEFAULT_BUDGET) -> Outcome:
     """Decide chi1 = d1(alpha) chi2 d2(alpha)^{-1} for some alpha in G(A).
 
     A product is decided factor by factor, with one witness per factor.

@@ -39,16 +39,18 @@ the equations of G with the target t in place of 1: L(x) = a,
 f_i(x) = a_i, sigma^d(x) = psi(x) a.  A cocycle's invariant is the target
 of the torsor it classifies, found by trivializing the cocycle in the
 ambient group (H^1 of Gm, GL_n and Ga vanishes; gl_trivialize does Gm
-and GL_n by one descent kernel solve); torsor_kind names the
-normal-form torsor class in torsors, None for a family without invariant.
+and GL_n by one descent kernel solve, TensorContext.contract reads Ga's
+off); torsor_kind names the normal-form torsor class in torsors, None
+for a family without invariant.
 translate(c, t), the family's one action of G(k) on targets, is the
 target that translation by c carries the torsor of t onto, or None when c
 lies outside the ambient group; it uses field arithmetic only.
 
 A ScalarTorus is a rank-one torus DiagonalMult(1, [f_1, ...]) presented
-as the 1 x 1 MatrixGroup {f_i(y) = 1}: its relations are numerator(f_i) -
-denominator(f_i), and every torsor method is the torus's, with the
-1-tuples of the torus unwrapped to bare scalars.  mu2^sigma = {y^2 = 1,
+as the 1 x 1 MatrixGroup {f_i(y) = 1}: its relations numerator(f_i) -
+denominator(f_i) name the group, while membership, the linear relations
+of enumeration and every torsor method are the torus's, with the 1-tuples
+of the torus unwrapped to bare scalars.  mu2^sigma = {y^2 = 1,
 sigma(y) = y} is the ScalarTorus of DiagonalMult(1, [y^2, s(y)/y]), so
 lambda acts on its targets by (lambda^2, sigma(lambda)/lambda).  Functions
 exactly (y^2, s(y)/y) are mu-shaped and get the mu paths: the pair space
@@ -65,8 +67,8 @@ order of the full product, through the membership test.
 
 Membership (contains) and torsor_point refute by the cheapest check first
 and take no inverse.  A matrix group tests its relations, then whether det
-is a unit; a torus tests f_i(x) = t_i as num(x) = t_i den(x), the
-nonnegative powers of relation_from_multiplicative, then whether each entry
+is a unit; a torus (a ScalarTorus too) tests f_i(x) = t_i as num(x) =
+t_i den(x) from MultiplicativeFunction.split_eval, then whether each entry
 is a unit; a twist tests sigma^d(g) = psi(g) t, for psi = (g^T)^-1 as g^T
 sigma^d(g) = t, then det = 1 for SL (a unit already) or whether det is a
 unit for GL.  The unit test (AlgElement.is_unit) asks whether
@@ -88,7 +90,7 @@ from .algebras import (AlgebraError, AlgElement, FinDimAlgebra, FreePolyAlgebra,
 from .fields import make_field
 from .operators import (DifferenceOperator, classify_additive_h1,
                         solve_additive_full, solve_sigma_quotient)
-from .outcome import BudgetExceeded, Outcome, charge  # BudgetExceeded is re-exported
+from .outcome import DEFAULT_BUDGET, BudgetExceeded, Outcome, charge  # re-exports BudgetExceeded
 from .sigma_poly import MultiplicativeFunction, SigmaPolynomial, relation_from_multiplicative
 
 
@@ -487,17 +489,9 @@ class MatrixGroup(GroupPresentation):
     def contains(self, x, R):
         m = self._matrix(x)
         entries = tuple(e for row in m for e in row)
-        # the relations are cheap; test them before paying for the
-        # invertibility solve
+        # the relations are cheap; test them before the unit test
         return (all(rel.eval(entries).is_zero() for rel in self.relations)
                 and mat_det(m).is_unit())
-
-    def linear_relations(self):
-        """The relations whose monomials are single variables to the first
-        power, without a constant term (sigma(y) - y for mu2^sigma)."""
-        rels = [rel for rel in self.relations
-                if rel.terms and all(len(mono) == 1 and mono[0][1] == 1 for mono in rel.terms)]
-        return (lambda ys: [rel.eval(ys) for rel in rels]) if rels else None
 
     def coefficient_twist(self, d):
         rels = [SigmaPolynomial(r.field, r.nvars, {m: c.sigma(d) for m, c in r.terms.items()})
@@ -520,6 +514,12 @@ class ScalarTorus(MatrixGroup):
     @property
     def torsor_kind(self):
         return "mu" if self.torus.mu_shaped else "diagonal"
+
+    def contains(self, x, R):
+        return self.torus.contains((self._matrix(x)[0][0],), R)
+
+    def linear_relations(self):
+        return self.torus.linear_relations()
 
     def coefficient_twist(self, d):
         return self
@@ -607,24 +607,13 @@ class AdditiveKernel(GroupPresentation):
         return None if self.L is None else "additive"
 
     def invariant(self, tc, value: AlgElement):
-        """L(alpha) in k where value = 1(x)alpha - alpha(x)1."""
+        """L(alpha) in k where value = 1(x)alpha - alpha(x)1, alpha read off
+        by the contracting homotopy (tc.contract), then checked."""
         if self.L is None:
             return None
-        A = tc.A
-        field = A.field
-        zero = field.zero()
-        span = A.trivialization_span(value)
-        if span is None:
-            raise CocycleError("additive invariant supports FinDim and FreePoly algebras")
-        images = [tc.d1(m) - tc.d2(m) for m in span]
-        keys = sorted(set(value.data).union(*(img.data for img in images)))
-        mat = [[img.data.get(key, zero) for img in images] for key in keys]
-        sol = linalg.solve(mat, [value.data.get(key, zero) for key in keys], field)
-        if sol is None:
-            raise CocycleError("additive cocycle failed to trivialize (bug)")
-        alpha = A.zero()
-        for m, c in zip(span, sol):
-            alpha = alpha + m * c
+        alpha = tc.contract(value)
+        if tc.d1(alpha) - tc.d2(alpha) != value:
+            raise CocycleError("not an additive cocycle: value != 1(x)alpha - alpha(x)1")
         (a,) = _scalar_parts([self.L.apply(alpha)], "L(alpha)")
         return a
 
@@ -709,10 +698,9 @@ class DiagonalMult(GroupPresentation):
         sigma^b(y_j) (one exponent +1, one -1, on units)."""
         pairs = []
         for f in self.functions:
-            entries = sorted((e, i, j) for j, alpha in enumerate(f.exps)
-                             for i, e in enumerate(alpha) if e)
-            if [e for e, _, _ in entries] == [-1, 1]:
-                (_, ib, b), (_, ia, a) = entries
+            num, den = f.factors(1), f.factors(-1)
+            if len(num) == len(den) == 1 and num[0][2] == den[0][2] == 1:
+                (ia, a, _), (ib, b, _) = num[0], den[0]
                 pairs.append((ia, a, ib, b))
         if not pairs:
             return None
@@ -879,6 +867,14 @@ class FrobeniusTwist(GroupPresentation):
             return x
         return mat_inverse(mat_transpose(x))
 
+    def _psi_inverse(self, x, R):
+        """psi(x)^{-1}: 1, x^{-1} or x^T; only psi = id inverts."""
+        if self.psi == "trivial":
+            return mat_identity(R, self.n)
+        if self.psi == "id":
+            return mat_inverse(x)
+        return mat_transpose(x)
+
     def contains(self, x, R):
         return self._solves(self._matrix(x), None, R)
 
@@ -913,13 +909,12 @@ class FrobeniusTwist(GroupPresentation):
         det = mat_det(c)
         if det.is_zero() or (self.base == "SL" and not det.is_one()):
             return None
-        return mat_mul(mat_mul(mat_inverse(self.psi_apply(c, self.field)), a),
-                       mat_sigma(c, self.d))
+        return mat_mul(mat_mul(self._psi_inverse(c, self.field), a), mat_sigma(c, self.d))
 
     def invariant(self, tc, value):
         """a = psi(h)^{-1} * sigma^d(h) in GL_n(k) for a trivializer h."""
         h = gl_trivialize(tc, _as_matrix(value), self.n)
-        a = mat_mul(mat_inverse(self.psi_apply(h, tc.A)), mat_sigma(h, self.d))
+        a = mat_mul(self._psi_inverse(h, tc.A), mat_sigma(h, self.d))
         return tuple(tuple(_scalar_parts(row, "twist invariant")) for row in a)
 
     def equivalent_targets(self, a1, a2, budget):
@@ -1100,7 +1095,7 @@ def scalar_value(G, x):
     return _as_matrix(x)[0][0] if getattr(G, "n", None) == 1 else x
 
 
-def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = 10 ** 6,
+def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = DEFAULT_BUDGET,
                      keep=None, relations=None):
     """Complete list of G(R) for finite base fields, deterministic order;
     with a predicate `keep`, only the points of G(R) it accepts, so a caller

@@ -501,27 +501,26 @@ def classify_additive_h1(L: DifferenceOperator) -> AdditiveH1:
 def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: float = math.inf) -> Outcome:
     """x in k^x with sigma^d(x) / x = a, or a certificate that none exists.
 
-    With a budget, each shift window over QQ(t);shift is charged its gcds
-    first, and the solver answers undecided "budget-exhausted" when their
-    total exceeds it; without one every instance is decided.
+    With a budget, the q - 1 units of GF(q), or the gcds of each shift
+    window over QQ(t);shift, are charged first: undecided "budget-exhausted"
+    when their total exceeds it; without one every instance is decided.
     """
     k = a.field
     if a.is_zero():
         return outcome.no("target-not-a-unit")
-    if isinstance(k, FiniteField):
-        for x in k.units():
-            if x.sigma(d) == a * x:
-                return outcome.yes(x)
-        return outcome.no("exhausted-finite-field")
     if isinstance(k, RationalField):
         if a.is_one():
             return outcome.yes(k.one())
         return outcome.no("sigma-is-identity")
-    if isinstance(k, RationalFunctionField) and k.mode == "shift":
-        try:
+    try:
+        if isinstance(k, FiniteField):
+            charge(k.size - 1, budget)
+            x = next((x for x in k.units() if x.sigma(d) == a * x), None)
+            return outcome.no("exhausted-finite-field") if x is None else outcome.yes(x)
+        if isinstance(k, RationalFunctionField) and k.mode == "shift":
             return _solve_sigma_quotient_shift(a, d, budget)
-        except BudgetExceeded as e:
-            return outcome.undecided("budget-exhausted", space=e.space)
+    except BudgetExceeded as e:
+        return outcome.undecided("budget-exhausted", space=e.space)
     return outcome.undecided("multiplicative-solver-unsupported", field=k.descriptor)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+DEFAULT_BUDGET = 10 ** 6  # the budget of a search whose caller names none
+
 
 class InternalError(RuntimeError):
     """A decision procedure's self-check of its own witness failed: a bug,

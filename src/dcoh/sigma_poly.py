@@ -273,27 +273,10 @@ class MultiplicativeFunction:
                 for i, e in enumerate(alpha) if e * sign > 0]
 
     def eval(self, point):
-        """prod_j sigma^j(point^(alpha_j)); entries must be invertible."""
-        first = _check_entries(point)
-        if len(point) != self.nvars:
-            raise SigmaPolyError(f"arity mismatch: expected {self.nvars} entries")
-        total = None
-        for j, alpha in enumerate(self.exps):
-            layer = None
-            for i, e in enumerate(alpha):
-                if e == 0:
-                    continue
-                f = point[i] ** e
-                layer = f if layer is None else layer * f
-            if layer is None:
-                continue
-            layer = layer.sigma(j)
-            total = layer if total is None else total * layer
-        if total is None:
-            if isinstance(first, FieldElement):
-                return first.field.one()
-            return first.algebra.one()
-        return total
+        """prod_j sigma^j(point^(alpha_j)) as num / den from split_eval; the
+        denominator must be a unit, and without one nothing is inverted."""
+        num, den = self.split_eval(point)
+        return num * den.inverse() if self.factors(-1) else num
 
     def split_eval(self, point):
         """(num, den) with f(point) = num / den on units: the numerator and

@@ -42,7 +42,7 @@ from .groups import (ClassifyReport, _enumerate_field_matrices,  # noqa: F401
                      _satisfies_constraints, additive_torsor_algebra,
                      diagonal_constraints, mu_pair_space)
 from .operators import DifferenceOperator
-from .outcome import Outcome, charge
+from .outcome import DEFAULT_BUDGET, Outcome, charge
 
 
 class TorsorError(ValueError):
@@ -226,7 +226,7 @@ def is_point(X: TorsorPresentation, x, R: SigmaAlgebra = None) -> bool:
 
 
 def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
-                  budget: int = 10 ** 6) -> Outcome:
+                  budget: int = DEFAULT_BUDGET) -> Outcome:
     """A point of X over R (or over k when R is None), or a certificate.
 
     Finite data is enumerated completely; over infinite fields the
@@ -289,7 +289,7 @@ def normalize(X: TorsorPresentation) -> TorsorPresentation:
 
 
 def isomorphic(X: TorsorPresentation, Y: TorsorPresentation,
-               budget: int = 10 ** 6) -> Outcome:
+               budget: int = DEFAULT_BUDGET) -> Outcome:
     """A torsor isomorphism witness (a translation datum), or a certificate:
     the family's decision on the targets of the normal forms."""
     if X.chi is not None and Y.chi is not None and X.chi.context.A == Y.chi.context.A:
@@ -306,7 +306,7 @@ def isomorphic(X: TorsorPresentation, Y: TorsorPresentation,
 # H^1(k, G) classification
 
 
-def classify_h1(G: GroupPresentation, budget: int = 10 ** 6) -> ClassifyReport:
+def classify_h1(G: GroupPresentation, budget: int = DEFAULT_BUDGET) -> ClassifyReport:
     """Representatives of H^1(k, G) for the classified families.
 
     Finite base fields get an explicit list; infinite fields get oracle
@@ -391,7 +391,7 @@ class ExactnessReport:
             and self.torsors_all_trivial
 
 
-def exactness_audit(field: SigmaField, d: int, budget: int = 10 ** 6) -> ExactnessReport:
+def exactness_audit(field: SigmaField, d: int, budget: int = DEFAULT_BUDGET) -> ExactnessReport:
     """Enumerated exactness of 1 -> N(k) -> Gm(k) -> Gm(k) -> H^1(k,N) -> ...
 
     Checks ker(sigma^d) = N(k), that delta(x) is trivial exactly when x

@@ -618,3 +618,40 @@ def test_descent_linearity_check_agrees_with_all_pairs(QQ, gf9):
     errors = [_error(d.validate) for d in data]
     assert errors == [_error(lambda: _all_pairs_validate(d)) for d in data]
     assert errors[:6] == [None] * 6 and errors[6] is not None and errors[7] == LINEARITY
+
+
+def _unit_spans_by_solve(rep, A):
+    """Whether 1 spans the first kernel, by linalg.in_span: the audit's
+    unit check as a solve, kept as an oracle."""
+    return rep.dim_ker_first == 1 and linalg.in_span(
+        [A.to_vector(k) for k in rep.first_kernel], A.to_vector(A.one()), A.field) is not None
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "GF(4);frob^1", "GF(9);frob^1", "QQ(t);shift"])
+def test_amitsur_unit_check_is_read_off(descriptor):
+    """The unit check reads whether the one kernel vector is a scalar; it
+    agrees with the solve on the block algebras and basis changes of the
+    algebra-audit workload, dimensions 1 to 6."""
+    field = make_field(descriptor)
+    rng = random.Random(7)
+    for _ in range(8):
+        A = random_findim_algebra(field, rng, max_dim=6 if field.finite else 4)
+        rep = amitsur_audit(A)
+        assert rep.unit_spans_first_kernel == _unit_spans_by_solve(rep, A) is True
+
+
+def test_amitsur_unit_check_refutes_a_non_scalar_kernel(QQ, monkeypatch):
+    """A first kernel spanned by 1 + y (a broken kernel solve) fails the
+    unit check, as the solve says."""
+    A = make_mu_algebra(QQ.element(2), QQ.one())
+    kernel = linalg.kernel_basis
+
+    def broken(rows, field, ncols):
+        vecs = kernel(rows, field, ncols)
+        return [[field.one()] * ncols] if ncols == A.dim else vecs
+
+    monkeypatch.setattr(linalg, "kernel_basis", broken)
+    rep = amitsur_audit(A)
+    assert rep.dim_ker_first == 1
+    assert rep.unit_spans_first_kernel is _unit_spans_by_solve(rep, A) is False
+    assert not rep.ok

@@ -224,6 +224,17 @@ def test_bounded_search_lines(argv, code, line):
     assert (got, buf.getvalue()) == (code, line + "\n")
 
 
+def test_additive_invariant_over_a_laurent_algebra_line():
+    """The additive invariant is read off over any algebra, so a Laurent
+    coboundary gets its witness (it had none while the invariant needed a
+    finite span to solve over)."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = main(["cocycle-check", "--field", "QQ(t);shift", "--algebra",
+                    "laurent:1;sigma(u1)=u1", "--group", "addker:s-1", "--chi", "1#u - u#1"])
+    assert (got, buf.getvalue()) == (0, '{"args": {"algebra": "laurent:1;sigma(u1)=u1", "budget": 1000000, "chi": "1#u - u#1", "field": "QQ(t);shift", "group": "addker:s-1"}, "certificate": null, "cmd": "cocycle-check", "detail": null, "ok": true, "result": true, "undecided": false, "witness": {"a": "0", "type": "additive-invariant"}}\n')
+
+
 def test_audits():
     code, lines = run_cli(["audit-amitsur", "--field", "QQ",
                            "--algebra", "mu:1,1"])

@@ -1,10 +1,14 @@
 """Cocycle calculus: verification, coboundaries, equivalence, invariants."""
 
+import itertools
+import math
 import random
 
 import pytest
 
-from dcoh.algebras import (AlgebraMorphism, TensorContext, make_mu_algebra,
+from dcoh import linalg
+from dcoh.algebras import (AlgebraMorphism, FinDimAlgebra, FreePolyAlgebra, LaurentAlgebra,
+                           TensorContext, change_basis, make_mu_algebra,
                            make_split_algebra, scalar_algebra, tensor_square)
 from dcoh.cocycles import (Cocycle, additive_invariant,
                            coboundary, enumerate_cocycles, equivalent, invariant,
@@ -13,7 +17,8 @@ from dcoh.cocycles import (Cocycle, additive_invariant,
                            pushforward_algebra, pushforward_group,
                            trivial_cocycle)
 from dcoh.fields import FieldElement, make_field
-from dcoh.groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist, ProductGroup,
+from dcoh.groups import (AdditiveKernel, CocycleError, DiagonalMult, FrobeniusTwist,
+                         MatrixGroup, ProductGroup,
                          ambient_ga, ambient_gl, enumerate_points, gl_trivialize,
                          group_identity, mat_det, mat_identity, mat_inverse,
                          mat_mul, mat_sigma, mu2sigma_group)
@@ -570,3 +575,149 @@ def test_twist_invariant_of_trivial_and_coboundary(descriptor, algebra, n):
             c = tuple(tuple(e.scalar_part() for e in row) for row in c)
             assert t == mat_mul(mat_inverse(c), mat_sigma(c))
             assert equivalent(chi, chi)
+
+
+# --------------------------------------------------------------------------
+# the additive invariant read off by the contracting homotopy, against the
+# linear solve it replaced
+
+
+def _additive_invariant_by_solve(G, tc, value):
+    """L(alpha) with alpha solved for among the basis of a finite-dimensional
+    A, or among the monomials of a free polynomial A up to the degree of
+    value: the additive invariant as a linear solve, kept as an oracle."""
+    A = tc.A
+    zero = A.field.zero()
+    if isinstance(A, FinDimAlgebra):
+        span = A.generators()
+    elif isinstance(A, FreePolyAlgebra):
+        degree = max((sum(w) for w in value.data), default=0)
+        span = [A.basis_element(w) for w in itertools.product(range(degree + 1), repeat=A.ngens)
+                if sum(w) <= degree]
+    else:
+        raise CocycleError("no finite span to solve over")
+    images = [tc.d1(m) - tc.d2(m) for m in span]
+    keys = sorted(set(value.data).union(*(img.data for img in images)))
+    mat = [[img.data.get(key, zero) for img in images] for key in keys]
+    sol = linalg.solve(mat, [value.data.get(key, zero) for key in keys], A.field)
+    if sol is None:
+        raise CocycleError("additive cocycle failed to trivialize")
+    alpha = A.zero()
+    for m, c in zip(span, sol):
+        alpha = alpha + m * c
+    a = G.L.apply(alpha).scalar_part()
+    if a is None:
+        raise CocycleError("L(alpha) does not land in the base field")
+    return a
+
+
+def _value_or_error(compute):
+    try:
+        return compute()
+    except Exception as e:  # the class is compared, not the message
+        return type(e)
+
+
+P2 = [[1, 1], [1, 2]]
+P3 = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]     # both L * U with unit diagonals: det 1
+
+
+@pytest.mark.parametrize("algebra", ["mu", "split:2", "split:3"])
+@pytest.mark.parametrize("descriptor,a,b", ADDITIVE_GRID + [("GF(5);frob^1", "2", "4")])
+def test_additive_invariant_read_off_agrees_with_the_solve(descriptor, a, b, algebra):
+    """Over every algebra, and over its change_basis image where 1 is no
+    basis element, each additive cocycle of L in {s-1, s+1, s^2-1} gets the
+    invariant of the solve, and a value that is no coboundary (y(x)y for
+    the last basis element y) raises the solve's error class."""
+    F = make_field(descriptor)
+    base = (make_mu_algebra(F.element(a), F.element(b)) if algebra == "mu"
+            else make_split_algebra(F, int(algebra[-1])))
+    checked = 0
+    for A in (base, change_basis(base, P2 if base.dim == 2 else P3)):
+        tc = TensorContext(A)
+        y = A.basis_element(A.index_list()[-1])
+        for op in ADDITIVE_OPERATORS[:3]:
+            G = AdditiveKernel(DifferenceOperator.parse(F, op))
+            values = [chi.value for chi in enumerate_cocycles(G, tc, math.inf)]
+            for value in values + [tc.pair(y, y)]:
+                got = _value_or_error(lambda: G.invariant(tc, value))
+                assert got == _value_or_error(lambda: _additive_invariant_by_solve(G, tc, value))
+            checked += len(values)
+    assert checked > 6
+
+
+def test_additive_invariant_read_off_over_free_polynomial_algebras(shift_field):
+    """Coboundaries 1(x)alpha - alpha(x)1 over the additive torsor algebras
+    of QQ(t);shift: the same invariant as the solve, or the same error
+    where L(alpha) is no scalar."""
+    k = shift_field
+    raised = 0
+    for op_text, target in (("s - 1", "1/t"), ("s^2 - 3*s + 1", "t+1")):
+        L = DifferenceOperator.parse(k, op_text)
+        G = AdditiveKernel(L)
+        A = additive_torsor_algebra(L, k.element(target))
+        tc = TensorContext(A)
+        ys = A.generators()
+        for alpha in (ys[0], ys[0] + k.element("t"), ys[0] * 2 - k.element("1/t"),
+                      ys[0] * ys[0], ys[-1] * k.element("t") + ys[0], ys[0] * ys[-1]):
+            value = tc.d1(alpha) - tc.d2(alpha)
+            got = _value_or_error(lambda: G.invariant(tc, value))
+            assert got == _value_or_error(lambda: _additive_invariant_by_solve(G, tc, value))
+            raised += got is CocycleError
+    assert 0 < raised < 12
+
+
+def test_additive_invariant_over_a_laurent_algebra(subst_field):
+    """A Laurent algebra has no finite span to solve over; the read-off
+    alpha still trivializes its coboundaries, and a value that is no
+    coboundary, or whose L(alpha) is no scalar, raises."""
+    k = subst_field
+    A = LaurentAlgebra(k, 1, [(k.element("t"), (1,))])    # sigma(u) = t*u
+    tc = TensorContext(A)
+    u = A.gen(0)
+    G = AdditiveKernel(DifferenceOperator.parse(k, "s - t"))     # L(u) = 0
+    for alpha in (u, u * 3 + k.element("t")):
+        assert additive_invariant(make_cocycle(G, tc, tc.d1(alpha) - tc.d2(alpha))) == k.zero()
+    for value in (tc.d1(u * u) - tc.d2(u * u), tc.pair(u, u)):
+        with pytest.raises(CocycleError):
+            G.invariant(tc, value)
+
+
+def test_sigma_power_pushforward_of_an_additive_cocycle(gf9):
+    """pushforward_group(chi, ("sigma_power", d)) moves L's coefficients
+    through sigma^d (AdditiveKernel.coefficient_twist), and the class of
+    the invariant moves with them: L'(sigma^d(alpha)) = sigma^d(L(alpha)),
+    up to L'(k) as alpha is read off up to a scalar."""
+    w = gf9.element("w")
+    L = DifferenceOperator(gf9, [-w])     # s - w, w not fixed by sigma
+    G = AdditiveKernel(L)
+    tc = TensorContext(make_split_algebra(gf9, 2, [1, 0]))
+    zs = enumerate_cocycles(G, tc)
+    assert len(zs) > 1
+    for d in (1, 2):
+        for chi in zs:
+            moved = pushforward_group(chi, ("sigma_power", d))
+            assert moved.group == AdditiveKernel(DifferenceOperator(gf9, [-w.sigma(d)]))
+            assert moved.value == chi.value.sigma(d)
+            assert moved.group.equivalent_targets(invariant(moved), invariant(chi).sigma(d),
+                                                  math.inf)
+
+
+def test_equivalence_search_certifies_a_no():
+    """mu2^sigma as a plain MatrixGroup has no invariant, so equivalence
+    searches G(A): its answers are those of the torus's invariants, and an
+    inequivalent pair gets "exhausted-group-points"."""
+    F = make_field("GF(9);frob^1")
+    M = mu2sigma_group(F)
+    plain = MatrixGroup(F, 1, M.relations)
+    tc = TensorContext(make_mu_algebra(F.one(), F.element("2")))
+    zs = enumerate_cocycles(M, tc)
+    noes = 0
+    for c1 in zs:
+        for c2 in zs:
+            res = equivalent(Cocycle(plain, tc, c1.value), Cocycle(plain, tc, c2.value))
+            assert bool(res) == bool(equivalent(c1, c2))
+            if not res:
+                assert res.certificate == "exhausted-group-points"
+                noes += 1
+    assert noes

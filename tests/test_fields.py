@@ -252,3 +252,16 @@ def test_power_is_the_repeated_product(descriptor):
         for _ in range(abs(n)):
             want = want * base
         assert x ** n == want, n
+
+
+def test_finite_field_element_of_a_fraction():
+    """A Fraction maps to numerator * denominator^-1 mod p, and a
+    denominator divisible by p has no image."""
+    from fractions import Fraction
+    for descriptor, half in (("GF(5);frob^1", "3"), ("GF(9);frob^1", "2"), ("GF(7);frob^1", "4")):
+        F = make_field(descriptor)
+        assert F.element(Fraction(1, 2)) == F.element(half)
+        assert F.element(Fraction(-3, 4)) * F.element(4) == F.element(-3)
+    for descriptor, bad in (("GF(4);frob^1", Fraction(1, 2)), ("GF(9);frob^1", Fraction(5, 6))):
+        with pytest.raises(ZeroDivisionError):
+            make_field(descriptor).element(bad)

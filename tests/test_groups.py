@@ -1,6 +1,8 @@
 """Group presentations: membership, the group law, point enumeration."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -10,9 +12,10 @@ from dcoh import linalg
 from dcoh.fields import make_field
 from dcoh.groups import (AdditiveKernel, BudgetExceeded, CocycleError, DiagonalMult,
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
-                         ScalarTorus, contains, enumerate_points, gl_trivialize, gm_trivialize,
-                         group_identity, group_inv, group_mul, kernel_of_sigma_power,
-                         mat_det, mat_eq, mat_mul, mat_sigma, mu2sigma_group, scalar_value)
+                         ScalarTorus, _enumerate_field_matrices, ambient_gl, contains,
+                         enumerate_points, gl_trivialize, gm_trivialize, group_identity,
+                         group_inv, group_mul, kernel_of_sigma_power, mat_det, mat_eq,
+                         mat_inverse, mat_mul, mat_sigma, mu2sigma_group, scalar_value)
 from dcoh.outcome import InternalError
 from dcoh.operators import DifferenceOperator
 from dcoh.sigma_poly import SigmaPolynomial, parse_multiplicative
@@ -447,3 +450,119 @@ def test_membership_never_solves_and_tests_units_only_after_the_relations(monkey
                     G.torsor_point(x, target, R)
                     assert calls["solve"] == 0, (G.kind, x)
     assert unit_tests > 0
+
+
+# --------------------------------------------------------------------------
+# mu2^sigma runs as its torus; psi^{-1} is taken directly
+
+
+@pytest.mark.parametrize("descriptor,a,b", [("GF(3);frob^1", "2", "2"), ("GF(4);frob^1", "w", "w+1"),
+                                            ("GF(5);frob^1", "2", "4"), ("GF(7);frob^1", "3", "6"),
+                                            ("GF(9);frob^1", "w", "w")])
+def test_mu2sigma_contains_as_its_torus_answers_as_its_relations(descriptor, a, b):
+    """The torus membership of mu2^sigma against MatrixGroup.contains on its
+    relations y^2 - 1, sigma(y) - y, on every element of R: the mu and split
+    algebras, and their tensor squares over GF(3) and GF(4)."""
+    F = make_field(descriptor)
+    G = mu2sigma_group(F)
+    algebras = [make_mu_algebra(F.element(a), F.element(b)), make_split_algebra(F, 2, [1, 0])]
+    if F.size < 5:
+        algebras += [TensorContext(R).AA for R in algebras]
+    members = 0
+    for R in algebras:
+        for x in R.enumerate_elements():
+            got = G.contains(x, R)
+            assert got == MatrixGroup.contains(G, x, R), (R.dim, x)
+            members += got
+    assert members > len(algebras)
+
+
+def _mat_map(func, x):
+    return tuple(tuple(func(e) for e in row) for row in x)
+
+
+def _twists(F):
+    return [FrobeniusTwist(F, base, n, d, psi) for base, n in (("GL", 1), ("GL", 2), ("SL", 2))
+            for d in (1, 2) for psi in ("trivial", "id", "transposeinv")]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_twist_translate_and_invariant_agree_with_the_inverse_of_psi(q, monkeypatch):
+    """translate and invariant take psi(c)^{-1} as 1, c^{-1} or c^T; they
+    agree with mat_inverse(psi_apply(c)) on every c of base(k) against a
+    spread of targets, and on the trivial cocycle and coboundaries of GL_n
+    over the split and mu algebras.  A coboundary of GL_n need not be one
+    of G, so the invariant is compared before its entries are read as
+    scalars."""
+    from dcoh import groups
+    monkeypatch.setattr(groups, "_scalar_parts", lambda values, what: list(values))
+    F = make_field(f"GF({q});frob^1")
+    rng = random.Random(q)
+    algebras = [make_split_algebra(F, 2, [1, 0]), make_mu_algebra(F.one(), F.one())]
+    for G in _twists(F):
+        mats = list(_enumerate_field_matrices(F, G.n, G.base == "SL", math.inf))
+        for a in mats[::max(1, len(mats) // 5)]:
+            for c in mats:
+                assert G.translate(c, a) == mat_mul(mat_mul(mat_inverse(G.psi_apply(c, F)), a),
+                                                    mat_sigma(c, G.d))
+        for A in algebras:
+            tc = TensorContext(A)
+            Gl = ambient_gl(F, G.n)
+            chis = [group_identity(Gl, tc.AA)]
+            while len(chis) < 4:
+                g = tuple(tuple(A.from_vector([F.random_element(rng) for _ in range(A.dim)])
+                                for _ in range(G.n)) for _ in range(G.n))
+                if mat_det(g).is_unit():
+                    chis.append(mat_mul(_mat_map(tc.d1, g), mat_inverse(_mat_map(tc.d2, g))))
+            for chi in chis:
+                h = gl_trivialize(tc, chi, G.n)
+                assert G.invariant(tc, chi) == mat_mul(mat_inverse(G.psi_apply(h, A)),
+                                                       mat_sigma(h, G.d))
+
+
+def test_translate_inverts_only_for_psi_id(monkeypatch):
+    """psi = 1 and psi = (c^T)^{-1} translate without any matrix inverse
+    (the identity's and c^T's inverses were taken, c^T's twice)."""
+    from dcoh import groups
+    calls = []
+    inverse = groups.mat_inverse
+    monkeypatch.setattr(groups, "mat_inverse", lambda x: calls.append(x) or inverse(x))
+    F = make_field("GF(4);frob^1")
+    one, zero, w = F.one(), F.zero(), F.element("w")
+    c, a = ((one, w), (zero, one)), ((zero, one), (one, one))
+    for psi, inverses in (("trivial", 0), ("transposeinv", 0), ("id", 1)):
+        calls.clear()
+        assert FrobeniusTwist(F, "GL", 2, 1, psi).translate(c, a) is not None
+        assert len(calls) == inverses, psi
+
+
+def _sorted_exponent_pairs(G):
+    """The (i_num, a, i_den, b) of each function sigma^a(y_i) / sigma^b(y_j),
+    found by sorting its nonzero exponents: linear_relations as it was
+    written, kept as an oracle."""
+    pairs = []
+    for f in G.functions:
+        entries = sorted((e, i, j) for j, alpha in enumerate(f.exps)
+                         for i, e in enumerate(alpha) if e)
+        if [e for e, _, _ in entries] == [-1, 1]:
+            (_, ib, b), (_, ia, a) = entries
+            pairs.append((ia, a, ib, b))
+    return pairs
+
+
+def test_diagonal_linear_relations_read_the_numerator_and_denominator(gf9):
+    """A function is a linear relation exactly when its numerator and its
+    denominator are one factor of exponent 1 each; the relations and their
+    order are those of the exponent sort."""
+    R = make_split_algebra(gf9, 2, [1, 0])
+    rng = random.Random(3)
+    ys = tuple(R.from_vector([gf9.random_element(rng) for _ in range(2)]) for _ in range(2))
+    texts = ["s(y1)/y2", "y1/s^2(y2)", "y1^2/y2", "s(y1)*y2/y1", "s(y2)/y2", "y1*y2", "y1/y2^2",
+             "s(y1)/s(y1)"]
+    for chosen in itertools.combinations(texts, 3):
+        G = DiagonalMult(gf9, 2, [parse_multiplicative(t, 2) for t in chosen])
+        pairs = _sorted_exponent_pairs(G)
+        rels = G.linear_relations()
+        assert (rels is None) == (not pairs), chosen
+        if rels is not None:
+            assert rels(ys) == [ys[ia].sigma(a) - ys[ib].sigma(b) for ia, a, ib, b in pairs]

@@ -1,5 +1,6 @@
 """Difference operators: application, the Abramov solver, H^1 = k/L(k)."""
 
+import itertools
 import random
 
 import pytest
@@ -423,3 +424,43 @@ def test_operator_products_compose(descriptor, x):
         assert LR.apply(x) == L.apply(R.apply(x)), (left, right)
     if c == "t":
         assert str(DifferenceOperator.parse(F, "(s-1)*(s-t)")) == "s^2 + (-t - 2)*s + t"
+
+
+# --------------------------------------------------------------------------
+# the kernel basis against brute force; the GF(q) quotient search is charged
+
+
+@pytest.mark.parametrize("descriptor", ["GF(4);frob^1", "GF(9);frob^1", "GF(8);frob^1",
+                                        "GF(9);frob^2"])
+def test_additive_kernel_basis_over_a_finite_field(descriptor):
+    """{b in k : L(b) = 0} by brute force is the F_p-span of the basis, and
+    the basis is independent: the span has p^len(basis) elements."""
+    k = make_field(descriptor)
+    p = k.characteristic
+    for text in ("s - 1", "s + 1", "s^2 - 1", "s - w", "s^2 + w*s + 1", "s^3 - s"):
+        L = op(k, text)
+        kernel = {b for b in k.elements() if L.apply(b).is_zero()}
+        basis = additive_kernel_basis(L)
+        span = {sum((v * c for v, c in zip(basis, cs)), k.zero())
+                for cs in itertools.product(range(p), repeat=len(basis))}
+        assert span == kernel and len(span) == p ** len(basis), text
+
+
+def test_additive_kernel_basis_over_QQ(QQ):
+    """sigma = id: L acts as its scalar value, so the kernel is QQ or 0."""
+    for text, dim in (("s - 1", 1), ("s^2 - 1", 1), ("s + 1", 0), ("s^2 - 3*s + 2", 1), ("s - 2", 0)):
+        basis = additive_kernel_basis(op(QQ, text))
+        assert len(basis) == dim, text
+        assert all(op(QQ, text).apply(b).is_zero() and not b.is_zero() for b in basis)
+
+
+def test_sigma_quotient_over_a_finite_field_charges_its_units():
+    """Over GF(9) the q - 1 = 8 units are charged first: budget 7 refuses
+    with space 8, budget 8 decides."""
+    k = make_field("GF(9);frob^1")
+    for a in k.units():
+        res = solve_sigma_quotient(a, 1, budget=7)
+        assert (res.status, res.certificate, res.detail) == (
+            "undecided", "budget-exhausted", {"space": 8})
+        decided = solve_sigma_quotient(a, 1, budget=8)
+        assert decided.decided and decided == solve_sigma_quotient(a, 1)

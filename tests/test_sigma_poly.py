@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from dcoh.algebras import make_mu_algebra, scalar_algebra
-from dcoh.fields import make_field
+from dcoh.algebras import make_mu_algebra, make_split_algebra, scalar_algebra
+from dcoh.fields import FieldElement, make_field
 from dcoh.sigma_poly import (SigmaPolyError, SigmaPolynomial, mult_eval,
                              parse_multiplicative, parse_sigma_polynomial,
                              poly_arith, poly_eval, poly_shift,
@@ -137,3 +137,77 @@ def test_order_and_parse_errors(QQ):
         parse_multiplicative("y + 1", 1)
     with pytest.raises(SigmaPolyError):
         parse_sigma_polynomial("y1/y1", QQ, 1)
+
+
+# --------------------------------------------------------------------------
+# f read only as a numerator and a denominator
+
+
+def _layered_eval(f, point):
+    """prod_j sigma^j(prod_i point_i^(alpha_j,i)), layer by layer with
+    negative powers taken by inverses: f.eval as it was written, kept as an
+    oracle."""
+    total = None
+    for j, alpha in enumerate(f.exps):
+        layer = None
+        for i, e in enumerate(alpha):
+            if e:
+                x = point[i] ** e
+                layer = x if layer is None else layer * x
+        if layer is not None:
+            layer = layer.sigma(j)
+            total = layer if total is None else total * layer
+    if total is None:
+        first = point[0]
+        return first.field.one() if isinstance(first, FieldElement) else first.algebra.one()
+    return total
+
+
+UNARY = ["1", "y^2", "s(y)/y", "s(y)^2/y^3", "1/y", "s^2(y)*y", "s(y)/s^2(y)^2"]
+BINARY = ["y1*s(y2)/y2^2", "s(y1)/y2", "y1^2*y2"]
+
+
+@pytest.mark.parametrize("descriptor,a,b", [("GF(3);frob^1", "2", "2"), ("GF(4);frob^1", "w", "w+1"),
+                                            ("GF(5);frob^1", "2", "4"), ("GF(9);frob^1", "w", "w")])
+def test_mult_eval_agrees_with_the_layered_eval(descriptor, a, b):
+    """num * den^-1 from split_eval against the layered product, on the
+    units of GF(q) (pairs of them for arity 2) and of the mu and split
+    algebras."""
+    F = make_field(descriptor)
+    units = list(F.units())
+    for text in UNARY:
+        f = parse_multiplicative(text, 1)
+        for R in (make_mu_algebra(F.element(a), F.element(b)), make_split_algebra(F, 2, [1, 0])):
+            for x in R.enumerate_elements():
+                if x.is_unit():
+                    assert f.eval((x,)) == _layered_eval(f, (x,)), (text, x)
+        for x in units:
+            assert f.eval((x,)) == _layered_eval(f, (x,)), (text, x)
+    for text in BINARY:
+        f = parse_multiplicative(text, 2)
+        for x in units:
+            for y in units:
+                assert f.eval((x, y)) == _layered_eval(f, (x, y)), (text, x, y)
+
+
+def test_mult_eval_without_a_denominator_inverts_nothing(monkeypatch):
+    """eval of y^2, y*s(y) and 1 takes no inverse, not even of 1, on every
+    element of R (a non-unit included); s(y)/y takes one per unit."""
+    from dcoh.algebras import FinDimAlgebra
+    calls = []
+    invert = FinDimAlgebra._invert_data
+    monkeypatch.setattr(FinDimAlgebra, "_invert_data",
+                        lambda self, d: calls.append(d) or invert(self, d))
+    F = make_field("GF(9);frob^1")
+    R = make_split_algebra(F, 2, [1, 0])
+    elements = list(R.enumerate_elements())
+    for text in ("y^2", "y*s(y)", "1"):
+        f = parse_multiplicative(text, 1)
+        for x in elements:
+            f.eval((x,))
+        assert calls == [], text
+    f = parse_multiplicative("s(y)/y", 1)
+    units = [x for x in elements if x.is_unit()]
+    for x in units:
+        f.eval((x,))
+    assert len(calls) == len(units)

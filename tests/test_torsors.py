@@ -531,3 +531,88 @@ def test_exactness_audit_kernel_check_can_fail(gf9, monkeypatch):
     monkeypatch.setattr(torsors, "contains", drops_one)
     rep = exactness_audit(gf9, 2)
     assert not rep.kernel_matches and not rep.ok
+
+
+# --------------------------------------------------------------------------
+# twisted forms over their own and a foreign algebra; the oracle branches
+
+
+def test_twisted_form_points_over_its_own_and_a_foreign_algebra(gf9):
+    """torsor_points of a twisted form is its canonical point chi^{-1} over
+    its own algebra (or with none named), undecided over another one."""
+    A = make_mu_algebra(gf9.element("w"), gf9.element("w"))
+    G = mu2sigma_group(gf9)
+    tc = TensorContext(A)
+    for chi in enumerate_cocycles(G, tc):
+        X = torsor_from_cocycle(chi)
+        for R in (A, None):
+            res = torsor_points(X, R)
+            assert res and res.witness == X.canonical_point() and is_point(X, res.witness)
+        res = torsor_points(X, make_mu_algebra(gf9.one(), gf9.element("2")))
+        assert (res.status, res.certificate) == ("undecided", "twisted-form-over-foreign-algebra")
+
+
+def test_isomorphic_twisted_forms_over_one_algebra(gf9):
+    """Two twisted forms over one algebra are decided by the equivalence
+    of their cocycles, with its witness."""
+    from dcoh.cocycles import equivalent
+    A = make_mu_algebra(gf9.one(), gf9.element("2"))
+    zs = enumerate_cocycles(mu2sigma_group(gf9), TensorContext(A))
+    answers = set()
+    for c1 in zs:
+        for c2 in zs:
+            res = isomorphic(torsor_from_cocycle(c1), torsor_from_cocycle(c2))
+            assert res == equivalent(c1, c2)
+            answers.add(res.status)
+    assert answers == {"yes", "no"}
+
+
+def test_oracle_branches_over_infinite_fields(shift_field, subst_field):
+    """Over an infinite field a torus that is not mu-shaped, and the twists
+    with psi != 1, are classified by an oracle report; their pairwise and
+    point questions answer undecided unless c = 1 settles them."""
+    k = shift_field
+    t = k.element("t")
+    torus = DiagonalMult(k, 1, [parse_multiplicative("s(y)/y^2", 1)])
+    assert classify_h1(torus).kind == "oracle"
+    assert classify_h1(mu2sigma_group(k)).note.startswith("normal form x^2=a")
+    assert torus.equivalent_targets((t,), (t + 1,), 10).certificate == \
+        "diagonal-equivalence-undecided"
+    assert torus.rational_point((t,), 10).certificate == \
+        "diagonal-points-undecided-over-infinite-field"
+    assert classify_h1(FrobeniusTwist(k, "GL", 2, 1, "trivial")).count == 1
+    assert classify_h1(FrobeniusTwist(subst_field, "GL", 1, 1, "trivial")).kind == "oracle"
+    one, zero = k.one(), k.zero()
+    a1, a2 = ((one, t), (zero, one)), ((one, zero), (t, one))
+    for psi in ("id", "transposeinv"):
+        G = FrobeniusTwist(k, "GL", 2, 1, psi)
+        assert classify_h1(G).note == "decide via isomorphic"
+        res = G.equivalent_targets(a1, a2, 10)
+        assert (res.status, res.certificate, res.detail) == (
+            "undecided", "twist-translation-undecided", {"psi": psi})
+        assert G.equivalent_targets(a1, a1, 10).witness == ((one, zero), (zero, one))
+        res = torsor_points(FrobeniusTwistTorsor(k, "GL", 2, 1, psi, a1))
+        assert (res.status, res.certificate) == ("undecided", "twist-points-undecided")
+
+
+def test_twist_orbit_refusal_falls_back_to_the_oracle():
+    """GL2(GF(3)) has 81 candidate matrices and 48 points: a budget of 100
+    lists them but refuses the 48^2 translates of the orbit check."""
+    F = make_field("GF(3);frob^1")
+    G = FrobeniusTwist(F, "GL", 2, 1, "id")
+    rep = classify_h1(G, 100)
+    assert (rep.kind, rep.note) == ("oracle", "orbit enumeration exceeds budget")
+    assert classify_h1(G, 48 ** 2).kind == "finite-list"
+
+
+def test_product_classify_with_a_factor_without_listing(gf9, shift_field):
+    """A factor with an oracle report makes the product's report an oracle
+    one; a factor with no classification at all leaves the product
+    unclassified."""
+    L = DifferenceOperator.parse(shift_field, "s - 1")
+    rep = classify_h1(ProductGroup([mu2sigma_group(shift_field), AdditiveKernel(L)]))
+    assert (rep.kind, rep.note) == ("oracle", "some factor lacks a finite listing")
+    with pytest.raises(TorsorError):
+        classify_h1(ProductGroup([mu2sigma_group(gf9), AdditiveKernel(None, field=gf9)]))
+    rep = classify_h1(ProductGroup([mu2sigma_group(gf9), mu2sigma_group(gf9)]))
+    assert rep.kind == "finite-list" and rep.count == 16
