@@ -23,6 +23,7 @@ values (the `value` of a FieldElement), as tuples of (index, value) pairs
 with the zeros left out.  Products, sigma and unit inverses run on raw
 values through the field's own _mul/_add/_is_zero/_sigma, and each
 surviving coefficient is wrapped in a FieldElement once, on the way out.
+The table self-check (TableAlgebra.validate) compares raw values alone.
 Equal tensor products share one table, built entry by entry on first use
 and dropped when no algebra uses it any more.
 
@@ -217,6 +218,9 @@ def _linear_image(images, x: AlgElement, target) -> AlgElement:
 class SigmaAlgebra:
     __slots__ = ("field",)
     kind = "abstract"
+    # whether the generators are units whose inverses are no products of
+    # generators (the Laurent algebras)
+    monomials_are_units = False
     field: SigmaField
 
     def element(self, data: dict) -> AlgElement:
@@ -502,33 +506,65 @@ class TableAlgebra(FinDimAlgebra):
         return self._tables.unit
 
     def validate(self):
+        """The unit, commutativity, associativity, sigma(1) = 1 and sigma
+        multiplicative, checked in that order on the raw structure constants;
+        semilinearity on coefficients holds by construction.
+
+        Each side of an identity is a dict of raw values with no zeros, so
+        two sides agree exactly when the elements do.  Associativity is
+        checked only at the triples (i, j, k) with i < k.  Commutativity is
+        checked first, and given it, (e_i e_j) e_k = e_i (e_j e_k) and its
+        mirror (e_k e_j) e_i = e_k (e_j e_i) are one identity: both say
+        (e_i e_j) e_k = (e_j e_k) e_i.  For i = k that reads
+        (e_i e_j) e_i = (e_j e_i) e_i and holds.  So the first failing
+        triple in lexicographic order always has i < k, and the message
+        names it.  sigma is checked on unordered pairs for the same reason.
+        """
         m = self.dim
         labels = self.labels
-        if not self._tables.unit:
+        tables = self._tables
+        if not tables.unit:
             raise AlgebraError("zero algebra: unit is zero")
-        mult = self._tables.key[3]
-        e = [self.basis_element(i) for i in range(m)]
-        one = self.one()
+        f = self.field
+        mul, add, is_zero, sig = f._mul, f._add, f._is_zero, f._sigma
+        dense, mult, sigma = tables.key[3], tables.mult, tables.sigma
+        one = f.one().value
+        unit = [(r, u.value) for r, u in tables.unit.items()]
+
+        def combine(terms) -> dict:
+            """sum of c * x over the terms (x, c), x given by its raw pairs,
+            as raw values without zeros"""
+            out = {}
+            for pairs, c in terms:
+                for s, v in pairs:
+                    w = mul(c, v)
+                    out[s] = add(out[s], w) if s in out else w
+            return {s: v for s, v in out.items() if not is_zero(v)}
+
         for i in range(m):
-            if one * e[i] != e[i]:
+            if combine([(mult[r][i], u) for r, u in unit]) != {i: one}:
                 raise AlgebraError(f"unit fails on basis element {labels[i]}")
             for j in range(i, m):
-                if mult[i][j] != mult[j][i]:
+                if dense[i][j] != dense[j][i]:
                     raise AlgebraError(f"multiplication not commutative at ({i},{j})")
-        prod = [[e[i] * e[j] for j in range(m)] for i in range(m)]
+        # (e_a e_b) e_c, computed once for (a, b) and (b, a): mult is symmetric now
+        prod3 = {}
+        for a in range(m):
+            for b in range(a, m):
+                ab = mult[a][b]
+                for c in range(m):
+                    prod3[a, b, c] = prod3[b, a, c] = combine([(mult[r][c], v) for r, v in ab])
         for i in range(m):
             for j in range(m):
-                for k in range(m):
-                    if prod[i][j] * e[k] != e[i] * prod[j][k]:
+                for k in range(i + 1, m):
+                    if prod3[i, j, k] != prod3[j, k, i]:
                         raise AlgebraError(f"multiplication not associative at ({i},{j},{k})")
-        # sigma must be multiplicative and unit-preserving; semilinearity on
-        # coefficients holds by construction
-        if one.sigma() != one:
+        if combine([(sigma[r], sig(u)) for r, u in unit]) != dict(unit):
             raise AlgebraError("sigma does not fix 1")
-        es = [x.sigma() for x in e]
         for i in range(m):
             for j in range(i, m):
-                if prod[i][j].sigma() != es[i] * es[j]:
+                if combine([(sigma[r], sig(c)) for r, c in mult[i][j]]) != \
+                        combine([(mult[a][b], mul(x, y)) for a, x in sigma[i] for b, y in sigma[j]]):
                     raise AlgebraError(f"sigma not multiplicative at ({i},{j})")
 
 
@@ -646,7 +682,6 @@ class MonomialAlgebra(SigmaAlgebra):
     __slots__ = ("ngens", "images", "_key", "_unit")
     stem = "x"
     generator_noun = "a generator"
-    monomials_are_units = False
 
     def __init__(self, field, ngens: int, sigma_images=None):
         self.field = field
@@ -991,9 +1026,12 @@ def change_basis(A: FinDimAlgebra, P) -> TableAlgebra:
     fs = [AlgElement(A, {idx[i]: P[i][j] for i in range(m) if not P[i][j].is_zero()})
           for j in range(m)]
 
+    pos = {k: i for i, k in enumerate(idx)}
+
     def to_new(x: AlgElement):
-        vec = A.to_vector(x)
-        return [sum((Pinv[r][i] * vec[i] for i in range(m)), field.zero()) for r in range(m)]
+        """Coordinates of x in the new basis, summed over x's nonzero ones."""
+        terms = [(pos[k], c) for k, c in x.data.items()]
+        return [sum((Pinv[r][i] * c for i, c in terms), field.zero()) for r in range(m)]
 
     mult = [[to_new(fs[i] * fs[j]) for j in range(m)] for i in range(m)]
     sigma = [to_new(fs[i].sigma()) for i in range(m)]
@@ -1102,14 +1140,23 @@ class AlgebraMorphism:
         return self.source.evaluate(self.images, x, self.target)
 
     def validate(self):
+        """The base field, phi(1) = 1, then sigma and products on the
+        generators.
+
+        A unit g goes to a unit with no test of its own: phi(1) = 1 and
+        multiplicativity give phi(g) phi(g^-1) = phi(1) = 1.  Products of
+        generators span a finite-dimensional source (its basis), so
+        multiplicativity on them is multiplicativity everywhere.  The
+        inverse of a Laurent generator is no such product: phi(u^-1) is
+        phi(u)^-1 by definition, so there the images are tested for units.
+        """
         if self.source.field != self.target.field:
             raise AlgebraError("morphism must preserve the base field")
         if self.apply(self.source.one()) != self.target.one():
             raise AlgebraError("morphism does not preserve 1")
+        if self.source.monomials_are_units and not all(img.is_unit() for img in self.images):
+            raise AlgebraError("morphism must map units to units")
         gens = self.source.generators()
-        for g, img in zip(gens, self.images):
-            if g.is_unit() and not img.is_unit():
-                raise AlgebraError("morphism must map units to units")
         for g, img in zip(gens, self.images):
             if self.apply(g.sigma()) != img.sigma():
                 raise AlgebraError("morphism does not commute with sigma")
@@ -1166,8 +1213,13 @@ class DescentDatum:
         construction, and the checks before it make phi unital and
         multiplicative: then phi(U x) = phi(U) phi(x), and x = 1 shows that
         linearity holds exactly when phi(U) = V.  That is m^2 checks for
-        m = dim A instead of m^2 |B(x)A|, and validation as a whole costs
-        m^2 + |B(x)A|^2 products.
+        m = dim A instead of m^2 |B(x)A|.
+
+        Multiplicativity is checked on unordered pairs of basis elements
+        (k1 <= k2 in basis order).  B(x)A and A(x)B are tensor products of
+        validated commutative algebras, so phi(xy) and phi(x) phi(y) are
+        both symmetric in x and y.  Validation as a whole costs
+        m^2 + |B(x)A| (|B(x)A| + 1) / 2 products.
         """
         self.iota.validate()
         idx_ba = self.BA.index_list()
@@ -1176,8 +1228,9 @@ class DescentDatum:
         if self.apply(self.BA.one()) != self.AB.one():
             raise AlgebraError("phi does not preserve 1")
         basis = {k: self.BA.basis_element(k) for k in idx_ba}
-        for k1 in idx_ba:
-            for k2 in idx_ba:
+        # unordered pairs: both products are commutative (see the docstring)
+        for n, k1 in enumerate(idx_ba):
+            for k2 in idx_ba[n:]:
                 if self.apply(basis[k1] * basis[k2]) != self.phi_images[k1] * self.phi_images[k2]:
                     raise AlgebraError("phi is not a ring morphism")
         for k in idx_ba:

@@ -730,7 +730,8 @@ class DiagonalMult(GroupPresentation):
     def equivalent_targets(self, v1, v2, budget):
         """lambda in (k^x)^n with translate(lambda, v1) = v2, or a certificate:
         the first of the (q-1)^n units of a finite field (undecided over the
-        budget), a square root of a2/a1 over an infinite field when mu-shaped."""
+        budget), a square root of a2/a1 over an infinite field when mu-shaped,
+        else lambda = (1, ..., 1) when it carries v1 onto v2."""
         field = self.field
         if field.finite:
             try:
@@ -739,6 +740,9 @@ class DiagonalMult(GroupPresentation):
             except BudgetExceeded as e:
                 return outcome.undecided("budget-exhausted", space=e.space)
         if not self.mu_shaped:
+            ones = (field.one(),) * self.n
+            if self.translate(ones, v1) == v2:
+                return outcome.yes(ones)
             return outcome.undecided("diagonal-equivalence-undecided")
         r = v2[0] / v1[0]
         lam = field.is_square(r)
@@ -785,7 +789,7 @@ class DiagonalMult(GroupPresentation):
         """Every unit vector of a finite field, undecided when its (q-1)^n
         candidates exceed the budget; over an infinite field, a square root
         of a for mu-shaped functions (both roots have the same
-        sigma(x)/x), else undecided."""
+        sigma(x)/x), else (1, ..., 1) when it is a point, else undecided."""
         field = self.field
         if field.finite:
             # a mu-shaped point is a square root of a, sought in k
@@ -795,6 +799,9 @@ class DiagonalMult(GroupPresentation):
             except BudgetExceeded:
                 return outcome.undecided("budget-exhausted")
         if not self.mu_shaped:
+            ones = (field.one(),) * self.n
+            if self.torsor_point(ones, avec):
+                return outcome.yes(ones)
             return outcome.undecided("diagonal-points-undecided-over-infinite-field")
         a, b = avec
         lam = field.is_square(a)

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from conftest import (random_findim_algebra, small_element,
-                      table_isomorphism_by_search)
+from conftest import (random_basis_change, random_findim_algebra, random_unit,
+                      small_element, table_isomorphism_by_search)
 
 from dcoh import algebras, linalg
-from dcoh.algebras import (AlgebraError, AlgebraMorphism, DescentDatum,
+from dcoh.algebras import (AlgebraError, AlgebraMorphism, AlgElement, DescentDatum,
                            TensorAlgebra, TensorContext, amitsur_audit,
                            canonical_descent_datum, change_basis,
                            descend_invariants, direct_sum, FreePolyAlgebra,
@@ -655,3 +655,248 @@ def test_amitsur_unit_check_refutes_a_non_scalar_kernel(QQ, monkeypatch):
     assert rep.dim_ker_first == 1
     assert rep.unit_spans_first_kernel is _unit_spans_by_solve(rep, A) is False
     assert not rep.ok
+
+
+# --------------------------------------------------------------------------
+# the algebra self-checks on raw structure constants against element products
+
+
+def _validate_by_elements(A):
+    """TableAlgebra.validate written on AlgElement products over all m^3
+    triples: the oracle for the check on raw structure constants."""
+    m = A.dim
+    labels = A.labels
+    if not A._tables.unit:
+        raise AlgebraError("zero algebra: unit is zero")
+    mult = A._tables.key[3]
+    e = [A.basis_element(i) for i in range(m)]
+    one = A.one()
+    for i in range(m):
+        if one * e[i] != e[i]:
+            raise AlgebraError(f"unit fails on basis element {labels[i]}")
+        for j in range(i, m):
+            if mult[i][j] != mult[j][i]:
+                raise AlgebraError(f"multiplication not commutative at ({i},{j})")
+    prod = [[e[i] * e[j] for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if prod[i][j] * e[k] != e[i] * prod[j][k]:
+                    raise AlgebraError(f"multiplication not associative at ({i},{j},{k})")
+    if one.sigma() != one:
+        raise AlgebraError("sigma does not fix 1")
+    es = [x.sigma() for x in e]
+    for i in range(m):
+        for j in range(i, m):
+            if prod[i][j].sigma() != es[i] * es[j]:
+                raise AlgebraError(f"sigma not multiplicative at ({i},{j})")
+
+
+def _unchecked(field, labels, mult, unit, sigma):
+    """A TableAlgebra built without running validate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebras.TableAlgebra, "validate", lambda self: None)
+        return algebras.TableAlgebra(field, labels, mult, unit, sigma)
+
+
+def _checks_agree(field, labels, mult, unit, sigma):
+    """The error of building the table (None when it validates), after
+    checking that the element oracle gives the same one."""
+    error = _error(lambda: algebras.TableAlgebra(field, labels, mult, unit, sigma))
+    oracle = _error(lambda: _validate_by_elements(_unchecked(field, labels, mult, unit, sigma)))
+    assert error == oracle, (labels, error, oracle)
+    return error
+
+
+# the block shapes of the algebra-audit workload, dims 1 to 6
+AUDIT_SHAPES = ((("scalar",), ("scalar",)), (("mu",), ("split2",)),
+                (("mu", "scalar"), ("cyclic3",)), (("mu", "split2"), ("trunc2", "mu")),
+                (("cyclic3", "mu"), ("split3", "trunc2")),
+                (("mu", "mu", "split2"), ("cyclic4", "mu")))
+
+
+def _audit_block(F, rng, kind):
+    if kind == "mu":
+        c = random_unit(F, rng)
+        return make_mu_algebra(c * c, c.sigma() / c)
+    if kind in ("split2", "split3"):
+        m = int(kind[-1])
+        return make_split_algebra(F, m, [(i + 1) % m for i in range(m)])
+    if kind in ("cyclic3", "cyclic4"):
+        n = int(kind[-1])
+        return make_cyclic_group_algebra(F, n, n - 1)
+    if kind == "trunc2":
+        return make_truncated_algebra(F, 2, random_unit(F, rng))
+    return scalar_algebra(F)
+
+
+def _audit_algebras(F, rng):
+    """Each shape's direct sum and one basis change of it."""
+    for shape in (s for pair in AUDIT_SHAPES for s in pair):
+        A = _audit_block(F, rng, shape[0])
+        for kind in shape[1:]:
+            A = direct_sum(A, _audit_block(F, rng, kind))
+        yield A
+        polynomial = F.descriptor.startswith("QQ(t)") and A.dim <= 3
+        yield change_basis(A, random_basis_change(F, rng, A.dim, polynomial))
+
+
+def _dense_tables(A):
+    return ([[list(v) for v in row] for row in A._mult], list(A._unit),
+            [list(v) for v in A._sigma])
+
+
+def _mutations(A, rng, count):
+    """count one-entry mutations of A's tables, each adding one to an entry:
+    of e_i e_j alone; of e_i e_j and e_j e_i together, i and j off the
+    support of the unit where it leaves room (commutativity and the unit
+    kept); of the unit; of sigma(e_i)."""
+    m, one = A.dim, A.field.one()
+    free = [i for i in range(m) if i not in A.unit_data()] or list(range(m))
+    for _ in range(count):
+        mult, unit, sigma = _dense_tables(A)
+        kind = rng.choice(("mult", "symmetric", "symmetric", "unit", "sigma"))
+        i, j, r = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+        if kind == "unit":
+            unit[r] += one
+        elif kind == "sigma":
+            sigma[i][r] += one
+        elif kind == "mult":
+            mult[i][j][r] += one
+        else:
+            i, j = rng.choice(free), rng.choice(free)
+            mult[i][j][r] += one
+            if i != j:
+                mult[j][i][r] += one
+        yield mult, unit, sigma
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "GF(4);frob^1", "GF(9);frob^1", "QQ(t);shift"])
+def test_table_check_agrees_with_element_products(descriptor):
+    """On the algebra-audit shapes, their direct sums and basis changes, and
+    on one-entry mutations of their tables, the check on raw structure
+    constants gives the element oracle's verdict and message."""
+    F = make_field(descriptor)
+    rng = random.Random(19)
+    checks = set()
+    for A in _audit_algebras(F, rng):
+        assert _checks_agree(F, A.labels, *_dense_tables(A)) is None
+        for tables in _mutations(A, rng, 4 if F.finite else 3):
+            error = _checks_agree(F, A.labels, *tables)
+            checks.add(error and error.split(" at ")[0].split(" on ")[0])
+    # every check is reached, and mutations may leave a valid table
+    assert checks - {None, "zero algebra: unit is zero"} == {
+        "unit fails", "multiplication not commutative", "multiplication not associative",
+        "sigma does not fix 1", "sigma not multiplicative"}
+
+
+def _xy_tables(k, sigma_xy=1):
+    """k[x,y]/(x^2, y^2) on the basis 1, x, y, xy, with sigma(x) = x,
+    sigma(y) = y and sigma(xy) = sigma_xy * xy."""
+    exps = ((0, 0), (1, 0), (0, 1), (1, 1))
+    zero, one = k.zero(), k.one()
+
+    def vec(e):
+        return [one if f == e else zero for f in exps]
+
+    mult = [[vec((a[0] + b[0], a[1] + b[1])) for b in exps] for a in exps]
+    sigma = [vec(e) for e in exps]
+    sigma[3] = [zero, zero, zero, k.element(sigma_xy)]
+    return ("1", "x", "y", "xy"), mult, vec((0, 0)), sigma
+
+
+def test_associativity_failing_only_at_a_mirrored_triple(QQ):
+    """1, x, y with x^2 = 1, xy = y^2 = 0 is commutative and fails
+    associativity exactly at (2,1,1), where i > k, and at its mirror
+    (1,1,2): (x x) y = y but x (x y) = 0."""
+    one, zero = QQ.one(), QQ.zero()
+    e = lambda r: [one if s == r else zero for s in range(3)]
+    mult = [[e(0), e(1), e(2)], [e(1), e(0), [zero] * 3], [e(2), [zero] * 3, [zero] * 3]]
+    tables = (("1", "x", "y"), mult, e(0), [e(0), e(1), e(2)])
+    A = _unchecked(QQ, *tables)
+    b = [A.basis_element(i) for i in range(3)]
+    failing = {(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+               if (b[i] * b[j]) * b[k] != b[i] * (b[j] * b[k])}
+    assert failing == {(2, 1, 1), (1, 1, 2)}
+    assert _checks_agree(QQ, *tables) == "multiplication not associative at (1,1,2)"
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_sigma_multiplicative_on_every_pair_but_one(field, request):
+    """sigma(xy) = c xy with c != 1 while sigma fixes x and y: sigma fixes 1
+    and is multiplicative on every pair of basis elements but (x, y)."""
+    k = request.getfixturevalue(field)
+    tables = _xy_tables(k, 2 if field == "QQ" else k.element("w"))
+    A = _unchecked(k, *tables)
+    b = [A.basis_element(i) for i in range(4)]
+    failing = {(i, j) for i in range(4) for j in range(i, 4)
+               if (b[i] * b[j]).sigma() != b[i].sigma() * b[j].sigma()}
+    assert failing == {(1, 2)} and A.one().sigma() == A.one()
+    assert _checks_agree(k, *tables) == "sigma not multiplicative at (1,2)"
+
+
+def test_a_table_one_entry_off_a_validated_one_is_checked(gf9):
+    """Equal algebras share their tables; a table one entry away from one
+    validated earlier, still alive, shares nothing and is checked afresh."""
+    w = gf9.element("w")
+    A = make_mu_algebra(w, w)
+    mult, unit, sigma = _dense_tables(A)
+    mult[1][1][0] = w + 1         # y^2 = w + 1, but sigma(w + 1) != (w + 1) w^2
+    for _ in range(2):
+        assert _checks_agree(gf9, A.labels, mult, unit, sigma) == \
+            "sigma not multiplicative at (1,1)"
+    assert A.cache_key() in algebras._TABLES
+    mult, unit, sigma = _dense_tables(A)
+    mult[0][1][1] = w             # 1 * y = w y: breaks the unit, not commutativity
+    mult[1][0][1] = w
+    assert _checks_agree(gf9, A.labels, mult, unit, sigma) == "unit fails on basis element y"
+    assert make_mu_algebra(w, w) == A
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_descent_rejects_phi_failing_one_unordered_pair(field, diagonal, request):
+    """Over A = k, phi: B -> B bijective and unital, multiplicative on every
+    unordered pair of basis elements but one: on B = k[x,y]/(x^2, y^2) it
+    fixes 1, x and y and scales xy by c != 1, failing at {x, y}; on
+    B = k[y]/(y^2) it sends y to 1 + y, failing at {y, y}."""
+    k = request.getfixturevalue(field)
+    A = scalar_algebra(k)
+    c = k.element(2) if field == "QQ" else k.element("w")
+    one = k.one()
+    if diagonal:
+        B = make_truncated_algebra(k, 2, one)
+        columns = [{0: one}, {0: one, 1: one}]
+        expected = {((1, 0), (1, 0))}
+    else:
+        B = make_findim(k, *_xy_tables(k))
+        columns = [{b: c if b == 3 else one} for b in range(4)]
+        expected = {((1, 0), (2, 0)), ((2, 0), (1, 0))}
+    AB = TensorAlgebra([A, B])
+    images = {(b, 0): AlgElement(AB, {(0, r): v for r, v in col.items()})
+              for b, col in enumerate(columns)}
+    datum = DescentDatum(A, B, AlgebraMorphism(A, B, [B.one()]), images, check=False)
+    basis = {key: datum.BA.basis_element(key) for key in datum.BA.index_list()}
+    failing = {(k1, k2) for k1 in basis for k2 in basis
+               if datum.apply(basis[k1] * basis[k2]) != images[k1] * images[k2]}
+    assert failing == expected
+    assert _error(datum.validate) == _error(lambda: _all_pairs_validate(datum)) == \
+        "phi is not a ring morphism"
+
+
+def test_morphism_sending_a_unit_to_a_non_unit_is_rejected(QQ):
+    """y with y^2 = 1 is a unit; z with z^2 = 0 is not.  y -> z is unital
+    and commutes with sigma, and multiplicativity rejects it.  A Laurent
+    generator's inverse is no product of generators, so its image is
+    tested for a unit."""
+    one = QQ.one()
+    A1 = make_mu_algebra(one, one)
+    A2 = make_truncated_algebra(QQ, 2, one)
+    y, z = A1.basis_element(1), A2.basis_element(1)
+    assert y.is_unit() and not z.is_unit()
+    with pytest.raises(AlgebraError, match="^morphism is not multiplicative$"):
+        AlgebraMorphism(A1, A2, [A2.one(), z])
+    L = LaurentAlgebra(QQ, 1)
+    with pytest.raises(AlgebraError, match="^morphism must map units to units$"):
+        AlgebraMorphism(L, A2, [z])
+    assert AlgebraMorphism(L, A1, [y]).apply(L.gen(0) ** -1) == y

@@ -595,6 +595,26 @@ def test_oracle_branches_over_infinite_fields(shift_field, subst_field):
         assert (res.status, res.certificate) == ("undecided", "twist-points-undecided")
 
 
+def test_infinite_field_torus_answers_yes_when_lambda_one_settles_it(shift_field, gf9):
+    """Over QQ(t) a torus that is not mu-shaped has no search, but
+    lambda = (1, ..., 1) carries a target onto itself, and (1, ..., 1) is a
+    point of the torsor of the all-ones target.  Over GF(9) the budget still
+    refuses the search first."""
+    k = shift_field
+    t, one = k.element("t"), k.one()
+    f = parse_multiplicative("s(y)/y^2", 1)
+    torus = DiagonalMult(k, 1, [f])
+    assert torus.equivalent_targets((t,), (t,), 10).witness == (one,)
+    assert torus.rational_point((one,), 10).witness == (one,)
+    X = DiagonalTorsor([f], [t])
+    assert isomorphic(X, X).status == "yes"
+    assert torsor_points(DiagonalTorsor([f], [one])).witness == (one,)
+    pair = DiagonalMult(gf9, 2, [parse_multiplicative("y1^2", 2), parse_multiplicative("y2^2", 2)])
+    ones = (gf9.one(), gf9.one())
+    assert pair.rational_point(ones, 10).certificate == "budget-exhausted"
+    assert pair.equivalent_targets(ones, ones, 10).certificate == "budget-exhausted"
+
+
 def test_twist_orbit_refusal_falls_back_to_the_oracle():
     """GL2(GF(3)) has 81 candidate matrices and 48 points: a budget of 100
     lists them but refuses the 48^2 translates of the orbit check."""
