@@ -25,6 +25,27 @@ share their coefficients.  Equality never relies on this: it compares
 values.  Such a field's add, mul, sigma and inverse tables fill on first
 use, one entry at a time.
 
+QQ(t) results reach that form without a gcd of the full products; each
+operation rests on one lemma (stated again at the method):
+
+  * cross-cancel (Henrici 1956): with g1 = gcd(an, bd) and
+    g2 = gcd(bn, ad), (an/g1)(bn/g2) / ((ad/g2)(bd/g1)) is reduced, since
+    each numerator factor is coprime to both denominator factors;
+  * the denominator gcd (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(ad, bd),
+    the numerator an bd/g + bn ad/g of a sum is coprime to ad bd / g^2, so
+    only its gcd with g can cancel, and none when g = 1;
+  * Bezout under a ring map: u num + v den = 1 gives
+    f(u) f(num) + f(v) f(den) = 1 for a ring endomorphism f of QQ[t], so
+    sigma (shift, dilation, t -> t^2), its inverse and t -> -t keep a pair
+    coprime, as does swapping it (the inverse); only the monic rescale of
+    the denominator is left.
+
+The gcd of the full products (`_reduce`) is left for user input and
+square roots.
+
+GF(q) inverts by the extended Euclidean algorithm in GF(p)[w] modulo the
+modulus.
+
 Beyond the arithmetic the module provides the two decidable predicates
 the classification procedures rely on: exact square roots (is_square)
 and membership in the image of sigma (in_sigma_image).
@@ -336,13 +357,16 @@ class RationalFunctionField(SigmaField):
             self.descriptor = "QQ(t);subst:t^2"
         self.inversive = mode != "subst"
 
-    # values are (num, den) with den monic and gcd(num, den) = 1
+    # values are (num, den) with den monic and gcd(num, den) = 1, so a
+    # denominator of length 1 is the polynomial 1
     def ratfun(self, num, den=polys.ONE) -> FieldElement:
         num, den = self._reduce(poly(num), poly(den))
         return FieldElement(self, (num, den))
 
     @staticmethod
     def _reduce(num, den):
+        """The canonical pair of num / den for any num, den != 0: user input
+        and square roots.  The arithmetic never needs this gcd."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -351,11 +375,15 @@ class RationalFunctionField(SigmaField):
         if deg(g) > 0:
             num = pdiv_exact(num, g)
             den = pdiv_exact(den, g)
+        return RationalFunctionField._monic_den(num, den)
+
+    @staticmethod
+    def _monic_den(num, den):
+        """A coprime pair rescaled so that den is monic."""
         c = den[-1]
-        if c != 1:
-            num = tuple(x / c for x in num)
-            den = tuple(x / c for x in den)
-        return num, den
+        if c == 1:
+            return num, den
+        return tuple([x / c for x in num]), tuple([x / c for x in den])
 
     def _from_int_like(self, obj):
         if isinstance(obj, (int, Fraction)):
@@ -368,22 +396,69 @@ class RationalFunctionField(SigmaField):
         return super().named_element(name)
 
     def _add(self, a, b):
-        if a[1] == polys.ONE and b[1] == polys.ONE:
-            # polynomial + polynomial is already canonical
-            return (polys.padd(a[0], b[0]), polys.ONE)
-        n = polys.padd(pmul(a[0], b[1]), pmul(b[0], a[1]))
-        return self._reduce(n, pmul(a[1], b[1]))
+        """a + b by the denominator gcd (Knuth, TAOCP vol. 2, 4.5.1).
+
+        With g = gcd(ad, bd), ad = g ad' and bd = g bd', the sum is
+        n / (ad' bd' g) with n = an bd' + bn ad'.  A prime dividing ad'
+        divides bn ad' but neither an (coprime to ad) nor bd' (coprime to
+        ad'), so n is coprime to ad' bd'; the only common factor left is
+        h = gcd(n, g), and n/h, g/h are coprime.  When g = 1 (a polynomial
+        summand makes it so for free) nothing is left to cancel.
+        """
+        an, ad = a
+        bn, bd = b
+        if len(ad) == 1 and len(bd) == 1:
+            return polys.padd(an, bn), polys.ONE
+        g = pgcd(ad, bd) if len(ad) > 1 and len(bd) > 1 else polys.ONE
+        if len(g) == 1:
+            return polys.padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)
+        ad = pdiv_exact(ad, g)
+        n = polys.padd(pmul(an, pdiv_exact(bd, g)), pmul(bn, ad))
+        if not n:
+            return ZERO, polys.ONE
+        h = pgcd(n, g)
+        if len(h) > 1:
+            n = pdiv_exact(n, h)
+            bd = pdiv_exact(bd, h)
+        return n, pmul(ad, bd)
 
     def _neg(self, a):
         return (polys.pneg(a[0]), a[1])
 
     def _mul(self, a, b):
-        if a[1] == polys.ONE and b[1] == polys.ONE:
-            return (pmul(a[0], b[0]), polys.ONE)
-        return self._reduce(pmul(a[0], b[0]), pmul(a[1], b[1]))
+        """a * b by cancelling across first (Henrici 1956; Knuth, TAOCP
+        vol. 2, 4.5.1).
+
+        With g1 = gcd(an, bd) and g2 = gcd(bn, ad), the product is
+        (an/g1)(bn/g2) / ((ad/g2)(bd/g1)).  Each numerator factor is
+        coprime to both denominator factors (to its own one as a reduced
+        pair, to the other one by the division), so the result is reduced;
+        its denominator is monic as a product of monic factors.  A gcd with
+        a constant is 1 and is not computed.
+        """
+        an, ad = a
+        bn, bd = b
+        if len(ad) == 1 and len(bd) == 1:
+            return pmul(an, bn), polys.ONE
+        if not an or not bn:
+            return ZERO, polys.ONE
+        if len(an) > 1 and len(bd) > 1:
+            g = pgcd(an, bd)
+            if len(g) > 1:
+                an = pdiv_exact(an, g)
+                bd = pdiv_exact(bd, g)
+        if len(bn) > 1 and len(ad) > 1:
+            g = pgcd(bn, ad)
+            if len(g) > 1:
+                bn = pdiv_exact(bn, g)
+                ad = pdiv_exact(ad, g)
+        return pmul(an, bn), pmul(ad, bd)
 
     def _inv(self, a):
-        return self._reduce(a[1], a[0])
+        # the swapped pair is still coprime: only the monic rescale is left
+        if not a[0]:
+            raise ZeroDivisionError("zero denominator")
+        return self._monic_den(a[1], a[0])
 
     def _is_zero(self, a):
         return not a[0]
@@ -395,12 +470,18 @@ class RationalFunctionField(SigmaField):
             return polys.compose_linear(p, self.q, Fraction(0))
         return polys.compose_square(p)
 
+    def _image(self, a, f):
+        """The value of f(num) / f(den) for an injective ring endomorphism f
+        of QQ[t]: u num + v den = 1 gives f(u) f(num) + f(v) f(den) = 1, so
+        the pair stays coprime and needs no gcd, only the monic rescale."""
+        return self._monic_den(f(a[0]), f(a[1]))
+
     def _sigma(self, a):
-        return self._reduce(self._sigma_poly(a[0]), self._sigma_poly(a[1]))
+        return self._image(a, self._sigma_poly)
 
     def format(self, a):
         num, den = a
-        if den == polys.ONE:
+        if len(den) == 1:
             return poly_str(num)
         ns = poly_str(num)
         if deg(num) > 0:
@@ -423,21 +504,19 @@ class RationalFunctionField(SigmaField):
         return FieldElement(self, self._reduce(polys.pscale(rnum, c), rden))
 
     def sigma_preimage(self, x):
-        num, den = self.element(x).value
+        a = self.element(x).value
         if self.mode == "shift":
-            return self.ratfun(polys.shift(num, -1), polys.shift(den, -1))
+            return self.wrap(self._image(a, lambda p: polys.shift(p, -1)))
         if self.mode == "dilate":
             qi = 1 / self.q
-            return self.ratfun(
-                polys.compose_linear(num, qi, Fraction(0)),
-                polys.compose_linear(den, qi, Fraction(0)),
-            )
+            return self.wrap(self._image(
+                a, lambda p: polys.compose_linear(p, qi, Fraction(0))))
         # substitution t -> t^2: x has a preimage iff x is an even function
-        flip_n = polys.compose_linear(num, Fraction(-1), Fraction(0))
-        flip_d = polys.compose_linear(den, Fraction(-1), Fraction(0))
-        if self._reduce(flip_n, flip_d) != (num, den):
+        if self._image(a, lambda p: polys.compose_linear(p, Fraction(-1), Fraction(0))) != a:
             return None
-        return self.ratfun(self._halve(num), self._halve(den))
+        # the halves stay coprime (a common factor f gives the common factor
+        # f(t^2)) and den keeps its leading coefficient 1
+        return self.wrap((self._halve(a[0]), self._halve(a[1])))
 
     @staticmethod
     def _halve(p):
@@ -486,6 +565,37 @@ def _ip_powmod(a, n, modulus, p):
         b = _ip_mulmod(b, b, modulus, p)
         n >>= 1
     return r
+
+
+def _ip_invmod(a, modulus, p):
+    """a^-1 modulo the irreducible modulus over GF(p), a != 0, by the
+    extended Euclidean algorithm in GF(p)[w]: O(m^2) operations where
+    a^(q-2) takes O(m^3 log p).  It keeps s with s*a = r (mod modulus)
+    for each remainder r; the last remainder is a nonzero constant."""
+    r0, r1 = list(modulus), a
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        # r0 = q*r1 + r, and s = s0 - q*s1 goes with r
+        inv = pow(r1[-1], -1, p)
+        n = len(r1) - 1
+        r = list(r0)
+        q = [0] * (len(r0) - n)
+        for i in range(len(r0) - 1 - n, -1, -1):
+            c = r[i + n] * inv % p
+            if c:
+                q[i] = c
+                for j in range(n):
+                    r[i + j] = (r[i + j] - c * r1[j]) % p
+        del r[n:]
+        s = s0 + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - qi * sj) % p
+        r0, r1 = r1, polys._trim(r)
+        s0, s1 = s1, polys._trim(s)
+    c = pow(r1[0], -1, p)
+    return [x * c % p for x in s1]
 
 
 def _is_prime(n: int) -> bool:
@@ -618,10 +728,9 @@ class FiniteField(SigmaField):
                                     self.modulus, self.p))
 
     def _inv_raw(self, a):
-        # a^(q-2) = a^-1 in the cyclic group of order q - 1
         if a == self._zero:
             raise ZeroDivisionError("element not invertible")
-        return self._pad(_ip_powmod(polys._trim(list(a)), self.size - 2, self.modulus, self.p))
+        return self._pad(_ip_invmod(polys._trim(list(a)), self.modulus, self.p))
 
     def _sigma_raw(self, a):
         return self._pad(_ip_powmod(polys._trim(list(a)), self.p ** self.e, self.modulus, self.p))

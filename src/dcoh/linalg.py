@@ -13,7 +13,8 @@ eliminations, chosen by field.integer_elimination:
   * over every other field by Gauss-Jordan with pivot division on raw
     values (FieldElement.value).  GF(q) entries cannot swell, and the QQ(t)
     systems that reach linalg (algebra kernels and inverses) stay small
-    because every QQ(t) operation reduces its result by a gcd.
+    because every QQ(t) operation returns a reduced result (by cancelling
+    across or by the denominator gcd, not by a gcd of the products).
 
 solve_square_raw runs the second elimination on the raw values of a square
 system over any field, QQ included; the finite-dimensional algebras use it

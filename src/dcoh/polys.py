@@ -10,13 +10,14 @@ integer (`shift`) and division with remainder (`pdivmod`, `pdiv_exact`)
 clear each operand to integer coefficients over one common denominator,
 form the integer result, and only then divide back into canonical
 Fractions; division is pseudo-division that scales the dividend only by
-the part of the leading coefficient a step needs.  `pgcd` works on
-primitive integer parts (Collins 1967; Brown 1971): a prefilter modulo
-the prime 2^61 - 1 certifies a trivial gcd whenever the gcd of the
-reductions is constant and the prime divides neither leading
-coefficient, which is the common case; otherwise the primitive
-remainder sequence over the integers gives the gcd exactly.  Every
-result is the tuple the Fraction formulas give.
+the part of the leading coefficient a step needs.  A product with a
+constant only scales the other operand, and a sum only trims the zeros
+its top may cancel to.  `pgcd` works on primitive integer parts
+(Collins 1967; Brown 1971): a prefilter modulo the prime 2^61 - 1
+certifies a trivial gcd whenever the gcd of the reductions is constant
+and the prime divides neither leading coefficient, which is the common
+case; otherwise the primitive remainder sequence over the integers gives
+the gcd exactly.  Every result is the tuple the Fraction formulas give.
 
 This module also provides the number-theoretic helpers the difference
 solvers need: exact square roots, resultants, integer root isolation and
@@ -60,10 +61,15 @@ def constant(c) -> tuple:
 def padd(a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
+    if not b:
+        return a
     cs = list(a)
     for i, c in enumerate(b):
         cs[i] += c
-    return poly(cs)
+    # only equal lengths can cancel the top; the sums are Fractions already
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
 def pneg(a) -> tuple:
@@ -94,6 +100,14 @@ def _from_cleared(cs: list, den: int) -> tuple:
 def pmul(a, b) -> tuple:
     if not a or not b:
         return ZERO
+    # a constant operand scales the other one: nothing to clear
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        cn, cd = b[0].numerator, b[0].denominator
+        if cn == cd:
+            return a
+        return tuple([Fraction(x.numerator * cn, x.denominator * cd) for x in a])
     ia, da = _cleared(a)
     ib, db = _cleared(b)
     cs = [0] * (len(a) + len(b) - 1)

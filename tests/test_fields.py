@@ -2,9 +2,11 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from dcoh import fields, polys
 from dcoh.fields import (FieldError, FieldParseError, FiniteField, field_arith,
                          in_sigma_image, is_square, make_field, sigma_apply)
 
@@ -265,3 +267,200 @@ def test_finite_field_element_of_a_fraction():
     for descriptor, bad in (("GF(4);frob^1", Fraction(1, 2)), ("GF(9);frob^1", Fraction(5, 6))):
         with pytest.raises(ZeroDivisionError):
             make_field(descriptor).element(bad)
+
+
+# ---------------------------------------------------------------------------
+# QQ(t) arithmetic against the gcd-of-the-products formulas: each op must
+# give the same canonical pair as reducing the full result by one gcd
+
+QQT_DESCRIPTORS = ["QQ(t);shift", "QQ(t);dilate:3/2", "QQ(t);dilate:-2", "QQ(t);subst:t^2"]
+
+
+def oracle_reduce(num, den):
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return polys.ZERO, polys.ONE
+    g = polys.pgcd(num, den)
+    if polys.deg(g) > 0:
+        num = polys.pdiv_exact(num, g)
+        den = polys.pdiv_exact(den, g)
+    c = den[-1]
+    if c != 1:
+        num = tuple(x / c for x in num)
+        den = tuple(x / c for x in den)
+    return num, den
+
+
+def oracle_add(a, b):
+    if a[1] == polys.ONE and b[1] == polys.ONE:
+        return (polys.padd(a[0], b[0]), polys.ONE)
+    n = polys.padd(polys.pmul(a[0], b[1]), polys.pmul(b[0], a[1]))
+    return oracle_reduce(n, polys.pmul(a[1], b[1]))
+
+
+def oracle_mul(a, b):
+    if a[1] == polys.ONE and b[1] == polys.ONE:
+        return (polys.pmul(a[0], b[0]), polys.ONE)
+    return oracle_reduce(polys.pmul(a[0], b[0]), polys.pmul(a[1], b[1]))
+
+
+def oracle_inv(a):
+    return oracle_reduce(a[1], a[0])
+
+
+def oracle_sigma(k, a):
+    return oracle_reduce(k._sigma_poly(a[0]), k._sigma_poly(a[1]))
+
+
+def assert_canonical_ratfun(value):
+    num, den = value
+    for p in (num, den):
+        assert type(p) is tuple and all(type(c) is Fraction for c in p)
+        assert not p or p[-1] != 0
+    assert den and den[-1] == 1
+    if not num:
+        assert den == polys.ONE
+    else:
+        assert polys.pgcd(num, den) == polys.ONE
+
+
+def random_poly(rng, degree):
+    return polys.poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree)]
+                      + [Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))])
+
+
+def qqt_cases(k, rng):
+    """(a, b) pairs of raw values: seeded random elements, pairs that share
+    factors across (a.num with b.den, b.num with a.den), equal and
+    overlapping denominators, x and -x, constants, 0 and 1."""
+    rand = lambda: k.random_element(rng, max_deg=3).value  # noqa: E731
+    for _ in range(30):
+        yield rand(), rand()
+    for _ in range(30):
+        f, g, h = (random_poly(rng, rng.randint(1, 2)) for _ in range(3))
+        u, v, w = (random_poly(rng, rng.randint(0, 2)) for _ in range(3))
+        # across: f divides a.num and b.den, g divides b.num and a.den
+        yield (k.ratfun(polys.pmul(f, u), polys.pmul(g, v)).value,
+               k.ratfun(polys.pmul(g, w), polys.pmul(f, h)).value)
+        # overlapping denominators f*g and f*h, and equal ones
+        yield (k.ratfun(u, polys.pmul(f, g)).value, k.ratfun(w, polys.pmul(f, h)).value)
+        yield k.ratfun(u, f).value, k.ratfun(v, f).value
+        # equal denominators f*g whose sum v*g / (f*g) cancels g
+        fg = polys.pmul(f, g)
+        yield k.ratfun(u, fg).value, k.ratfun(polys.psub(polys.pmul(v, g), u), fg).value
+        x = rand()
+        yield x, k._neg(x)
+    consts = [k.element(c).value for c in (0, 1, -1, Fraction(3, 7))]
+    for c in consts:
+        yield c, rand()
+        yield rand(), c
+        for d in consts:
+            yield c, d
+
+
+@pytest.mark.parametrize("descriptor", QQT_DESCRIPTORS)
+def test_qqt_ops_match_the_reduce_oracles(descriptor):
+    k = make_field(descriptor)
+    rng = random.Random(descriptor)
+    across = equal = cancelled = 0
+    for a, b in qqt_cases(k, rng):
+        for x, y in ((a, b), (b, a)):
+            for got, want in ((k._add(x, y), oracle_add(x, y)),
+                              (k._mul(x, y), oracle_mul(x, y)),
+                              (k._sigma(x), oracle_sigma(k, x))):
+                assert got == want, (x, y)
+                assert_canonical_ratfun(got)
+            if x[0]:
+                got = k._inv(x)
+                assert got == oracle_inv(x)
+                assert_canonical_ratfun(got)
+        across += polys.deg(polys.pgcd(a[0], b[1])) > 0 and polys.deg(polys.pgcd(b[0], a[1])) > 0
+        equal += polys.deg(a[1]) > 0 and a[1] == b[1]
+        s = k._add(a, b)
+        cancelled += bool(s[0]) and polys.deg(s[1]) < polys.deg(polys.pmul(a[1], b[1])) - polys.deg(
+            polys.pgcd(a[1], b[1]))
+    # the planted cases reach the branches they were built for
+    assert across >= 20 and equal >= 20 and cancelled >= 20, (across, equal, cancelled)
+
+
+@pytest.mark.parametrize("descriptor", QQT_DESCRIPTORS)
+def test_qqt_sigma_preimage_matches_the_reduce_oracle(descriptor):
+    k = make_field(descriptor)
+    rng = random.Random(descriptor)
+    for _ in range(40):
+        y = k.random_element(rng, max_deg=3)
+        for x in (y, y.sigma()):
+            num, den = x.value
+            if k.mode == "subst":
+                flip = oracle_reduce(polys.compose_linear(num, Fraction(-1), Fraction(0)),
+                                     polys.compose_linear(den, Fraction(-1), Fraction(0)))
+                want = None if flip != (num, den) else oracle_reduce(num[0::2], den[0::2])
+            elif k.mode == "shift":
+                want = oracle_reduce(polys.shift(num, -1), polys.shift(den, -1))
+            else:
+                qi = 1 / k.q
+                want = oracle_reduce(polys.compose_linear(num, qi, Fraction(0)),
+                                     polys.compose_linear(den, qi, Fraction(0)))
+            got = in_sigma_image(x)
+            if want is None:
+                assert got is None
+            else:
+                assert got.value == want
+                assert_canonical_ratfun(got.value)
+                assert got.sigma() == x
+
+
+@pytest.mark.parametrize("descriptor", QQT_DESCRIPTORS)
+def test_qqt_sigma_inverse_and_polynomial_products_take_no_gcd(descriptor, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return polys.pgcd(a, b)
+
+    k = make_field(descriptor)
+    rng = random.Random(descriptor)
+    elts = [k.random_element(rng, max_deg=3).value for _ in range(40)]
+    polys_only = [(random_poly(rng, rng.randint(0, 4)), polys.ONE) for _ in range(10)]
+    monkeypatch.setattr(fields, "pgcd", counted)
+    for x in elts:
+        k._sigma(x)
+        if x[0]:
+            k._inv(x)
+    for p in polys_only:
+        for x in polys_only:
+            k._mul(p, x)
+            k._add(p, x)
+        for x in elts:
+            k._add(p, x)  # a polynomial summand makes the denominator gcd 1
+    assert calls == []
+    for p in polys_only:
+        for x in elts:
+            k._mul(p, x)
+            assert len(calls) <= 1  # gcd(p, x.den) only
+            del calls[:]
+
+
+# ---------------------------------------------------------------------------
+# GF(q) inverses above the table limit: extended Euclid against a^(q-2)
+
+@pytest.mark.parametrize("p,m", [(2, 10), (3, 12), (2, 32), (5, 20)])
+def test_large_finite_field_inverse_is_the_group_inverse(p, m):
+    F = FiniteField(p, m)
+    assert F.size > FiniteField.TABLE_LIMIT
+    one = F.one().value
+    rng = random.Random(p * 100 + m)
+    units = [F.random_element(rng).value for _ in range(60)]
+    units += [one, F.element("w").value, F.element(p - 1).value]
+    for i, u in enumerate(units):
+        if not any(u):
+            continue
+        v = F._inv(u)
+        assert len(v) == m and all(0 <= c < p for c in v)
+        assert F._mul(u, v) == one
+        if i % 6 == 0:
+            power = fields._ip_powmod(polys._trim(list(u)), F.size - 2, F.modulus, p)
+            assert v == F._pad(power)
+    with pytest.raises(ZeroDivisionError):
+        F._inv(F.zero().value)

@@ -190,3 +190,46 @@ def test_pgcd_and_pdivmod_match_sympy():
         if b:
             q, r = sympy.div(to_sympy(a), to_sympy(b))
             assert polys.pdivmod(a, b) == (from_sympy(q), from_sympy(r))
+
+
+# ---------------------------------------------------------------------------
+# the short paths: a constant factor scales, a sum trims what cancels
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(2)])
+def test_pmul_by_a_constant_scales_the_other_operand(c):
+    rng = random.Random(12)
+    k = (c,)
+    for degree in range(6):
+        p = random_poly(rng, degree, degree % 2 == 1)
+        for x, y in ((k, p), (p, k)):
+            got = polys.pmul(x, y)
+            assert got == schoolbook_mul(x, y) == tuple(a * c for a in p)
+            assert_canonical(got)
+        if c == 1 and degree:
+            assert polys.pmul(k, p) is p and polys.pmul(p, k) is p
+    assert polys.pmul(k, k) == (c * c,)
+    assert polys.pmul(k, polys.ZERO) == polys.pmul(polys.ZERO, k) == polys.ZERO
+
+
+def test_padd_trims_what_cancels():
+    rng = random.Random(13)
+    for degree in range(6):
+        p = random_poly(rng, degree, True)
+        q = random_poly(rng, rng.randint(0, degree), False) if degree else polys.ONE
+        # same top coefficient with opposite signs: the sum drops in degree
+        low = polys.padd(p, polys.pneg(polys.padd(p, q)))
+        assert low == polys.pneg(q)
+        assert_canonical(low)
+        assert polys.padd(p, polys.pneg(p)) == polys.ZERO
+        assert polys.psub(p, p) == polys.ZERO
+        for x, y in ((p, q), (q, p), (p, polys.ZERO), (polys.ZERO, p)):
+            got = polys.padd(x, y)
+            assert got == polys.poly([a + b for a, b in zip(
+                x + (Fraction(0),) * (len(y) - len(x)), y + (Fraction(0),) * (len(x) - len(y)))])
+            assert_canonical(got)
+    # cancellation below the top term too: t^3 + t^2 + 1 - (t^3 + t^2) = 1
+    a = polys.poly([1, 0, 1, 1])
+    b = polys.poly([0, 0, -1, -1])
+    assert polys.padd(a, b) == polys.ONE
+    assert_canonical(polys.padd(a, b))
