@@ -422,7 +422,7 @@ def cmd_normalize(args, base):
     chk = is_cocycle(G, tc, value)
     if not chk:
         raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
-    nf = normalize(torsor_from_cocycle(Cocycle(G, tc, value)))
+    nf = normalize(torsor_from_cocycle(Cocycle(G, tc, value, checked=True)))
     return _emit({"result": NORMAL_FORM_JSON[nf.kind](nf)}, base)
 
 

@@ -34,9 +34,15 @@ from .outcome import DEFAULT_BUDGET, BudgetExceeded, Outcome
 
 @dataclass(slots=True)
 class Cocycle:
+    """A value in G(A(x)A) claimed to be a cocycle.  `checked` is set where
+    the claim was just proved: by make_cocycle (so coboundary too) and
+    enumerate_cocycles, or by a caller that ran is_cocycle on the value; a
+    bare Cocycle(G, tc, value) is unchecked."""
+
     group: GroupPresentation
     context: TensorContext
     value: object
+    checked: bool = False
 
     @property
     def algebra(self):
@@ -82,7 +88,7 @@ def make_cocycle(G: GroupPresentation, tc: TensorContext, value) -> Cocycle:
     res = is_cocycle(G, tc, value)
     if not res:
         raise CocycleError(f"not a cocycle: {res.certificate}")
-    return Cocycle(G, tc, value)
+    return Cocycle(G, tc, value, checked=True)
 
 
 def trivial_cocycle(G: GroupPresentation, tc: TensorContext) -> Cocycle:
@@ -105,7 +111,7 @@ def enumerate_cocycles(G: GroupPresentation, tc: TensorContext,
     values = enumerate_points(G, tc.AA, budget,
                               keep=lambda value: _cocycle_identity(G, tc, value),
                               relations=G.cocycle_relations(tc))
-    return [Cocycle(G, tc, value) for value in values]
+    return [Cocycle(G, tc, value, checked=True) for value in values]
 
 
 # --------------------------------------------------------------------------

@@ -69,9 +69,10 @@ Membership (contains) and torsor_point refute by the cheapest check first
 and take no inverse.  A matrix group tests its relations, then whether det
 is a unit; a torus (a ScalarTorus too) tests f_i(x) = t_i as num(x) =
 t_i den(x) from MultiplicativeFunction.split_eval, then whether each entry
-is a unit; a twist tests sigma^d(g) = psi(g) t, for psi = (g^T)^-1 as g^T
-sigma^d(g) = t, then det = 1 for SL (a unit already) or whether det is a
-unit for GL.  The unit test (AlgElement.is_unit) asks whether
+is a unit, except an entry that occurs unshifted in a function with no
+denominator and a nonzero target (num(x) = t_i makes it one); a twist
+tests sigma^d(g) = psi(g) t, for psi = (g^T)^-1 as g^T sigma^d(g) = t,
+then det = 1 for SL (a unit already) or whether det is a unit for GL.  The unit test (AlgElement.is_unit) asks whether
 multiplication by the element is nonsingular and solves for no inverse.
 On units each form is equivalent to the textbook one, and a non-unit still
 ends False, so answers and enumeration order do not depend on this order.
@@ -660,6 +661,11 @@ class DiagonalMult(GroupPresentation):
         for f in self.functions:
             if not isinstance(f, MultiplicativeFunction) or f.nvars != n:
                 raise GroupError("defining functions must be multiplicative of arity n")
+        # the y_i that each function forces to be a unit (see contains)
+        self._forcing = tuple(frozenset() if f.factors(-1) else
+                              frozenset(i for i, j, _ in f.factors(1) if j == 0)
+                              for f in self.functions)
+        self._unforced = tuple(i for i in range(n) if not any(i in s for s in self._forcing))
 
     def _key(self):
         return (self.field, self.n, self.functions)
@@ -672,11 +678,16 @@ class DiagonalMult(GroupPresentation):
         return tuple(ys)
 
     def contains(self, x, R):
+        """num(x) = den(x) for each f_i, then the unit test of each entry
+        that no f_i forces.  A unit lemma replaces the others: when f has no
+        denominator and y_i occurs unshifted in it, f(x) = 1 reads
+        x_i * (a product in R) = 1, so x_i is a unit (R is commutative)."""
         if not isinstance(x, tuple) or len(x) != self.n or (x and isinstance(x[0], tuple)):
             raise GroupError("shape mismatch for diagonal element")
         # num(x) = den(x) refutes most candidates before any unit test
         sides = (f.split_eval(x) for f in self.functions)
-        return all(num == den for num, den in sides) and all(e.is_unit() for e in x)
+        return (all(num == den for num, den in sides)
+                and all(x[i].is_unit() for i in self._unforced))
 
     def identity(self, R):
         return tuple(R.one() for _ in range(self.n))
@@ -782,8 +793,11 @@ class DiagonalMult(GroupPresentation):
         if len(x) != self.n:
             raise GroupError("arity mismatch")
         sides = (f.split_eval(x) for f in self.functions)
-        return (all(num == den * a for (num, den), a in zip(sides, avec))
-                and all(e.is_unit() for e in x))
+        if not all(num == den * a for (num, den), a in zip(sides, avec)):
+            return False
+        # the unit lemma of contains, for f(x) = a with a nonzero scalar
+        forced = set().union(*(s for s, a in zip(self._forcing, avec) if not a.is_zero()))
+        return all(e.is_unit() for i, e in enumerate(x) if i not in forced)
 
     def rational_point(self, avec, budget):
         """Every unit vector of a finite field, undecided when its (q-1)^n

@@ -185,11 +185,19 @@ class TwistedForm(TorsorPresentation):
         return outcome.yes(x)
 
     def cocycle_from_point(self, z, A=None):
+        """The cocycle dd1(z) dd2(z)^{-1}, read off through dd3.
+
+        dd2 is a ring map, so it commutes with inverses: dd2(z)^{-1} is
+        dd2(z^{-1}), and the inverse is taken in A(x)A, not in A(x)A(x)A.
+        That z is a point and that the product lies in the image of dd3 are
+        checked; by the bijection the value is then a cocycle, and
+        make_cocycle checks it once more.
+        """
         tc = self.chi.context
         G = self.presentation
         if not self.is_point(z):
             raise TorsorError("z is not a point of the twisted form")
-        prod = G.mul(G.map(tc.dd1, z), G.inv(G.map(tc.dd2, z)))
+        prod = G.mul(G.map(tc.dd1, z), G.map(tc.dd2, G.inv(z)))
         cand = G.map(tc.untensor_third, prod)
         if not G.equal(G.map(tc.dd3, cand), prod):
             raise TorsorError("uniqueness solve failed for the extracted cocycle")
@@ -269,14 +277,19 @@ def cocycle_from_point(X: TorsorPresentation, x, A: SigmaAlgebra = None) -> Cocy
 
 
 def torsor_from_cocycle(chi: Cocycle) -> TwistedForm:
-    """The twisted form classified by chi; its canonical A-point is chi^{-1}."""
-    res = is_cocycle(chi.group, chi.context, chi.value)
-    if not res:
-        raise TorsorError(f"not a cocycle: {res.certificate}")
-    X = TwistedForm(chi)
-    if not is_point(X, X.canonical_point()):
-        raise TorsorError("canonical point chi^{-1} fails membership (bug)")
-    return X
+    """The twisted form classified by chi; its canonical A-point is chi^{-1}.
+
+    Only an unchecked chi (a bare Cocycle) is tested (membership and the
+    cocycle identity).  chi^{-1} is then a point by a lemma, not by a test: the dd_i
+    are ring maps, so dd_i(chi^{-1}) = dd_i(chi)^{-1}, and dd2(chi^{-1})
+    dd1(chi) = dd3(chi^{-1}) holds exactly when dd2(chi) = dd1(chi)
+    dd3(chi); chi^{-1} lies in G(A(x)A) because chi does.
+    """
+    if not chi.checked:
+        res = is_cocycle(chi.group, chi.context, chi.value)
+        if not res:
+            raise TorsorError(f"not a cocycle: {res.certificate}")
+    return TwistedForm(chi)
 
 
 def normalize(X: TorsorPresentation) -> TorsorPresentation:

@@ -729,3 +729,23 @@ options:
   --c0 C0            descend the canonical datum on C0 (x) A
   --chi CHI          descend the mu-twist datum for this cocycle
 """
+
+
+def test_normalize_checks_its_cocycle_once(monkeypatch):
+    """normalize runs is_cocycle once, in the command; torsor_from_cocycle
+    takes the checked cocycle as it is.  A non-cocycle still ends with the
+    same error line and user-error exit code."""
+    from dcoh import cli, torsors
+    calls = []
+    is_cocycle = torsors.is_cocycle
+    counted = lambda *args: calls.append(args) or is_cocycle(*args)
+    monkeypatch.setattr(cli, "is_cocycle", counted)
+    monkeypatch.setattr(torsors, "is_cocycle", counted)
+    argv = ["normalize", "--field", "GF(9);frob^1", "--algebra", "mu:w,w", "--group", "mu2sigma",
+            "--chi"]
+    code, lines = run_cli(argv + ["(1/a)*(y#y)"])
+    assert code == 0 and lines[0]["result"] == {"a": "w", "b": "w", "family": "mu"}
+    assert len(calls) == 1
+    code, lines = run_cli(argv + ["y#1"])
+    assert code == 2 and lines[0]["certificate"] == \
+        "error: --chi value is not a cocycle: not-a-group-element"

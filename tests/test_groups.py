@@ -566,3 +566,112 @@ def test_diagonal_linear_relations_read_the_numerator_and_denominator(gf9):
         assert (rels is None) == (not pairs), chosen
         if rels is not None:
             assert rels(ys) == [ys[ia].sigma(a) - ys[ib].sigma(b) for ia, a, ib, b in pairs]
+
+
+# --------------------------------------------------------------------------
+# the torus unit lemma: when f has no denominator and y_i occurs unshifted
+# in it, f(x) = a with a a unit makes x_i a unit, so x_i is not unit-tested
+
+
+def _unit_first_contains(G, x, R):
+    """DiagonalMult.contains with every entry unit-tested, kept as an oracle."""
+    if not isinstance(x, tuple) or len(x) != G.n or (x and isinstance(x[0], tuple)):
+        raise GroupError("shape mismatch for diagonal element")
+    sides = (f.split_eval(x) for f in G.functions)
+    return all(num == den for num, den in sides) and all(e.is_unit() for e in x)
+
+
+def _unit_first_torsor_point(G, x, avec, R=None):
+    """DiagonalMult.torsor_point with every entry unit-tested, kept as an oracle."""
+    if len(x) != G.n:
+        raise GroupError("arity mismatch")
+    sides = (f.split_eval(x) for f in G.functions)
+    return (all(num == den * a for (num, den), a in zip(sides, avec))
+            and all(e.is_unit() for e in x))
+
+
+def _lemma_tori(F):
+    """(group, its torus, the slots each function forces): y is forced by
+    y^2 (mu2^sigma and diag:1;y^2,s(y)/y), y2 is not by s(y2)/y2, and no
+    slot is by a function with a denominator or a shifted numerator only."""
+    mu2 = mu2sigma_group(F)
+    cases = [(mu2, mu2.torus, [{0}, set()])]
+    for n, texts, forcing in ((1, ("y^2", "s(y)/y"), [{0}, set()]),
+                              (2, ("y1^2", "s(y2)/y2"), [{0}, set()]),
+                              (1, ("s(y)/y",), [set()]), (1, ("s(y)^2",), [set()])):
+        T = DiagonalMult(F, n, [parse_multiplicative(t, n) for t in texts])
+        cases.append((T, T, forcing))
+    return cases
+
+
+def _tuples(elements, n):
+    """Every n-tuple of elements; for n = 2 over a tensor square (more than
+    25 elements), every element in each slot against a spread of 8 in the
+    other, as all q^8 pairs would take a minute."""
+    if n == 1 or len(elements) <= 25:
+        return list(itertools.product(elements, repeat=n))
+    spread = elements[::len(elements) // 8]
+    return sorted(set(itertools.product(elements, spread)) | set(itertools.product(spread, elements)),
+                  key=lambda x: (elements.index(x[0]), elements.index(x[1])))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_torus_unit_lemma_keeps_every_membership_answer(q, monkeypatch):
+    """contains and torsor_point agree with their unit-first forms on every
+    element of the mu and split:2 algebras (and of their tensor squares over
+    GF(3) and GF(4)), as members and against every target with entries 0
+    and a unit other than 1.  _is_unit_data is never called on a forced
+    slot, and once the equations hold it still is on an unforced one, a
+    slot whose function has a zero target included."""
+    F = make_field(f"GF({q});frob^1")
+    units = list(F.units())
+    pairs = [(a, b) for a in units for b in units if a.sigma() == a * b * b]
+    a, b = max(pairs, key=lambda ab: ab[0] != ab[1] * ab[1])
+    algebras = [make_mu_algebra(a, b), make_split_algebra(F, 2)]
+    if q < 5:
+        algebras += [TensorContext(R).AA for R in algebras]
+    scalars = [F.zero(), units[-1]]         # contains is the target (1, ..., 1)
+    tested = []
+    unit_data = FinDimAlgebra._is_unit_data
+    monkeypatch.setattr(FinDimAlgebra, "_is_unit_data",
+                        lambda self, d: tested.append(d) or unit_data(self, d))
+
+    def check(T, x, avec, forcing, new, oracle):
+        """Compare new() with oracle(), both run at x; return whether new()
+        had to unit-test a slot."""
+        tested.clear()
+        got, slots = new(), [{i for i, e in enumerate(x) if e.data is d} for d in tested]
+        expected = oracle()
+        sides = (f.split_eval(x) for f in T.functions)
+        eqs = all(num == den * t for (num, den), t in zip(sides, avec))
+        forced = set().union(*(s for s, t in zip(forcing, avec) if not t.is_zero()))
+        unforced = [i for i in range(T.n) if i not in forced]
+        assert got == expected, (T.functions, x, avec)
+        assert all(s - forced for s in slots), (T.functions, x, avec)
+        assert not (eqs and unforced) or (slots and unforced[0] in slots[0]), (T.functions, x, avec)
+        return bool(eqs and unforced)
+
+    for G, T, forcing in _lemma_tori(F):
+        unit_tests = 0
+        targets = list(itertools.product(scalars, repeat=len(T.functions)))
+        for R in algebras:
+            for x in _tuples(list(R.enumerate_elements()), T.n):
+                value = x[0] if G is not T else x
+                unit_tests += check(T, x, [F.one()] * len(T.functions), forcing,
+                                    lambda: G.contains(value, R),
+                                    lambda: _unit_first_contains(T, x, R))
+                for avec in targets:
+                    unit_tests += check(T, x, avec, forcing,
+                                        lambda: G.torsor_point(value, avec, R),
+                                        lambda: _unit_first_torsor_point(T, x, avec))
+        assert unit_tests, T.functions
+
+    # y + 1 is a nonzero square-zero element when a = 1 in characteristic 2
+    if q == 4:
+        R = make_mu_algebra(F.one(), F.one())
+        x = (R.basis_element(1) + R.one(),)
+        T = DiagonalMult(F, 1, [parse_multiplicative("y^2", 1)])
+        tested.clear()
+        assert T.torsor_point(x, (F.zero(),), R) is False and tested == [x[0].data]
+        tested.clear()
+        assert T.torsor_point((R.basis_element(1),), (F.one(),), R) is True and tested == []

@@ -636,3 +636,98 @@ def test_product_classify_with_a_factor_without_listing(gf9, shift_field):
         classify_h1(ProductGroup([mu2sigma_group(gf9), AdditiveKernel(None, field=gf9)]))
     rep = classify_h1(ProductGroup([mu2sigma_group(gf9), mu2sigma_group(gf9)]))
     assert rep.kind == "finite-list" and rep.count == 16
+
+
+# --------------------------------------------------------------------------
+# the round trip at the cost of its proof: what the lemmas leave out is
+# implied, and every check the input could break still raises
+
+
+def _round_trip_cases():
+    """(G, tc) with canonical points that are not their own inverse:
+    ker(s - 1) on GF(3)^2, GL1 with psi = id and the torus s(y)/y on GF(4)^2
+    with sigma swapping the factors."""
+    F3, F4 = make_field("GF(3);frob^1"), make_field("GF(4);frob^1")
+    from dcoh.algebras import make_split_algebra
+    return [(AdditiveKernel(DifferenceOperator.parse(F3, "s - 1")),
+             TensorContext(make_split_algebra(F3, 2))),
+            (FrobeniusTwist(F4, "GL", 1, 1, "id"), TensorContext(make_split_algebra(F4, 2, [1, 0]))),
+            (DiagonalMult(F4, 1, [parse_multiplicative("s(y)/y", 1)]),
+             TensorContext(make_split_algebra(F4, 2, [1, 0])))]
+
+
+def test_round_trip_checks_what_the_input_can_break(monkeypatch):
+    """A non-cocycle in a bare Cocycle, a z that is not a point, a wrong
+    G.inv and a wrong untensor_third each raise, by explicit raises that
+    python -O keeps."""
+    from dcoh.cocycles import Cocycle
+    from dcoh.groups import CocycleError, enumerate_points
+    moved = outside = 0
+    for G, tc in _round_trip_cases():
+        z1 = enumerate_cocycles(G, tc)
+        members = enumerate_points(G, tc.AA)
+        non_cocycles = [v for v in members if not any(G.equal(v, c.value) for c in z1)]
+        assert non_cocycles and len(z1) > 1
+        non_members = [G.shape((v,)) for v in tc.AA.enumerate_elements()
+                       if not G.contains(G.shape((v,)), tc.AA)][:1]
+        outside += len(non_members)
+        for value in non_cocycles + non_members:
+            with pytest.raises(TorsorError, match="not a cocycle"):
+                torsor_from_cocycle(Cocycle(G, tc, value))
+        for chi in z1:
+            X = torsor_from_cocycle(chi)
+            for z in members:
+                if not X.is_point(z):
+                    with pytest.raises(TorsorError, match="not a point"):
+                        cocycle_from_point(X, z)
+            z = X.canonical_point()
+            if G.equal(G.inv(z), z):
+                continue
+            moved += 1
+            with monkeypatch.context() as m:
+                m.setattr(G, "inv", lambda x: x)
+                with pytest.raises((TorsorError, CocycleError)):
+                    cocycle_from_point(X, z)
+                with pytest.raises(TorsorError, match="not a point"):
+                    cocycle_from_point(X, X.canonical_point())
+        untensor = TensorContext.untensor_third
+        with monkeypatch.context() as m:
+            m.setattr(TensorContext, "untensor_third",
+                      lambda self, w: untensor(self, w) + self.AA.one())
+            for chi in z1:
+                X = torsor_from_cocycle(chi)
+                with pytest.raises(TorsorError, match="uniqueness solve failed"):
+                    cocycle_from_point(X, X.canonical_point())
+    assert moved >= 3 and outside
+
+
+def test_torsor_from_cocycle_rechecks_only_a_bare_cocycle(monkeypatch):
+    """A cocycle from enumerate_cocycles gets its twisted form with neither
+    is_cocycle nor TwistedForm.is_point; a bare Cocycle of the same value
+    is checked by is_cocycle once.  The round trip then tests the point
+    once and keeps chi."""
+    from dcoh import torsors
+    from dcoh.cocycles import Cocycle
+    calls = {"is_cocycle": 0, "is_point": 0}
+    is_cocycle, is_point_ = torsors.is_cocycle, TwistedForm.is_point
+
+    def count_cocycle(*args):
+        calls["is_cocycle"] += 1
+        return is_cocycle(*args)
+
+    def count_point(self, *args):
+        calls["is_point"] += 1
+        return is_point_(self, *args)
+
+    monkeypatch.setattr(torsors, "is_cocycle", count_cocycle)
+    monkeypatch.setattr(TwistedForm, "is_point", count_point)
+    for G, tc in _round_trip_cases():
+        for chi in enumerate_cocycles(G, tc):
+            calls.update(is_cocycle=0, is_point=0)
+            X = torsor_from_cocycle(chi)
+            assert calls == {"is_cocycle": 0, "is_point": 0}
+            assert cocycle_from_point(X, X.canonical_point()) is chi
+            assert calls == {"is_cocycle": 0, "is_point": 1}
+            calls.update(is_cocycle=0, is_point=0)
+            X = torsor_from_cocycle(Cocycle(G, tc, chi.value))
+            assert calls == {"is_cocycle": 1, "is_point": 0}
