@@ -9,7 +9,9 @@ eliminations, chosen by field.integer_elimination:
     p * a - c * b is divided exactly by the previous pivot, so entries stay
     minors of the cleared matrix, and only the final rows, divided by their
     pivots, become Fractions again.  Pivot division on Fractions would pay
-    a gcd per operation in the Abramov ansatz, the QQ(t) deciders' hot path;
+    a gcd per operation.  row_echelon_int runs the same elimination on a
+    matrix of ints; the Abramov ansatz, the QQ(t) deciders' hot path,
+    builds its system in Z[t] and calls it directly;
   * over every other field by Gauss-Jordan with pivot division on raw
     values (FieldElement.value).  GF(q) entries cannot swell, and the QQ(t)
     systems that reach linalg (algebra kernels and inverses) stay small
@@ -84,9 +86,36 @@ def _row_echelon_integer(matrix, field):
     for row in matrix:
         vals = [x.value for x in row]
         den = math.lcm(*[v.denominator for v in vals])
-        ints = [v.numerator * (den // v.denominator) for v in vals]
-        g = math.gcd(*ints)
-        rows.append([c // g for c in ints] if g > 1 else ints)
+        rows.append([v.numerator * (den // v.denominator) for v in vals])
+    rows, pivots = row_echelon_int(rows)
+    wrap = field.wrap
+    zero = field.zero()
+    out = []
+    for i, row in enumerate(rows):
+        # rows past the rank are zero; each pivot row is divided by its pivot
+        pv = row[pivots[i][1]] if i < len(pivots) else 1
+        out.append([wrap(Fraction(a, pv)) if a else zero for a in row])
+    return out, pivots
+
+
+def row_echelon_int(rows):
+    """Fraction-free reduced echelon form of a matrix of Python ints.
+
+    Returns (rows, pivots) with the pivots of row_echelon over QQ: pivot
+    row i divided by its pivot entry rows[i][c] is row i of the reduced
+    echelon form, and the rows past the rank are zero.  The rows are
+    reduced in place by Gauss-Jordan elimination in which every update
+    p * a - c * b is divided exactly by the previous pivot (Bareiss 1968).
+
+    Each row is first divided by its content, so rows scaled by positive
+    integers give the same result: a system over QQ cleared row by row or
+    by one common denominator reduces to the same primitive rows, pivots
+    and reduced echelon form.
+    """
+    for i, row in enumerate(rows):
+        g = math.gcd(*row)
+        if g > 1:
+            rows[i] = [c // g for c in row]
     pivots = []
     prev = 1
     r = 0
@@ -118,14 +147,7 @@ def _row_echelon_integer(matrix, field):
         r += 1
         if r == nrows:
             break
-    wrap = field.wrap
-    zero = field.zero()
-    out = []
-    for i, row in enumerate(rows):
-        # rows past the rank are zero; each pivot row is divided by its pivot
-        pv = row[pivots[i][1]] if i < r else 1
-        out.append([wrap(Fraction(a, pv)) if a else zero for a in row])
-    return out, pivots
+    return rows, pivots
 
 
 def rank(matrix, field) -> int:

@@ -212,20 +212,58 @@ def _dispersion_window(A, B) -> int:
     return int(polys.cauchy_root_bound(A) + polys.cauchy_root_bound(B)) + 1
 
 
-def dispersion_set(A, B, budget: float = math.inf) -> list:
-    """All h >= 0 with deg gcd(A(t), B(t+h)) > 0; the gcds of the window
-    are charged to the budget first (BudgetExceeded).
+def _shift_candidates(A, B, start: int, step: int, count: int):
+    """The h = start, start + step, ... (count of them) that may have
+    deg gcd(A(t), B(t+h)) > 0, lazily and in that order.
 
-    The candidates are the nonnegative integer roots of the resultant
-    Res_t(A(t), B(t+h)) in h; they live inside the root-bound window, and
-    on integers the resultant vanishes exactly when the gcd is
-    nontrivial, which is how each candidate is tested.
+    A and B are cleared to primitive integer polynomials once, B(t+h) is
+    stepped to B(t+h+step) by an integer Taylor shift, and each h is tested
+    by the degree of the gcd of the reductions modulo polys.PRIME.  A shift
+    keeps the leading coefficient, so one test per scan finds whether the
+    prime divides neither leading coefficient; then the primitive gcd g
+    over QQ divides both polynomials in Z[t] (Gauss's lemma), the prime
+    does not divide lc(g), and g mod p is a common divisor of the same
+    degree: deg gcd mod p >= deg gcd over QQ, so no true h is dropped.
+    When the prime divides a leading coefficient every h is a candidate.
+    The caller confirms each candidate by its gcd over QQ.
     """
+    ia = polys._primitive(polys._cleared(A)[0])
+    ib = polys._primitive(polys._cleared(B)[0])
+    p = polys.PRIME
+    hs = range(start, start + count * step, step)
+    if not (ia[-1] % p and ib[-1] % p):
+        yield from hs
+        return
+    polys._taylor_shift(ib, start)
+    for h in hs:
+        if polys._gcd_degree_mod(ia, ib, p) > 0:
+            yield h
+        polys._taylor_shift(ib, step)
+
+
+def _dispersion_candidates(A, B, budget: float):
+    """The mod-p candidates of dispersion_set's window, a superset of the
+    dispersion set; the window is charged to the budget first."""
     if deg(A) <= 0 or deg(B) <= 0:
         return []
     top = _dispersion_window(A, B)
     charge(top + 1, budget)
-    return [h for h in range(top + 1) if deg(pgcd(A, polys.shift(B, h))) > 0]
+    return _shift_candidates(A, B, 0, 1, top + 1)
+
+
+def dispersion_set(A, B, budget: float = math.inf) -> list:
+    """All h >= 0 with deg gcd(A(t), B(t+h)) > 0; the shifts of the window
+    are charged to the budget first (BudgetExceeded).
+
+    The candidates are the nonnegative integer roots of the resultant
+    Res_t(A(t), B(t+h)) in h; they live inside the root-bound window.  Each
+    h of the window gets one gcd modulo a prime (_shift_candidates): when
+    the prime divides neither leading coefficient, deg gcd mod p >= deg gcd
+    over QQ, so every dispersion passes (and every h does otherwise).  Only
+    the h that pass get the gcd over QQ that decides them.
+    """
+    return [h for h in _dispersion_candidates(A, B, budget)
+            if deg(pgcd(A, polys.shift(B, h))) > 0]
 
 
 def dispersion_set_resultant(A, B) -> list:
@@ -244,12 +282,21 @@ def dispersion_set_resultant(A, B) -> list:
 
 
 def universal_denominator(ps, budget: float = math.inf) -> tuple:
-    """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t)."""
+    """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t).
+
+    The loop runs over the mod-p candidates of the dispersion window, a
+    superset of the dispersion set (deg gcd mod p >= deg gcd over QQ, see
+    _shift_candidates), largest first, and its own gcd of the reduced A
+    and B confirms each one: A and B only lose factors, so at an h outside
+    the dispersion set that gcd divides gcd(A(t), B(t+h)) = 1 and the h is
+    skipped.  So u is the one the dispersion set gives, at one gcd over QQ
+    per candidate.
+    """
     n = len(ps) - 1
     A = polys.shift(ps[n], -n)
     B = ps[0]
     u = ONE
-    for h in sorted(dispersion_set(A, B, budget), reverse=True):
+    for h in sorted(_dispersion_candidates(A, B, budget), reverse=True):
         g = pgcd(A, polys.shift(B, h))
         if deg(g) <= 0:
             continue
@@ -301,18 +348,45 @@ def _sigma_orbit(k, p, n: int) -> list:
     return out
 
 
-def _ansatz_matrix(k, ps, bound: int):
-    """Coefficients over QQ of sum p_i sigma^i(t^d), one column per d <= bound,
-    with sigma^i(t^(d+1)) = sigma^i(t) sigma^i(t^d)."""
+def _ansatz_system(k, ps, q, bound: int):
+    """(rows, scales): sum p_i sigma^i(z) = q for z = sum_{d <= bound} x_d t^d
+    as a system over the integers, one row per power of t.
+
+    Row r is (c_0[r], ..., c_bound[r], Q[r]) with Q = D q and
+    c_d = sum_i P_i s_i^d in Z[t], where P_i = D p_i for the least positive
+    integer D clearing every p_i and q, and s_i = m sigma^i(t) for the least
+    positive m clearing every sigma^i(t).  So c_d is m^d D times the column
+    of x_d over QQ, and x solves the system over QQ exactly when
+    x_d = scales[d] x'_d = m^d x'_d for a solution x' of the integer one.
+
+    m is 1 except for a dilation by a non-integer.  With m = 1 each row is
+    D times the row over QQ, a positive row scaling, so
+    linalg.row_echelon_int reaches the primitive rows, pivots and
+    particular solution of the elimination over QQ.  With m > 1 the
+    columns are scaled by m^d > 0 as well, which keeps the pivot columns
+    and, through x_d = m^d x'_d, the particular solution: its free
+    unknowns are zero on both sides and fix the pivot unknowns.
+    """
     sigma_t = _sigma_orbit(k, polys.T, len(ps))
-    powers, cols = [ONE] * len(ps), []
-    for _ in range(bound + 1):
-        cols.append(functools.reduce(polys.padd, map(pmul, ps, powers), ZERO))
-        powers = list(map(pmul, sigma_t, powers))
-    rows = max(deg(p) for p in ps) + bound * deg(sigma_t[-1]) + 1
-    QQ = make_field("QQ")
-    return [[QQ.element(col[r] if r < len(col) else 0) for col in cols]
-            for r in range(rows)]
+    m = math.lcm(*[c.denominator for s in sigma_t for c in s])
+    D = math.lcm(*[c.denominator for p in (*ps, q) for c in p])
+    ints = [[c.numerator * (D // c.denominator) for c in p] for p in ps]
+    roots = [[c.numerator * (m // c.denominator) for c in s] for s in sigma_t]
+    # deg c_d <= max deg p_i + d deg sigma^n(t); a q of higher degree is cut
+    nrows = max(deg(p) for p in ps) + bound * deg(sigma_t[-1]) + 1
+    powers, cols = [[1]] * len(ps), []
+    for d in range(bound + 1):
+        if d:
+            powers = list(map(polys._mul_ints, roots, powers))
+        col = [0] * nrows
+        for P, pw in zip(ints, powers):
+            if P:
+                for r, c in enumerate(polys._mul_ints(P, pw)):
+                    col[r] += c
+        cols.append(col)
+    Q = [c.numerator * (D // c.denominator) for c in q[:nrows]]
+    cols.append(Q + [0] * (nrows - len(Q)))
+    return [list(row) for row in zip(*cols)], [m ** d for d in range(bound + 1)]
 
 
 def polynomial_solutions(k, ps, q, bound: int):
@@ -320,12 +394,16 @@ def polynomial_solutions(k, ps, q, bound: int):
     or None."""
     if bound < 0:
         return None if q else ZERO
-    mat = _ansatz_matrix(k, ps, bound)
-    if deg(q) >= len(mat):
+    rows, scales = _ansatz_system(k, ps, q, bound)
+    if deg(q) >= len(rows):
         return None
-    QQ = make_field("QQ")
-    sol = linalg.solve(mat, [QQ.element(q[r] if r < len(q) else 0) for r in range(len(mat))], QQ)
-    return None if sol is None else poly([c.value for c in sol])
+    rows, pivots = linalg.row_echelon_int(rows)
+    if pivots and pivots[-1][1] > bound:
+        return None
+    x = [0] * (bound + 1)
+    for r, c in pivots:
+        x[c] = Fraction(rows[r][-1] * scales[c], rows[r][c])
+    return poly(x)
 
 
 def _denominator_reduction(k, ps, q, u):
@@ -435,11 +513,16 @@ def additive_kernel_basis(L: DifferenceOperator):
         u, Ps, _, bound = _abramov_reduction(L, k.zero())
         if bound < 0:
             return []
-        ker = linalg.kernel_basis(_ansatz_matrix(k, Ps, bound), make_field("QQ"), ncols=bound + 1)
+        # the shift needs no column scales, and the zero right side no pivot
+        rows, pivots = linalg.row_echelon_int(_ansatz_system(k, Ps, ZERO, bound)[0])
         out = []
-        for vec in ker:
-            z = poly([c.value for c in vec])
-            elt = k.ratfun(z, u)
+        for free in sorted(set(range(bound + 1)) - {c for _, c in pivots}):
+            # linalg.kernel_basis's vector: one at this free column, zero at the others
+            x = [0] * (bound + 1)
+            x[free] = 1
+            for r, c in pivots:
+                x[c] = Fraction(-rows[r][free], rows[r][c])
+            elt = k.ratfun(poly(x), u)
             if not L.apply(elt).is_zero():
                 raise InternalError("Abramov kernel element failed verification")
             out.append(elt)
@@ -526,12 +609,19 @@ def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: float = math.inf) 
 
 def _first_shift(p, q, d: int, top: int):
     """The first j != 0 in -top..top with deg gcd(p, q(t + j*d)) > 0, and
-    that gcd; (None, None) when there is none."""
-    for j in range(-top, top + 1):
-        if j:
-            g = pgcd(p, polys.shift(q, j * d))
+    that gcd; (None, None) when there is none.
+
+    The window is scanned modulo a prime, one test per shift: when the
+    prime divides neither leading coefficient, deg gcd mod p >= deg gcd
+    over QQ (_shift_candidates), and every j is a candidate otherwise, so
+    no j with a nonconstant gcd is dropped.  The scan stops at the first j
+    whose gcd over QQ confirms it.
+    """
+    for h in _shift_candidates(p, q, -top * d, d, 2 * top + 1):
+        if h:
+            g = pgcd(p, polys.shift(q, h))
             if deg(g) > 0:
-                return j, g
+                return h // d, g
     return None, None
 
 

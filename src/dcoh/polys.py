@@ -18,6 +18,9 @@ certifies a trivial gcd whenever the gcd of the reductions is constant
 and the prime divides neither leading coefficient, which is the common
 case; otherwise the primitive remainder sequence over the integers gives
 the gcd exactly.  Every result is the tuple the Fraction formulas give.
+The integer kernels of `pmul` and `shift` (`_mul_ints`, `_taylor_shift`)
+and the modular gcd degree also serve the shift-window scans and the
+Abramov ansatz of `operators`, which stay on integers throughout.
 
 This module also provides the number-theoretic helpers the difference
 solvers need: exact square roots, resultants, integer root isolation and
@@ -110,12 +113,17 @@ def pmul(a, b) -> tuple:
         return tuple([Fraction(x.numerator * cn, x.denominator * cd) for x in a])
     ia, da = _cleared(a)
     ib, db = _cleared(b)
-    cs = [0] * (len(a) + len(b) - 1)
+    return _from_cleared(_mul_ints(ia, ib), da * db)
+
+
+def _mul_ints(ia: list, ib: list) -> list:
+    """The product of two nonempty integer coefficient lists."""
+    cs = [0] * (len(ia) + len(ib) - 1)
     for i, ai in enumerate(ia):
         if ai:
             for j, bj in enumerate(ib, i):
                 cs[j] += ai * bj
-    return _from_cleared(cs, da * db)
+    return cs
 
 
 def pscale(a, c) -> tuple:
@@ -284,12 +292,17 @@ def shift(p, h=1) -> tuple:
     if not p:
         return ZERO
     cs, den = _cleared(p)
-    n = len(cs)
+    _taylor_shift(cs, h)
+    return _from_cleared(cs, den)
+
+
+def _taylor_shift(cs: list, h: int) -> None:
+    """Replace the integer coefficients cs of c(t) by those of c(t + h), in place."""
     if h:
+        n = len(cs)
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
                 cs[j] += h * cs[j + 1]
-    return _from_cleared(cs, den)
 
 
 def frac_sqrt(x: Fraction):

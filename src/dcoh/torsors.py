@@ -177,11 +177,14 @@ class TwistedForm(TorsorPresentation):
         return G.equal(lhs, G.map(tc.dd3, x)) and contains(G, x, tc.AA)
 
     def points(self, R, budget):
+        """The canonical point chi^{-1}.  For a checked chi it is a point by
+        the lemma of torsor_from_cocycle; an unchecked chi is tested, and
+        one that is no cocycle raises."""
         if R is not None and R != self.chi.context.A:
             return outcome.undecided("twisted-form-over-foreign-algebra")
         x = self.canonical_point()
-        if not self.is_point(x):
-            raise TorsorError("canonical point fails membership (bug)")
+        if not self.chi.checked and not self.is_point(x):
+            raise TorsorError("canonical point fails membership: chi is not a cocycle")
         return outcome.yes(x)
 
     def cocycle_from_point(self, z, A=None):

@@ -342,3 +342,39 @@ def test_unit_inverse_in_a_split_algebra_above_the_table_limit(descriptor):
             assert x.maybe_inverse() is None
         else:
             assert x * x.inverse() == A.one()
+
+
+def test_integer_echelon_equals_row_echelon_over_QQ(QQ):
+    """row_echelon_int on integer matrices, zero rows and zero columns
+    included: pivot row i divided by its pivot entry is row i of
+    row_echelon over QQ and of the Fraction reference, the rows past the
+    rank are zero, and rows scaled by positive integers give the same
+    pivots and rows."""
+    rng = random.Random(23)
+    shapes = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+             for _ in range(nrows)]
+        if rng.random() < 0.4:
+            m[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.4:
+            zero_col = rng.randrange(ncols)
+            for row in m:
+                row[zero_col] = 0
+        if rng.random() < 0.3:
+            m.append(list(m[0]))                       # a dependent row
+        shapes += any(not any(row) for row in m) and any(
+            not any(row[c] for row in m) for c in range(ncols))
+        rows, pivots = linalg.row_echelon_int([list(row) for row in m])
+        rank = len(pivots)
+        reduced = [[Fraction(a, row[c]) for a in row] for row, (_, c) in zip(rows, pivots)]
+        over_qq, qq_pivots = linalg.row_echelon([[QQ.element(x) for x in row] for row in m], QQ)
+        assert pivots == qq_pivots
+        assert reduced == values(over_qq)[:rank]
+        assert (values(over_qq), pivots) == reference_rref(
+            [[Fraction(x) for x in row] for row in m])
+        assert all(not any(row) for row in rows[rank:])
+        scaled = [[x * s for x in row] for row, s in zip(m, [rng.randint(1, 50) for _ in m])]
+        assert linalg.row_echelon_int(scaled) == (rows, pivots)
+    assert shapes > 0

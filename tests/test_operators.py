@@ -1,7 +1,9 @@
 """Difference operators: application, the Abramov solver, H^1 = k/L(k)."""
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -464,3 +466,247 @@ def test_sigma_quotient_over_a_finite_field_charges_its_units():
             "undecided", "budget-exhausted", {"space": 8})
         decided = solve_sigma_quotient(a, 1, budget=8)
         assert decided.decided and decided == solve_sigma_quotient(a, 1)
+
+
+# --------------------------------------------------------------------------
+# the window scans modulo a prime and the ansatz on integer rows, against
+# the scans with one gcd over QQ per shift and the ansatz over QQ
+
+
+def _linear(c, a=1):
+    return polys.poly([c, a])
+
+
+def _product(*factors):
+    return functools.reduce(polys.pmul, factors, polys.ONE)
+
+
+def _random_poly(rng, lo, hi):
+    while True:
+        p = polys.poly([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                        for _ in range(rng.randint(lo, hi) + 1)])
+        if polys.deg(p) >= lo:
+            return p
+
+
+def _dispersion_family():
+    """(A, B) pairs: random pairs, which mostly have no dispersion; shared
+    factors at shifts 0..6, squared ones among them; t against t + 50;
+    leading coefficients divisible by polys.PRIME."""
+    rng = random.Random(67)
+    P = polys.PRIME
+    cases = [(_random_poly(rng, 1, 3), _random_poly(rng, 1, 3)) for _ in range(25)]
+    for _ in range(25):
+        f = _random_poly(rng, 1, 2)
+        h = rng.randint(0, 6)
+        e = rng.choice((1, 1, 2))
+        A = _product(*[f] * e, _random_poly(rng, 0, 1))
+        B = _product(*[polys.shift(f, -h)] * rng.choice((1, e)), _random_poly(rng, 0, 1))
+        cases.append((A, B))
+    cases.append((_linear(0), _linear(-50)))
+    cases.append((_product(_linear(0), _linear(3)), _product(_linear(-50), _linear(1, 2))))
+    cases.append((_linear(1, P), _product(_linear(1, P), _linear(-2))))
+    cases.append((_product(_linear(3), _linear(1, P)), polys.shift(_linear(3), -4)))
+    cases.append((_product(_linear(-1), _linear(-1)), polys.poly([1, 0, P])))
+    cases.append((polys.poly([2, 1, 1]), _product(polys.poly([1, 0, P]), _linear(-7))))
+    return cases
+
+
+def _primitive_ints(p):
+    return polys._primitive(polys._cleared(p)[0])
+
+
+def _prime_divides_a_leading_coefficient(A, B):
+    return any(_primitive_ints(p)[-1] % polys.PRIME == 0 for p in (A, B))
+
+
+def test_dispersion_set_matches_the_resultant_on_a_seeded_family():
+    cases = _dispersion_family()
+    far = nonempty = empty = fallback = 0
+    for A, B in cases:
+        ds = dispersion_set(A, B)
+        assert ds == dispersion_set_resultant(A, B), (A, B)
+        far += 50 in ds
+        nonempty += bool(ds)
+        empty += not ds
+        fallback += _prime_divides_a_leading_coefficient(A, B)
+    assert far == 2 and nonempty >= 25 and empty >= 10 and fallback == 4
+
+
+def test_window_scan_confirms_only_the_modular_candidates(monkeypatch):
+    """dispersion_set runs its gcd over QQ on exactly the h whose gcd
+    modulo polys.PRIME is nonconstant, and on the whole window when the
+    prime divides a leading coefficient."""
+    from dcoh import operators
+    confirmed = []
+    pgcd = polys.pgcd
+
+    def counting(a, b):
+        confirmed.append(b)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(operators, "pgcd", counting)
+    skipped = 0
+    for A, B in _dispersion_family():
+        if polys.deg(A) <= 0 or polys.deg(B) <= 0:
+            continue
+        window = range(operators._dispersion_window(A, B) + 1)
+        if _prime_divides_a_leading_coefficient(A, B):
+            expected = list(window)
+        else:
+            ia = _primitive_ints(A)
+            expected = [h for h in window if polys._gcd_degree_mod(
+                ia, _primitive_ints(polys.shift(B, h)), polys.PRIME) > 0]
+        confirmed.clear()
+        dispersion_set(A, B)
+        assert confirmed == [polys.shift(B, h) for h in expected]
+        skipped += len(window) - len(expected)
+    assert skipped > 100
+
+
+def _reference_first_shift(p, q, d, top):
+    """The first j != 0 in -top..top with a nonconstant gcd(p, q(t + j d)),
+    by one gcd over QQ per j."""
+    for j in range(-top, top + 1):
+        if j:
+            g = polys.pgcd(p, polys.shift(q, j * d))
+            if polys.deg(g) > 0:
+                return j, g
+    return None, None
+
+
+def test_first_shift_matches_the_scan_over_QQ():
+    from dcoh.operators import _first_shift
+    rng = random.Random(71)
+    signs = set()
+    for d in (1, 2, 3):
+        for _ in range(30):
+            p, q = _random_poly(rng, 1, 3), _random_poly(rng, 1, 3)
+            if rng.random() < 0.7:
+                f, j0 = _random_poly(rng, 1, 2), rng.choice((-4, -2, -1, 1, 2, 5))
+                p = _product(p, f)
+                q = _product(q, polys.shift(f, -j0 * d))
+            top = int((polys.cauchy_root_bound(p) + polys.cauchy_root_bound(q)) / d) + 1
+            got = _first_shift(p, q, d, top)
+            assert got == _reference_first_shift(p, q, d, top), (p, q, d)
+            if got[0] is not None:
+                signs.add((d, got[0] > 0))
+    assert signs == {(d, s) for d in (1, 2, 3) for s in (True, False)}
+
+
+def _reference_ansatz_matrix(k, ps, bound):
+    """Coefficients over QQ of sum p_i sigma^i(t^d), one column per d <= bound,
+    built from Fraction polynomials."""
+    sigma_t = [polys.T]
+    for _ in range(len(ps) - 1):
+        sigma_t.append(k._sigma_poly(sigma_t[-1]))
+    powers, cols = [polys.ONE] * len(ps), []
+    for _ in range(bound + 1):
+        cols.append(functools.reduce(polys.padd, map(polys.pmul, ps, powers), polys.ZERO))
+        powers = list(map(polys.pmul, sigma_t, powers))
+    rows = max(polys.deg(p) for p in ps) + bound * polys.deg(sigma_t[-1]) + 1
+    return [[col[r] if r < len(col) else Fraction(0) for col in cols] for r in range(rows)]
+
+
+def _reference_rref(rows):
+    """Reduced echelon form with pivots 1, by Gauss-Jordan over Fractions."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [a / pv for a in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+    return rows, pivots
+
+
+def _reference_solution(k, ps, q, bound):
+    """The particular solution of the ansatz over QQ: free unknowns zero."""
+    if bound < 0:
+        return None if q else polys.ZERO
+    mat = _reference_ansatz_matrix(k, ps, bound)
+    if polys.deg(q) >= len(mat):
+        return None
+    rows, pivots = _reference_rref(
+        [row + [q[r] if r < len(q) else Fraction(0)] for r, row in enumerate(mat)])
+    if any(c == bound + 1 for _, c in pivots):
+        return None
+    x = [Fraction(0)] * (bound + 1)
+    for r, c in pivots:
+        x[c] = rows[r][-1]
+    return polys.poly(x)
+
+
+@pytest.mark.parametrize("descriptor", ["QQ(t);shift", "QQ(t);dilate:2",
+                                        "QQ(t);dilate:1/2", "QQ(t);subst:t^2"])
+def test_polynomial_solutions_match_the_ansatz_over_QQ(descriptor):
+    """Consistent, inconsistent and rank-deficient systems and zero right
+    sides, with fractional coefficients."""
+    from dcoh.operators import polynomial_solutions
+    k = make_field(descriptor)
+    rng = random.Random(73)
+    seen = {"yes": 0, "no": 0, "deficient": 0, "zero": 0}
+    for trial in range(60):
+        n = rng.randint(1, 2)
+        ps = [_random_poly(rng, 0, 3) for _ in range(n + 1)]
+        if trial % 5 == 0:
+            # sum p_i = 0 annihilates the constants: a zero column
+            ps[-1] = polys.psub(ps[-1], functools.reduce(polys.padd, ps))
+            if not ps[-1]:
+                continue
+        bound = rng.randint(-1, 4)
+        kind = trial % 3
+        if kind == 0:
+            q = polys.ZERO
+        elif kind == 1:
+            q = _random_poly(rng, 0, 5)
+        else:
+            z = _random_poly(rng, 0, max(bound, 0))
+            q = functools.reduce(polys.padd, [polys.pmul(p, _sigma_n(k, z, i))
+                                              for i, p in enumerate(ps)])
+        want = _reference_solution(k, ps, q, bound)
+        assert polynomial_solutions(k, ps, q, bound) == want, (ps, q, bound)
+        seen["yes" if want is not None else "no"] += 1
+        seen["zero"] += not q
+        if bound >= 0:
+            _, piv = _reference_rref(_reference_ansatz_matrix(k, ps, bound))
+            seen["deficient"] += len(piv) < bound + 1
+    assert all(seen.values()), seen
+
+
+def _sigma_n(k, z, i):
+    for _ in range(i):
+        z = k._sigma_poly(z)
+    return z
+
+
+@pytest.mark.parametrize("text", ["s - 1", "s^2 - 2*s + 1", "s^3 - 3*s^2 + 3*s - 1",
+                                  "s - (t+1)/t", "s - (t+2)/t", "(s - 1)*(s - (t+1)/t)",
+                                  "s + 1", "s - t", "s^2 + s - 3", "s - 2*(t+1)/t"])
+def test_additive_kernel_basis_matches_the_ansatz_over_QQ(shift_field, text):
+    from dcoh.operators import _abramov_reduction
+    k = shift_field
+    L = op(k, text)
+    u, Ps, _, bound = _abramov_reduction(L, k.zero())
+    want = []
+    if bound >= 0:
+        rows, pivots = _reference_rref(_reference_ansatz_matrix(k, Ps, bound))
+        pivot_of_col = {c: r for r, c in pivots}
+        for free in range(bound + 1):
+            if free in pivot_of_col:
+                continue
+            x = [Fraction(0)] * (bound + 1)
+            x[free] = Fraction(1)
+            for c, r in pivot_of_col.items():
+                x[c] = -rows[r][free]
+            want.append(k.ratfun(polys.poly(x), u))
+    assert additive_kernel_basis(L) == want

@@ -731,3 +731,36 @@ def test_torsor_from_cocycle_rechecks_only_a_bare_cocycle(monkeypatch):
             calls.update(is_cocycle=0, is_point=0)
             X = torsor_from_cocycle(Cocycle(G, tc, chi.value))
             assert calls == {"is_cocycle": 1, "is_point": 0}
+
+
+def test_twisted_form_points_test_only_an_unchecked_chi(monkeypatch):
+    """torsor_points of a twisted form answers chi^{-1} without a membership
+    test when chi is checked, tests it once when chi is a bare Cocycle, and
+    raises when a bare Cocycle is no cocycle."""
+    from dcoh.cocycles import Cocycle
+    from dcoh.groups import enumerate_points
+    calls = {"is_point": 0}
+    is_point_ = TwistedForm.is_point
+
+    def count_point(self, *args):
+        calls["is_point"] += 1
+        return is_point_(self, *args)
+
+    monkeypatch.setattr(TwistedForm, "is_point", count_point)
+    for G, tc in _round_trip_cases():
+        z1 = enumerate_cocycles(G, tc)
+        for chi in z1:
+            X = torsor_from_cocycle(chi)
+            calls["is_point"] = 0
+            res = torsor_points(X)
+            assert res and G.equal(res.witness, G.inv(chi.value))
+            assert calls["is_point"] == 0
+            bare = TwistedForm(Cocycle(G, tc, chi.value))
+            res = torsor_points(bare)
+            assert res and G.equal(res.witness, G.inv(chi.value))
+            assert calls["is_point"] == 1
+        non_cocycles = [v for v in enumerate_points(G, tc.AA)
+                        if not any(G.equal(v, c.value) for c in z1)]
+        for v in non_cocycles[:5]:
+            with pytest.raises(TorsorError, match="not a cocycle"):
+                torsor_points(TwistedForm(Cocycle(G, tc, v)))
