@@ -25,14 +25,17 @@ values through the field's own _mul/_add/_is_zero/_sigma, and each
 surviving coefficient is wrapped in a FieldElement once, on the way out.
 The table self-check (TableAlgebra.validate) compares raw values alone.
 Equal tensor products share one table, built entry by entry on first use
-and dropped when no algebra uses it any more.
+and dropped when no algebra uses it any more; the cache key it is found by
+hashes its entries once.
 
 On top of the algebras the module builds tensor squares and cubes with
 their Amitsur face maps and contracting homotopy, the exactness audit of
-the complex 0 -> k -> A -> A(x)A -> A(x)A(x)A, and finite-dimensional
-faithfully flat descent: the invariants B0 = {b : phi(b(x)1) = 1(x)b} of
-a descent datum, together with the check that B0 (x) A -> B is an
-isomorphism.
+the complex 0 -> k -> A -> A(x)A -> A(x)A(x)A (exact at A(x)A by the
+homotopy's identity, checked on the m^2 basis tensors instead of
+eliminating the m^3 x m^2 matrix of the second map), and
+finite-dimensional faithfully flat descent: the invariants
+B0 = {b : phi(b(x)1) = 1(x)b} of a descent datum, together with the check
+that B0 (x) A -> B is an isomorphism.
 """
 
 from __future__ import annotations
@@ -586,12 +589,27 @@ class _RawTables:
         self.key = None
 
 
+class _TableKey(tuple):
+    """A cache key that hashes its entries once: the dense tables of a
+    TableAlgebra, or the keys of a tensor product's factors.  It equals and
+    hashes as the plain tuple of its entries."""
+
+    def __new__(cls, entries):
+        key = super().__new__(cls, entries)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
 # the tables of the algebras alive, by cache key, so that equal algebras
 # share one; an entry lives while some algebra holds it
 _TABLES = weakref.WeakValueDictionary()
 
 
 def _shared_tables(key, build) -> _RawTables:
+    key = _TableKey(key)
     tables = _TABLES.get(key)
     if tables is None:
         tables = _TABLES[key] = build()
@@ -890,12 +908,17 @@ class TensorContext:
                 out[join((a, b))] = c / u0
         return _clean_element(self.AA, out)
 
+    def homotopy_form(self) -> tuple:
+        """(r, u_r) for r the last key of 1 = sum u_k e_k: lambda(x) = x_r / u_r
+        is a k-linear form A -> k with lambda(1) = 1, the form of the Amitsur
+        contracting homotopy (contract, amitsur_audit)."""
+        return list(self.A.unit_data().items())[-1]
+
     def contract(self, z: AlgElement) -> AlgElement:
-        """(lambda(x)id)(z) for lambda(x) = x_r / u_r, r the last key of
-        1 = sum u_k e_k: the Amitsur contracting homotopy, 1(x)a - a(x)1 ->
-        a - lambda(a)."""
+        """(lambda(x)id)(z) for lambda of homotopy_form: the Amitsur
+        contracting homotopy, 1(x)a - a(x)1 -> a - lambda(a)."""
         A = self.A
-        r, u = list(A.unit_data().items())[-1]
+        r, u = self.homotopy_form()
         out = {}
         for key, c in z.data.items():
             a, b = A.split_key(key, 2)
@@ -1069,8 +1092,25 @@ class AmitsurReport:
 def amitsur_audit(A: FinDimAlgebra) -> AmitsurReport:
     """Exact verification of 0 -> k -> A -> A(x)A -> A(x)A(x)A.
 
-    Checks ker(d2 - d1) = k*1 and ker(dd3 - dd2 + dd1) = im(d2 - d1) by
-    exact linear algebra over the base field.
+    Checks ker(d2 - d1) = k*1 by exact linear algebra over the base field,
+    and ker(dd3 - dd2 + dd1) = im(d2 - d1) by the contracting homotopy.
+
+    Lemma (Amitsur 1959; Waterhouse, Introduction to Affine Group Schemes,
+    section 13).  Let lambda: A -> k be k-linear with lambda(1) = 1, and put
+    s2(a(x)b) = lambda(a) b and s3(a(x)b(x)c) = lambda(a) b(x)c.  For the
+    maps e = d2 - d1 and f = dd3 - dd2 + dd1, s3 f - e s2 = id on A(x)A:
+    s3 f(a(x)b) = lambda(a) (b(x)1 - 1(x)b) + lambda(1) a(x)b.  So z in
+    ker f gives z = -e(s2 z) in im e, and with f e = 0, ker f = im e and
+    dim ker f = m - dim ker e.
+
+    The audit builds the columns of M1 (the matrix of e) and of M2 (that of
+    f) through the face maps, reduces M1, and checks the lemma's identity
+    on the m^2 basis tensors and f e = 0 on the m columns of M1, both on
+    raw values, with lambda from TensorContext.homotopy_form.  If either
+    check fails, the maps built are not the Amitsur complex's (a face-map
+    bug); only then is the m^3 x m^2 matrix M2 eliminated, so that
+    dim_ker_second is measured and `exact` says whether it equals
+    dim im e.
     """
     if not isinstance(A, FinDimAlgebra):
         raise AlgebraError("amitsur_audit needs a finite-dimensional algebra")
@@ -1078,11 +1118,10 @@ def amitsur_audit(A: FinDimAlgebra) -> AmitsurReport:
     tc = TensorContext(A)
     idxA = A.index_list()
     idxAA = tc.AA.index_list()
-    idxAAA = tc.AAA.index_list()
     zero = field.zero()
 
-    first_images = [tc.d2(A.basis_element(i)) - tc.d1(A.basis_element(i)) for i in idxA]
-    m1 = [[img.data.get(r, zero) for img in first_images] for r in idxAA]
+    first_images = {i: tc.d2(A.basis_element(i)) - tc.d1(A.basis_element(i)) for i in idxA}
+    m1 = [[img.data.get(r, zero) for img in first_images.values()] for r in idxAA]
     ker1_vecs = linalg.kernel_basis(m1, field, ncols=len(idxA))
     ker1 = [A.from_vector(v) for v in ker1_vecs]
     # the one kernel vector is nonzero, so 1 spans it exactly when it is a scalar
@@ -1094,23 +1133,51 @@ def amitsur_audit(A: FinDimAlgebra) -> AmitsurReport:
     second_images = {}
     for key in idxAA:
         second_images[key] = second_map(AlgElement(tc.AA, {key: field.one()}))
-    m2 = [[second_images[c].data.get(r, zero) for c in idxAA] for r in idxAAA]
-    ker2_vecs = linalg.kernel_basis(m2, field, ncols=len(idxAA))
 
-    composite_zero = all(second_map(img).is_zero() for img in first_images)
+    # f e = 0: each column of M1 as a combination of the columns of M2
+    composite_zero = all(_linear_image(second_images, img, tc.AAA).is_zero()
+                         for img in first_images.values())
     dim_im1 = len(idxA) - len(ker1_vecs)
-    exact = composite_zero and len(ker2_vecs) == dim_im1
+    if composite_zero and _homotopy_holds(tc, first_images, second_images):
+        dim_ker2 = dim_im1
+    else:
+        idxAAA = tc.AAA.index_list()
+        m2 = [[second_images[c].data.get(r, zero) for c in idxAA] for r in idxAAA]
+        dim_ker2 = len(linalg.kernel_basis(m2, field, ncols=len(idxAA)))
+    exact = composite_zero and dim_ker2 == dim_im1
 
     return AmitsurReport(
         algebra_dim=len(idxA),
         dim_ker_first=len(ker1_vecs),
         first_kernel=ker1,
         unit_spans_first_kernel=unit_ok,
-        dim_ker_second=len(ker2_vecs),
+        dim_ker_second=dim_ker2,
         dim_image_first=dim_im1,
         composite_is_zero=composite_zero,
         exact=exact,
     )
+
+
+def _homotopy_holds(tc: TensorContext, first: dict, second: dict) -> bool:
+    """Whether s3(f z) - e(s2 z) = z for every basis tensor z = e_a(x)e_b,
+    on raw values: first[b] = e(e_b) and second[a, b] = f(e_a(x)e_b) are the
+    columns of M1 and M2, lambda(x) = x_r / u_r of tc.homotopy_form.  The
+    terms of f z with first slot r, over u_r, are s3(f z); s2 z is e_b / u_r
+    when a = r and 0 otherwise."""
+    field = tc.A.field
+    mul, add, neg, is_zero = field._mul, field._add, field._neg, field._is_zero
+    r, u = tc.homotopy_form()
+    inv = field._inv(u.value)
+    one = field.one().value
+    for (a, b), col in second.items():
+        out = {(y, w): mul(inv, c.value) for (x, y, w), c in col.data.items() if x == r}
+        if a == r:
+            for key, c in first[b].data.items():
+                v = neg(mul(inv, c.value))
+                out[key] = add(out[key], v) if key in out else v
+        if {k: v for k, v in out.items() if not is_zero(v)} != {(a, b): one}:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,9 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import exprs, outcome
-from .algebras import (FreePolyAlgebra, LaurentAlgebra, TensorContext, amitsur_audit,
-                       canonical_descent_datum, descend_invariants, make_mu_algebra,
-                       make_split_algebra, mu_twisted_datum)
+from .algebras import (FinDimAlgebra, FreePolyAlgebra, LaurentAlgebra, TensorContext,
+                       amitsur_audit, canonical_descent_datum, descend_invariants,
+                       make_mu_algebra, make_split_algebra, mu_twisted_datum)
 from .fields import FieldElement, make_field, sigma_apply
 from .groups import AdditiveKernel, DiagonalMult, FrobeniusTwist, mu2sigma_group, mu_pair_space
 from .cocycles import CocycleError, Cocycle, equivalent, invariant, is_cocycle
@@ -45,7 +45,9 @@ class CliError(ValueError):
 # descriptor parsing
 
 
-def parse_algebra(field, desc: str):
+def parse_algebra(field, desc: str, budget):
+    """The algebra of a descriptor; split:<m> charges its m^3 structure
+    constants to the budget before the table is allocated."""
     if desc.startswith("mu:"):
         parts = desc[3:].split(",")
         if len(parts) != 2:
@@ -60,7 +62,9 @@ def parse_algebra(field, desc: str):
             perm = [int(x) for x in ptxt[len("perm="):].split(",")]
         else:
             mtxt, perm = rest, None
-        return make_split_algebra(field, int(mtxt), perm)
+        m = int(mtxt)
+        outcome.charge(m ** 3, budget)
+        return make_split_algebra(field, m, perm)
     for cls in (LaurentAlgebra, FreePolyAlgebra):
         if desc.startswith(cls.kind + ":"):
             return _parse_monomial(field, cls, desc[len(cls.kind) + 1:])
@@ -354,7 +358,7 @@ NORMAL_FORM_JSON = {
 def _cocycle_args(args):
     """(G, tc, env) for the --field, --algebra and --group of a cocycle query."""
     field = make_field(args.field)
-    A = parse_algebra(field, args.algebra)
+    A = parse_algebra(field, args.algebra, args.budget)
     return parse_group(field, args.group), TensorContext(A), algebra_env(field, args.algebra)
 
 
@@ -411,7 +415,7 @@ def cmd_iso(args, base):
 def cmd_torsor_points(args, base):
     field = make_field(args.field)
     X = parse_torsor(field, args.torsor)
-    R = parse_algebra(field, args.algebra) if args.algebra else None
+    R = parse_algebra(field, args.algebra, args.budget) if args.algebra else None
     res = torsor_points(X, R, budget=args.budget)
     return _emit(outcome_json(res), base)
 
@@ -442,7 +446,10 @@ def cmd_delta(args, base):
 
 def cmd_audit_amitsur(args, base):
     field = make_field(args.field)
-    A = parse_algebra(field, args.algebra)
+    A = parse_algebra(field, args.algebra, args.budget)
+    if isinstance(A, FinDimAlgebra):
+        # the audit builds the dim^3 basis tensors of the tensor cube
+        outcome.charge(A.dim ** 3, args.budget)
     rep = amitsur_audit(A)
     result = {
         "ok": rep.ok, "dim": rep.algebra_dim,
@@ -470,14 +477,14 @@ def cmd_audit_exactness(args, base):
 
 def cmd_descend(args, base):
     field = make_field(args.field)
-    A = parse_algebra(field, args.algebra)
+    A = parse_algebra(field, args.algebra, args.budget)
     if args.chi:
         tc = TensorContext(A)
         env = algebra_env(field, args.algebra)
         chi = parse_literal(tc.A, args.chi, env, tc)
         datum = mu_twisted_datum(A, chi)
     elif args.c0:
-        C0 = parse_algebra(field, args.c0)
+        C0 = parse_algebra(field, args.c0, args.budget)
         datum = canonical_descent_datum(C0, A)
     else:
         raise CliError("descend needs --c0 (canonical datum) or --chi (mu twist)")
@@ -574,7 +581,7 @@ def cmd_verify(args, base):
     elif cmd == "torsor-points" and w:
         # a point over k or over an algebra R satisfies the torsor's equations
         X = parse_torsor(field, qargs["torsor"])
-        R = parse_algebra(field, qargs["algebra"]) if qargs.get("algebra") else None
+        R = parse_algebra(field, qargs["algebra"], args.budget) if qargs.get("algebra") else None
         x = _read_point(X.presentation, R, w)
         ok = None if x is None else is_point(X, x, R)
     elif cmd == "delta" and w and w.get("type") == "scalar":

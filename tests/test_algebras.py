@@ -900,3 +900,148 @@ def test_morphism_sending_a_unit_to_a_non_unit_is_rejected(QQ):
     with pytest.raises(AlgebraError, match="^morphism must map units to units$"):
         AlgebraMorphism(L, A2, [z])
     assert AlgebraMorphism(L, A1, [y]).apply(L.gen(0) ** -1) == y
+
+
+# --------------------------------------------------------------------------
+# exactness at A(x)A certified by the contracting homotopy, against elimination
+
+
+def _audit_by_elimination(A):
+    """amitsur_audit with ker(dd3 - dd2 + dd1) measured by eliminating the
+    m^3 x m^2 matrix of the second map, and the composite by six face maps
+    per column: the audit before the homotopy certificate, kept as its
+    oracle."""
+    field = A.field
+    tc = TensorContext(A)
+    idxA = A.index_list()
+    idxAA = tc.AA.index_list()
+    idxAAA = tc.AAA.index_list()
+    zero = field.zero()
+
+    first_images = [tc.d2(A.basis_element(i)) - tc.d1(A.basis_element(i)) for i in idxA]
+    m1 = [[img.data.get(r, zero) for img in first_images] for r in idxAA]
+    ker1_vecs = linalg.kernel_basis(m1, field, ncols=len(idxA))
+    ker1 = [A.from_vector(v) for v in ker1_vecs]
+    unit_ok = len(ker1) == 1 and ker1[0].scalar_part() is not None
+
+    def second_map(z):
+        return tc.dd3(z) - tc.dd2(z) + tc.dd1(z)
+
+    second_images = {}
+    for key in idxAA:
+        second_images[key] = second_map(AlgElement(tc.AA, {key: field.one()}))
+    m2 = [[second_images[c].data.get(r, zero) for c in idxAA] for r in idxAAA]
+    ker2_vecs = linalg.kernel_basis(m2, field, ncols=len(idxAA))
+
+    composite_zero = all(second_map(img).is_zero() for img in first_images)
+    dim_im1 = len(idxA) - len(ker1_vecs)
+    exact = composite_zero and len(ker2_vecs) == dim_im1
+    return algebras.AmitsurReport(
+        algebra_dim=len(idxA), dim_ker_first=len(ker1_vecs), first_kernel=ker1,
+        unit_spans_first_kernel=unit_ok, dim_ker_second=len(ker2_vecs),
+        dim_image_first=dim_im1, composite_is_zero=composite_zero, exact=exact)
+
+
+def _counted_audit(A, monkeypatch):
+    """(amitsur_audit(A), the number of its linalg.kernel_basis calls)."""
+    calls = []
+    kernel = linalg.kernel_basis
+
+    def counting(rows, field, ncols):
+        calls.append(ncols)
+        return kernel(rows, field, ncols)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "kernel_basis", counting)
+        rep = amitsur_audit(A)
+    return rep, len(calls)
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "GF(4);frob^1", "GF(9);frob^1", "QQ(t);shift"])
+def test_certified_audit_equals_elimination(descriptor, monkeypatch):
+    """On random algebras and on the algebra-audit block shapes (dims 1 to
+    6), the certified report equals the elimination's field by field, and
+    the audit reduces M1 alone: one kernel_basis call."""
+    field = make_field(descriptor)
+    rng = random.Random(23)
+    randoms = [random_findim_algebra(field, rng, max_dim=5 if field.finite else 4)
+               for _ in range(5)]
+    for A in randoms + list(_audit_algebras(field, rng)):
+        rep, calls = _counted_audit(A, monkeypatch)
+        assert rep.ok and calls == 1, (descriptor, A.labels)
+        assert rep == _audit_by_elimination(A), (descriptor, A.labels)
+
+
+def _mutation_algebras():
+    QQ, gf9 = make_field("QQ"), make_field("GF(9);frob^1")
+    return [make_mu_algebra(QQ.element(2), QQ.one()),
+            change_basis(make_split_algebra(gf9, 3, [1, 2, 0]),
+                         random_basis_change(gf9, random.Random(5), 3, False))]
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_a_face_map_broken_at_each_slot_fails_the_audit(slot, monkeypatch):
+    """_insert writing slot p's tensor-1 into the next slot breaks the
+    complex; the certificate fails, M2 is eliminated (a second kernel_basis
+    call) and the report equals the elimination's on the same maps."""
+    original = TensorContext._insert
+
+    def broken(self, z, pos):
+        return original(self, z, (pos + 1) % 3 if pos == slot else pos)
+
+    monkeypatch.setattr(TensorContext, "_insert", broken)
+    for A in _mutation_algebras():
+        rep, calls = _counted_audit(A, monkeypatch)
+        assert not rep.ok and calls == 2
+        assert rep == _audit_by_elimination(A)
+
+
+def test_a_face_map_dropping_one_term_fails_the_certificate(monkeypatch):
+    """dd1 without its last term, 1 = sum u_k e_k's last key in the first
+    slot: the identity s3 f - e s2 = id fails on every basis tensor, and the
+    report is the elimination's on the same broken maps."""
+    original = TensorContext._insert
+
+    def dropping(self, z, pos):
+        out = original(self, z, pos)
+        if pos == 0 and out.data:
+            out.data.pop(list(out.data)[-1])
+        return out
+
+    monkeypatch.setattr(TensorContext, "_insert", dropping)
+    for A in _mutation_algebras():
+        tc = TensorContext(A)
+        first = {i: tc.d2(A.basis_element(i)) - tc.d1(A.basis_element(i))
+                 for i in A.index_list()}
+        second = {z: tc.dd3(tc.AA.basis_element(z)) - tc.dd2(tc.AA.basis_element(z))
+                  + tc.dd1(tc.AA.basis_element(z)) for z in tc.AA.index_list()}
+        assert not algebras._homotopy_holds(tc, first, second)
+        rep, calls = _counted_audit(A, monkeypatch)
+        assert calls == 2 and not rep.ok
+        assert rep == _audit_by_elimination(A)
+
+
+def test_a_form_with_lambda_of_one_not_one_fails_the_certificate(monkeypatch):
+    """lambda = 2 x_r / u_r has lambda(1) = 2, so s3 f - e s2 = 2 id: the
+    certificate fails on the true Amitsur maps, and the elimination still
+    returns the correct report."""
+    original = TensorContext.homotopy_form
+    monkeypatch.setattr(TensorContext, "homotopy_form",
+                        lambda self: (original(self)[0], original(self)[1] / 2))
+    for A in _mutation_algebras():
+        rep, calls = _counted_audit(A, monkeypatch)
+        assert calls == 2 and rep.ok
+        assert rep == _audit_by_elimination(A)
+
+
+def test_any_unit_coordinate_gives_a_valid_form(monkeypatch):
+    """lambda(x) = x_g / u_g for the first key g with u_g != 0 has
+    lambda(1) = 1 too: the certificate holds and M2 is not eliminated."""
+    cases = _mutation_algebras()
+    assert len(cases[1].unit_data()) > 1     # the first key is not the last
+    monkeypatch.setattr(TensorContext, "homotopy_form",
+                        lambda self: next(iter(self.A.unit_data().items())))
+    for A in cases:
+        rep, calls = _counted_audit(A, monkeypatch)
+        assert calls == 1 and rep.ok
+        assert rep == _audit_by_elimination(A)

@@ -202,6 +202,28 @@ def test_delta_charges_its_lift_algebra_before_building_it():
     assert code == 2 and len(lines) == 1 and lines[0]["certificate"] == "error: d must be >= 1"
 
 
+
+def test_audit_amitsur_charges_its_tables_before_building_them():
+    """split:<m> charges its m^3 structure constants at parse time, before
+    the dense table exists, and audit-amitsur charges the dim^3 basis
+    tensors of the tensor cube before the audit."""
+    start = time.perf_counter()
+    code, lines = run_cli(["audit-amitsur", "--field", "QQ", "--algebra", "split:40",
+                           "--budget", "1000"])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and len(lines) == 1
+    assert lines[0]["undecided"] is True
+    assert lines[0]["certificate"].startswith("budget-exhausted")
+    # mu:2,1 costs nothing to parse; its audit's cube has 2^3 = 8 basis tensors
+    code, lines = run_cli(["audit-amitsur", "--field", "QQ", "--algebra", "mu:2,1",
+                           "--budget", "7"])
+    assert code == 3 and len(lines) == 1
+    assert lines[0]["certificate"] == "budget-exhausted: search space 8 exceeds budget 7"
+    code, lines = run_cli(["audit-amitsur", "--field", "QQ", "--algebra", "mu:2,1",
+                           "--budget", "8"])
+    assert code == 0 and lines[0]["result"]["ok"] is True
+
+
 # the budgeted search over QQ(t) with a dilation or t -> t^2: witnesses and
 # the exhausted search's detail, byte for byte
 BOUNDED_SEARCH_LINES = [
