@@ -47,7 +47,8 @@ class CliError(ValueError):
 
 def parse_algebra(field, desc: str, budget):
     """The algebra of a descriptor; split:<m> charges its m^3 structure
-    constants to the budget before the table is allocated."""
+    constants, laurent:<r> and freepoly:<r> the r^2 exponents of their r
+    generator images, to the budget before the algebra is allocated."""
     if desc.startswith("mu:"):
         parts = desc[3:].split(",")
         if len(parts) != 2:
@@ -67,16 +68,18 @@ def parse_algebra(field, desc: str, budget):
         return make_split_algebra(field, m, perm)
     for cls in (LaurentAlgebra, FreePolyAlgebra):
         if desc.startswith(cls.kind + ":"):
-            return _parse_monomial(field, cls, desc[len(cls.kind) + 1:])
+            return _parse_monomial(field, cls, desc[len(cls.kind) + 1:], budget)
     raise CliError(f"unknown algebra descriptor {desc!r}")
 
 
-def _parse_monomial(field, cls, rest: str):
+def _parse_monomial(field, cls, rest: str, budget):
     """'<r>;sigma(<stem><i>)=<image>;...': each image is read as an element
     of the algebra of the same kind with sigma = id, and the algebra built
-    from the images checks their shape."""
+    from the images checks their shape.  The r images carry exponent
+    vectors of length r, so r^2 is charged before the first is built."""
     parts = rest.split(";")
     r = int(parts[0])
+    outcome.charge(r * r, budget)
     free = cls(field, r)
     images = [None] * r
     pat = re.compile(rf"sigma\({cls.stem}(\d*)\)=(.*)")

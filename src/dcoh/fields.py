@@ -11,11 +11,22 @@ Supported field kinds, selected by descriptor string:
 Elements are immutable and kept in a unique canonical form, so equality
 is plain coordinate equality:
 
-  * rationals are Fractions;
+  * a rational is a Python int when it is integral and otherwise a
+    Fraction with denominator > 1, so integral QQ arithmetic never enters
+    the fractions module and pays a gcd only where a denominator is
+    present (Knuth, TAOCP vol. 2, 4.5.1);
   * rational functions are coprime (numerator, denominator) pairs of
     Fraction-coefficient polynomials with monic denominator;
   * finite field elements are coefficient tuples modulo the
     lexicographically smallest monic irreducible of degree m over GF(p).
+
+The rational normal form is kept by every QQ path that makes a raw value:
+_from_int_like, wrap, _add, _mul and _inv (never 1 / a on an int, a float).
+It is a matter of speed, not of correctness: an int and a Fraction of the
+same value are equal and hash alike (Python's numeric hash, which does not
+depend on PYTHONHASHSEED), and str(Fraction(2)) == str(2), so an integral
+Fraction that slipped past the normal form would leave equality, hashes,
+shared table keys and every printed answer as they are.
 
 A field makes its elements from raw values through `wrap`.  GF(q) with
 q <= FiniteField.TABLE_LIMIT builds one canonical FieldElement per value
@@ -229,7 +240,7 @@ class SigmaField:
     inversive: bool
     finite: bool
     # linalg.row_echelon runs fraction-free elimination on rows cleared to
-    # integers (values are Fractions), not Gauss-Jordan on raw values
+    # integers (values are ints and Fractions), not Gauss-Jordan on raw values
     integer_elimination = False
 
     def element(self, obj) -> FieldElement:
@@ -297,22 +308,43 @@ class RationalField(SigmaField):
     finite = False
     integer_elimination = True
 
+    # raw values in normal form (see the module docstring): an int when
+    # integral, else a Fraction with denominator > 1
+
     def _from_int_like(self, obj):
-        if isinstance(obj, (int, Fraction)):
-            return Fraction(obj)
+        if isinstance(obj, int):
+            return int(obj)
+        if isinstance(obj, Fraction):
+            return obj.numerator if obj.denominator == 1 else obj
         raise FieldError(f"cannot coerce {obj!r} into QQ")
 
+    def wrap(self, value) -> FieldElement:
+        if value.__class__ is not int and value.denominator == 1:
+            value = value.numerator
+        return FieldElement(self, value)
+
     def _add(self, a, b):
-        return a + b
+        s = a + b
+        if s.__class__ is int or s.denominator != 1:
+            return s
+        return s.numerator
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        s = a * b
+        if s.__class__ is int or s.denominator != 1:
+            return s
+        return s.numerator
 
     def _inv(self, a):
-        return 1 / a
+        # 1/a of an int is a float: the inverse is built from the numerator
+        # and denominator, an int exactly when the numerator is a unit
+        n, d = a.numerator, a.denominator
+        if n == 1 or n == -1:
+            return n * d
+        return Fraction(d, n)
 
     def _is_zero(self, a):
         return a == 0
@@ -325,7 +357,7 @@ class RationalField(SigmaField):
 
     def is_square(self, x):
         r = polys.frac_sqrt(self.element(x).value)
-        return None if r is None else FieldElement(self, r)
+        return None if r is None else self.wrap(r)
 
     def sigma_preimage(self, x):
         return self.element(x)

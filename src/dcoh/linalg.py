@@ -7,11 +7,12 @@ eliminations, chosen by field.integer_elimination:
   * over QQ each row is cleared to primitive integers and reduced by
     fraction-free Gauss-Jordan elimination (Bareiss 1968): every update
     p * a - c * b is divided exactly by the previous pivot, so entries stay
-    minors of the cleared matrix, and only the final rows, divided by their
-    pivots, become Fractions again.  Pivot division on Fractions would pay
-    a gcd per operation.  row_echelon_int runs the same elimination on a
-    matrix of ints; the Abramov ansatz, the QQ(t) deciders' hot path,
-    builds its system in Z[t] and calls it directly;
+    minors of the cleared matrix, and only the final rows are divided by
+    their pivots, each entry becoming a QQ raw value in normal form (an int
+    when the division is exact, else a Fraction).  Pivot division on
+    Fractions would pay a gcd per operation.  row_echelon_int runs the
+    same elimination on a matrix of ints; the Abramov ansatz, the QQ(t)
+    deciders' hot path, builds its system in Z[t] and calls it directly;
   * over every other field by Gauss-Jordan with pivot division on raw
     values (FieldElement.value).  GF(q) entries cannot swell, and the QQ(t)
     systems that reach linalg (algebra kernels and inverses) stay small
@@ -20,7 +21,9 @@ eliminations, chosen by field.integer_elimination:
 
 solve_square_raw runs the second elimination on the raw values of a square
 system over any field, QQ included; the finite-dimensional algebras use it
-to invert units, and nonsingular_raw, its rank alone, to test them.
+to invert units, and nonsingular_raw, its rank alone, to test them.  Over
+QQ, integral systems stay on ints there, since QQ's _add and _mul return
+ints for integral results.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,12 @@ from dcoh.algebras import (change_basis, direct_sum,
                            make_split_algebra, make_truncated_algebra,
                            scalar_algebra)
 from dcoh.fields import make_field
+
+
+def assert_qq_normal_form(value):
+    """A QQ raw value is an int when integral, else a Fraction with
+    denominator > 1 (never a bool or a float)."""
+    assert type(value) is int or (type(value) is Fraction and value.denominator > 1), value
 
 
 @pytest.fixture

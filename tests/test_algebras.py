@@ -2,11 +2,12 @@
 
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import (random_basis_change, random_findim_algebra, random_unit,
-                      small_element, table_isomorphism_by_search)
+from conftest import (assert_qq_normal_form, random_basis_change, random_findim_algebra,
+                      random_unit, small_element, table_isomorphism_by_search)
 
 from dcoh import algebras, linalg
 from dcoh.algebras import (AlgebraError, AlgebraMorphism, AlgElement, DescentDatum,
@@ -1045,3 +1046,41 @@ def test_any_unit_coordinate_gives_a_valid_form(monkeypatch):
         rep, calls = _counted_audit(A, monkeypatch)
         assert calls == 1 and rep.ok
         assert rep == _audit_by_elimination(A)
+
+
+def test_qq_algebra_arithmetic_keeps_raw_values_in_normal_form(QQ):
+    """Products, inverses and sigma in random QQ algebras, and in their
+    tensor squares, hold coefficients in normal form."""
+    rng = random.Random(77)
+    for _ in range(8):
+        A = random_findim_algebra(QQ, rng, max_dim=4)
+        for B in (A, A.tensor_power(2)):
+            idx = B.index_list()
+            xs = [B.element({i: QQ.random_element(rng) for i in idx}) for _ in range(3)]
+            got = [x * y for x in xs for y in xs] + [x.sigma() for x in xs]
+            got += [inv for inv in (x.maybe_inverse() for x in xs) if inv is not None]
+            got += [B.basis_element(i) * B.basis_element(j) for i in idx for j in idx]
+            for z in got:
+                for c in z.data.values():
+                    assert_qq_normal_form(c.value)
+        kind, _, _, mult, unit, sigma = A.cache_key()
+        assert kind == "table"
+        for vec in [v for row in mult for v in row] + [unit] + list(sigma):
+            for value in vec:
+                assert_qq_normal_form(value)
+
+
+def test_fraction_and_int_tables_give_one_algebra(QQ):
+    """A TableAlgebra built from integral Fractions has the cache key of the
+    one built from ints, holds ints, and shares its tables with it."""
+    def mu_table(a, one, zero):
+        return ([[[one, zero], [zero, one]], [[zero, one], [a, zero]]],
+                [one, zero], [[one, zero], [zero, one]])
+
+    by_int = make_findim(QQ, ("1", "y"), *mu_table(4, 1, 0))
+    by_fraction = make_findim(QQ, ("1", "y"), *mu_table(Fraction(8, 2), Fraction(1), Fraction(0)))
+    assert by_fraction.cache_key() == by_int.cache_key()
+    assert hash(by_fraction.cache_key()) == hash(by_int.cache_key())
+    assert by_fraction._tables is by_int._tables
+    assert all(type(v) is int for vec in by_fraction._tables.key[3][1] for v in vec)
+    assert by_fraction == by_int

@@ -224,6 +224,20 @@ def test_audit_amitsur_charges_its_tables_before_building_them():
     assert code == 0 and lines[0]["result"]["ok"] is True
 
 
+@pytest.mark.parametrize("algebra", ["laurent:100000", "freepoly:100000"])
+def test_monomial_descriptors_charge_their_generators_before_building_them(algebra):
+    """laurent:<r> and freepoly:<r> charge the r^2 exponents of their r
+    generator images at parse time, before any image is allocated."""
+    start = time.perf_counter()
+    code, lines = run_cli(["audit-amitsur", "--field", "QQ", "--algebra", algebra,
+                           "--budget", "1000"])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and len(lines) == 1
+    assert lines[0]["undecided"] is True
+    assert lines[0]["certificate"] == \
+        "budget-exhausted: search space 10000000000 exceeds budget 1000"
+
+
 # the budgeted search over QQ(t) with a dilation or t -> t^2: witnesses and
 # the exhausted search's detail, byte for byte
 BOUNDED_SEARCH_LINES = [

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_qq_normal_form
+
 from dcoh import fields, polys
-from dcoh.fields import (FieldError, FieldParseError, FiniteField, field_arith,
-                         in_sigma_image, is_square, make_field, sigma_apply)
+from dcoh.fields import (FieldElement, FieldError, FieldParseError, FiniteField,
+                         field_arith, in_sigma_image, is_square, make_field,
+                         sigma_apply)
 
 ALL_DESCRIPTORS = ["QQ", "QQ(t);shift", "QQ(t);dilate:3/2", "QQ(t);subst:t^2",
                    "GF(4);frob^1", "GF(9);frob^1", "GF(25);frob^1"]
@@ -464,3 +467,98 @@ def test_large_finite_field_inverse_is_the_group_inverse(p, m):
             assert v == F._pad(power)
     with pytest.raises(ZeroDivisionError):
         F._inv(F.zero().value)
+
+
+# --------------------------------------------------------------------------
+# QQ raw values: an int when integral, else a Fraction with denominator > 1
+
+
+def assert_canonical_rational(value, expected):
+    """value is the normal form of the rational `expected`."""
+    assert value == expected
+    assert_qq_normal_form(value)
+
+
+def qq_samples(rng, count=60):
+    """Seeded rationals, integral ones, +-1 and 0 among them, each as a
+    Fraction (integral ones too, as callers may pass them)."""
+    special = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+               Fraction(1, 2), Fraction(-1, 3), Fraction(4, 2), Fraction(-6, 3)]
+    return special + [Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+                      for _ in range(count)]
+
+
+def test_qq_raw_kernels_agree_with_fraction_arithmetic_in_normal_form():
+    QQ = make_field("QQ")
+    rng = random.Random(2024)
+    samples = qq_samples(rng)
+    canon = [QQ.wrap(x).value for x in samples]
+    for x, c in zip(samples, canon):
+        assert_canonical_rational(c, x)
+        assert_canonical_rational(QQ._neg(c), -x)
+        if x:
+            assert_canonical_rational(QQ._inv(x), 1 / x)
+            assert_canonical_rational(QQ._inv(c), 1 / x)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ._inv(c)
+    for _ in range(400):
+        i, j = rng.randrange(len(samples)), rng.randrange(len(samples))
+        x, y = samples[i], samples[j]
+        for a, b in ((x, y), (canon[i], canon[j]), (canon[i], y)):
+            assert_canonical_rational(QQ._add(a, b), x + y)
+            assert_canonical_rational(QQ._mul(a, b), x * y)
+    # sums and products that cancel to integers
+    assert_canonical_rational(QQ._add(Fraction(1, 2), Fraction(1, 2)), Fraction(1))
+    assert_canonical_rational(QQ._mul(2, Fraction(1, 2)), Fraction(1))
+    assert_canonical_rational(QQ._mul(Fraction(3, 2), Fraction(2, 3)), Fraction(1))
+    assert_canonical_rational(QQ._inv(Fraction(-1, 5)), Fraction(-5))
+
+
+def test_qq_elements_are_in_normal_form_whatever_they_are_made_from():
+    QQ = make_field("QQ")
+    rng = random.Random(2025)
+    for x in qq_samples(rng):
+        assert_canonical_rational(QQ.element(x).value, x)
+        assert_canonical_rational(QQ.wrap(x).value, x)
+        assert_canonical_rational(QQ.element(str(x)).value, x)
+        if x.denominator == 1:
+            assert_canonical_rational(QQ.element(x.numerator).value, x)
+        text = f"{x.numerator * 2}/{x.denominator * 2}"
+        assert_canonical_rational(QQ.element(text).value, x)
+    assert_canonical_rational(QQ.element(True).value, Fraction(1))
+    assert_canonical_rational(QQ.element(False).value, Fraction(0))
+    a, b = QQ.element(Fraction(3, 2)), QQ.element(Fraction(2, 3))
+    for got, want in ((a + b, Fraction(13, 6)), (a * b, Fraction(1)), (a / a, Fraction(1)),
+                      (a - a, Fraction(0)), (-a, Fraction(-3, 2)), (a.inv(), Fraction(2, 3)),
+                      (a ** 2, Fraction(9, 4)), (b ** -1, Fraction(3, 2)),
+                      (a * 2, Fraction(3)), (2 - a, Fraction(1, 2)), (a.sigma(), Fraction(3, 2)),
+                      (in_sigma_image(a), Fraction(3, 2))):
+        assert_canonical_rational(got.value, want)
+
+
+def test_qq_is_square_roots_are_in_normal_form():
+    QQ = make_field("QQ")
+    rng = random.Random(2026)
+    for x in qq_samples(rng):
+        root = is_square(QQ.element(x * x))
+        assert root is not None and root * root == QQ.element(x * x)
+        assert_canonical_rational(root.value, abs(x))
+        if x < 0:
+            assert is_square(QQ.element(x)) is None
+    assert is_square(QQ.element(Fraction(2, 9))) is None
+    assert_canonical_rational(is_square(QQ.element(Fraction(16, 4))).value, Fraction(2))
+
+
+def test_qq_integral_values_equal_hash_and_print_alike():
+    QQ = make_field("QQ")
+    forms = [QQ.element(2), QQ.element(Fraction(4, 2)), QQ.element("4/2"), QQ.wrap(Fraction(2))]
+    assert all(type(x.value) is int for x in forms)
+    assert len({hash(x) for x in forms}) == 1
+    assert len({str(x) for x in forms}) == 1 and str(forms[0]) == "2"
+    assert all(x == forms[0] for x in forms) and forms[0] == 2 and forms[0] == Fraction(2)
+    # the lemma the normal form leans on: an integral Fraction that slipped
+    # past it would still equal and hash as its int
+    assert Fraction(2) == 2 and hash(Fraction(2)) == hash(2) and str(Fraction(2)) == "2"
+    assert hash(QQ.element(Fraction(2))) == hash(FieldElement(QQ, Fraction(2)))
+    assert str(QQ.element("-6/4")) == "-3/2"

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_qq_normal_form
+
 from dcoh import linalg
 from dcoh.algebras import make_split_algebra
 from dcoh.fields import FiniteField, make_field
@@ -378,3 +380,32 @@ def test_integer_echelon_equals_row_echelon_over_QQ(QQ):
         scaled = [[x * s for x in row] for row, s in zip(m, [rng.randint(1, 50) for _ in m])]
         assert linalg.row_echelon_int(scaled) == (rows, pivots)
     assert shapes > 0
+
+
+def test_qq_outputs_are_in_normal_form(QQ):
+    """row_echelon, kernel_basis, solve, invert_matrix and solve_square_raw
+    over QQ return raw values in normal form, on integral and rational
+    systems alike."""
+    inverted = 0
+    for m, rng in cases():
+        M = [[QQ.element(x) for x in row] for row in m]
+        ncols = len(m[0])
+        rows, _ = linalg.row_echelon(M, QQ)
+        out = values(rows) + values(linalg.kernel_basis(M, QQ, ncols=ncols))
+        x = linalg.solve(M, [QQ.element(random_entry(rng, True)) for _ in m], QQ)
+        if x is not None:
+            out.append([c.value for c in x])
+        if len(m) == ncols:
+            inv = linalg.invert_matrix(M, QQ)
+            if inv is not None:
+                inverted += 1
+                out += values(inv)
+                rhs = [QQ.element(random_entry(rng, rng.random() < 0.5)).value for _ in m]
+                sol = linalg.solve_square_raw(values(M), rhs, QQ)
+                assert [QQ.wrap(c) for c in sol] == linalg.solve(
+                    M, [QQ.wrap(c) for c in rhs], QQ)
+                out.append(sol)
+        for row in out:
+            for value in row:
+                assert_qq_normal_form(value)
+    assert inverted > 0
