@@ -23,7 +23,9 @@ values (the `value` of a FieldElement), as tuples of (index, value) pairs
 with the zeros left out.  Products, sigma and unit inverses run on raw
 values through the field's own _mul/_add/_is_zero/_sigma, and each
 surviving coefficient is wrapped in a FieldElement once, on the way out.
-The table self-check (TableAlgebra.validate) compares raw values alone.
+The table self-check (TableAlgebra.validate) compares raw values alone;
+tables built here from validated ones (direct_sum, change_basis, the
+invariants of a descent) are certified by their lemmas instead.
 Equal tensor products share one table, built entry by entry on first use
 and dropped when no algebra uses it any more; the cache key it is found by
 hashes its entries once.
@@ -457,7 +459,6 @@ class TableAlgebra(FinDimAlgebra):
 
     def __init__(self, field, labels, mult, unit, sigma):
         """mult[i][j], sigma[i]: dense coefficient vectors; unit: dense vector."""
-        self.field = field
         labels = tuple(labels)
         m = len(labels)
         if m == 0:
@@ -471,6 +472,15 @@ class TableAlgebra(FinDimAlgebra):
         if any(len(v) != m for row in mult for v in row) or len(unit) != m \
                 or any(len(v) != m for v in sigma):
             raise AlgebraError("inconsistent table dimensions")
+        self._set_tables(field, labels, mult, unit, sigma)
+        self.validate()
+
+    def _set_tables(self, field, labels, mult, unit, sigma):
+        """Share the tables of the dense tuples of raw values given, with no
+        check: the constructor validates next, and the module's own builds
+        (direct_sum, _transported) certify the tables they pass."""
+        self.field = field
+        m = len(labels)
 
         def build():
             tables = _RawTables([[_raw_pairs(field, v) for v in row] for row in mult],
@@ -480,7 +490,6 @@ class TableAlgebra(FinDimAlgebra):
 
         self._tables = _shared_tables(("table", field.descriptor, labels, mult, unit, sigma),
                                       build)
-        self.validate()
 
     @property
     def labels(self) -> tuple:
@@ -1008,37 +1017,46 @@ def make_truncated_algebra(field, n: int, c) -> TableAlgebra:
 
 
 def direct_sum(A: TableAlgebra, B: TableAlgebra) -> TableAlgebra:
+    """A x B with componentwise operations, on the basis l.e_i, r.e_j.
+
+    Lemma: the product of two validated sigma-algebras, with unit (1, 1),
+    (a, b)(a', b') = (a a', b b') and sigma(a, b) = (sigma a, sigma b), is
+    one, since each identity that validate checks holds in each component.
+    So the table is certified, not validated (O(m^5)), by reading the built
+    raw tables back (O(m^3)): A's blocks in place, B's shifted by dim A,
+    and every product across the two blocks zero.
+    """
     if A.field != B.field:
         raise AlgebraError("direct sum over different fields")
     field = A.field
-    zero = field.zero()
-    ma, mb = len(A.labels), len(B.labels)
-    m = ma + mb
-
-    def embed(vec, offset):
-        out = [zero] * m
-        for i, c in enumerate(vec):
-            out[offset + i] = c
-        return out
-
-    mult = [[[zero] * m for _ in range(m)] for _ in range(m)]
-    a_mult, b_mult = A._mult, B._mult
-    for i in range(ma):
-        for j in range(ma):
-            mult[i][j] = embed(a_mult[i][j], 0)
-    for i in range(mb):
-        for j in range(mb):
-            mult[ma + i][ma + j] = embed(b_mult[i][j], ma)
-    unit = embed(A._unit, 0)
-    for i, c in enumerate(B._unit):
-        unit[ma + i] = c
-    sigma = [embed(v, 0) for v in A._sigma] + [embed(v, ma) for v in B._sigma]
-    labels = tuple(f"l.{s}" for s in A.labels) + tuple(f"r.{s}" for s in B.labels)
-    return TableAlgebra(field, labels, mult, unit, sigma)
+    ma, mb = A.dim, B.dim
+    za, zb = (field.zero().value,) * ma, (field.zero().value,) * mb
+    _, _, a_labels, a_mult, a_unit, a_sigma = A.cache_key()
+    _, _, b_labels, b_mult, b_unit, b_sigma = B.cache_key()
+    S = TableAlgebra.__new__(TableAlgebra)
+    S._set_tables(field, tuple(f"l.{s}" for s in a_labels) + tuple(f"r.{s}" for s in b_labels),
+                  tuple(tuple(v + zb for v in row) + (za + zb,) * mb for row in a_mult)
+                  + tuple((za + zb,) * ma + tuple(za + v for v in row) for row in b_mult),
+                  a_unit + b_unit, tuple(v + zb for v in a_sigma) + tuple(za + v for v in b_sigma))
+    ta, tb, ts = A._tables, B._tables, S._tables
+    shift = lambda pairs: tuple((r + ma, v) for r, v in pairs)
+    if ts.mult != [row + [()] * mb for row in ta.mult] + [[()] * ma + list(map(shift, row))
+                                                         for row in tb.mult] \
+            or ts.sigma != ta.sigma + list(map(shift, tb.sigma)) \
+            or ts.unit != {**ta.unit, **{r + ma: u for r, u in tb.unit.items()}}:
+        raise AlgebraError("direct sum tables are not the product's")
+    return S
 
 
 def change_basis(A: FinDimAlgebra, P) -> TableAlgebra:
-    """Rewrite A in the basis f_j = sum_i P[i][j] e_i; P invertible over k."""
+    """Rewrite A in the basis f_j = sum_i P[i][j] e_i; P invertible over k.
+
+    The table is A's carried over by v -> sum_j v_j f_j, whose matrix is P;
+    _transported certifies it by its transport lemma instead of validating
+    it: P^-1 P = I (for square matrices, P P^-1 = I), and P maps the new
+    coordinates of 1, of each f_i f_j (i <= j, each computed once) and of
+    each sigma(f_i) to the old ones.  O(m^4) against validate's O(m^5).
+    """
     field = A.field
     idx = A.index_list()
     m = len(idx)
@@ -1048,18 +1066,76 @@ def change_basis(A: FinDimAlgebra, P) -> TableAlgebra:
         raise AlgebraError("basis change matrix is singular")
     fs = [AlgElement(A, {idx[i]: P[i][j] for i in range(m) if not P[i][j].is_zero()})
           for j in range(m)]
+    return _transported(A, fs, Pinv, tuple(f"f{i + 1}" for i in range(m)), "basis change")
 
-    pos = {k: i for i, k in enumerate(idx)}
 
-    def to_new(x: AlgElement):
-        """Coordinates of x in the new basis, summed over x's nonzero ones."""
-        terms = [(pos[k], c) for k, c in x.data.items()]
-        return [sum((Pinv[r][i] * c for i, c in terms), field.zero()) for r in range(m)]
+def _to_new(field, cols, n: int, x: AlgElement) -> list:
+    """The n raw coordinates left x, for the matrix left given by its
+    sparse columns: cols[k] holds the (row, raw value) pairs of the column
+    of basis key k of x's algebra."""
+    mul, add = field._mul, field._add
+    out = [field.zero().value] * n
+    for k, c in x.data.items():
+        c = c.value
+        for r, v in cols[k]:
+            out[r] = add(out[r], mul(v, c))
+    return out
 
-    mult = [[to_new(fs[i] * fs[j]) for j in range(m)] for i in range(m)]
-    sigma = [to_new(fs[i].sigma()) for i in range(m)]
-    unit = to_new(A.one())
-    return TableAlgebra(field, tuple(f"f{i + 1}" for i in range(m)), mult, unit, sigma)
+
+def _transported(A: FinDimAlgebra, basis: list, left, labels: tuple, name: str) -> TableAlgebra:
+    """The algebra on span(basis) in the validated A, with basis[k] as its
+    k-th basis element, certified by transport instead of validated.
+
+    T: k^n -> A sends v to sum v_k basis[k]; left, n rows of field elements
+    with one column per basis key of A, reads candidate coordinates off an
+    element of A (_to_new).  The certificate, each failure an AlgebraError:
+      * left T = I, so T is injective;
+      * the coordinates v read off x = 1, off each basis[i] basis[j]
+        (i <= j; the table is filled symmetrically) and off each
+        sigma(basis[i]) satisfy T v = x.
+
+    Lemma (transport of structure).  Given the certificate, T maps the new
+    table's unit to 1 and e_i e_j to basis[i] basis[j]; sigma on the table
+    is extended semilinearly from sigma(e_i), as on A, so T is a unital
+    ring map that commutes with sigma.  Each identity that validate checks
+    (unit, commutativity, associativity, sigma(1) = 1, sigma
+    multiplicative) is then sent by T to the same identity in A, where it
+    holds, and T is injective, so it holds in the table.  The certificate
+    costs O(n^2 dim A) products, validate O(n^5).
+    """
+    f = A.field
+    mul, add, is_zero = f._mul, f._add, f._is_zero
+    n = len(basis)
+    one = f.one().value
+    cols = {k: [(r, row[p].value) for r, row in enumerate(left) if not row[p].is_zero()]
+            for p, k in enumerate(A.index_list())}
+    images = [[(k, c.value) for k, c in b.data.items()] for b in basis]
+    for r, b in enumerate(basis):
+        if {s: w for s, w in enumerate(_to_new(f, cols, n, b)) if not is_zero(w)} != {r: one}:
+            raise AlgebraError(f"{name}: the coordinates do not invert the basis")
+
+    def coords(x: AlgElement) -> tuple:
+        v = _to_new(f, cols, n, x)
+        out = {}
+        for pairs, c in zip(images, v):
+            if not is_zero(c):
+                for k, s in pairs:
+                    w = mul(s, c)
+                    out[k] = add(out[k], w) if k in out else w
+        if {k: w for k, w in out.items() if not is_zero(w)} != \
+                {k: c.value for k, c in x.data.items()}:
+            raise AlgebraError(f"{name}: the basis does not carry the table")
+        return tuple(v)
+
+    unit = coords(A.one())
+    mult = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mult[i][j] = mult[j][i] = coords(basis[i] * basis[j])
+    sigma = tuple(coords(b.sigma()) for b in basis)
+    T = TableAlgebra.__new__(TableAlgebra)
+    T._set_tables(f, labels, tuple(map(tuple, mult)), unit, sigma)
+    return T
 
 
 def scalar_algebra(field) -> TableAlgebra:
@@ -1287,7 +1363,21 @@ class DescentDatum:
         validated commutative algebras, so phi(xy) and phi(x) phi(y) are
         both symmetric in x and y.  Validation as a whole costs
         m^2 + |B(x)A| (|B(x)A| + 1) / 2 products.
+
+        The canonical datum (canonical_descent_datum) is recognized first
+        and passes with no further check: B is a TensorAlgebra C0 (x) A,
+        iota(e_j) = 1 (x) e_j, and every phi((c, a) (x) a2) is exactly
+        a (x) (c, a2).  Lemma (slot swap): a tensor product of validated
+        algebras multiplies and applies sigma slot by slot, so a
+        permutation of the slots is a bijective, unital sigma-ring map, and
+        iota is the coprojection onto the last slot, a sigma-algebra map.
+        phi sends iota(e_i) (x) e_j to e_i (x) iota(e_j), which is
+        A(x)A-linearity, and both sides of the cocycle condition send
+        (c, a, a1, a2) to (a, a1, c, a2).  Every other datum, however
+        close, takes the checks above.
         """
+        if self._is_canonical_swap():
+            return
         self.iota.validate()
         idx_ba = self.BA.index_list()
         if set(self.phi_images) != set(idx_ba):
@@ -1315,6 +1405,24 @@ class DescentDatum:
         if linalg.rank(mat, self.A.field) != len(idx_ba):
             raise AlgebraError("phi is not bijective")
         self._check_cocycle()
+
+    def _is_canonical_swap(self) -> bool:
+        """Whether this is the canonical datum of validate's slot-swap lemma."""
+        A, B, iota = self.A, self.B, self.iota
+        if not (isinstance(B, TensorAlgebra) and len(B.factors) == 2 and B.factors[1] == A
+                and iota.source == A and iota.target == B):
+            return False
+        C0 = B.factors[0]
+        if iota.images != [B.pure_tensor(C0.one(), e) for e in A.generators()]:
+            return False
+        one, images, idx_ba = A.field.one(), self.phi_images, self.BA.index_list()
+        if len(images) != len(idx_ba):
+            return False
+        for (c, a), a2 in idx_ba:
+            img = images.get(((c, a), a2))
+            if img is None or img.algebra != self.AB or img.data != {(a, (c, a2)): one}:
+                return False
+        return True
 
     def _check_cocycle(self):
         """phi13 = phi23 . phi12 on every basis element of B(x)A(x)A, where
@@ -1391,10 +1499,14 @@ class DescentResult:
 
 
 def descend_invariants(datum: DescentDatum) -> DescentResult:
-    """B0 = {b in B : phi(b(x)1) = 1(x)b} as a validated k-sigma-algebra.
+    """B0 = {b in B : phi(b(x)1) = 1(x)b} as a k-sigma-algebra, and whether
+    the canonical map B0 (x) A -> B is an isomorphism.
 
-    Verifies closure under multiplication and sigma, and that the
-    canonical map B0 (x) A -> B is an isomorphism.
+    B0's table is carried over from B by v -> sum v_k b_k on the kernel
+    basis b_k, and _transported certifies it by its transport lemma instead
+    of validating it: the b_k restricted to the free columns form the
+    identity (so the map is injective), and the coordinates read off there
+    give back 1, each b_i b_j and each sigma(b_i), which is closure too.
     """
     datum.validate()
     A, B = datum.A, datum.B
@@ -1409,23 +1521,13 @@ def descend_invariants(datum: DescentDatum) -> DescentResult:
     ker = linalg.kernel_basis(mat, field, ncols=len(idxB))
     basis = [B.from_vector(v) for v in ker]
     # each kernel vector is one at its free column, its last nonzero entry,
-    # and zero at the other free columns: coordinates are read off there
+    # and zero at the other free columns (_transported checks it):
+    # coordinates are read off there
     free = [max(c for c, v in enumerate(vec) if not v.is_zero()) for vec in ker]
-
-    def coords_of(x: AlgElement):
-        sol = [x.data.get(idxB[c], zero) for c in free]
-        if sum((b * c for b, c in zip(basis, sol)), B.zero()) != x:
-            raise AlgebraError("descended invariants are not closed")
-        return sol
-
-    unit_coords = coords_of(B.one())
+    one = field.one()
+    left = [[one if c == fc else zero for c in range(len(idxB))] for fc in free]
     n0 = len(basis)
-    mult = [[None] * n0 for _ in range(n0)]
-    for i in range(n0):
-        for j in range(i, n0):
-            mult[i][j] = mult[j][i] = coords_of(basis[i] * basis[j])
-    sigma = [coords_of(x.sigma()) for x in basis]
-    B0 = TableAlgebra(field, tuple(f"b{i}" for i in range(n0)), mult, unit_coords, sigma)
+    B0 = _transported(B, basis, left, tuple(f"b{i}" for i in range(n0)), "descended invariants")
 
     # canonical map B0 (x) A -> B given by b0 (x) a -> b0 * iota(a)
     image_cols = [b * datum.iota.apply(A.basis_element(j)) for b in basis for j in A.index_list()]

@@ -1084,3 +1084,233 @@ def test_fraction_and_int_tables_give_one_algebra(QQ):
     assert by_fraction._tables is by_int._tables
     assert all(type(v) is int for vec in by_fraction._tables.key[3][1] for v in vec)
     assert by_fraction == by_int
+
+
+# --------------------------------------------------------------------------
+# basis changes, direct sums, invariants and canonical data certified by
+# their lemmas, against the generic checks
+
+
+def _change_basis_by_validate(A, P):
+    """change_basis with every product f_i f_j computed and the table built
+    by the public, validating constructor: the oracle for the certified
+    build."""
+    field = A.field
+    idx = A.index_list()
+    m = len(idx)
+    P = [[field.element(c) for c in row] for row in P]
+    Pinv = linalg.invert_matrix(P, field)
+    fs = [AlgElement(A, {idx[i]: P[i][j] for i in range(m) if not P[i][j].is_zero()})
+          for j in range(m)]
+    pos = {k: i for i, k in enumerate(idx)}
+
+    def to_new(x):
+        terms = [(pos[k], c) for k, c in x.data.items()]
+        return [sum((Pinv[r][i] * c for i, c in terms), field.zero()) for r in range(m)]
+
+    mult = [[to_new(fs[i] * fs[j]) for j in range(m)] for i in range(m)]
+    sigma = [to_new(fs[i].sigma()) for i in range(m)]
+    return algebras.TableAlgebra(field, tuple(f"f{i + 1}" for i in range(m)), mult,
+                                 to_new(A.one()), sigma)
+
+
+def _basis_changes(F, rng):
+    """(A, P) for random algebras and the algebra-audit shapes' direct sums,
+    each with a random determinant-1 basis change."""
+    randoms = [random_findim_algebra(F, rng, max_dim=5 if F.finite else 4) for _ in range(4)]
+    sums = [A for n, A in enumerate(_audit_algebras(F, rng)) if n % 2 == 0]
+    for A in randoms + sums:
+        polynomial = F.descriptor.startswith("QQ(t)") and A.dim <= 3
+        yield A, random_basis_change(F, rng, A.dim, polynomial)
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "GF(4);frob^1", "GF(9);frob^1", "QQ(t);shift"])
+def test_certified_basis_change_equals_the_validated_one(descriptor):
+    """The transported table has the cache key and the tables of the one
+    the validating constructor builds, and passes both checks."""
+    F = make_field(descriptor)
+    for A, P in _basis_changes(F, random.Random(31)):
+        oracle = _change_basis_by_validate(A, P)
+        key, tables = oracle.cache_key(), _dense_tables(oracle)
+        del oracle              # so that the certified build makes its own tables
+        gc.collect()
+        B = change_basis(A, P)
+        assert B.cache_key() == key and _dense_tables(B) == tables, (descriptor, A.labels)
+        B.validate()
+        _validate_by_elements(B)
+
+
+@pytest.mark.parametrize("descriptor", ["QQ", "GF(4);frob^1", "GF(9);frob^1", "QQ(t);shift"])
+def test_certified_sums_and_invariants_pass_the_generic_checks(descriptor):
+    """Direct sums, basis changes and descended invariants (canonical and
+    mu-twisted) built without validate pass validate and the element
+    oracle."""
+    F = make_field(descriptor)
+    rng = random.Random(37)
+    built = list(_audit_algebras(F, rng))
+    for _ in range(3):
+        C0 = random_findim_algebra(F, rng, max_dim=3 if F.finite else 2)
+        A = random_findim_algebra(F, rng, max_dim=2)
+        built.append(descend_invariants(canonical_descent_datum(C0, A)).invariants)
+    c = random_unit(F, rng)
+    A = make_mu_algebra(c * c, c.sigma() / c)
+    y = A.basis_element(1)
+    built.append(descend_invariants(mu_twisted_datum(A, TensorContext(A).pair(y.inverse(), y)))
+                 .invariants)
+    for B in built:
+        B.validate()
+        _validate_by_elements(B)
+
+
+def _certificate_cases(k):
+    """An algebra over k, a basis change of it with off-diagonal entries and
+    a canonical datum whose invariants have more than one term."""
+    A = direct_sum(make_split_algebra(k, 2, [1, 0]), scalar_algebra(k))
+    one, zero, two = k.one(), k.zero(), k.element(2) if k.descriptor == "QQ" else k.element("w")
+    P = [[one, two, zero], [zero, one, zero], [one, zero, one]]
+    return A, P, canonical_descent_datum(make_mu_algebra(two * two, one), A)
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_a_wrong_inverse_fails_the_transport_certificate(field, request, monkeypatch):
+    """invert_matrix returning P^-1 off in one entry: P^-1 P != I."""
+    k = request.getfixturevalue(field)
+    A, P, _ = _certificate_cases(k)
+    invert = linalg.invert_matrix
+
+    def off(matrix, fld):
+        inv = invert(matrix, fld)
+        inv[0][-1] = inv[0][-1] + fld.one()
+        return inv
+
+    monkeypatch.setattr(linalg, "invert_matrix", off)
+    with pytest.raises(AlgebraError, match="^basis change: the coordinates do not invert the basis$"):
+        change_basis(A, P)
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_coordinates_dropping_a_term_fail_the_transport_certificate(field, request, monkeypatch):
+    """_to_new skipping the last term of its element, in a basis change
+    and in the invariants' read-off; with the identity as P the basis
+    elements keep their coordinates and a product with two terms fails."""
+    k = request.getfixturevalue(field)
+    A, P, datum = _certificate_cases(k)
+    changed = change_basis(A, P)
+    identity = [[k.one() if i == j else k.zero() for j in range(3)] for i in range(3)]
+    to_new = algebras._to_new
+
+    def dropping(fld, cols, n, x):
+        if len(x.data) > 1:
+            x = AlgElement(x.algebra, dict(list(x.data.items())[:-1]))
+        return to_new(fld, cols, n, x)
+
+    monkeypatch.setattr(algebras, "_to_new", dropping)
+    with pytest.raises(AlgebraError, match="^basis change: the coordinates do not invert the basis$"):
+        change_basis(A, P)
+    with pytest.raises(AlgebraError, match="^basis change: the basis does not carry the table$"):
+        change_basis(changed, identity)
+    with pytest.raises(AlgebraError, match="^descended invariants: "):
+        descend_invariants(datum)
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_a_kernel_vector_off_one_at_its_free_column_fails(field, request, monkeypatch):
+    """A kernel vector scaled by c != 1 still spans B0, but its free column
+    reads c, not one: the read-off coordinates would be wrong."""
+    k = request.getfixturevalue(field)
+    _, _, datum = _certificate_cases(k)
+    c = k.element(2) if field == "QQ" else k.element("w")
+    kernel = linalg.kernel_basis
+
+    def scaled(rows, fld, ncols):
+        vecs = kernel(rows, fld, ncols)
+        vecs[-1] = [v * c for v in vecs[-1]]
+        return vecs
+
+    monkeypatch.setattr(linalg, "kernel_basis", scaled)
+    with pytest.raises(AlgebraError,
+                       match="^descended invariants: the coordinates do not invert the basis$"):
+        descend_invariants(datum)
+
+
+def _near_canonical_data(k):
+    """Data one step off canonical_descent_datum(C0, A): one image scaled,
+    iota scaled, the factors in the order [A, C0], B a TableAlgebra copy
+    of C0 (x) A; and a mu-twisted datum."""
+    c = k.element(2) if k.descriptor == "QQ" else k.element("w")
+    one = k.one()
+    C0, A = make_mu_algebra(c * c, one), make_split_algebra(k, 2, [1, 0])
+    out = []
+    changed = canonical_descent_datum(C0, A)
+    key = list(changed.phi_images)[1]
+    changed.phi_images[key] = changed.phi_images[key] * c
+    out.append(changed)
+    canon = canonical_descent_datum(C0, A)
+    iota = AlgebraMorphism(A, canon.B, [img * c for img in canon.iota.images], check=False)
+    out.append(DescentDatum(A, canon.B, iota, canon.phi_images, check=False))
+    B = TensorAlgebra([A, C0])
+    AB = TensorAlgebra([A, B])
+    iota = AlgebraMorphism(A, B, [B.pure_tensor(e, C0.one()) for e in A.generators()],
+                           check=False)
+    out.append(DescentDatum(A, B, iota, {((a, c0), a2): AlgElement(AB, {(a, (a2, c0)): one})
+                                         for (a, c0), a2 in TensorAlgebra([B, A]).index_list()},
+                            check=False))
+    T = canon.B
+    idx = T.index_list()
+    pos = {key: p for p, key in enumerate(idx)}
+    copy = make_findim(k, tuple(map(T.index_label, idx)),
+                       [[T.to_vector(T.basis_element(i) * T.basis_element(j)) for j in idx]
+                        for i in idx], T.to_vector(T.one()),
+                       [T.to_vector(T.basis_element(i).sigma()) for i in idx])
+    AB = TensorAlgebra([A, copy])
+    iota = AlgebraMorphism(A, copy, [copy.element({pos[key]: v for key, v in img.data.items()})
+                                     for img in canon.iota.images], check=False)
+    out.append(DescentDatum(A, copy, iota,
+                            {(pos[(c0, a)], a2): AlgElement(AB, {(a, pos[(c0, a2)]): one})
+                             for (c0, a), a2 in canon.BA.index_list()}, check=False))
+    y = C0.basis_element(1)
+    out.append(mu_twisted_datum(C0, TensorContext(C0).pair(y.inverse(), y)))
+    return canon, out
+
+
+@pytest.mark.parametrize("field", ["QQ", "gf9"])
+def test_near_canonical_data_take_the_generic_checks(field, request, monkeypatch):
+    """Only the canonical datum is recognized; each near miss runs the
+    generic checks (iota's validate first) and gets the all-pairs oracle's
+    verdict: the two scaled data fail, the reordered, table and twisted
+    ones pass."""
+    k = request.getfixturevalue(field)
+    canon, data = _near_canonical_data(k)
+    assert canon._is_canonical_swap()
+    calls = []
+    validate = AlgebraMorphism.validate
+    monkeypatch.setattr(AlgebraMorphism, "validate", lambda self: (calls.append(1), validate(self)))
+    errors = []
+    for d in data:
+        assert not d._is_canonical_swap()
+        calls.clear()
+        errors.append(_error(d.validate))
+        assert calls
+        assert errors[-1] == _error(lambda: _all_pairs_validate(d))
+    assert errors[0] is not None and errors[1] == "morphism does not preserve 1"
+    assert errors[2:] == [None, None, None]
+
+
+def test_canonical_descent_and_certified_builds_skip_the_generic_checks(QQ, monkeypatch):
+    """A canonical datum's validate runs no cocycle check and no rank;
+    change_basis, direct_sum and descend_invariants run no
+    TableAlgebra.validate."""
+    A, P, datum = _certificate_cases(QQ)
+    mu = make_mu_algebra(QQ.element(3), QQ.one())
+    calls = []
+    for owner, name in ((DescentDatum, "_check_cocycle"), (linalg, "rank"),
+                        (algebras.TableAlgebra, "validate")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, _f=original, _n=name: (calls.append(_n), _f(*args))[1])
+    datum.validate()
+    change_basis(A, P)
+    direct_sum(A, mu)
+    assert calls == []
+    descend_invariants(datum)
+    assert "validate" not in calls and "_check_cocycle" not in calls
