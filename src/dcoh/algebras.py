@@ -353,9 +353,11 @@ class FinDimAlgebra(SigmaAlgebra):
         wrap, is_zero = f.wrap, f._is_zero
         return {r: wrap(v) for r, v in raw.items() if not is_zero(v)}
 
+    # data hold no zero coefficients, and a field has no zero divisors and
+    # an injective sigma, so c and cs below are never zero
     def _mul_data(self, d1, d2):
         f = self.field
-        mul, add, is_zero = f._mul, f._add, f._is_zero
+        mul, add = f._mul, f._add
         table = self._tables.mult
         out = {}
         for i, c1 in d1.items():
@@ -363,8 +365,6 @@ class FinDimAlgebra(SigmaAlgebra):
             row = table[i]
             for j, c2 in d2.items():
                 c = mul(a, c2.value)
-                if is_zero(c):
-                    continue
                 for r, s in row[j]:
                     v = mul(c, s)
                     cur = out.get(r)
@@ -373,13 +373,11 @@ class FinDimAlgebra(SigmaAlgebra):
 
     def _sigma_data(self, d):
         f = self.field
-        mul, add, is_zero, sig = f._mul, f._add, f._is_zero, f._sigma
+        mul, add, sig = f._mul, f._add, f._sigma
         table = self._tables.sigma
         out = {}
         for i, c in d.items():
             cs = sig(c.value)
-            if is_zero(cs):
-                continue
             for r, s in table[i]:
                 v = mul(cs, s)
                 cur = out.get(r)

@@ -108,8 +108,9 @@ def parse_matrix(read, text: str):
 
 
 # --------------------------------------------------------------------------
-# torsor families: one reader each, which builds the group from its options
-# and the target from its text; the torsor is the family's normal form
+# torsor families: one record each, with the reader that builds the group
+# from its options and the target from its text, and the JSON of its
+# torsors and invariants; the torsor is the family's normal form
 
 
 def _diag_group(field, options: str) -> DiagonalMult:
@@ -140,25 +141,67 @@ def _a_item(rest: str):
     return ";".join(item for item in items if item != targets[-1]), targets[-1][2:]
 
 
+def _mu_classes(G, result, budget) -> bool:
+    """A class list of mu2^sigma over GF(q): the representatives lie in M =
+    {sigma(a) = a*b^2}, their orbits {(lambda^2 a, sigma(lambda)/lambda b)},
+    computed here and not by the decider's translate, are pairwise disjoint,
+    and their sizes sum to |M|; the (q-1)^2 pairs of M are charged first."""
+    field = G.field
+    if not field.finite:
+        raise CliError("a mu2sigma class list is a list over a finite field")
+    outcome.charge((field.size - 1) ** 2, budget)
+    texts = result.get("representatives")
+    if not isinstance(texts, list) or not all(
+            isinstance(r, list) and len(r) == 2 and all(isinstance(t, str) for t in r)
+            for r in texts):
+        raise CliError("mu2sigma representatives must be pairs of field elements")
+    reps = [(field.element(a), field.element(b)) for a, b in texts]
+    space = set(mu_pair_space(field))
+    if len(reps) != result.get("classes") or not space.issuperset(reps):
+        return False
+    units = list(field.units())
+    orbits = [{(lam * lam * a, lam.sigma() / lam * b) for lam in units} for a, b in reps]
+    return sum(map(len, orbits)) == len(set().union(*orbits)) == len(space)
+
+
 class Family(NamedTuple):
+    """Everything the CLI knows of one torsor family."""
+    name: str               # its name in torsor descriptors, --family and JSON
+    torsor_kind: str        # its groups' torsor_kind, which keys torsors.NORMAL_FORMS
     group_prefix: str       # a group descriptor is this prefix, then the options
     group: Callable         # (field, options) -> the group
     target: Callable        # (field, text) -> a target
     iso_flags: tuple        # the iso flags whose values, joined by ';', are the options
+    normal_form: Callable   # normal-form torsor -> its JSON besides "family"
     split: Callable = lambda rest: rest.rpartition(";")[::2]    # torsor '<family>:<rest>'
+    # invariant -> cocycle-check's witness; None for a family that ships no
+    # invariants (nor cocycle-equiv's detail)
+    invariant: Callable = None
+    group_json: Callable = lambda G: {}     # G -> cocycle-equiv's detail besides the invariants
+    classes: Callable = None    # (G, classify result, budget) -> verify's class-list check
 
 
-FAMILIES = {
-    "mu": Family("mu2sigma", lambda field, _: mu2sigma_group(field), _pair, (),
-                 lambda rest: ("", rest)),
-    "add": Family("addker:", lambda field, op: AdditiveKernel(DifferenceOperator.parse(field, op)),
-                  lambda field, text: field.element(text), ("op",)),
-    "diag": Family("diag:", _diag_group,
-                   lambda field, text: tuple(field.element(t) for t in text.split(",")),
-                   ("diag_arity", "functions")),
-    "twist": Family("twist:", _twist_group,
-                    lambda field, text: parse_matrix(field.element, text), ("twist",), _a_item),
-}
+FAMILIES = {fam.name: fam for fam in (
+    Family("mu", "mu", "mu2sigma", lambda field, _: mu2sigma_group(field), _pair, (),
+           lambda X: {"a": str(X.a), "b": str(X.b)}, lambda rest: ("", rest),
+           invariant=lambda t: {"type": "mu-invariant", "a": str(t[0]), "b": str(t[1])},
+           classes=_mu_classes),
+    Family("add", "additive", "addker:",
+           lambda field, op: AdditiveKernel(DifferenceOperator.parse(field, op)),
+           lambda field, text: field.element(text), ("op",),
+           lambda X: {"a": str(X.a), "operator": str(X.L)},
+           invariant=lambda t: {"type": "additive-invariant", "a": str(t)},
+           group_json=lambda G: {"operator": str(G.L)}),
+    Family("diag", "diagonal", "diag:", _diag_group,
+           lambda field, text: tuple(field.element(t) for t in text.split(",")),
+           ("diag_arity", "functions"), lambda X: {"a": [str(c) for c in X.avec]}),
+    Family("twist", "twist", "twist:", _twist_group,
+           lambda field, text: parse_matrix(field.element, text), ("twist",),
+           lambda X: {"a": ser(X.a)}, _a_item,
+           invariant=lambda t: {"type": "twist-invariant", "a": ser(t)},
+           group_json=lambda G: {"twist": f"{G.base}{G.n};d={G.d};psi={G.psi}"}),
+)}
+BY_KIND = {fam.torsor_kind: fam for fam in FAMILIES.values()}
 
 
 def parse_group(field, desc: str):
@@ -169,14 +212,19 @@ def parse_group(field, desc: str):
     raise CliError(f"unknown group descriptor {desc!r}")
 
 
+def _normal_forms(fam: Family, field, options: str, *texts):
+    """The normal-form torsors of fam's group, one per target text."""
+    G = fam.group(field, options)
+    return [NORMAL_FORMS[fam.torsor_kind](G, fam.target(field, text)) for text in texts]
+
+
 def parse_torsor(field, desc: str):
     name, colon, rest = desc.partition(":")
     fam = FAMILIES.get(name) if colon else None
     if fam is None:
         raise CliError(f"unknown torsor descriptor {desc!r}")
-    options, text = fam.split(rest)
-    G = fam.group(field, options)
-    return NORMAL_FORMS[G.torsor_kind](G, fam.target(field, text))
+    (X,) = _normal_forms(fam, field, *fam.split(rest))
+    return X
 
 
 def iso_torsors(field, q):
@@ -189,9 +237,8 @@ def iso_torsors(field, q):
     if any(q.get(flag) in (None, "") for flag in fam.iso_flags):
         raise CliError(f"{family} isomorphism needs " +
                        " and ".join("--" + flag.replace("_", "-") for flag in fam.iso_flags))
-    G = fam.group(field, ";".join(str(q[flag]) for flag in fam.iso_flags))
-    return tuple(NORMAL_FORMS[G.torsor_kind](G, fam.target(field, q[side]))
-                 for side in ("lhs", "rhs"))
+    return _normal_forms(fam, field, ";".join(str(q[flag]) for flag in fam.iso_flags),
+                         q["lhs"], q["rhs"])
 
 
 class _TensorDomain(exprs.Domain):
@@ -319,43 +366,21 @@ def outcome_json(res: outcome.Outcome) -> dict:
 # subcommands
 
 
+def _print_line(cmd: str, args: dict, code: int = 0, **fields) -> int:
+    """Print a query's JSON line, `fields` over an answerless line; return `code`."""
+    print(json.dumps({"cmd": cmd, "args": args, "ok": True, "result": None, "witness": None,
+                      "certificate": None, "undecided": False, **fields}, sort_keys=True))
+    return code
+
+
 def _emit(payload: dict, base: dict) -> int:
-    line = {"cmd": base["cmd"], "args": base["args"], "ok": True,
-            "result": None, "witness": None, "certificate": None,
-            "undecided": False}
-    line.update(payload)
-    print(json.dumps(line, sort_keys=True))
-    return 3 if line.get("undecided") else 0
+    return _print_line(**base, code=3 if payload.get("undecided") else 0, **payload)
 
 
 def cmd_field_eval(args, base):
     field = make_field(args.field)
     val = field.element(args.expr)
     return _emit({"result": str(val), "witness": {"type": "scalar", "value": str(val)}}, base)
-
-
-# each family's invariant in JSON, by the group's torsor_kind, as the pair
-# (cocycle-check's witness, cocycle-equiv's detail); `verify` re-checks the
-# detail with field arithmetic alone
-INVARIANT_JSON = {
-    "mu": (lambda G, t: {"type": "mu-invariant", "a": str(t[0]), "b": str(t[1])},
-           lambda G, t1, t2: {"family": "mu", "lhs_invariant": [str(c) for c in t1],
-                              "rhs_invariant": [str(c) for c in t2]}),
-    "additive": (lambda G, t: {"type": "additive-invariant", "a": str(t)},
-                 lambda G, t1, t2: {"family": "add", "operator": str(G.L),
-                                    "lhs_invariant": str(t1), "rhs_invariant": str(t2)}),
-    "twist": (lambda G, t: {"type": "twist-invariant", "a": ser(t)},
-              lambda G, t1, t2: {"family": "twist", "twist": f"{G.base}{G.n};d={G.d};psi={G.psi}",
-                                 "lhs_invariant": ser(t1), "rhs_invariant": ser(t2)}),
-}
-
-# the JSON form of each normal-form torsor, by its kind
-NORMAL_FORM_JSON = {
-    "mu": lambda X: {"family": "mu", "a": str(X.a), "b": str(X.b)},
-    "additive": lambda X: {"family": "add", "a": str(X.a), "operator": str(X.L)},
-    "diagonal": lambda X: {"family": "diag", "a": [str(c) for c in X.avec]},
-    "twist": lambda X: {"family": "twist", "a": ser(X.a)},
-}
 
 
 def _cocycle_args(args):
@@ -365,39 +390,48 @@ def _cocycle_args(args):
     return parse_group(field, args.group), TensorContext(A), algebra_env(field, args.algebra)
 
 
+def _checked_cocycles(args, *texts):
+    """G and the cocycles of the --chi texts: all are read, then each is checked once."""
+    G, tc, env = _cocycle_args(args)
+    values = [parse_chi(tc, text, env) for text in texts]
+    for value in values:
+        chk = is_cocycle(G, tc, value)
+        if not chk:
+            raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
+    return G, [Cocycle(G, tc, value, checked=True) for value in values]
+
+
+def _invariants(G, *chis):
+    """G's family and the invariants of chis; None if the family ships none or a chi has none."""
+    fam = BY_KIND.get(G.torsor_kind)
+    if fam is None or fam.invariant is None:
+        return None
+    try:
+        return fam, [invariant(chi) for chi in chis]
+    except CocycleError:
+        return None
+
+
 def cmd_cocycle_check(args, base):
     G, tc, env = _cocycle_args(args)
     value = parse_chi(tc, args.chi, env)
     res = is_cocycle(G, tc, value)
     payload = outcome_json(res)
-    # attach the family invariant as the checkable witness where available
-    forms = INVARIANT_JSON.get(G.torsor_kind)
-    if res and forms:
-        try:
-            payload["witness"] = forms[0](G, invariant(Cocycle(G, tc, value)))
-        except CocycleError:
-            pass
+    found = _invariants(G, Cocycle(G, tc, value)) if res else None
+    if found:
+        fam, (t,) = found
+        payload["witness"] = fam.invariant(t)
     return _emit(payload, base)
 
 
 def cmd_cocycle_equiv(args, base):
-    G, tc, env = _cocycle_args(args)
-    c1 = Cocycle(G, tc, parse_chi(tc, args.chi, env))
-    c2 = Cocycle(G, tc, parse_chi(tc, args.chi2, env))
-    for c in (c1, c2):
-        chk = is_cocycle(G, tc, c.value)
-        if not chk:
-            raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
-    res = equivalent(c1, c2, budget=args.budget)
-    payload = outcome_json(res)
-    # ship the family invariants so `verify` can re-check the witness with
-    # field arithmetic alone
-    forms = INVARIANT_JSON.get(G.torsor_kind)
-    if forms:
-        try:
-            payload["detail"] = forms[1](G, invariant(c1), invariant(c2))
-        except CocycleError:
-            pass
+    G, (c1, c2) = _checked_cocycles(args, args.chi, args.chi2)
+    payload = outcome_json(equivalent(c1, c2, budget=args.budget))
+    found = _invariants(G, c1, c2)
+    if found:
+        fam, (t1, t2) = found
+        payload["detail"] = {"family": fam.name, **fam.group_json(G),
+                             "lhs_invariant": ser(t1), "rhs_invariant": ser(t2)}
     return _emit(payload, base)
 
 
@@ -424,13 +458,10 @@ def cmd_torsor_points(args, base):
 
 
 def cmd_normalize(args, base):
-    G, tc, env = _cocycle_args(args)
-    value = parse_chi(tc, args.chi, env)
-    chk = is_cocycle(G, tc, value)
-    if not chk:
-        raise CliError(f"--chi value is not a cocycle: {chk.certificate}")
-    nf = normalize(torsor_from_cocycle(Cocycle(G, tc, value, checked=True)))
-    return _emit({"result": NORMAL_FORM_JSON[nf.kind](nf)}, base)
+    _, (chi,) = _checked_cocycles(args, args.chi)
+    nf = normalize(torsor_from_cocycle(chi))
+    fam = BY_KIND[nf.kind]
+    return _emit({"result": {"family": fam.name, **fam.normal_form(nf)}}, base)
 
 
 def cmd_delta(args, base):
@@ -594,40 +625,15 @@ def cmd_verify(args, base):
     elif cmd == "classify":
         G = parse_group(field, str(qargs["group"]))
         result = line["result"]
-        if G.torsor_kind == "mu" and isinstance(result, dict) \
+        fam = BY_KIND.get(G.torsor_kind)
+        if fam and fam.classes and isinstance(result, dict) \
                 and result.get("kind") == "finite-list":
-            ok = _verify_mu_classes(G, result, args.budget)
+            ok = fam.classes(G, result, args.budget)
     if ok is None:
-        payload = {"result": "unverified", "certificate": unverified}
+        payload = {"result": "unverified", "certificate": unverified, "undecided": True}
     else:
-        payload = {"result": bool(ok),
-                   "certificate": None if ok else "witness-rejected"}
-    print(json.dumps({"cmd": "verify", "args": {"target": cmd}, "ok": True,
-                      **payload, "witness": None,
-                      "undecided": ok is None}, sort_keys=True))
-    return 0 if ok else (3 if ok is None else 1)
-
-
-def _verify_mu_classes(G, result, budget) -> bool:
-    """A class list of the mu-shaped torus G (mu2^sigma): every
-    representative lies in M = {sigma(a) = a*b^2}, their orbits under G's
-    translate are pairwise disjoint, and their sizes sum to |M|; the
-    (q-1)^2 pairs of M are charged to the budget first."""
-    field = G.field
-    if not field.finite:
-        raise CliError("a mu2sigma class list is a list over a finite field")
-    outcome.charge((field.size - 1) ** 2, budget)
-    texts = result.get("representatives")
-    if not isinstance(texts, list) or not all(
-            isinstance(r, list) and len(r) == 2 and all(isinstance(t, str) for t in r)
-            for r in texts):
-        raise CliError("mu2sigma representatives must be pairs of field elements")
-    reps = [(field.element(a), field.element(b)) for a, b in texts]
-    space = set(mu_pair_space(field))
-    if len(reps) != result.get("classes") or not space.issuperset(reps):
-        return False
-    orbits = [{G.translate(lam, t) for lam in field.units()} for t in reps]
-    return sum(map(len, orbits)) == len(set().union(*orbits)) == len(space)
+        payload = {"result": bool(ok), "certificate": None if ok else "witness-rejected"}
+    return _print_line("verify", {"target": cmd}, 0 if ok else (3 if ok is None else 1), **payload)
 
 
 # --------------------------------------------------------------------------
@@ -641,68 +647,38 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="difference-algebraic cohomology and torsors")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, field=True):
-        if field:
-            p.add_argument("--field", required=True)
+    def command(name, handler, *required):
+        """Subcommand `name` run by `handler`, with --field, --budget, `required`."""
+        p = sub.add_parser(name)
+        p.add_argument("--field", required=True)
         p.add_argument("--budget", type=int, default=outcome.DEFAULT_BUDGET)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("field-eval")
-    common(p)
-    p.add_argument("--expr", required=True)
+    command("field-eval", cmd_field_eval, "--expr")
+    command("cocycle-check", cmd_cocycle_check, "--algebra", "--group", "--chi")
+    command("cocycle-equiv", cmd_cocycle_equiv, "--algebra", "--group", "--chi", "--chi2")
+    command("classify", cmd_classify, "--group")
 
-    p = sub.add_parser("cocycle-check")
-    common(p)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--chi", required=True)
+    p = command("iso", cmd_iso)
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
+    for flag in ("--op", "--twist", "--functions"):
+        p.add_argument(flag)
+    p.add_argument("--diag-arity", type=int)
+    for flag in ("--lhs", "--rhs"):
+        p.add_argument(flag, required=True)
 
-    p = sub.add_parser("cocycle-equiv")
-    common(p)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--chi", required=True)
-    p.add_argument("--chi2", required=True)
-
-    p = sub.add_parser("classify")
-    common(p)
-    p.add_argument("--group", required=True)
-
-    p = sub.add_parser("iso")
-    common(p)
-    p.add_argument("--family", required=True, choices=["mu", "add", "diag", "twist"])
-    p.add_argument("--op")
-    p.add_argument("--twist")
-    p.add_argument("--functions")
-    p.add_argument("--diag-arity", type=int, dest="diag_arity")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = sub.add_parser("torsor-points")
-    common(p)
-    p.add_argument("--torsor", required=True)
-    p.add_argument("--algebra")
-
-    p = sub.add_parser("normalize")
-    common(p)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--chi", required=True)
-
-    p = sub.add_parser("delta")
-    common(p)
+    command("torsor-points", cmd_torsor_points, "--torsor").add_argument("--algebra")
+    command("normalize", cmd_normalize, "--algebra", "--group", "--chi")
+    p = command("delta", cmd_delta)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", required=True)
+    command("audit-amitsur", cmd_audit_amitsur, "--algebra")
+    command("audit-exactness", cmd_audit_exactness).add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("audit-amitsur")
-    common(p)
-    p.add_argument("--algebra", required=True)
-
-    p = sub.add_parser("audit-exactness")
-    common(p)
-    p.add_argument("--d", type=int, required=True)
-
-    p = sub.add_parser("descend")
-    common(p)
+    p = command("descend", cmd_descend)
     p.add_argument("--algebra", required=True, help="the faithfully flat algebra A")
     p.add_argument("--c0", help="descend the canonical datum on C0 (x) A")
     p.add_argument("--chi", help="descend the mu-twist datum for this cocycle")
@@ -710,55 +686,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify")
     p.add_argument("--line", help="a JSON output line; stdin when omitted")
     p.add_argument("--budget", type=int, default=outcome.DEFAULT_BUDGET)
-
+    p.set_defaults(handler=cmd_verify)
     return ap
 
 
-HANDLERS = {
-    "field-eval": cmd_field_eval,
-    "cocycle-check": cmd_cocycle_check,
-    "cocycle-equiv": cmd_cocycle_equiv,
-    "classify": cmd_classify,
-    "iso": cmd_iso,
-    "torsor-points": cmd_torsor_points,
-    "normalize": cmd_normalize,
-    "delta": cmd_delta,
-    "audit-amitsur": cmd_audit_amitsur,
-    "audit-exactness": cmd_audit_exactness,
-    "descend": cmd_descend,
-    "verify": cmd_verify,
-}
-
 # every package error is a ValueError; anything else is a fault (exit 4)
 PARSE_ERRORS = (ValueError, ZeroDivisionError)
-
-
-def _answerless_line(args, base, certificate: str, code: int) -> int:
-    """Print the line of a query that ended without an answer; return `code`.
-
-    Exit 3 (budget exhausted) is an undecided answer; exits 2 (parse
-    error) and 4 (internal error) are not ok.
-    """
-    undecided = code == 3
-    print(json.dumps({"cmd": args.cmd, "args": base["args"], "ok": undecided,
-                      "result": None, "witness": None, "certificate": certificate,
-                      "undecided": undecided}, sort_keys=True))
-    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     base = {"cmd": args.cmd,
             "args": {k: v for k, v in sorted(vars(args).items())
-                     if k != "cmd" and v is not None}}
+                     if k not in ("cmd", "handler") and v is not None}}
     try:
-        return HANDLERS[args.cmd](args, base)
+        return args.handler(args, base)
     except outcome.BudgetExceeded as e:
-        return _answerless_line(args, base, f"budget-exhausted: {e}", 3)
+        certificate, code = f"budget-exhausted: {e}", 3
     except PARSE_ERRORS as e:
-        return _answerless_line(args, base, f"error: {e}", 2)
+        certificate, code = f"error: {e}", 2
     except Exception as e:
-        return _answerless_line(args, base, f"internal-error: {e}", 4)
+        certificate, code = f"internal-error: {e}", 4
+    # a query that ended without an answer: exit 3 (budget exhausted) is an
+    # undecided answer; exits 2 (parse error) and 4 (internal error) are not ok
+    return _print_line(**base, code=code, ok=code == 3, certificate=certificate,
+                       undecided=code == 3)
 
 
 if __name__ == "__main__":

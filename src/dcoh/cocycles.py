@@ -165,11 +165,9 @@ def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = DEFAULT_BUDGET) -> Ou
         candidates = enumerate_points(G, tc.A, budget)
     except BudgetExceeded as e:
         return outcome.undecided("budget-exhausted", space=e.space)
-    for alpha in candidates:
-        cand = G.mul(G.map(tc.d1, alpha), G.mul(chi2.value, G.inv(G.map(tc.d2, alpha))))
-        if G.equal(chi1.value, cand):
-            return outcome.yes(alpha)
-    return outcome.no("exhausted-group-points")
+    carries = lambda alpha: G.equal(
+        chi1.value, G.mul(G.map(tc.d1, alpha), G.mul(chi2.value, G.inv(G.map(tc.d2, alpha)))))
+    return outcome.first(candidates, carries, "exhausted-group-points")
 
 
 # --------------------------------------------------------------------------

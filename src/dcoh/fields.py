@@ -37,22 +37,11 @@ values.  Such a field's add, mul, sigma and inverse tables fill on first
 use, one entry at a time.
 
 QQ(t) results reach that form without a gcd of the full products; each
-operation rests on one lemma (stated again at the method):
-
-  * cross-cancel (Henrici 1956): with g1 = gcd(an, bd) and
-    g2 = gcd(bn, ad), (an/g1)(bn/g2) / ((ad/g2)(bd/g1)) is reduced, since
-    each numerator factor is coprime to both denominator factors;
-  * the denominator gcd (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(ad, bd),
-    the numerator an bd/g + bn ad/g of a sum is coprime to ad bd / g^2, so
-    only its gcd with g can cancel, and none when g = 1;
-  * Bezout under a ring map: u num + v den = 1 gives
-    f(u) f(num) + f(v) f(den) = 1 for a ring endomorphism f of QQ[t], so
-    sigma (shift, dilation, t -> t^2), its inverse and t -> -t keep a pair
-    coprime, as does swapping it (the inverse); only the monic rescale of
-    the denominator is left.
-
-The gcd of the full products (`_reduce`) is left for user input and
-square roots.
+operation rests on one lemma, stated at its method: products cancel
+across (_mul), sums divide only by a gcd with the denominators' gcd
+(_add), and sigma, its inverse, t -> -t and the inverse keep a pair
+coprime (_image, _inv).  The gcd of the full products (`_reduce`) is left
+for user input and square roots.
 
 GF(q) inverts by the extended Euclidean algorithm in GF(p)[w] modulo the
 modulus.
@@ -225,9 +214,6 @@ class _ElementDomain(exprs.Domain):
 
     def name(self, name):
         return self.field.named_element(name)
-
-    def pow(self, a, n):
-        return a ** n
 
 
 # --------------------------------------------------------------------------

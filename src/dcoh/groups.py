@@ -58,24 +58,13 @@ M = {(a, b) : sigma(a) = a b^2}, square roots over infinite fields, and
 the canonical point y of the mu-algebra.
 
 Over a finite base field, enumerate_points lists G(R) for a
-finite-dimensional R.  It charges the whole search space
-q^(dim R * slots) to the budget first, then solves the relations that are
-sigma-semilinear (L(y) = 0, sigma(y) = y, sigma^a(y_i) = sigma^b(y_j),
-sigma^d(g) = g; for an additive Z^1 also dd2(y) = dd1(y) + dd3(y)) as
-F_p-linear equations on R^slots and streams only their kernel, in the
-order of the full product, through the membership test.
-
-Membership (contains) and torsor_point refute by the cheapest check first
-and take no inverse.  A matrix group tests its relations, then whether det
-is a unit; a torus (a ScalarTorus too) tests f_i(x) = t_i as num(x) =
-t_i den(x) from MultiplicativeFunction.split_eval, then whether each entry
-is a unit, except an entry that occurs unshifted in a function with no
-denominator and a nonzero target (num(x) = t_i makes it one); a twist
-tests sigma^d(g) = psi(g) t, for psi = (g^T)^-1 as g^T sigma^d(g) = t,
-then det = 1 for SL (a unit already) or whether det is a unit for GL.  The unit test (AlgElement.is_unit) asks whether
-multiplication by the element is nonsingular and solves for no inverse.
-On units each form is equivalent to the textbook one, and a non-unit still
-ends False, so answers and enumeration order do not depend on this order.
+finite-dimensional R (the charge, the kernel solve and the order are
+stated there and at _kernel_points).  Membership (contains) and
+torsor_point refute by the cheapest check first and take no inverse, each
+family in the order its method states (MatrixGroup.contains,
+DiagonalMult.contains, FrobeniusTwist._solves); on units each form is
+equivalent to the textbook one, and a non-unit still ends False, so
+answers and enumeration order do not depend on this order.
 """
 
 from __future__ import annotations
@@ -830,8 +819,7 @@ class DiagonalMult(GroupPresentation):
         """The first unit vector in product order that `found` accepts; the
         (q-1)^n candidates are charged first."""
         charge((self.field.size - 1) ** self.n, budget)
-        lam = next(filter(found, itertools.product(list(self.field.units()), repeat=self.n)), None)
-        return outcome.no(exhausted) if lam is None else outcome.yes(lam)
+        return outcome.first(itertools.product(self.field.units(), repeat=self.n), found, exhausted)
 
     def canonical_point(self, avec, R):
         """(y,) in the mu-algebra k[y]/(y^2 - a), sigma(y) = b*y, for
@@ -978,8 +966,7 @@ class FrobeniusTwist(GroupPresentation):
     def _matrix_search(self, found, budget) -> Outcome:
         """The first matrix of base(k) that `found` accepts, k finite."""
         mats = _enumerate_field_matrices(self.field, self.n, self.base == "SL", budget)
-        c = next(filter(found, mats), None)
-        return outcome.no("exhausted-rational-points") if c is None else outcome.yes(c)
+        return outcome.first(mats, found, "exhausted-rational-points")
 
     def _checked_point(self, x, a) -> Outcome:
         if not self.torsor_point(x, a):

@@ -256,11 +256,9 @@ def dispersion_set(A, B, budget: float = math.inf) -> list:
     are charged to the budget first (BudgetExceeded).
 
     The candidates are the nonnegative integer roots of the resultant
-    Res_t(A(t), B(t+h)) in h; they live inside the root-bound window.  Each
-    h of the window gets one gcd modulo a prime (_shift_candidates): when
-    the prime divides neither leading coefficient, deg gcd mod p >= deg gcd
-    over QQ, so every dispersion passes (and every h does otherwise).  Only
-    the h that pass get the gcd over QQ that decides them.
+    Res_t(A(t), B(t+h)) in h; they live inside the root-bound window.  Only
+    the h of the window that pass the mod-p test of _shift_candidates get
+    the gcd over QQ that decides them.
     """
     return [h for h in _dispersion_candidates(A, B, budget)
             if deg(pgcd(A, polys.shift(B, h))) > 0]
@@ -285,12 +283,11 @@ def universal_denominator(ps, budget: float = math.inf) -> tuple:
     """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t).
 
     The loop runs over the mod-p candidates of the dispersion window, a
-    superset of the dispersion set (deg gcd mod p >= deg gcd over QQ, see
-    _shift_candidates), largest first, and its own gcd of the reduced A
-    and B confirms each one: A and B only lose factors, so at an h outside
-    the dispersion set that gcd divides gcd(A(t), B(t+h)) = 1 and the h is
-    skipped.  So u is the one the dispersion set gives, at one gcd over QQ
-    per candidate.
+    superset of the dispersion set (_shift_candidates), largest first, and
+    its own gcd of the reduced A and B confirms each one: A and B only lose
+    factors, so at an h outside the dispersion set that gcd divides
+    gcd(A(t), B(t+h)) = 1 and the h is skipped.  So u is the one the
+    dispersion set gives, at one gcd over QQ per candidate.
     """
     n = len(ps) - 1
     A = polys.shift(ps[n], -n)
@@ -598,8 +595,8 @@ def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: float = math.inf) 
     try:
         if isinstance(k, FiniteField):
             charge(k.size - 1, budget)
-            x = next((x for x in k.units() if x.sigma(d) == a * x), None)
-            return outcome.no("exhausted-finite-field") if x is None else outcome.yes(x)
+            return outcome.first(k.units(), lambda x: x.sigma(d) == a * x,
+                                 "exhausted-finite-field")
         if isinstance(k, RationalFunctionField) and k.mode == "shift":
             return _solve_sigma_quotient_shift(a, d, budget)
     except BudgetExceeded as e:
@@ -609,13 +606,9 @@ def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: float = math.inf) 
 
 def _first_shift(p, q, d: int, top: int):
     """The first j != 0 in -top..top with deg gcd(p, q(t + j*d)) > 0, and
-    that gcd; (None, None) when there is none.
-
-    The window is scanned modulo a prime, one test per shift: when the
-    prime divides neither leading coefficient, deg gcd mod p >= deg gcd
-    over QQ (_shift_candidates), and every j is a candidate otherwise, so
-    no j with a nonconstant gcd is dropped.  The scan stops at the first j
-    whose gcd over QQ confirms it.
+    that gcd; (None, None) when there is none.  The window is scanned by
+    the mod-p test of _shift_candidates, which drops no such j, and stops
+    at the first j whose gcd over QQ confirms it.
     """
     for h in _shift_candidates(p, q, -top * d, d, 2 * top + 1):
         if h:

@@ -58,3 +58,10 @@ def no(certificate: str, **detail) -> Outcome:
 
 def undecided(certificate: str = "budget-exhausted", **detail) -> Outcome:
     return Outcome(UNDECIDED, certificate=certificate, detail=detail)
+
+
+def first(candidates, accept, exhausted: str) -> Outcome:
+    """yes(the first candidate that `accept` takes), else no(exhausted)."""
+    for hit in filter(accept, candidates):
+        return yes(hit)
+    return no(exhausted)

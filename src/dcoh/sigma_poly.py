@@ -231,9 +231,6 @@ class _PolyDomain(exprs.Domain):
             b = b.terms.get((), self.field.zero())
         return a * SigmaPolynomial.constant(self.field, self.nvars, self.field.element(b).inv())
 
-    def pow(self, a, n):
-        return a ** n
-
 
 def parse_sigma_polynomial(text: str, field, nvars: int) -> SigmaPolynomial:
     try:

@@ -263,11 +263,8 @@ def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
             return outcome.yes(x)
         return outcome.undecided("enumeration-needs-finite-data")
     charge(field.size ** (R.dim * G.slots), budget)
-    for ys in _kernel_points(R, G.slots, None):
-        x = G.point_shape(ys)
-        if is_point(X, x, R):
-            return outcome.yes(x)
-    return outcome.no("exhausted-algebra")
+    return outcome.first(map(G.point_shape, _kernel_points(R, G.slots, None)),
+                         lambda x: is_point(X, x, R), "exhausted-algebra")
 
 
 # --------------------------------------------------------------------------

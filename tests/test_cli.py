@@ -451,6 +451,20 @@ def test_verify_checks_mu2sigma_class_counts():
     assert vcode == 1 and vlines[0]["result"] is False
 
 
+def test_verify_recomputes_mu2sigma_orbits_without_the_deciders_action(monkeypatch):
+    """verify computes the orbits {(lambda^2 a, sigma(lambda)/lambda b)}
+    itself: with the torus's translate broken to the identity, a list that
+    claims all 16 pairs of M as classes (the true count is 4) is rejected."""
+    from dcoh.fields import make_field
+    from dcoh.groups import mu_pair_space
+    pairs = [[str(a), str(b)] for a, b in mu_pair_space(make_field("GF(9);frob^1"))]
+    line = {"cmd": "classify", "args": {"field": "GF(9);frob^1", "group": "mu2sigma"},
+            "result": {"kind": "finite-list", "classes": 16, "representatives": pairs}}
+    monkeypatch.setattr(DiagonalMult, "translate", lambda self, lam, v: v)
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(line)])
+    assert len(pairs) == 16 and vcode == 1 and vlines[0]["result"] is False
+
+
 def test_verify_reports_malformed_lines_as_errors():
     """A doctored line is a parse error (exit 2, one JSON line), never a
     traceback; a non-object result is no class list to check."""

@@ -104,6 +104,14 @@ GOLDEN = [
     (["cocycle-check", "--field", "QQ(t);shift", "--algebra", "freepoly:1;sigma(y1)=y1*y1", "--group", "addker:s-1", "--chi", "0"],
      2,
      '{"args": {"algebra": "freepoly:1;sigma(y1)=y1*y1", "budget": 1000000, "chi": "0", "field": "QQ(t);shift", "group": "addker:s-1"}, "certificate": "error: sigma images must be affine-linear", "cmd": "cocycle-check", "ok": false, "result": null, "undecided": false, "witness": null}'),
+    # mu2sigma over a Laurent algebra over QQ: a cocycle without an
+    # invariant ships no witness and no detail
+    (["cocycle-check", "--field", "QQ", "--algebra", "laurent:1;sigma(u)=u", "--group", "mu2sigma", "--chi", "1"],
+     0,
+     '{"args": {"algebra": "laurent:1;sigma(u)=u", "budget": 1000000, "chi": "1", "field": "QQ", "group": "mu2sigma"}, "certificate": null, "cmd": "cocycle-check", "detail": null, "ok": true, "result": true, "undecided": false, "witness": null}'),
+    (["cocycle-equiv", "--field", "QQ", "--algebra", "laurent:1;sigma(u)=u", "--group", "mu2sigma", "--chi", "1", "--chi2", "1"],
+     0,
+     '{"args": {"algebra": "laurent:1;sigma(u)=u", "budget": 1000000, "chi": "1", "chi2": "1", "field": "QQ", "group": "mu2sigma"}, "certificate": null, "cmd": "cocycle-equiv", "detail": null, "ok": true, "result": true, "undecided": false, "witness": {"type": "matrix", "value": [["1"]]}}'),
 ]
 
 # (index of the verified line in GOLDEN, exit code, verify's line)
