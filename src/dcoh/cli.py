@@ -178,6 +178,9 @@ class Family(NamedTuple):
     # invariants (nor cocycle-equiv's detail)
     invariant: Callable = None
     group_json: Callable = lambda G: {}     # G -> cocycle-equiv's detail besides the invariants
+    # the key of group_json that holds each iso flag's value, for a family
+    # with invariants
+    iso_detail: tuple = ()
     classes: Callable = None    # (G, classify result, budget) -> verify's class-list check
 
 
@@ -191,7 +194,7 @@ FAMILIES = {fam.name: fam for fam in (
            lambda field, text: field.element(text), ("op",),
            lambda X: {"a": str(X.a), "operator": str(X.L)},
            invariant=lambda t: {"type": "additive-invariant", "a": str(t)},
-           group_json=lambda G: {"operator": str(G.L)}),
+           group_json=lambda G: {"operator": str(G.L)}, iso_detail=("operator",)),
     Family("diag", "diagonal", "diag:", _diag_group,
            lambda field, text: tuple(field.element(t) for t in text.split(",")),
            ("diag_arity", "functions"), lambda X: {"a": [str(c) for c in X.avec]}),
@@ -199,7 +202,8 @@ FAMILIES = {fam.name: fam for fam in (
            lambda field, text: parse_matrix(field.element, text), ("twist",),
            lambda X: {"a": ser(X.a)}, _a_item,
            invariant=lambda t: {"type": "twist-invariant", "a": ser(t)},
-           group_json=lambda G: {"twist": f"{G.base}{G.n};d={G.d};psi={G.psi}"}),
+           group_json=lambda G: {"twist": f"{G.base}{G.n};d={G.d};psi={G.psi}"},
+           iso_detail=("twist",)),
 )}
 BY_KIND = {fam.torsor_kind: fam for fam in FAMILIES.values()}
 
@@ -227,15 +231,19 @@ def parse_torsor(field, desc: str):
     return X
 
 
-def iso_torsors(field, q):
-    """The torsors X, Y of an iso query's --lhs and --rhs, from q, its
-    arguments by name (parsed, or those of a line verify reads)."""
-    family = q["family"]
-    fam = FAMILIES.get(str(family))
+def _family(name) -> Family:
+    fam = FAMILIES.get(str(name))
     if fam is None:
-        raise CliError(f"unknown family {family!r}")
+        raise CliError(f"unknown family {name!r}")
+    return fam
+
+
+def iso_torsors(field, fam: Family, q):
+    """The torsors X, Y of an iso query of family fam's --lhs and --rhs,
+    from q, its arguments by name (parsed, or those of a line verify
+    reads)."""
     if any(q.get(flag) in (None, "") for flag in fam.iso_flags):
-        raise CliError(f"{family} isomorphism needs " +
+        raise CliError(f"{fam.name} isomorphism needs " +
                        " and ".join("--" + flag.replace("_", "-") for flag in fam.iso_flags))
     return _normal_forms(fam, field, ";".join(str(q[flag]) for flag in fam.iso_flags),
                          q["lhs"], q["rhs"])
@@ -445,7 +453,7 @@ def cmd_classify(args, base):
 
 
 def cmd_iso(args, base):
-    X, Y = iso_torsors(make_field(args.field), vars(args))
+    X, Y = iso_torsors(make_field(args.field), _family(args.family), vars(args))
     return _emit(outcome_json(isomorphic(X, Y, budget=args.budget)), base)
 
 
@@ -602,14 +610,16 @@ def cmd_verify(args, base):
     elif cmd == "field-eval":
         ok = str(field.element(qargs["expr"])) == line["result"]
     elif cmd == "iso" and w:
-        ok = _carries(*iso_torsors(field, qargs), w)
+        ok = _carries(*iso_torsors(field, _family(qargs["family"]), qargs), w)
     elif cmd == "cocycle-equiv" and w and isinstance(line.get("detail"), dict):
         # the witness carries the lhs invariant onto the rhs invariant: the
         # detail reads as an iso query of its family
         detail = _Line(line["detail"])
-        ok = _carries(*iso_torsors(field, {
-            "family": detail["family"], "op": detail.get("operator"),
-            "twist": detail.get("twist"),
+        fam = _family(detail["family"])
+        # a family without invariants writes no detail, so it has no keys
+        flags = zip(fam.iso_flags, fam.iso_detail, strict=True) if fam.invariant else ()
+        ok = _carries(*iso_torsors(field, fam, {
+            **{flag: detail.get(key) for flag, key in flags},
             "lhs": _invariant_text(detail["lhs_invariant"]),
             "rhs": _invariant_text(detail["rhs_invariant"])}), w)
     elif cmd == "torsor-points" and w:

@@ -17,7 +17,7 @@ Every presentation supplies one protocol, which the generic code in
 cocycles and torsors calls instead of testing the class:
 
   values   slots, shape(ys), contains(x, R), identity(R), mul, inv, equal,
-           map(func, x), linear_relations(), cocycle_relations(tc),
+           map(func, x), linear_relations(target), cocycle_relations(tc),
            points(R, budget, keep, relations), coefficient_twist(d), components(x);
   torsors  torsor_kind, invariant(tc, value), translate(c, t),
            equivalent_targets(t1, t2, budget), classify(budget),
@@ -58,13 +58,16 @@ M = {(a, b) : sigma(a) = a b^2}, square roots over infinite fields, and
 the canonical point y of the mu-algebra.
 
 Over a finite base field, enumerate_points lists G(R) for a
-finite-dimensional R (the charge, the kernel solve and the order are
-stated there and at _kernel_points).  Membership (contains) and
-torsor_point refute by the cheapest check first and take no inverse, each
-family in the order its method states (MatrixGroup.contains,
-DiagonalMult.contains, FrobeniusTwist._solves); on units each form is
-equivalent to the textbook one, and a non-unit still ends False, so
-answers and enumeration order do not depend on this order.
+finite-dimensional R, and torsors searches the points of a torsor the same
+way: the equations that are sigma-semilinear are F_p-affine (L(y) = a,
+sigma^a(y_i) = c sigma^b(y_j), sigma^d(x) = a or x a), so only the coset
+of their solutions is streamed (the charge, the affine solve and the
+order are stated at enumerate_points and _kernel_points).  Membership
+(contains) and torsor_point refute by the cheapest check first and take
+no inverse, each family in the order its method states
+(MatrixGroup.contains, DiagonalMult.contains, FrobeniusTwist._solves); on
+units each form is equivalent to the textbook one, and a non-unit still
+ends False, so answers and enumeration order do not depend on this order.
 """
 
 from __future__ import annotations
@@ -402,10 +405,13 @@ class GroupPresentation:
             return tuple(tuple(func(e) for e in row) for row in x)
         return func(x)
 
-    def linear_relations(self):
-        """The sigma-semilinear relations implied by membership, as one map
-        from the tuple of slot values to a list of elements of R that vanish
-        on G(R); None when there are none.  Each is F_p-linear."""
+    def linear_relations(self, target=None):
+        """The sigma-semilinear relations implied by membership in the
+        torsor of `target` (the group itself for None, whose target is 1),
+        as one map from the tuple of slot values to a list of elements of R
+        that vanish on its points; None when there are none.  Each is
+        F_p-affine: its value at the zero tuple is its constant, and the
+        map minus that constant is F_p-linear."""
         return None
 
     def cocycle_relations(self, tc):
@@ -508,8 +514,8 @@ class ScalarTorus(MatrixGroup):
     def contains(self, x, R):
         return self.torus.contains((self._matrix(x)[0][0],), R)
 
-    def linear_relations(self):
-        return self.torus.linear_relations()
+    def linear_relations(self, target=None):
+        return self.torus.linear_relations(target)
 
     def coefficient_twist(self, d):
         return self
@@ -580,9 +586,14 @@ class AdditiveKernel(GroupPresentation):
     def map(self, func, x):
         return func(x)
 
-    def linear_relations(self):
+    def linear_relations(self, target=None):
+        """L(y) - a, with a = 0 for the group (target None); None for the
+        full additive group."""
         L = self.L
-        return None if L is None else (lambda ys: [L.apply(ys[0])])
+        if L is None:
+            return None
+        a = self.field.zero() if target is None else target
+        return lambda ys: [L.apply(ys[0]) - a]
 
     def cocycle_relations(self, tc):
         return lambda ys: [tc.dd2(ys[0]) - tc.dd1(ys[0]) - tc.dd3(ys[0])]
@@ -693,18 +704,20 @@ class DiagonalMult(GroupPresentation):
     def map(self, func, x):
         return tuple(func(c) for c in x)
 
-    def linear_relations(self):
-        """sigma^a(y_i) - sigma^b(y_j) for each function sigma^a(y_i) /
-        sigma^b(y_j) (one exponent +1, one -1, on units)."""
+    def linear_relations(self, target=None):
+        """sigma^a(y_i) - c * sigma^b(y_j) for each function sigma^a(y_i) /
+        sigma^b(y_j) (one exponent +1, one -1, on units) with target c, c = 1
+        for the group (target None)."""
+        avec = [self.field.one()] * len(self.functions) if target is None else target
         pairs = []
-        for f in self.functions:
+        for f, c in zip(self.functions, avec):
             num, den = f.factors(1), f.factors(-1)
             if len(num) == len(den) == 1 and num[0][2] == den[0][2] == 1:
                 (ia, a, _), (ib, b, _) = num[0], den[0]
-                pairs.append((ia, a, ib, b))
+                pairs.append((ia, a, ib, b, c))
         if not pairs:
             return None
-        return lambda ys: [ys[ia].sigma(a) - ys[ib].sigma(b) for ia, a, ib, b in pairs]
+        return lambda ys: [ys[ia].sigma(a) - ys[ib].sigma(b) * c for ia, a, ib, b, c in pairs]
 
     @property
     def torus(self):
@@ -904,12 +917,19 @@ class FrobeniusTwist(GroupPresentation):
         det = mat_det(m)
         return det == ring.one() if self.base == "SL" else det.is_unit()
 
-    def linear_relations(self):
-        """sigma^d(g) - g entry by entry when psi = id."""
-        if self.psi != "id":
+    def linear_relations(self, target=None):
+        """sigma^d(x) - a entry by entry when psi = trivial, sigma^d(x) - x a
+        when psi = id, with a = 1 for the group (target None); None when psi
+        = transposeinv."""
+        if self.psi == "transposeinv":
             return None
         d = self.d
-        return lambda ys: [y.sigma(d) - y for y in ys]
+        a = mat_identity(self.field, self.n) if target is None else target
+        if self.psi == "id":
+            return lambda ys: [y.sigma(d) - z for y, z in
+                               zip(ys, itertools.chain(*mat_mul(self.shape(ys), a)))]
+        consts = [c for row in a for c in row]
+        return lambda ys: [y.sigma(d) - c for y, c in zip(ys, consts)]
 
     def translate(self, c, a):
         """psi(c)^{-1} a sigma^d(c): x -> x c carries sigma^d(x) = psi(x) a
@@ -1114,9 +1134,10 @@ def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = DEFAU
     The search is charged q^(dim R * slots) against the budget before any
     work, whatever the relations cut away: BudgetExceeded when that is
     larger.  Then the relations of G that are sigma-semilinear, hence
-    F_p-linear on R^slots, are solved over the prime field (see
-    linear_relations), and only their kernel is streamed, each point
-    still checked by contains() against the full presentation.  The list
+    F_p-affine on R^slots, are solved over the prime field (see
+    linear_relations; sigma^d(g) = 1 of the twist with psi = trivial is
+    one), and only their coset is streamed, each point still checked by
+    contains() against the full presentation.  The list
     is in lexicographic order of (slot, basis index, coefficient of the
     field value with its highest digit first): the order of
     itertools.product over the slots, over R's basis and over
@@ -1127,19 +1148,24 @@ def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = DEFAU
 
 
 def _kernel_points(R: FinDimAlgebra, slots: int, relations):
-    """Stream the slot tuples in R^slots on which the F_p-linear map
+    """Stream the slot tuples in R^slots on which the F_p-affine map
     `relations` vanishes (all of R^slots when it is None), in the order
     enumerate_points promises.
 
     A GF(p^m) value is its m-digit coefficient tuple, so a tuple of slot
     values is a vector of slots*dim*m digits mod p; the order sorts these by
-    (slot, basis index, digit from the highest).  With the kernel basis in
-    reduced echelon form for that order (leading entries 1, each leading
-    column zero in the other vectors), the point's digit in the leading
-    column of basis vector i is its coefficient a_i, so the points come in
-    order when the coefficients run through itertools.product.  Without
-    relations the kernel is everything, and the product runs over the
-    coordinates' field elements directly, which is the same order.
+    (slot, basis index, digit from the highest).  The zeros of `relations`
+    are one coset, a particular solution plus the kernel of its linear
+    part (or nothing, when the system is inconsistent).  With the kernel
+    basis in reduced echelon form for that order (leading entries 1, each
+    leading column zero in the other vectors) and the particular solution
+    zero at every leading column (see _kernel_basis), the point's digit in
+    the leading column of basis vector i is its coefficient a_i.  Two coset
+    points differ by a kernel vector, so the first digit in which they
+    differ is a leading column, and the points come in order when the
+    coefficients run through itertools.product.  Without relations the
+    kernel is everything, and the product runs over the coordinates' field
+    elements directly, which is the same order.
     """
     field = R.field
     keys = R.index_list()
@@ -1157,7 +1183,7 @@ def _kernel_points(R: FinDimAlgebra, slots: int, relations):
 
 
 def _kernel_coords(R: FinDimAlgebra, slots: int, relations):
-    """The kernel points as tuples of slots*dim coordinates, in order: a
+    """The coset points as tuples of slots*dim coordinates, in order: a
     FieldElement per nonzero coordinate, None per zero one."""
     field = R.field
     p, m = field.p, field.m
@@ -1165,50 +1191,71 @@ def _kernel_coords(R: FinDimAlgebra, slots: int, relations):
     # digit positions from the most significant; a position is
     # (slot * dim + basis index) * m + digit, the digit counted from the lowest
     order = [c * m + k for c in range(slots * R.dim) for k in reversed(range(m))]
-    basis = _kernel_basis(R, slots, relations, order)
+    particular, basis = _kernel_basis(R, slots, relations, order)
+    if particular is None:
+        return
     multiples = [[tuple(a * x % p for x in v) for a in range(p)] for v in basis]
-    zero, zero_value, wrap = (0,) * size, (0,) * m, field.wrap
+    zero_value, wrap = (0,) * m, field.wrap
     starts = range(0, size, m)
     for combo in itertools.product(*multiples):
-        vec = [sum(col) % p for col in zip(zero, *combo)]
+        vec = [sum(col) % p for col in zip(particular, *combo)]
         values = [tuple(vec[i:i + m]) for i in starts]
         yield [None if v == zero_value else wrap(v) for v in values]
 
 
-def _kernel_basis(R: FinDimAlgebra, slots: int, relations, order) -> list:
-    """Reduced echelon basis of the kernel of `relations` on the digit
-    vectors of R^slots, for the significance order `order`, most
-    significant leading column first; each relation value is read over its
-    own algebra's basis (A(x)A(x)A for the cocycle identity).
+def _kernel_basis(R: FinDimAlgebra, slots: int, relations, order):
+    """(particular, basis): a zero of the F_p-affine map `relations` on the
+    digit vectors of R^slots (None when it has none) and the reduced
+    echelon basis of the kernel of its linear part, for the significance
+    order `order`, most significant leading column first; each relation
+    value is read over its own algebra's basis (A(x)A(x)A for the cocycle
+    identity).
 
-    linalg.kernel_basis over GF(p) gives, for each free column c, the
+    linalg.kernel_basis_raw over GF(p) gives, for each free column c, the
     vector with 1 at c, 0 at the other free columns and entries only at
     pivot columns before c.  Eliminating with the least significant digit
-    first makes c the leading column of its vector.
+    first makes c the leading column of its vector.  The constant b =
+    relations(0) is subtracted from each column, leaving the linear part
+    M, and b is one more, homogenizing column t, placed most significant:
+    M y + b t = 0.  The kernel vector whose leading column is t has t = 1,
+    so its digits solve M y + b = 0, a particular solution; like every
+    basis vector it is zero at the other leading columns.  If no vector
+    leads at t, then t = 0 on the whole kernel and M y = -b is
+    inconsistent.  A zero constant makes t a zero column: its vector is t
+    alone, the particular solution 0, and the other vectors are the basis
+    of the linear map's kernel.
     """
     field = R.field
     p, m = field.p, field.m
     idx = R.index_list()
     gfp = make_field(f"GF({p}^1);frob^1")
     zero_point = [R.zero()] * slots
+
+    def digits(values):
+        out = []
+        for z in values:
+            for r in z.algebra.index_list():
+                c = z.data.get(r)
+                out.extend(c.value if c is not None else (0,) * m)
+        return out
+
+    constant = digits(relations(tuple(zero_point)))
     cols = []
     for pos in reversed(order):
         chunk, k = divmod(pos, m)
         s, b = divmod(chunk, len(idx))
         ys = list(zero_point)
         ys[s] = _clean_element(R, {idx[b]: field.wrap(tuple(int(i == k) for i in range(m)))})
-        digits = []
-        for z in relations(tuple(ys)):
-            for r in z.algebra.index_list():
-                c = z.data.get(r)
-                digits.extend(c.value if c is not None else (0,) * m)
-        cols.append(digits)
-    rows = [[gfp.element(col[r]) for col in cols] for r in range(len(cols[0]))]
-    kernel = linalg.kernel_basis(rows, gfp, ncols=len(cols))
+        cols.append([(x - c) % p for x, c in zip(digits(relations(tuple(ys))), constant)])
+    cols.append(constant)
+    rows = [[(col[r],) for col in cols] for r in range(len(cols[0]))]
+    kernel = linalg.kernel_basis_raw(rows, gfp, len(cols))
+    if not (kernel and kernel[-1][-1][0]):
+        return None, []
     basis = []
     for vec in reversed(kernel):
         v = [0] * len(order)
-        for c, x in enumerate(vec):
-            v[order[-1 - c]] = x.value[0]
+        for c, (x,) in enumerate(vec[:-1]):
+            v[order[-1 - c]] = x
         basis.append(tuple(v))
-    return basis
+    return basis[0], basis[1:]

@@ -21,14 +21,17 @@ eliminations, chosen by field.integer_elimination:
 
 solve_square_raw runs the second elimination on the raw values of a square
 system over any field, QQ included; the finite-dimensional algebras use it
-to invert units, and nonsingular_raw, its rank alone, to test them.  Over
-QQ, integral systems stay on ints there, since QQ's _add and _mul return
-ints for integral results.
+to invert units, and nonsingular_raw, its rank alone, to test them;
+kernel_basis_raw reads a kernel basis off it for callers that hold raw
+values (the point enumeration of groups, over GF(p)).  Over QQ, integral
+systems stay on ints there, since QQ's _add and _mul return ints for
+integral results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -164,9 +167,21 @@ def kernel_basis(matrix, field, ncols=None):
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
     rows, pivots = row_echelon(matrix, field)
+    return _kernel_vectors(rows, pivots, ncols, field.zero(), field.one(), operator.neg)
+
+
+def kernel_basis_raw(matrix, field, ncols: int):
+    """kernel_basis for a matrix of raw field values, by solve_square_raw's
+    elimination; the vectors are raw values too.  The rows are reduced in
+    place."""
+    rows, pivots = _gauss_jordan_raw(matrix, field)
+    return _kernel_vectors(rows, pivots, ncols, field.zero().value, field.one().value,
+                           field._neg)
+
+
+def _kernel_vectors(rows, pivots, ncols, zero, one, neg):
+    """The kernel basis of kernel_basis, read off a reduced echelon form."""
     pivot_of_col = {c: r for r, c in pivots}
-    zero = field.zero()
-    one = field.one()
     basis = []
     for free in range(ncols):
         if free in pivot_of_col:
@@ -174,7 +189,7 @@ def kernel_basis(matrix, field, ncols=None):
         vec = [zero] * ncols
         vec[free] = one
         for col, r in pivot_of_col.items():
-            vec[col] = -rows[r][free]
+            vec[col] = neg(rows[r][free])
         basis.append(vec)
     return basis
 

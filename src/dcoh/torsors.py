@@ -254,6 +254,16 @@ def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
 
 def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
                          budget: int) -> Outcome:
+    """The first point of X over R, or a certificate.
+
+    Over a finite field and a finite-dimensional R the search is charged
+    q^(dim R * slots), all of R^slots, and then streams only the coset of
+    the family's affine torsor relations (linear_relations of X's target)
+    in enumerate_points order, each candidate checked by is_point.  Every
+    point of X lies in that coset, so the first point found and the
+    "exhausted-algebra" answer are those of the walk over all of R^slots.
+    Elsewhere only the canonical point of a trivializing algebra is tried.
+    """
     G = X.presentation
     field = X.field
     if not (field.finite and isinstance(R, FinDimAlgebra)):
@@ -263,7 +273,8 @@ def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
             return outcome.yes(x)
         return outcome.undecided("enumeration-needs-finite-data")
     charge(field.size ** (R.dim * G.slots), budget)
-    return outcome.first(map(G.point_shape, _kernel_points(R, G.slots, None)),
+    candidates = _kernel_points(R, G.slots, G.linear_relations(X.target))
+    return outcome.first(map(G.point_shape, candidates),
                          lambda x: is_point(X, x, R), "exhausted-algebra")
 
 

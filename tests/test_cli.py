@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from dcoh.cli import main
+from dcoh.cli import FAMILIES, main
 from dcoh.groups import DiagonalMult
 
 
@@ -799,3 +799,52 @@ def test_normalize_checks_its_cocycle_once(monkeypatch):
     code, lines = run_cli(argv + ["y#1"])
     assert code == 2 and lines[0]["certificate"] == \
         "error: --chi value is not a cocycle: not-a-group-element"
+
+
+# torsor-points over an algebra is charged q^(dim R * slots), all of
+# R^slots, however small the coset of the torsor's equations: the search
+# below streams one candidate, yet over the budget it is refused
+SPLIT_POINTS = ["torsor-points", "--field", "GF(9);frob^1", "--algebra", "split:2;perm=1,0"]
+
+
+@pytest.mark.parametrize("torsor,witness", [
+    ("twist:GL1;d=1;psi=trivial;a=w", '{"type": "matrix", "value": [["2*w*e1 + 2*w*e2"]]}'),
+    ("add:s-1;w", '{"type": "algebra-element", "value": "2*w*e2"}')])
+def test_torsor_points_over_an_algebra_charge_all_of_r_slots(torsor, witness):
+    args = '"algebra": "split:2;perm=1,0", "budget": %d, "field": "GF(9);frob^1", "torsor": "' \
+        + torsor + '"'
+    for budget, code, line in (
+            (80, 3, '{"args": {%s}, "certificate": "budget-exhausted: search space 81 exceeds '
+                    'budget 80", "cmd": "torsor-points", "ok": true, "result": null, '
+                    '"undecided": true, "witness": null}\n'),
+            (81, 0, '{"args": {%s}, "certificate": null, "cmd": "torsor-points", "detail": null, '
+                    '"ok": true, "result": true, "undecided": false, "witness": ' + witness + '}\n')):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            got = main(SPLIT_POINTS + ["--torsor", torsor, "--budget", str(budget)])
+        assert (got, buf.getvalue()) == (code, line % (args % budget)), budget
+
+
+# one cocycle-equiv "yes" line for each family that ships invariants
+EQUIV_LINES = {
+    "mu": ["--field", "GF(9);frob^1", "--algebra", "mu:1,1", "--group", "mu2sigma",
+           "--chi", "1", "--chi2", "y#y"],
+    "add": ["--field", "QQ(t);shift", "--algebra", "freepoly:1;sigma(y1)=y1+1/(t*(t+1))",
+            "--group", "addker:s-1", "--chi", "1#y - y#1", "--chi2", "0"],
+    "twist": ["--field", "QQ", "--algebra", "split:2", "--group", "twist:GL2;d=1;psi=id",
+              "--chi", "[[1, 1#e2 - e2#1], [0, 1]]", "--chi2", "[[1, 0], [0, 1]]"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_LINES))
+def test_verify_reads_each_familys_group_from_the_cocycle_equiv_detail(name):
+    """verify rebuilds the iso query from the detail keys the family names
+    for its iso flags, and re-checks the witness."""
+    assert set(EQUIV_LINES) == {fam.name for fam in FAMILIES.values() if fam.invariant}
+    code, lines = run_cli(["cocycle-equiv"] + EQUIV_LINES[name])
+    detail = lines[0]["detail"]
+    assert code == 0 and lines[0]["result"] is True and detail["family"] == name
+    assert set(detail) - {"family", "lhs_invariant", "rhs_invariant"} == \
+        set(FAMILIES[name].iso_detail)
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 0 and vlines[0]["result"] is True

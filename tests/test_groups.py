@@ -9,10 +9,12 @@ import pytest
 from dcoh.algebras import (FinDimAlgebra, TensorContext, make_mu_algebra, make_split_algebra,
                            scalar_algebra)
 from dcoh import linalg
+from dcoh.cocycles import _cocycle_identity, enumerate_cocycles
 from dcoh.fields import make_field
 from dcoh.groups import (AdditiveKernel, BudgetExceeded, CocycleError, DiagonalMult,
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
-                         ScalarTorus, _enumerate_field_matrices, ambient_gl, contains,
+                         ScalarTorus, _enumerate_field_matrices, _kernel_points,
+                         ambient_gl, contains,
                          enumerate_points, gl_trivialize, gm_trivialize, group_identity,
                          group_inv, group_mul, kernel_of_sigma_power, mat_det, mat_eq,
                          mat_inverse, mat_mul, mat_sigma, mu2sigma_group, scalar_value)
@@ -675,3 +677,129 @@ def test_torus_unit_lemma_keeps_every_membership_answer(q, monkeypatch):
         assert T.torsor_point(x, (F.zero(),), R) is False and tested == [x[0].data]
         tested.clear()
         assert T.torsor_point((R.basis_element(1),), (F.one(),), R) is True and tested == []
+
+
+# --------------------------------------------------------------------------
+# the affine coset stream: sigma^d(g) = 1 and the other torsor equations are
+# F_p-affine, so only their coset is streamed
+
+
+def _parent_points(G, R, keep=None):
+    """GroupPresentation.points by the walk over all of R^slots, kept as an
+    oracle that uses no relations: each tuple is checked by contains() and
+    keep, in enumerate_points order."""
+    out = []
+    for ys in _kernel_points(R, G.slots, None):
+        x = G.shape(ys)
+        if G.contains(x, R) and (keep is None or keep(x)):
+            out.append(x)
+    return out
+
+
+def _h1_groups(F):
+    """The groups of the finite-h1 benchmark's Z^1 strata."""
+    add = [AdditiveKernel(DifferenceOperator.parse(F, op)) for op in ("s - 1", "s + 1", "s^2 - 1")]
+    diag = DiagonalMult(F, 1, [parse_multiplicative(t, 1) for t in ("y^2", "s(y)/y")])
+    return [mu2sigma_group(F), *add, diag, FrobeniusTwist(F, "GL", 1, 1, "id"),
+            kernel_of_sigma_power(F, "GL", 1, 1)]
+
+
+def _h1_algebras(F):
+    """split:2 with sigma the identity and the swap, and the mu algebras of
+    the first pair of M and of one with a not a square of b (if any)."""
+    units = list(F.units())
+    pairs = [(a, b) for a in units for b in units if a.sigma() == a * b * b]
+    mus = {pairs[0], max(pairs, key=lambda ab: ab[0] != ab[1] * ab[1])}
+    return [make_split_algebra(F, 2, [0, 1]), make_split_algebra(F, 2, [1, 0])] + \
+        [make_mu_algebra(a, b) for a, b in sorted(mus, key=pairs.index)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_coset_stream_lists_the_parents_points_and_cocycles(q):
+    """On every group and algebra kind of the finite-h1 Z^1 strata, G(A) and
+    Z^1(A/k, G) are the lists of the walk over all of R^slots, in its order
+    (so their first points agree)."""
+    F = make_field(f"GF({q});frob^1")
+    for A in _h1_algebras(F):
+        tc = TensorContext(A)
+        for G in _h1_groups(F):
+            assert enumerate_points(G, A) == _parent_points(G, A), (q, G.kind, A)
+            expected = _parent_points(G, tc.AA, lambda value: _cocycle_identity(G, tc, value))
+            assert [c.value for c in enumerate_cocycles(G, tc)] == expected, (q, G.kind, A)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_psi_trivial_z1_streams_one_candidate(q, monkeypatch):
+    """sigma(g) = 1 has the one solution g = 1 on A(x)A for A = split:2:
+    one candidate is tested where the walk over A(x)A tested q^4."""
+    F = make_field(f"GF({q});frob^1")
+    tc = TensorContext(make_split_algebra(F, 2, [1, 0]))
+    G = kernel_of_sigma_power(F, "GL", 1, 1)
+    tested = []
+    member = FrobeniusTwist.contains
+    monkeypatch.setattr(FrobeniusTwist, "contains",
+                        lambda self, x, R: tested.append(x) or member(self, x, R))
+    (chi,) = enumerate_cocycles(G, tc)
+    assert chi.value == ((tc.AA.one(),),) and tested == [chi.value]
+
+
+def _zeros(R, slots, rel):
+    """The zeros of rel on R^slots by brute force, in enumerate_points order."""
+    elems = list(R.enumerate_elements())
+    return [ys for ys in itertools.product(elems, repeat=slots)
+            if all(z.is_zero() for z in rel(ys))]
+
+
+def test_coset_stream_is_the_zero_set_of_doctored_relations():
+    """_kernel_points streams exactly the zeros of an F_p-affine map, in
+    order, for the true relations, a doctored constant, a dropped relation
+    and an inconsistent system (which has none)."""
+    for F in (make_field("GF(3);frob^1"), make_field("GF(4);frob^1")):
+        one, zero, w = F.one(), F.zero(), F.element(2 if F.size == 3 else "w")
+        swap = make_split_algebra(F, 2, [1, 0])
+        e1, e2 = swap.basis_element(0), swap.basis_element(1)
+        AA = TensorContext(swap).AA
+        gl2 = FrobeniusTwist(F, "GL", 2, 1, "trivial")
+        k = scalar_algebra(F)
+        cases = [
+            (AA, 1, kernel_of_sigma_power(F, "GL", 1, 1).linear_relations(), 1),
+            (AA, 1, lambda ys: [ys[0].sigma() - w - one], 1),                 # doctored constant
+            (swap, 1, lambda ys: [ys[0].sigma() - e1], 1),                    # sigma(y) = e1
+            (swap, 1, lambda ys: [ys[0].sigma() - ys[0] - e1], 0),            # inconsistent
+            (swap, 1, lambda ys: [ys[0] * e1 - e2], 0),                       # inconsistent
+            (k, 4, gl2.linear_relations(), 1),
+            (k, 4, lambda ys: gl2.linear_relations()(ys)[1:], F.size),        # dropped relation
+            (k, 4, gl2.linear_relations(((w, zero), (zero, one))), 1),
+        ]
+        for R, slots, rel, count in cases:
+            got = list(_kernel_points(R, slots, rel))
+            assert got == _zeros(R, slots, rel) and len(got) == count, (F, R.dim, slots, count)
+
+
+def test_linear_relations_vanish_on_the_torsor_points():
+    """Each family's relations with a target vanish on every point of its
+    torsor over an algebra, and the group's relations are those of the
+    torsor whose target is 1."""
+    F = make_field("GF(3);frob^1")
+    R = make_split_algebra(F, 2, [1, 0])
+    one, two, zero = F.one(), F.element(2), F.zero()
+    eye = ((one, zero), (zero, one))
+    cases = [(AdditiveKernel(DifferenceOperator.parse(F, "s + 1")), two, zero),
+             (mu2sigma_group(F), (one, two), (one, one)),
+             (DiagonalMult(F, 1, [parse_multiplicative("s(y)/y", 1)]), (two,), (one,)),
+             (FrobeniusTwist(F, "GL", 1, 1, "trivial"), ((two,),), ((one,),)),
+             (FrobeniusTwist(F, "GL", 1, 1, "id"), ((two,),), ((one,),)),
+             (FrobeniusTwist(F, "GL", 2, 1, "trivial"), ((two, one), (zero, one)), eye),
+             (FrobeniusTwist(F, "GL", 2, 1, "id"), ((two, zero), (zero, one)), eye)]
+    elems = list(R.enumerate_elements())
+    for G, target, unit in cases:
+        rel = G.linear_relations(target)
+        found = 0
+        for ys in itertools.product(elems, repeat=G.slots):
+            if G.torsor_point(G.point_shape(ys), target, R):
+                found += 1
+                assert all(z.is_zero() for z in rel(ys)), (G.kind, ys)
+        assert found, G.kind
+        ys = tuple(elems[5:5 + G.slots])
+        assert G.linear_relations(unit)(ys) == G.linear_relations()(ys), G.kind
+    assert FrobeniusTwist(F, "GL", 2, 1, "transposeinv").linear_relations(eye) is None

@@ -256,6 +256,8 @@ def test_kernel_basis_and_rank_match_element_reference(descriptor):
         ncols = len(m[0])
         ker = linalg.kernel_basis(m, field)
         assert ker == element_kernel(m, field, ncols)
+        raw = linalg.kernel_basis_raw([[x.value for x in row] for row in m], field, ncols)
+        assert raw == [[x.value for x in vec] for vec in ker]
         for vec in ker:
             assert all(dot(row, vec, field).is_zero() for row in m)
         assert linalg.rank(m, field) == len(element_rref(m)[1])

@@ -4,12 +4,15 @@ import random
 
 import pytest
 
-from dcoh.algebras import TensorContext, make_mu_algebra
+from dcoh import outcome
+from dcoh.algebras import TensorContext, make_mu_algebra, make_split_algebra, scalar_algebra
 from dcoh.cocycles import enumerate_cocycles, mu_pairs_equivalent
 from dcoh.fields import make_field
 from dcoh.groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist,
-                         ProductGroup, mu2sigma_group)
+                         ProductGroup, _kernel_points, mat_inverse, mat_mul, mat_sigma,
+                         mu2sigma_group)
 from dcoh.operators import DifferenceOperator
+from dcoh.outcome import DEFAULT_BUDGET, charge
 from dcoh.sigma_poly import parse_multiplicative
 from dcoh.torsors import (AdditiveTorsor, DiagonalTorsor, FrobeniusTwistTorsor,
                           MuTorsor, TorsorError, TwistedForm, classify_h1,
@@ -764,3 +767,98 @@ def test_twisted_form_points_test_only_an_unchecked_chi(monkeypatch):
         for v in non_cocycles[:5]:
             with pytest.raises(TorsorError, match="not a cocycle"):
                 torsor_points(TwistedForm(Cocycle(G, tc, v)))
+
+
+# --------------------------------------------------------------------------
+# torsor points over a finite algebra stream the coset of the torsor's own
+# affine equations
+
+
+def _parent_points_over_algebra(X, R, budget=DEFAULT_BUDGET):
+    """torsors._points_over_algebra as it was over a finite field and a
+    finite-dimensional R, walking all of R^slots, kept as an oracle."""
+    G = X.presentation
+    charge(X.field.size ** (R.dim * G.slots), budget)
+    return outcome.first(map(G.point_shape, _kernel_points(R, G.slots, None)),
+                         lambda x: is_point(X, x, R), "exhausted-algebra")
+
+
+def _affine_torsors(F):
+    """mu, additive, torus and twist torsors (psi trivial and id) of F."""
+    units = list(F.units())
+    pairs = [(a, b) for a in units for b in units if a.sigma() == a * b * b]
+    mu_fs = [parse_multiplicative(t, 1) for t in ("y^2", "s(y)/y")]
+    out = [MuTorsor(a, b) for a, b in pairs]
+    for op in ("s - 1", "s + 1", "s^2 - 1"):
+        L = DifferenceOperator.parse(F, op)
+        out += [AdditiveTorsor(L, a) for a in (F.zero(), F.one(), units[-1])]
+    out += [DiagonalTorsor(mu_fs, pair) for pair in pairs[:3]]
+    out += [DiagonalTorsor([parse_multiplicative("s(y)/y", 1)], (c,)) for c in units[:3]]
+    out += [DiagonalTorsor([parse_multiplicative(t, 2) for t in ("s(y1)/y2", "y1^2")],
+                           (units[-1], F.one()))]
+    for psi in ("trivial", "id"):
+        out += [FrobeniusTwistTorsor(F, "GL", 1, d, psi, ((c,),)) for d in (1, 2)
+                for c in units[:3]]
+    return out
+
+
+@pytest.mark.parametrize("descriptor", ["GF(3);frob^1", "GF(4);frob^1", "GF(9);frob^1"])
+def test_torsor_points_over_algebras_agree_with_the_full_walk(descriptor):
+    """torsor_points over small algebras gives the parent's outcome: the
+    same first point, or the same "no" and certificate, the latter for some
+    torsor without a point over R."""
+    F = make_field(descriptor)
+    units = list(F.units())
+    pairs = [(a, b) for a in units for b in units if a.sigma() == a * b * b]
+    a, b = max(pairs, key=lambda ab: ab[0] != ab[1] * ab[1])
+    algebras = [scalar_algebra(F), make_split_algebra(F, 2, [0, 1]),
+                make_split_algebra(F, 2, [1, 0]), make_mu_algebra(a, b)]
+    if F.size < 9:
+        algebras.append(TensorContext(make_split_algebra(F, 2, [1, 0])).AA)
+    answers = []
+    for X in _affine_torsors(F):
+        for R in algebras:
+            if F.size ** (R.dim * X.presentation.slots) > 6561:
+                continue
+            got = torsor_points(X, R)
+            assert got == _parent_points_over_algebra(X, R), (X, R.dim)
+            answers.append(got.status)
+    # 2 x 2 twists over k, where the full walk is q^4, with a target and
+    # with the target of a point x0 that commutes with neither it nor sigma
+    g, k = units[-1], scalar_algebra(F)
+    for psi in ("trivial", "id"):
+        for base in ("GL", "SL"):
+            x0 = ((F.one(), g), (F.zero(), F.one())) if base == "SL" else \
+                ((g, F.one()), (F.one(), F.zero()))
+            a0 = mat_sigma(x0) if psi == "trivial" else mat_mul(mat_inverse(x0), mat_sigma(x0))
+            for a in (((F.one(), g), (F.zero(), F.one())), a0):
+                X = FrobeniusTwistTorsor(F, base, 2, 1, psi, a)
+                assert torsor_points(X, k) == _parent_points_over_algebra(X, k), (psi, base, a)
+            assert torsor_points(X, k), (psi, base)
+    assert "yes" in answers and "no" in answers
+
+
+def test_torsor_point_search_survives_doctored_relations(monkeypatch):
+    """A dropped relation or an inconsistent system still gives the
+    parent's answer; a doctored constant loses the points, and the oracle
+    comparison catches it."""
+    F = make_field("GF(3);frob^1")
+    swap = make_split_algebra(F, 2, [1, 0])
+    two = F.element(2)
+    # sigma(y) - y = 2 has no solution on split:2 with sigma the swap: "no"
+    X = AdditiveTorsor(DifferenceOperator.parse(F, "s - 1"), two)
+    assert torsor_points(X, swap) == _parent_points_over_algebra(X, swap) == \
+        outcome.no("exhausted-algebra")
+    # sigma(x) = x a on GL2: drop the relations of the second row
+    X = FrobeniusTwistTorsor(F, "GL", 2, 1, "id", ((two, F.zero()), (F.one(), F.one())))
+    relations = FrobeniusTwist.linear_relations
+    monkeypatch.setattr(FrobeniusTwist, "linear_relations",
+                        lambda self, t=None: (lambda ys: relations(self, t)(ys)[:2]))
+    expected = _parent_points_over_algebra(X, swap)
+    assert expected and torsor_points(X, swap) == expected
+    # sigma(y) = 2 read as sigma(y) = 1: the coset misses every point
+    X = FrobeniusTwistTorsor(F, "GL", 1, 1, "trivial", ((two,),))
+    monkeypatch.setattr(FrobeniusTwist, "linear_relations",
+                        lambda self, t=None: relations(self, None))
+    expected = _parent_points_over_algebra(X, swap)
+    assert expected and torsor_points(X, swap) == outcome.no("exhausted-algebra") != expected
