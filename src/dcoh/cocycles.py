@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import outcome
 from .algebras import AlgebraMorphism, FinDimAlgebra, TensorContext
 from .groups import (CocycleError, GroupError, GroupPresentation, ProductGroup,
-                     contains, enumerate_points)
+                     contains, coset_points, enumerate_points)
 from .groups import mu_pairs_equivalent  # noqa: F401  (re-exported)
 from .outcome import DEFAULT_BUDGET, BudgetExceeded, Outcome
 
@@ -95,11 +95,16 @@ def trivial_cocycle(G: GroupPresentation, tc: TensorContext) -> Cocycle:
     return Cocycle(G, tc, G.identity(tc.AA))
 
 
+def coboundary_value(G: GroupPresentation, tc: TensorContext, x):
+    """d1(x) * d2(x)^{-1} in G(A(x)A), for x in G(A) or a torsor point over A."""
+    return G.mul(G.map(tc.d1, x), G.inv(G.map(tc.d2, x)))
+
+
 def coboundary(G: GroupPresentation, tc: TensorContext, alpha) -> Cocycle:
     """d1(alpha) * d2(alpha)^{-1} for alpha in G(A)."""
     if not contains(G, alpha, tc.A):
         raise CocycleError("coboundary argument is not a group element")
-    return make_cocycle(G, tc, G.mul(G.map(tc.d1, alpha), G.inv(G.map(tc.d2, alpha))))
+    return make_cocycle(G, tc, coboundary_value(G, tc, alpha))
 
 
 def enumerate_cocycles(G: GroupPresentation, tc: TensorContext,
@@ -138,8 +143,8 @@ def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = DEFAULT_BUDGET) -> Ou
     A product is decided factor by factor, with one witness per factor.
     With a family invariant the witness is the rational point that carries
     the torsor of chi1 onto that of chi2 (as torsors.isomorphic gives it);
-    otherwise it is alpha itself, found by searching G(A) over a finite
-    field.
+    otherwise it is alpha itself, the first member of G(A) over a finite
+    field, in coset_points order, that carries chi2 to chi1.
     """
     G = chi1.group
     tc = chi1.context
@@ -162,10 +167,10 @@ def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = DEFAULT_BUDGET) -> Ou
     if not (tc.A.field.finite and isinstance(tc.A, FinDimAlgebra)):
         return outcome.undecided("no-decision-procedure")
     try:
-        candidates = enumerate_points(G, tc.A, budget)
+        candidates = map(G.shape, coset_points(G, tc.A, budget))
     except BudgetExceeded as e:
         return outcome.undecided("budget-exhausted", space=e.space)
-    carries = lambda alpha: G.equal(
+    carries = lambda alpha: contains(G, alpha, tc.A) and G.equal(
         chi1.value, G.mul(G.map(tc.d1, alpha), G.mul(chi2.value, G.inv(G.map(tc.d2, alpha)))))
     return outcome.first(candidates, carries, "exhausted-group-points")
 

@@ -16,13 +16,18 @@ ProductGroup glues presentations into direct products, factor by factor.
 Every presentation supplies one protocol, which the generic code in
 cocycles and torsors calls instead of testing the class:
 
-  values   slots, shape(ys), contains(x, R), identity(R), mul, inv, equal,
+  values   slots, shape(ys), identity(R), mul, inv, equal,
            map(func, x), linear_relations(target), cocycle_relations(tc),
            points(R, budget, keep, relations), coefficient_twist(d), components(x);
   torsors  torsor_kind, invariant(tc, value), translate(c, t),
            equivalent_targets(t1, t2, budget), classify(budget),
            torsor_point(x, t, R), rational_point(t, budget),
            canonical_point(t, R), point_shape(ys).
+
+Membership contains(x, R) is the torsor equation at the unit target,
+torsor_point(x, None, R): None stands for the group itself, as in
+linear_relations.  Only MatrixGroup, which has no torsors, and
+ProductGroup, decided factor by factor, state their own.
 
 Budgets: each search calls outcome.charge(space, budget) itself before it
 starts, and a budget is a number (math.inf for none).  A listing (points,
@@ -58,16 +63,13 @@ M = {(a, b) : sigma(a) = a b^2}, square roots over infinite fields, and
 the canonical point y of the mu-algebra.
 
 Over a finite base field, enumerate_points lists G(R) for a
-finite-dimensional R, and torsors searches the points of a torsor the same
-way: the equations that are sigma-semilinear are F_p-affine (L(y) = a,
-sigma^a(y_i) = c sigma^b(y_j), sigma^d(x) = a or x a), so only the coset
-of their solutions is streamed (the charge, the affine solve and the
-order are stated at enumerate_points and _kernel_points).  Membership
-(contains) and torsor_point refute by the cheapest check first and take
-no inverse, each family in the order its method states
-(MatrixGroup.contains, DiagonalMult.contains, FrobeniusTwist._solves); on
-units each form is equivalent to the textbook one, and a non-unit still
-ends False, so answers and enumeration order do not depend on this order.
+finite-dimensional R, torsors searches the points of a torsor and
+cocycles searches G(A), all through coset_points.  Membership and
+torsor_point refute by the cheapest check first and take no inverse, each
+family in the order its method states (MatrixGroup.contains,
+DiagonalMult.torsor_point, FrobeniusTwist.torsor_point); on units each
+form is equivalent to the textbook one, and a non-unit still ends False,
+so answers and enumeration order do not depend on this order.
 """
 
 from __future__ import annotations
@@ -381,7 +383,7 @@ class GroupPresentation:
         return m
 
     def contains(self, x, R: SigmaAlgebra) -> bool:
-        raise GroupError(f"unknown presentation {self.kind}")
+        return self.torsor_point(x, None, R)
 
     def identity(self, R):
         return mat_identity(R, self.n)
@@ -420,20 +422,8 @@ class GroupPresentation:
 
     def points(self, R: FinDimAlgebra, budget: int, keep, relations=None):
         """The body of enumerate_points for one presentation."""
-        field = R.field
-        if not field.finite:
-            raise GroupError("point enumeration needs a finite base field")
-        slots = self.slots
-        charge(field.size ** (R.dim * slots), budget)
-        own, extra = self.linear_relations(), relations
-        if own is not None and extra is not None:
-            relations = lambda ys: own(ys) + extra(ys)
-        out = []
-        for ys in _kernel_points(R, slots, relations or own):
-            x = self.shape(ys)
-            if self.contains(x, R) and (keep is None or keep(x)):
-                out.append(x)
-        return out
+        return [x for x in map(self.shape, coset_points(self, R, budget, None, relations))
+                if self.contains(x, R) and (keep is None or keep(x))]
 
     def coefficient_twist(self, d: int) -> GroupPresentation:
         """The presentation of ^{sigma^d}G: coefficients move through sigma^d."""
@@ -511,8 +501,8 @@ class ScalarTorus(MatrixGroup):
     def torsor_kind(self):
         return "mu" if self.torus.mu_shaped else "diagonal"
 
-    def contains(self, x, R):
-        return self.torus.contains((self._matrix(x)[0][0],), R)
+    # membership is the torus's equation at the unit target, not the relations
+    contains = GroupPresentation.contains
 
     def linear_relations(self, target=None):
         return self.torus.linear_relations(target)
@@ -533,7 +523,7 @@ class ScalarTorus(MatrixGroup):
         return self.torus.classify(budget)
 
     def torsor_point(self, x, target, R=None):
-        return self.torus.torsor_point((x,), target, R)
+        return self.torus.torsor_point((self._matrix(x)[0][0],), target, R)
 
     def rational_point(self, target, budget):
         return _first_of_witness(self.torus.rational_point(target, budget))
@@ -565,11 +555,6 @@ class AdditiveKernel(GroupPresentation):
 
     def shape(self, ys):
         return ys[0]
-
-    def contains(self, x, R):
-        if not isinstance(x, AlgElement):
-            raise GroupError("additive elements are algebra scalars")
-        return self.L is None or self.L.apply(x).is_zero()
 
     def identity(self, R):
         return R.zero()
@@ -640,7 +625,13 @@ class AdditiveKernel(GroupPresentation):
                               note="decide a ~ a' via solve_additive(L, a'-a)")
 
     def torsor_point(self, x, a, R=None):
-        return self.L.apply(x) == (R.from_scalar(a) if R is not None else a)
+        """L(x) = a, a = 0 for the group (target None), which is all of R
+        when L is None; over an algebra R, x must be an element of R."""
+        if R is not None and not isinstance(x, AlgElement):
+            raise GroupError("additive elements are algebra scalars")
+        if a is None:
+            return self.L is None or self.L.apply(x).is_zero()
+        return self.L.apply(x) == (a if R is None else R.from_scalar(a))
 
     def rational_point(self, a, budget):
         return solve_additive_full(self.L, a, budget)
@@ -661,7 +652,7 @@ class DiagonalMult(GroupPresentation):
         for f in self.functions:
             if not isinstance(f, MultiplicativeFunction) or f.nvars != n:
                 raise GroupError("defining functions must be multiplicative of arity n")
-        # the y_i that each function forces to be a unit (see contains)
+        # the y_i that each function forces to be a unit (see torsor_point)
         self._forcing = tuple(frozenset() if f.factors(-1) else
                               frozenset(i for i, j, _ in f.factors(1) if j == 0)
                               for f in self.functions)
@@ -676,18 +667,6 @@ class DiagonalMult(GroupPresentation):
 
     def shape(self, ys):
         return tuple(ys)
-
-    def contains(self, x, R):
-        """num(x) = den(x) for each f_i, then the unit test of each entry
-        that no f_i forces.  A unit lemma replaces the others: when f has no
-        denominator and y_i occurs unshifted in it, f(x) = 1 reads
-        x_i * (a product in R) = 1, so x_i is a unit (R is commutative)."""
-        if not isinstance(x, tuple) or len(x) != self.n or (x and isinstance(x[0], tuple)):
-            raise GroupError("shape mismatch for diagonal element")
-        # num(x) = den(x) refutes most candidates before any unit test
-        sides = (f.split_eval(x) for f in self.functions)
-        return (all(num == den for num, den in sides)
-                and all(x[i].is_unit() for i in self._unforced))
 
     def identity(self, R):
         return tuple(R.one() for _ in range(self.n))
@@ -792,14 +771,26 @@ class DiagonalMult(GroupPresentation):
                               note=None if mu else "targets constrained by bounded-degree syzygies")
 
     def torsor_point(self, x, avec, R=None):
-        if len(x) != self.n:
-            raise GroupError("arity mismatch")
+        """num(x) = den(x) a_i for each f_i (a = 1 for the group, avec
+        None), then the unit test of each entry that no f_i with a_i != 0
+        forces.  A unit lemma replaces the others: when f has no
+        denominator and y_i occurs unshifted in it, f(x) = a with a a unit
+        reads x_i * (a product in R) = a, so x_i is a unit (R is
+        commutative)."""
+        if not isinstance(x, tuple) or len(x) != self.n or (x and isinstance(x[0], tuple)):
+            raise GroupError("shape mismatch for diagonal element")
+        # the equations refute most candidates before any unit test
         sides = (f.split_eval(x) for f in self.functions)
-        if not all(num == den * a for (num, den), a in zip(sides, avec)):
+        if avec is None:
+            if not all(num == den for num, den in sides):
+                return False
+            unforced = self._unforced
+        elif not all(num == den * a for (num, den), a in zip(sides, avec)):
             return False
-        # the unit lemma of contains, for f(x) = a with a nonzero scalar
-        forced = set().union(*(s for s, a in zip(self._forcing, avec) if not a.is_zero()))
-        return all(e.is_unit() for i, e in enumerate(x) if i not in forced)
+        else:
+            forced = set().union(*(s for s, a in zip(self._forcing, avec) if not a.is_zero()))
+            unforced = (i for i in range(self.n) if i not in forced)
+        return all(x[i].is_unit() for i in unforced)
 
     def rational_point(self, avec, budget):
         """Every unit vector of a finite field, undecided when its (q-1)^n
@@ -897,26 +888,6 @@ class FrobeniusTwist(GroupPresentation):
             return mat_inverse(x)
         return mat_transpose(x)
 
-    def contains(self, x, R):
-        return self._solves(self._matrix(x), None, R)
-
-    def _solves(self, m, target, ring) -> bool:
-        """sigma^d(m) = psi(m) target (target None for 1), then det(m) = 1
-        for SL, then det(m) a unit: the cheapest refutation first.  psi =
-        transposeinv is tested as m^T sigma^d(m) = target, so that no
-        inverse is taken; on invertible m the two agree."""
-        s = mat_sigma(m, self.d)
-        if self.psi == "transposeinv":
-            s = mat_mul(mat_transpose(m), s)
-        if self.psi == "id":
-            rhs = m if target is None else mat_mul(m, target)
-        else:
-            rhs = mat_identity(ring, self.n) if target is None else target
-        if not mat_eq(s, rhs):
-            return False
-        det = mat_det(m)
-        return det == ring.one() if self.base == "SL" else det.is_unit()
-
     def linear_relations(self, target=None):
         """sigma^d(x) - a entry by entry when psi = trivial, sigma^d(x) - x a
         when psi = id, with a = 1 for the group (target None); None when psi
@@ -979,9 +950,26 @@ class FrobeniusTwist(GroupPresentation):
         return ClassifyReport(kind="finite-list", count=len(reps), representatives=reps)
 
     def torsor_point(self, x, a, R=None):
-        if R is not None:
+        """sigma^d(m) = psi(m) a for the n x n matrix m of x (a = 1 for the
+        group, target None), then det(m) = 1 for SL, then det(m) a unit:
+        the cheapest refutation first.  psi = transposeinv is tested as m^T
+        sigma^d(m) = a, so that no inverse is taken; on invertible m the two
+        agree."""
+        m = self._matrix(x)
+        ring = self.field if R is None else R
+        if R is not None and a is not None:
             a = tuple(tuple(R.from_scalar(e) for e in row) for row in a)
-        return self._solves(_as_matrix(x), a, self.field if R is None else R)
+        s = mat_sigma(m, self.d)
+        if self.psi == "transposeinv":
+            s = mat_mul(mat_transpose(m), s)
+        if self.psi == "id":
+            rhs = m if a is None else mat_mul(m, a)
+        else:
+            rhs = mat_identity(ring, self.n) if a is None else a
+        if not mat_eq(s, rhs):
+            return False
+        det = mat_det(m)
+        return det == ring.one() if self.base == "SL" else det.is_unit()
 
     def _matrix_search(self, found, budget) -> Outcome:
         """The first matrix of base(k) that `found` accepts, k finite."""
@@ -1036,6 +1024,10 @@ class ProductGroup(GroupPresentation):
     def _key(self):
         return self.factors
 
+    @property
+    def slots(self):
+        return sum(f.slots for f in self.factors)
+
     def contains(self, x, R):
         if not isinstance(x, tuple) or len(x) != len(self.factors):
             raise GroupError("shape mismatch for product element")
@@ -1057,6 +1049,7 @@ class ProductGroup(GroupPresentation):
         return tuple(f.map(func, c) for f, c in zip(self.factors, x))
 
     def points(self, R, budget, keep, relations=None):
+        _charge_space(self, R, budget)
         parts = [enumerate_points(f, R, budget) for f in self.factors]
         return [combo for combo in itertools.product(*parts) if keep is None or keep(combo)]
 
@@ -1125,48 +1118,60 @@ def scalar_value(G, x):
 
 def enumerate_points(G: GroupPresentation, R: FinDimAlgebra, budget: int = DEFAULT_BUDGET,
                      keep=None, relations=None):
-    """Complete list of G(R) for finite base fields, deterministic order;
-    with a predicate `keep`, only the points of G(R) it accepts, so a caller
-    that wants a small subset never holds all of G(R) at once.  `relations`
-    (cocycle_relations) is solved together with G's own and may only drop
-    points that `keep` rejects; a product ignores it.
-
-    The search is charged q^(dim R * slots) against the budget before any
-    work, whatever the relations cut away: BudgetExceeded when that is
-    larger.  Then the relations of G that are sigma-semilinear, hence
-    F_p-affine on R^slots, are solved over the prime field (see
-    linear_relations; sigma^d(g) = 1 of the twist with psi = trivial is
-    one), and only their coset is streamed, each point still checked by
-    contains() against the full presentation.  The list
-    is in lexicographic order of (slot, basis index, coefficient of the
-    field value with its highest digit first): the order of
-    itertools.product over the slots, over R's basis and over
-    field.elements(), filtered by membership.  A product lists the
-    product of its factors' lists.
+    """Complete list of G(R) for finite base fields: the coset_points of G,
+    in their order, that contains() accepts; with a predicate `keep`, only
+    the points of G(R) it accepts, so a caller that wants a small subset
+    never holds all of G(R) at once.  `relations` (cocycle_relations) is
+    solved together with G's own and may only drop points that `keep`
+    rejects.  A product is charged its whole space too, then lists the
+    product of its factors' lists; it ignores `relations`.
     """
     return G.points(R, budget, keep, relations)
 
 
-def _kernel_points(R: FinDimAlgebra, slots: int, relations):
-    """Stream the slot tuples in R^slots on which the F_p-affine map
-    `relations` vanishes (all of R^slots when it is None), in the order
-    enumerate_points promises.
+def _charge_space(G: GroupPresentation, R: FinDimAlgebra, budget):
+    field = R.field
+    if not field.finite:
+        raise GroupError("point enumeration needs a finite base field")
+    charge(field.size ** (R.dim * G.slots), budget)
 
-    A GF(p^m) value is its m-digit coefficient tuple, so a tuple of slot
-    values is a vector of slots*dim*m digits mod p; the order sorts these by
-    (slot, basis index, digit from the highest).  The zeros of `relations`
-    are one coset, a particular solution plus the kernel of its linear
-    part (or nothing, when the system is inconsistent).  With the kernel
-    basis in reduced echelon form for that order (leading entries 1, each
-    leading column zero in the other vectors) and the particular solution
-    zero at every leading column (see _kernel_basis), the point's digit in
-    the leading column of basis vector i is its coefficient a_i.  Two coset
-    points differ by a kernel vector, so the first digit in which they
-    differ is a leading column, and the points come in order when the
-    coefficients run through itertools.product.  Without relations the
-    kernel is everything, and the product runs over the coordinates' field
-    elements directly, which is the same order.
+
+def coset_points(G: GroupPresentation, R: FinDimAlgebra, budget, target=None, relations=None):
+    """The slot tuples of R^slots that may be points of the torsor of
+    `target` (of G itself for None): q^(dim R * slots), all of R^slots, is
+    charged when this is called, before any work and whatever the relations
+    cut away (BudgetExceeded when it is larger); then the stream of the
+    coset on which G.linear_relations(target) and `relations` vanish is
+    returned.  Each relation is sigma-semilinear, hence F_p-affine (L(y) =
+    a, sigma^a(y_i) = c sigma^b(y_j), sigma^d(x) = a or x a), and every
+    point lies in the coset, so checking each tuple against the full
+    equations finds the points, and the first point, of the walk over all
+    of R^slots.  The stream is in that walk's order: lexicographic in (slot,
+    basis index, digit of the GF(p^m) value from the highest), the order of
+    itertools.product over the slots, R's basis and field.elements().
+
+    A tuple of slot values is a vector of slots*dim*m digits mod p, sorted
+    in that order, and the coset is a particular solution plus the kernel
+    of the linear part (empty when the system is inconsistent).  With the
+    kernel basis in reduced echelon form for that order and the particular
+    solution zero at every leading column (see _kernel_basis), a point's
+    digit in the leading column of basis vector i is its coefficient a_i.
+    Two coset points first differ in a leading column, so the points come
+    in order as the coefficients run through itertools.product; without
+    relations the product runs over the field elements directly.
     """
+    _charge_space(G, R, budget)
+    own = G.linear_relations(target)
+    if own is not None and relations is not None:
+        extra = relations
+        relations = lambda ys: own(ys) + extra(ys)
+    return _kernel_points(R, G.slots, relations or own)
+
+
+def _kernel_points(R: FinDimAlgebra, slots: int, relations):
+    """Stream, uncharged, the slot tuples in R^slots on which the F_p-affine
+    map `relations` vanishes (all of R^slots when it is None), in the order
+    coset_points states."""
     field = R.field
     keys = R.index_list()
     dim = len(keys)

@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 from . import outcome
 from .algebras import FinDimAlgebra, LaurentAlgebra, SigmaAlgebra, TensorContext
-from .cocycles import Cocycle, equivalent, invariant, is_cocycle, make_cocycle
+from .cocycles import (Cocycle, coboundary_value, equivalent, invariant, is_cocycle,
+                       make_cocycle)
 from .fields import FieldElement, SigmaField
 from .groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist,
-                     GroupPresentation, _kernel_points, _sigma_preimage_chain,
-                     contains, kernel_of_sigma_power, mat_det, mu2sigma_group)
+                     GroupPresentation, _sigma_preimage_chain, contains,
+                     coset_points, kernel_of_sigma_power, mat_det, mu2sigma_group)
 # re-exported: the H^1 listings and the additive torsor algebra live with their families
 from .groups import (ClassifyReport, _enumerate_field_matrices,  # noqa: F401
                      _satisfies_constraints, additive_torsor_algebra,
@@ -73,9 +74,20 @@ class TorsorPresentation:
         return self.presentation.torsor_point(x, self.target, R)
 
     def points(self, R: SigmaAlgebra, budget: int) -> Outcome:
+        """A rational point for R None; over a finite field and a
+        finite-dimensional R, the first of the coset_points of the target
+        that is_point accepts; elsewhere only the canonical point of a
+        trivializing algebra is tried."""
+        G = self.presentation
         if R is None:
-            return self.presentation.rational_point(self.target, budget)
-        return _points_over_algebra(self, R, budget)
+            return G.rational_point(self.target, budget)
+        if not (self.field.finite and isinstance(R, FinDimAlgebra)):
+            x = G.canonical_point(self.target, R)
+            if x is not None and self.is_point(x, R):
+                return outcome.yes(x)
+            return outcome.undecided("enumeration-needs-finite-data")
+        return outcome.first(map(G.point_shape, coset_points(G, R, budget, self.target)),
+                             lambda x: self.is_point(x, R), "exhausted-algebra")
 
     def cocycle_from_point(self, x, A: SigmaAlgebra) -> Cocycle:
         if A is None:
@@ -83,8 +95,7 @@ class TorsorPresentation:
         if not self.is_point(x, A):
             raise TorsorError("x is not a point of X over A")
         tc = TensorContext(A)
-        G = self.presentation
-        return make_cocycle(G, tc, G.mul(G.map(tc.d1, x), G.inv(G.map(tc.d2, x))))
+        return make_cocycle(self.presentation, tc, coboundary_value(self.presentation, tc, x))
 
     def normal_form(self) -> "TorsorPresentation":
         return self
@@ -252,32 +263,6 @@ def torsor_points(X: TorsorPresentation, R: SigmaAlgebra = None,
     return X.points(R, budget)
 
 
-def _points_over_algebra(X: TorsorPresentation, R: SigmaAlgebra,
-                         budget: int) -> Outcome:
-    """The first point of X over R, or a certificate.
-
-    Over a finite field and a finite-dimensional R the search is charged
-    q^(dim R * slots), all of R^slots, and then streams only the coset of
-    the family's affine torsor relations (linear_relations of X's target)
-    in enumerate_points order, each candidate checked by is_point.  Every
-    point of X lies in that coset, so the first point found and the
-    "exhausted-algebra" answer are those of the walk over all of R^slots.
-    Elsewhere only the canonical point of a trivializing algebra is tried.
-    """
-    G = X.presentation
-    field = X.field
-    if not (field.finite and isinstance(R, FinDimAlgebra)):
-        # canonical trivializing algebras admit a distinguished point
-        x = G.canonical_point(X.target, R)
-        if x is not None and is_point(X, x, R):
-            return outcome.yes(x)
-        return outcome.undecided("enumeration-needs-finite-data")
-    charge(field.size ** (R.dim * G.slots), budget)
-    candidates = _kernel_points(R, G.slots, G.linear_relations(X.target))
-    return outcome.first(map(G.point_shape, candidates),
-                         lambda x: is_point(X, x, R), "exhausted-algebra")
-
-
 # --------------------------------------------------------------------------
 # the classification bijection
 
@@ -382,7 +367,7 @@ def connecting_delta(field: SigmaField, d: int, x: FieldElement) -> DeltaResult:
         chi = make_cocycle(N, tc, ((tc.AA.one(),),))
         g = A.gen(0)
         n_elt = g * A.from_scalar(y).inverse()
-        cb = N.mul(N.map(tc.d1, ((n_elt,),)), N.inv(N.map(tc.d2, ((n_elt,),))))
+        cb = coboundary_value(N, tc, ((n_elt,),))
         if n_elt.sigma(d) != A.one() or not N.equal(cb, ((tc.pair(g.inverse(), g),),)):
             raise outcome.InternalError("the rational lift fails to trivialize delta(x)")
         return DeltaResult(cocycle=chi, trivial=outcome.yes(y))

@@ -97,6 +97,26 @@ def test_search_fallback_refusal_carries_its_space(gf9):
     assert equivalent(chi, trivial_cocycle(Gm, tc))
 
 
+def test_the_group_search_stops_at_the_first_carrying_point(monkeypatch):
+    """Gm as a matrix group has no invariant, so equivalence searches G(A)
+    in coset_points order and tests membership only until the first alpha
+    that carries chi2 to chi1: over split:2 of GF(3) that is e1 + 2 e2, the
+    sixth of the 9 candidates."""
+    F = make_field("GF(3);frob^1")
+    A = make_split_algebra(F, 2)
+    tc = TensorContext(A)
+    Gm = ambient_gl(F, 1)
+    alpha = ((A.from_vector([F.one(), F.element(2)]),),)
+    chi = coboundary(Gm, tc, alpha)
+    tested = []
+    member = MatrixGroup.contains
+    monkeypatch.setattr(MatrixGroup, "contains",
+                        lambda self, x, R: tested.append(x) or member(self, x, R))
+    res = equivalent(chi, trivial_cocycle(Gm, tc))
+    assert res and res.witness == alpha
+    assert len(tested) == 6 and tested[-1] == alpha
+
+
 def test_coboundaries_always_cocycles(gf9):
     G, A, tc, a, b = mu_setup(gf9)
     for alpha in enumerate_points(G, A):

@@ -14,10 +14,11 @@ from dcoh.fields import make_field
 from dcoh.groups import (AdditiveKernel, BudgetExceeded, CocycleError, DiagonalMult,
                          FrobeniusTwist, GroupError, MatrixGroup, ProductGroup,
                          ScalarTorus, _enumerate_field_matrices, _kernel_points,
-                         ambient_gl, contains,
+                         ambient_ga, ambient_gl, contains,
                          enumerate_points, gl_trivialize, gm_trivialize, group_identity,
                          group_inv, group_mul, kernel_of_sigma_power, mat_det, mat_eq,
-                         mat_inverse, mat_mul, mat_sigma, mu2sigma_group, scalar_value)
+                         mat_identity, mat_inverse, mat_mul, mat_sigma, mu2sigma_group,
+                         scalar_value)
 from dcoh.outcome import InternalError
 from dcoh.operators import DifferenceOperator
 from dcoh.sigma_poly import SigmaPolynomial, parse_multiplicative
@@ -208,6 +209,20 @@ def test_a_budget_refusal_is_no_group_error_and_names_its_space(gf9):
     assert not isinstance(e.value, GroupError) and isinstance(e.value, ValueError)
 
 
+def test_a_product_is_charged_its_whole_space_before_it_is_built():
+    """A product's slots are its factors' slots together, and its search is
+    charged q^(dim R * slots) before the factors' lists are combined: Ga x
+    Ga over GF(3)^2 has 3^4 points, while each factor is charged only 3^2."""
+    F = make_field("GF(3);frob^1")
+    R = make_split_algebra(F, 2)
+    P = ProductGroup([ambient_ga(F)] * 2)
+    with pytest.raises(BudgetExceeded) as e:
+        enumerate_points(P, R, budget=80)
+    assert e.value.space == 81
+    assert len(enumerate_points(P, R, budget=81)) == 81
+    assert P.slots == 2
+
+
 # --------------------------------------------------------------------------
 # linear-first enumeration against the brute-force filter
 
@@ -389,8 +404,36 @@ def test_cost_order_keeps_every_membership_answer(q):
                 got = contains(G, x, R)
                 assert got == _head_contains(G, x, R), (G.kind, x)
                 assert G.torsor_point(x, target, R) == _head_torsor_point(G, x, target, R)
+                assert got == G.torsor_point(x, _unit_target(G), R), (G.kind, x)
                 accepted += got
             assert accepted, (G.kind, q)
+
+
+def _unit_target(G):
+    """The torsor target of G itself: 1 for each torus function, I for a twist."""
+    if G.kind == "diagonal":
+        return (G.field.one(),) * len(G.functions)
+    return mat_identity(G.field, G.n)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_contains_is_the_torsor_equation_at_the_unit_target(q):
+    """contains(G, x, R) is torsor_point(x, None, R), and both answer as the
+    torsor equation at the explicit unit target, for the additive groups
+    (target 0) and mu2^sigma (target (1, 1)) on every element of R."""
+    F = make_field(f"GF({q});frob^1")
+    _, algebras = _membership_cases(F)
+    cases = [(AdditiveKernel(DifferenceOperator.parse(F, op)), F.zero())
+             for op in ("s - 1", "s^2 - w" if q == 4 else "s^2 - 2")]
+    cases.append((mu2sigma_group(F), (F.one(), F.one())))
+    for G, unit in cases:
+        answers = set()
+        for R in algebras:
+            for x in R.enumerate_elements():
+                got = contains(G, x, R)
+                assert got == G.torsor_point(x, None, R) == G.torsor_point(x, unit, R), (G, x)
+                answers.add(got)
+        assert answers == {True, False}, G
 
 
 def _relations_hold(G, x, R):

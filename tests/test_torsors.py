@@ -8,9 +8,9 @@ from dcoh import outcome
 from dcoh.algebras import TensorContext, make_mu_algebra, make_split_algebra, scalar_algebra
 from dcoh.cocycles import enumerate_cocycles, mu_pairs_equivalent
 from dcoh.fields import make_field
-from dcoh.groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist,
-                         ProductGroup, _kernel_points, mat_inverse, mat_mul, mat_sigma,
-                         mu2sigma_group)
+from dcoh.groups import (AdditiveKernel, DiagonalMult, FrobeniusTwist, GroupError,
+                         ProductGroup, _kernel_points, contains, mat_inverse, mat_mul,
+                         mat_sigma, mu2sigma_group)
 from dcoh.operators import DifferenceOperator
 from dcoh.outcome import DEFAULT_BUDGET, charge
 from dcoh.sigma_poly import parse_multiplicative
@@ -862,3 +862,22 @@ def test_torsor_point_search_survives_doctored_relations(monkeypatch):
                         lambda self, t=None: relations(self, None))
     expected = _parent_points_over_algebra(X, swap)
     assert expected and torsor_points(X, swap) == outcome.no("exhausted-algebra") != expected
+
+
+def test_a_value_of_the_wrong_shape_is_no_point_but_an_error():
+    """is_point raises GroupError on a value without the shape of the
+    torsor's points, as contains does: a bare element for a 2 x 2 twist, a
+    matrix for a torus of rank 2, a field value for an additive torsor over
+    an algebra."""
+    F = make_field("GF(4);frob^1")
+    w, zero, one = F.element("w"), F.zero(), F.one()
+    R = make_split_algebra(F, 2)
+    X = FrobeniusTwistTorsor(F, "GL", 2, 1, "trivial", ((w, zero), (zero, one)))
+    Y = DiagonalTorsor([parse_multiplicative(t, 2) for t in ("y1^2", "s(y2)/y2")], (one, one))
+    Z = AdditiveTorsor(DifferenceOperator.parse(F, "s - 1"), zero)
+    m = ((R.one(), R.one()), (R.one(), R.one()))
+    for T, x, ring in [(X, w + one, None), (X, R.one(), R), (Y, m, R), (Z, one, R)]:
+        with pytest.raises(GroupError):
+            is_point(T, x, ring)
+        with pytest.raises(GroupError):
+            contains(T.presentation, x, R)
