@@ -46,8 +46,8 @@ import itertools
 import weakref
 from dataclasses import dataclass
 
-from . import linalg
-from .fields import FieldElement, SigmaField, _LazyTable
+from . import exprs, linalg
+from .fields import FieldElement, SigmaField, _LazyTable, square_and_multiply
 
 
 class AlgebraError(ValueError):
@@ -115,16 +115,7 @@ class AlgElement:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        r = None
-        while n:
-            if n & 1:
-                r = base if r is None else r * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.algebra.one() if r is None else r
+        return square_and_multiply(self.inverse() if n < 0 else self, abs(n), self.algebra.one)
 
     def sigma(self, power: int = 1) -> "AlgElement":
         d = self.data
@@ -774,17 +765,8 @@ class MonomialAlgebra(SigmaAlgebra):
         return total
 
     def named_element(self, name):
-        stem = self.stem
-        if name == stem and self.ngens == 1:
-            return self.gen(0)
-        if name.startswith(stem):
-            try:
-                i = int(name[len(stem):])
-            except ValueError:
-                return None
-            if 1 <= i <= self.ngens:
-                return self.gen(i - 1)
-        return None
+        i = exprs.indexed_name(name, self.stem, self.ngens)
+        return None if i is None else self.gen(i)
 
     def _mul_data(self, d1, d2):
         out = {}

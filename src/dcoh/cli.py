@@ -30,7 +30,7 @@ from .algebras import (FinDimAlgebra, FreePolyAlgebra, LaurentAlgebra, TensorCon
                        make_mu_algebra, make_split_algebra, mu_twisted_datum)
 from .fields import FieldElement, make_field, sigma_apply
 from .groups import AdditiveKernel, DiagonalMult, FrobeniusTwist, mu2sigma_group, mu_pair_space
-from .cocycles import CocycleError, Cocycle, equivalent, invariant, is_cocycle
+from .cocycles import CocycleError, Cocycle, carries, equivalent, invariant, is_cocycle
 from .operators import DifferenceOperator
 from .sigma_poly import parse_multiplicative
 from .torsors import (NORMAL_FORMS, classify_h1, connecting_delta, exactness_audit,
@@ -550,12 +550,12 @@ class _Line(dict):
         raise CliError(f"the line verify reads has no {key!r}")
 
 
-def _read_point(G, R, w):
+def _read_point(G, R, w, shape=None):
     """The point of G over R (over k when R is None) that the witness w
-    names, or None when w does not parse or does not have the shape of G's
-    points."""
+    names, read with `shape` (G's torsor point shape by default), or None
+    when w does not parse or does not have that shape."""
     ring = G.field if R is None else R
-    ref = G.point_shape((ring.one(),) * G.slots)
+    ref = (shape or G.point_shape)((ring.one(),) * G.slots)
 
     def read(v, like):
         if isinstance(like, tuple):
@@ -578,6 +578,17 @@ def _carries(X, Y, w):
     G = X.presentation
     c = _read_point(G, None, w)
     return None if c is None else G.translate(c, X.target) == Y.target
+
+
+def _carries_cocycles(qargs, w, budget):
+    """Does the witness w name alpha in G(A), A the query's --algebra (charged
+    to budget), that carries the cocycle of --chi2 to that of --chi?  None
+    when it names no value of G's shape over A."""
+    q = argparse.Namespace(field=str(qargs["field"]), algebra=str(qargs["algebra"]),
+                           group=str(qargs["group"]), budget=budget)
+    G, (chi1, chi2) = _checked_cocycles(q, str(qargs["chi"]), str(qargs["chi2"]))
+    alpha = _read_point(G, chi1.algebra, w, G.shape)
+    return None if alpha is None else carries(alpha, chi1, chi2)
 
 
 def _invariant_text(v) -> str:
@@ -622,6 +633,9 @@ def cmd_verify(args, base):
             **{flag: detail.get(key) for flag, key in flags},
             "lhs": _invariant_text(detail["lhs_invariant"]),
             "rhs": _invariant_text(detail["rhs_invariant"])}), w)
+        if ok is None:
+            # no point over k: the witness is alpha in G(A) itself
+            ok = _carries_cocycles(qargs, w, args.budget)
     elif cmd == "torsor-points" and w:
         # a point over k or over an algebra R satisfies the torsor's equations
         X = parse_torsor(field, qargs["torsor"])

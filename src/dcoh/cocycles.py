@@ -170,9 +170,15 @@ def equivalent(chi1: Cocycle, chi2: Cocycle, budget: int = DEFAULT_BUDGET) -> Ou
         candidates = map(G.shape, coset_points(G, tc.A, budget))
     except BudgetExceeded as e:
         return outcome.undecided("budget-exhausted", space=e.space)
-    carries = lambda alpha: contains(G, alpha, tc.A) and G.equal(
+    return outcome.first(candidates, lambda alpha: carries(alpha, chi1, chi2),
+                         "exhausted-group-points")
+
+
+def carries(alpha, chi1: Cocycle, chi2: Cocycle) -> bool:
+    """Whether alpha lies in G(A) and chi1 = d1(alpha) chi2 d2(alpha)^{-1}."""
+    G, tc = chi1.group, chi1.context
+    return contains(G, alpha, tc.A) and G.equal(
         chi1.value, G.mul(G.map(tc.d1, alpha), G.mul(chi2.value, G.inv(G.map(tc.d2, alpha)))))
-    return outcome.first(candidates, carries, "exhausted-group-points")
 
 
 # --------------------------------------------------------------------------

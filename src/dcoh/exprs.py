@@ -27,6 +27,20 @@ class ExprError(ValueError):
     pass
 
 
+def indexed_name(name: str, stem: str, n: int):
+    """The 0-based index i - 1 of a name <stem><i> with 1 <= i <= n, or 0
+    for the bare <stem> when n == 1; None for any other name."""
+    if not name.startswith(stem):
+        return None
+    if name == stem:
+        return 0 if n == 1 else None
+    try:
+        i = int(name[len(stem):])
+    except ValueError:
+        return None
+    return i - 1 if 1 <= i <= n else None
+
+
 def tokenize(text: str) -> list:
     tokens = []
     text = text.strip()

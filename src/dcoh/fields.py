@@ -145,16 +145,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        r = None
-        while n:
-            if n & 1:
-                r = base if r is None else r * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.field.one() if r is None else r
+        return square_and_multiply(self if n >= 0 else self.inv(), abs(n), self.field.one)
 
     def inv(self):
         if self.is_zero():
@@ -216,6 +207,18 @@ class _ElementDomain(exprs.Domain):
         return self.field.named_element(name)
 
 
+def square_and_multiply(base, n: int, one):
+    """base ** n for n >= 0 by square and multiply; one() when n == 0."""
+    r = None
+    while n:
+        if n & 1:
+            r = base if r is None else r * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one() if r is None else r
+
+
 # --------------------------------------------------------------------------
 # base field
 
@@ -225,9 +228,6 @@ class SigmaField:
     characteristic: int
     inversive: bool
     finite: bool
-    # linalg.row_echelon runs fraction-free elimination on rows cleared to
-    # integers (values are ints and Fractions), not Gauss-Jordan on raw values
-    integer_elimination = False
 
     def element(self, obj) -> FieldElement:
         if isinstance(obj, FieldElement):
@@ -292,7 +292,6 @@ class RationalField(SigmaField):
     characteristic = 0
     inversive = True
     finite = False
-    integer_elimination = True
 
     # raw values in normal form (see the module docstring): an int when
     # integral, else a Fraction with denominator > 1

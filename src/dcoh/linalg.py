@@ -1,38 +1,25 @@
 """Exact linear algebra over the sigma-fields.
 
-Matrices are lists of rows of FieldElements.  row_echelon brings a matrix
-to its reduced echelon form, pivot entries one(), by one of two
-eliminations, chosen by field.integer_elimination:
+Matrices are lists of rows of FieldElements, or of their raw values
+(FieldElement.value) for the *_raw functions.  Every field, QQ included, is
+eliminated by one Gauss-Jordan with pivot division on raw values,
+_gauss_jordan_raw; every read-off below (echelon form, rank, kernel basis,
+solution, inverse) takes its pivots.  GF(q) entries cannot swell, QQ's
+_add and _mul return ints for integral results, and every QQ(t) operation
+returns a reduced result, so the systems that reach linalg (algebra
+kernels, inverses and ranks) stay small.
 
-  * over QQ each row is cleared to primitive integers and reduced by
-    fraction-free Gauss-Jordan elimination (Bareiss 1968): every update
-    p * a - c * b is divided exactly by the previous pivot, so entries stay
-    minors of the cleared matrix, and only the final rows are divided by
-    their pivots, each entry becoming a QQ raw value in normal form (an int
-    when the division is exact, else a Fraction).  Pivot division on
-    Fractions would pay a gcd per operation.  row_echelon_int runs the
-    same elimination on a matrix of ints; the Abramov ansatz, the QQ(t)
-    deciders' hot path, builds its system in Z[t] and calls it directly;
-  * over every other field by Gauss-Jordan with pivot division on raw
-    values (FieldElement.value).  GF(q) entries cannot swell, and the QQ(t)
-    systems that reach linalg (algebra kernels and inverses) stay small
-    because every QQ(t) operation returns a reduced result (by cancelling
-    across or by the denominator gcd, not by a gcd of the products).
-
-solve_square_raw runs the second elimination on the raw values of a square
-system over any field, QQ included; the finite-dimensional algebras use it
-to invert units, and nonsingular_raw, its rank alone, to test them;
-kernel_basis_raw reads a kernel basis off it for callers that hold raw
-values (the point enumeration of groups, over GF(p)).  Over QQ, integral
-systems stay on ints there, since QQ's _add and _mul return ints for
-integral results.
+row_echelon_int is the one fraction-free elimination (Bareiss 1968), on
+rows of Python ints: every update p * a - c * b is divided exactly by the
+previous pivot, so entries stay minors of the matrix and no gcd is paid per
+operation.  The Abramov ansatz, the QQ(t) deciders' hot path, builds dense
+systems in Z[t] whose entries would swell under pivot division, and calls it
+directly.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from fractions import Fraction
 
 
 def row_echelon(matrix, field):
@@ -40,11 +27,13 @@ def row_echelon(matrix, field):
 
     Returns (rows, pivots) where pivots is a list of (row, col) pairs.
     """
-    if field.integer_elimination:
-        return _row_echelon_integer(matrix, field)
-    rows, pivots = _gauss_jordan_raw([[x.value for x in row] for row in matrix], field)
+    rows, pivots = _gauss_jordan_raw(_values(matrix), field)
     wrap = field.wrap
     return [list(map(wrap, row)) for row in rows], pivots
+
+
+def _values(matrix):
+    return [[x.value for x in row] for row in matrix]
 
 
 def _gauss_jordan_raw(rows, field):
@@ -84,24 +73,6 @@ def _gauss_jordan_raw(rows, field):
         if r == nrows:
             break
     return rows, pivots
-
-
-def _row_echelon_integer(matrix, field):
-    """row_echelon over QQ by fraction-free Gauss-Jordan on integer rows."""
-    rows = []
-    for row in matrix:
-        vals = [x.value for x in row]
-        den = math.lcm(*[v.denominator for v in vals])
-        rows.append([v.numerator * (den // v.denominator) for v in vals])
-    rows, pivots = row_echelon_int(rows)
-    wrap = field.wrap
-    zero = field.zero()
-    out = []
-    for i, row in enumerate(rows):
-        # rows past the rank are zero; each pivot row is divided by its pivot
-        pv = row[pivots[i][1]] if i < len(pivots) else 1
-        out.append([wrap(Fraction(a, pv)) if a else zero for a in row])
-    return out, pivots
 
 
 def row_echelon_int(rows):
@@ -157,7 +128,13 @@ def row_echelon_int(rows):
 
 
 def rank(matrix, field) -> int:
-    return len(row_echelon(matrix, field)[1])
+    return len(_gauss_jordan_raw(_values(matrix), field)[1])
+
+
+def nonsingular_raw(matrix, field) -> bool:
+    """Whether a square matrix of raw field values is invertible: its rank
+    is its size.  The rows are reduced in place."""
+    return len(_gauss_jordan_raw(matrix, field)[1]) == len(matrix)
 
 
 def kernel_basis(matrix, field, ncols=None):
@@ -166,21 +143,15 @@ def kernel_basis(matrix, field, ncols=None):
     form, zero at the other free columns and zero past its own."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = row_echelon(matrix, field)
-    return _kernel_vectors(rows, pivots, ncols, field.zero(), field.one(), operator.neg)
+    wrap = field.wrap
+    return [list(map(wrap, vec)) for vec in kernel_basis_raw(_values(matrix), field, ncols)]
 
 
 def kernel_basis_raw(matrix, field, ncols: int):
-    """kernel_basis for a matrix of raw field values, by solve_square_raw's
-    elimination; the vectors are raw values too.  The rows are reduced in
-    place."""
+    """kernel_basis for a matrix of raw field values; the vectors are raw
+    values too.  The rows are reduced in place."""
     rows, pivots = _gauss_jordan_raw(matrix, field)
-    return _kernel_vectors(rows, pivots, ncols, field.zero().value, field.one().value,
-                           field._neg)
-
-
-def _kernel_vectors(rows, pivots, ncols, zero, one, neg):
-    """The kernel basis of kernel_basis, read off a reduced echelon form."""
+    zero, one, neg = field.zero().value, field.one().value, field._neg
     pivot_of_col = {c: r for r, c in pivots}
     basis = []
     for free in range(ncols):
@@ -194,21 +165,29 @@ def _kernel_vectors(rows, pivots, ncols, zero, one, neg):
     return basis
 
 
+def _solve_raw(rows, n, field, unique):
+    """X with M X = B for the augmented raw rows [M | B], M with n columns:
+    row c of X is the right-hand block of the pivot row of column c, zero
+    at a free column.  None when a pivot lies in the right-hand block (no
+    solution) or, if unique, when M has a free column.  The rows are
+    reduced in place."""
+    rows, pivots = _gauss_jordan_raw(rows, field)
+    if any(c >= n for _, c in pivots) or unique and len(pivots) < n:
+        return None
+    zero = [field.zero().value] * (len(rows[0]) - n if rows else 0)
+    x = [zero] * n
+    for r, c in pivots:
+        x[c] = rows[r][n:]
+    return x
+
+
 def solve(matrix, rhs, field):
     """One solution x of M x = rhs, or None if inconsistent."""
     if not matrix:
         return [] if all(b.is_zero() for b in rhs) else None
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = row_echelon(aug, field)
-    ncols = len(matrix[0])
-    for r, c in pivots:
-        if c == ncols:
-            return None
-    zero = field.zero()
-    x = [zero] * ncols
-    for r, c in pivots:
-        x[c] = rows[r][ncols]
-    return x
+    x = _solve_raw([[a.value for a in row] + [b.value] for row, b in zip(matrix, rhs)],
+                   len(matrix[0]), field, False)
+    return None if x is None else [field.wrap(v) for v, in x]
 
 
 def in_span(vectors, target, field):
@@ -222,28 +201,14 @@ def in_span(vectors, target, field):
 def invert_matrix(matrix, field):
     """Inverse of a square matrix of field elements, or None if singular."""
     n = len(matrix)
-    zero = field.zero()
-    one = field.one()
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(matrix)]
-    rows, pivots = row_echelon(aug, field)
-    if len(pivots) < n or any(c >= n for _, c in pivots):
-        return None
-    # n pivots in the first n columns: row i is e_i followed by row i of the inverse
-    return [row[n:] for row in rows]
-
-
-def nonsingular_raw(matrix, field) -> bool:
-    """Whether a square matrix of raw field values is invertible: its rank
-    by solve_square_raw's elimination, without a right-hand side.  The rows
-    are reduced in place."""
-    return len(_gauss_jordan_raw(matrix, field)[1]) == len(matrix)
+    zero, one = field.zero().value, field.one().value
+    x = _solve_raw([[a.value for a in row] + [one if i == j else zero for j in range(n)]
+                    for i, row in enumerate(matrix)], n, field, True)
+    wrap = field.wrap
+    return None if x is None else [list(map(wrap, row)) for row in x]
 
 
 def solve_square_raw(matrix, rhs, field):
     """x with M x = rhs for a square M of raw field values; None if M is singular."""
-    n = len(matrix)
-    rows, pivots = _gauss_jordan_raw([list(row) + [b] for row, b in zip(matrix, rhs)], field)
-    if len(pivots) < n or any(c >= n for _, c in pivots):
-        return None
-    return [row[n] for row in rows]
+    x = _solve_raw([list(row) + [b] for row, b in zip(matrix, rhs)], len(matrix), field, True)
+    return None if x is None else [v for v, in x]

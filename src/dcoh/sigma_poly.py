@@ -15,7 +15,7 @@ Text syntax: ``s^j(y_i)`` denotes sigma^j(y_i), e.g. ``s(y1)^2 - 3*y1 + t``.
 from __future__ import annotations
 
 from . import exprs
-from .fields import FieldElement, FieldError
+from .fields import FieldElement, FieldError, square_and_multiply
 
 
 class SigmaPolyError(ValueError):
@@ -111,14 +111,8 @@ class SigmaPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise SigmaPolyError("negative power of a sigma-polynomial")
-        r = SigmaPolynomial.constant(self.field, self.nvars, 1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        one = lambda: SigmaPolynomial.constant(self.field, self.nvars, 1)
+        return square_and_multiply(self, n, one)
 
     def __eq__(self, other):
         if not isinstance(other, SigmaPolynomial):
@@ -209,15 +203,9 @@ class _PolyDomain(exprs.Domain):
         return arg.shift(power)
 
     def name(self, name):
-        if name.startswith("y"):
-            if name == "y" and self.nvars == 1:
-                return SigmaPolynomial.variable(self.field, self.nvars, 0)
-            try:
-                idx = int(name[1:])
-            except ValueError:
-                idx = None
-            if idx is not None and 1 <= idx <= self.nvars:
-                return SigmaPolynomial.variable(self.field, self.nvars, idx - 1)
+        i = exprs.indexed_name(name, "y", self.nvars)
+        if i is not None:
+            return SigmaPolynomial.variable(self.field, self.nvars, i)
         try:
             c = self.field.named_element(name)
         except FieldError:
@@ -334,16 +322,10 @@ class _MultDomain(exprs.Domain):
         return {(i, j + power): e for (i, j), e in arg.items()}
 
     def name(self, name):
-        if name == "y" and self.nvars == 1:
-            return {(0, 0): 1}
-        if name.startswith("y"):
-            try:
-                idx = int(name[1:])
-            except ValueError:
-                raise exprs.ExprError(f"unknown variable {name!r}")
-            if 1 <= idx <= self.nvars:
-                return {(idx - 1, 0): 1}
-        raise exprs.ExprError(f"unknown variable {name!r}")
+        i = exprs.indexed_name(name, "y", self.nvars)
+        if i is None:
+            raise exprs.ExprError(f"unknown variable {name!r}")
+        return {(i, 0): 1}
 
     def mul(self, a, b):
         out = dict(a)

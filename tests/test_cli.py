@@ -554,6 +554,42 @@ def test_verify_checks_points_over_an_algebra(argv, doctored):
         assert vcode == 3 and vlines[0]["result"] == "unverified", bad
 
 
+# cocycle-equiv answers for equal cocycles, whose witness is the identity
+# of G(A), with a doctored alpha that verify must reject and whether it
+# lies in G(A)
+GROUP_POINTS = [
+    (["cocycle-equiv", "--field", "GF(9)", "--algebra", "mu:1,1", "--group", "mu2sigma",
+      "--chi", "y#y", "--chi2", "y#y"], [["1"]], [["y"]], True),
+    (["cocycle-equiv", "--field", "GF(3)", "--algebra", "split:2;perm=1,0",
+      "--group", "twist:GL1;d=1;psi=id", "--chi", "1", "--chi2", "1"],
+     [["e1 + e2"]], [["e1"]], False),
+]
+
+
+@pytest.mark.parametrize("argv,alpha,doctored,member", GROUP_POINTS,
+                         ids=[a[6] for a, *_ in GROUP_POINTS])
+def test_verify_checks_witnesses_in_the_group_over_the_algebra(argv, alpha, doctored, member):
+    from dcoh.cli import parse_algebra, parse_group, parse_literal, parse_matrix
+    from dcoh.fields import make_field
+    from dcoh.groups import contains
+    code, lines = run_cli(argv)
+    assert code == 0 and lines[0]["witness"] == {"type": "matrix", "value": alpha}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 0 and vlines[0]["result"] is True
+    # y is in mu2sigma(A) but carries y#y to y^-1#y; e1 is no unit
+    field = make_field(argv[2])
+    A = parse_algebra(field, argv[4], 100)
+    value = parse_matrix(lambda e: parse_literal(A, e), f"[[{doctored[0][0]}]]")
+    assert contains(parse_group(field, argv[6]), value, A) is member
+    witness = {"type": "matrix", "value": doctored}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], witness=witness))])
+    assert vcode == 1 and vlines[0]["result"] is False
+    # the cocycles are read as the query read them: a non-cocycle is a parse error
+    args = dict(lines[0]["args"], chi2="-1")
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(dict(lines[0], args=args))])
+    assert vcode == 2 and "not a cocycle" in vlines[0]["certificate"]
+
+
 # a "yes" iso and a torsor-points answer over the base field for each
 # family, and an additive cocycle-equiv answer, with a doctored witness that
 # verify must reject and a witness of another shape that it must leave

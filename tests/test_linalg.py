@@ -1,5 +1,6 @@
-"""linalg against Gauss-Jordan references: Fractions over QQ (fraction-free
-elimination), FieldElements over GF(9) and QQ(t);shift."""
+"""linalg against Gauss-Jordan references: Fractions over QQ, FieldElements
+over GF(9) and QQ(t);shift, and row_echelon_int against row_echelon over
+QQ."""
 
 import random
 import time
@@ -411,3 +412,19 @@ def test_qq_outputs_are_in_normal_form(QQ):
             for value in row:
                 assert_qq_normal_form(value)
     assert inverted > 0
+
+
+def test_every_qq_elimination_is_the_raw_gauss_jordan(QQ, monkeypatch):
+    """row_echelon, kernel_basis, solve, invert_matrix and rank over QQ
+    each run _gauss_jordan_raw once: one elimination for every field."""
+    fields = []
+    eliminate = linalg._gauss_jordan_raw
+    monkeypatch.setattr(linalg, "_gauss_jordan_raw",
+                        lambda rows, field: fields.append(field) or eliminate(rows, field))
+    M = [[QQ.element(x) for x in row] for row in ([1, 2, 0], [Fraction(1, 2), 3, 1], [0, 4, 1])]
+    rhs = [QQ.one(), QQ.zero(), QQ.element(Fraction(2, 3))]
+    for run in (linalg.row_echelon, linalg.kernel_basis, linalg.rank, linalg.invert_matrix,
+                lambda m, field: linalg.solve(m, rhs, field)):
+        fields.clear()
+        run(M, QQ)
+        assert fields == [QQ], run

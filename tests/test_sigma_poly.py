@@ -211,3 +211,25 @@ def test_mult_eval_without_a_denominator_inverts_nothing(monkeypatch):
     for x in units:
         f.eval((x,))
     assert len(calls) == len(units)
+
+
+def test_indexed_names_are_read_once_and_each_caller_keeps_its_miss(gf9):
+    """exprs.indexed_name reads <stem> and <stem><i> for sigma-polynomials,
+    multiplicative functions and monomial algebras; a miss falls back to a
+    field name, is an unknown variable, or is None, as each caller states."""
+    from dcoh import exprs
+    from dcoh.algebras import FreePolyAlgebra
+    cases = {("y", 1): 0, ("y", 2): None, ("y1", 2): 0, ("y2", 2): 1, ("y3", 2): None,
+             ("y0", 2): None, ("yz", 2): None, ("w", 2): None}
+    for (name, n), index in cases.items():
+        assert exprs.indexed_name(name, "y", n) == index, (name, n)
+    w = gf9.named_element("w")
+    assert parse_sigma_polynomial("w*y2", gf9, 2) == var(gf9, 2, 1) * w
+    with pytest.raises(ValueError, match="unknown name"):
+        parse_sigma_polynomial("y3", gf9, 2)
+    with pytest.raises(ValueError, match="unknown variable"):
+        parse_multiplicative("y3", 2)
+    A = FreePolyAlgebra(gf9, 2)
+    assert A.named_element(A.stem + "2") == A.gen(1) and A.named_element(A.stem + "3") is None
+    with pytest.raises(SigmaPolyError):
+        var(gf9, 1, 0) ** -1
