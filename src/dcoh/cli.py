@@ -208,12 +208,17 @@ FAMILIES = {fam.name: fam for fam in (
 BY_KIND = {fam.torsor_kind: fam for fam in FAMILIES.values()}
 
 
-def parse_group(field, desc: str):
-    name, colon, options = desc.partition(":")
+def _group_family(desc: str) -> Family:
+    """The family whose group descriptors have desc's prefix."""
+    name, colon, _ = desc.partition(":")
     for fam in FAMILIES.values():
         if fam.group_prefix == name + colon:
-            return fam.group(field, options)
+            return fam
     raise CliError(f"unknown group descriptor {desc!r}")
+
+
+def parse_group(field, desc: str):
+    return _group_family(desc).group(field, desc.partition(":")[2])
 
 
 def _normal_forms(fam: Family, field, options: str, *texts):
@@ -622,19 +627,22 @@ def cmd_verify(args, base):
         ok = str(field.element(qargs["expr"])) == line["result"]
     elif cmd == "iso" and w:
         ok = _carries(*iso_torsors(field, _family(qargs["family"]), qargs), w)
-    elif cmd == "cocycle-equiv" and w and isinstance(line.get("detail"), dict):
-        # the witness carries the lhs invariant onto the rhs invariant: the
-        # detail reads as an iso query of its family
-        detail = _Line(line["detail"])
-        fam = _family(detail["family"])
-        # a family without invariants writes no detail, so it has no keys
-        flags = zip(fam.iso_flags, fam.iso_detail, strict=True) if fam.invariant else ()
-        ok = _carries(*iso_torsors(field, fam, {
-            **{flag: detail.get(key) for flag, key in flags},
-            "lhs": _invariant_text(detail["lhs_invariant"]),
-            "rhs": _invariant_text(detail["rhs_invariant"])}), w)
-        if ok is None:
-            # no point over k: the witness is alpha in G(A) itself
+    elif cmd == "cocycle-equiv" and w:
+        has_detail = isinstance(line.get("detail"), dict)
+        if has_detail:
+            # the witness carries the lhs invariant onto the rhs invariant:
+            # the detail reads as an iso query of its family
+            detail = _Line(line["detail"])
+            fam = _family(detail["family"])
+            # a family without invariants writes no detail, so it has no keys
+            flags = zip(fam.iso_flags, fam.iso_detail, strict=True) if fam.invariant else ()
+            ok = _carries(*iso_torsors(field, fam, {
+                **{flag: detail.get(key) for flag, key in flags},
+                "lhs": _invariant_text(detail["lhs_invariant"]),
+                "rhs": _invariant_text(detail["rhs_invariant"])}), w)
+        if ok is None and (has_detail or _group_family(str(qargs["group"])).invariant):
+            # no point over k, or no detail although the family ships
+            # invariants (a cocycle has none): the witness is alpha in G(A)
             ok = _carries_cocycles(qargs, w, args.budget)
     elif cmd == "torsor-points" and w:
         # a point over k or over an algebra R satisfies the torsor's equations

@@ -30,7 +30,8 @@ from fractions import Fraction
 
 from . import linalg, outcome, polys
 from .fields import (FieldElement, FiniteField, RationalField,
-                     RationalFunctionField, make_field)
+                     RationalFunctionField, _ip_powmod, _ip_sub_x, _is_prime,
+                     make_field)
 from .outcome import BudgetExceeded, InternalError, Outcome, charge
 from .polys import ONE, ZERO, deg, pdiv_exact, pgcd, plcm, pmul, poly
 
@@ -212,20 +213,104 @@ def _dispersion_window(A, B) -> int:
     return int(polys.cauchy_root_bound(A) + polys.cauchy_root_bound(B)) + 1
 
 
+def _residue_prime(floor: int, *ns: int) -> int:
+    """The least prime above floor that divides none of ns, by trial division."""
+    ell = floor + 1
+    while not (_is_prime(ell) and all(n % ell for n in ns)):
+        ell += 1
+    return ell
+
+
+def _distinct_factors(cs: list, ell: int) -> tuple:
+    """(roots, parts) for the distinct monic irreducible factors of cs mod
+    ell: the roots of the linear ones, and {e: the product of those of
+    degree e} for e >= 2.  ell is a prime above deg cs that does not
+    divide lc(cs).
+
+    The radical r = a / gcd(a, a') of the monic reduction a (a' has a's
+    degree minus one, as ell > deg a) has the same factors, once each.  Its
+    roots are read off by evaluating r at each point of F_ell, and their
+    linear factors divided out; then gcd(r, t^(ell^e) - t) takes the
+    factors of degree e once the smaller ones are gone, and a rest of
+    degree < 2e + 2 is one irreducible factor.
+    """
+    inv = pow(cs[-1], -1, ell)
+    a = [c * inv % ell for c in cs]
+    r = polys._quo_mod(a, polys._gcd_mod(a, [i * c % ell for i, c in enumerate(a)][1:], ell), ell)
+    roots = []
+    for x in range(ell):
+        if len(r) == 1:
+            break
+        v = 0
+        for c in reversed(r):
+            v = v * x + c
+        if not v % ell:
+            roots.append(x)
+            r = polys._quo_mod(r, [-x % ell, 1], ell)
+    parts, e = {}, 1
+    while len(r) > 2 * e + 2:
+        e += 1
+        g = polys._gcd_mod(r, _ip_sub_x(_ip_powmod([0, 1], ell ** e, r, ell), ell), ell)
+        if len(g) > 1:
+            parts[e] = g
+            r = polys._quo_mod(r, g, ell)
+    if len(r) > 1:
+        parts[len(r) - 1] = r
+    return roots, parts
+
+
+def _shift_residues(ia: list, ib: list, ell: int):
+    """The residues mod ell named by pairs of same-degree factors of the
+    integer polynomials ia and ib mod ell (see _shift_candidates); None
+    when both have factors of some degree e >= 2 and one of them has
+    several, which are not split."""
+    ra, pa = _distinct_factors(ia, ell)
+    rb, pb = _distinct_factors(ib, ell)
+    # a linear pair t - x, t - y names y - x
+    out = {(y - x) % ell for x in ra for y in rb}
+    for e in pa.keys() & pb.keys():
+        fa, fb = pa[e], pb[e]
+        if len(fa) > e + 1 or len(fb) > e + 1:
+            return None
+        out.add((fa[e - 1] - fb[e - 1]) * pow(e, -1, ell) % ell)
+    return out
+
+
 def _shift_candidates(A, B, start: int, step: int, count: int):
     """The h = start, start + step, ... (count of them) that may have
     deg gcd(A(t), B(t+h)) > 0, lazily and in that order.
 
-    A and B are cleared to primitive integer polynomials once, B(t+h) is
-    stepped to B(t+h+step) by an integer Taylor shift, and each h is tested
-    by the degree of the gcd of the reductions modulo polys.PRIME.  A shift
-    keeps the leading coefficient, so one test per scan finds whether the
-    prime divides neither leading coefficient; then the primitive gcd g
-    over QQ divides both polynomials in Z[t] (Gauss's lemma), the prime
-    does not divide lc(g), and g mod p is a common divisor of the same
-    degree: deg gcd mod p >= deg gcd over QQ, so no true h is dropped.
-    When the prime divides a leading coefficient every h is a candidate.
-    The caller confirms each candidate by its gcd over QQ.
+    A and B are cleared to primitive integer polynomials once.  Each h is
+    tested by the degree of the gcd of the reductions modulo polys.PRIME,
+    with B(t+h) reached by an integer Taylor shift over the gap from the
+    last h tested.  A shift keeps the leading coefficient, so one test per
+    scan finds whether the prime divides neither leading coefficient; then
+    the primitive gcd g over QQ divides both polynomials in Z[t] (Gauss's
+    lemma), the prime does not divide lc(g), and g mod p is a common
+    divisor of the same degree: deg gcd mod p >= deg gcd over QQ, so no
+    true h is dropped.  When the prime divides a leading coefficient every
+    h is a candidate.  The caller confirms each candidate by its gcd over
+    QQ.
+
+    Only the h whose residue modulo a small prime ell is named by the
+    factors of A and B mod ell are tested (Man and Wright 1994; Gerhard,
+    Giesbrecht, Storjohann and Zima 2003).  ell is the least prime above
+    count - 1 and both degrees that divides neither the step nor a leading
+    coefficient.  So the window's h, whose differences are the step times
+    a number below ell, have distinct residues, every degree e <= deg has
+    an inverse mod ell, and one always exists, as only finitely many
+    primes divide the step and the leading coefficients.  Lemma: if
+    g = gcd(A(t), B(t+h)) is nonconstant over QQ, then ell does not divide
+    lc(g), as above, so each monic irreducible factor phi of g mod ell, of
+    degree e, divides A mod ell, psi(t) = phi(t - h) divides B mod ell, and
+    their t^(e-1) coefficients satisfy psi_(e-1) = phi_(e-1) - e h:
+    h = (phi_(e-1) - psi_(e-1)) / e (mod ell) for a pair of factors of the
+    same degree (_shift_residues).  When one degree part of both holds
+    several factors of degree >= 2, the whole window is tested: splitting
+    them would take random choices.  Reading the factors costs about ell
+    evaluations of the radicals and a few powers mod ell, against one
+    Taylor shift and one gcd for each of the window's count shifts, and
+    ell is about count.
     """
     ia = polys._primitive(polys._cleared(A)[0])
     ib = polys._primitive(polys._cleared(B)[0])
@@ -234,16 +319,20 @@ def _shift_candidates(A, B, start: int, step: int, count: int):
     if not (ia[-1] % p and ib[-1] % p):
         yield from hs
         return
-    polys._taylor_shift(ib, start)
-    for h in hs:
+    ell = _residue_prime(max(count - 1, len(ia) - 1, len(ib) - 1), step, ia[-1], ib[-1])
+    residues = _shift_residues(ia, ib, ell)
+    at = 0
+    for h in hs if residues is None else [h for h in hs if h % ell in residues]:
+        polys._taylor_shift(ib, h - at)
+        at = h
         if polys._gcd_degree_mod(ia, ib, p) > 0:
             yield h
-        polys._taylor_shift(ib, step)
 
 
 def _dispersion_candidates(A, B, budget: float):
-    """The mod-p candidates of dispersion_set's window, a superset of the
-    dispersion set; the window is charged to the budget first."""
+    """The candidates of dispersion_set's window (_shift_candidates), a
+    superset of the dispersion set; the whole window is charged to the
+    budget first."""
     if deg(A) <= 0 or deg(B) <= 0:
         return []
     top = _dispersion_window(A, B)
@@ -257,8 +346,10 @@ def dispersion_set(A, B, budget: float = math.inf) -> list:
 
     The candidates are the nonnegative integer roots of the resultant
     Res_t(A(t), B(t+h)) in h; they live inside the root-bound window.  Only
-    the h of the window that pass the mod-p test of _shift_candidates get
-    the gcd over QQ that decides them.
+    the h of the window that _shift_candidates keeps, those whose residue
+    the factors mod a small prime name and whose gcd mod polys.PRIME is
+    nonconstant (its lemma drops no true h), get the gcd over QQ that
+    decides them.
     """
     return [h for h in _dispersion_candidates(A, B, budget)
             if deg(pgcd(A, polys.shift(B, h))) > 0]
@@ -282,8 +373,9 @@ def dispersion_set_resultant(A, B) -> list:
 def universal_denominator(ps, budget: float = math.inf) -> tuple:
     """Abramov's universal denominator for sum p_i(t) y(t+i) = q(t).
 
-    The loop runs over the mod-p candidates of the dispersion window, a
-    superset of the dispersion set (_shift_candidates), largest first, and
+    The loop runs over the candidates of the dispersion window, a superset
+    of the dispersion set by the lemma of _shift_candidates (the factor
+    residues mod a small prime, then a gcd mod polys.PRIME), largest first, and
     its own gcd of the reduced A and B confirms each one: A and B only lose
     factors, so at an h outside the dispersion set that gcd divides
     gcd(A(t), B(t+h)) = 1 and the h is skipped.  So u is the one the
@@ -607,8 +699,9 @@ def solve_sigma_quotient(a: FieldElement, d: int = 1, budget: float = math.inf) 
 def _first_shift(p, q, d: int, top: int):
     """The first j != 0 in -top..top with deg gcd(p, q(t + j*d)) > 0, and
     that gcd; (None, None) when there is none.  The window is scanned by
-    the mod-p test of _shift_candidates, which drops no such j, and stops
-    at the first j whose gcd over QQ confirms it.
+    _shift_candidates, whose residue filter and gcd mod polys.PRIME drop no
+    such j (its lemma), and stops at the first j whose gcd over QQ
+    confirms it.
     """
     for h in _shift_candidates(p, q, -top * d, d, 2 * top + 1):
         if h:

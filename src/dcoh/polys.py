@@ -20,7 +20,11 @@ case; otherwise the primitive remainder sequence over the integers gives
 the gcd exactly.  Every result is the tuple the Fraction formulas give.
 The integer kernels of `pmul` and `shift` (`_mul_ints`, `_taylor_shift`)
 and the modular gcd degree also serve the shift-window scans and the
-Abramov ansatz of `operators`, which stay on integers throughout.
+Abramov ansatz of `operators`, which stay on integers throughout; the
+scans test only the shifts that the factors of both polynomials modulo a
+small prime name (their lemma is stated at `operators._shift_candidates`),
+with the monic gcd and the exact quotient modulo that prime (`_gcd_mod`,
+`_quo_mod`).
 
 This module also provides the number-theoretic helpers the difference
 solvers need: exact square roots, resultants, integer root isolation and
@@ -208,8 +212,9 @@ def _trim(cs: list) -> list:
     return cs
 
 
-def _gcd_degree_mod(A: list, B: list, p: int) -> int:
-    """Degree of gcd(A mod p, B mod p); p divides neither leading coefficient."""
+def _euclid_mod(A: list, B: list, p: int) -> list:
+    """The last nonzero remainder of Euclid's algorithm on A mod p and
+    B mod p, a gcd up to a unit; p divides neither leading coefficient."""
     a = [c % p for c in A]
     b = [c % p for c in B]
     while b:
@@ -224,7 +229,32 @@ def _gcd_degree_mod(A: list, B: list, p: int) -> int:
             a.pop()
             _trim(a)
         a, b = b, a
-    return len(a) - 1
+    return a
+
+
+def _gcd_degree_mod(A: list, B: list, p: int) -> int:
+    """Degree of gcd(A mod p, B mod p); p divides neither leading coefficient."""
+    return len(_euclid_mod(A, B, p)) - 1
+
+
+def _gcd_mod(A: list, B: list, p: int) -> list:
+    """The monic gcd of A mod p and B mod p; p divides neither leading coefficient."""
+    a = _euclid_mod(A, B, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _quo_mod(a: list, b: list, p: int) -> list:
+    """The quotient of a by the monic b, coefficients mod p."""
+    r = list(a)
+    nb = len(b) - 1
+    q = [0] * (len(r) - nb)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + nb] % p
+        if c:
+            for j in range(nb):
+                r[i + j] -= c * b[j]
+    return q
 
 
 def pgcd(a, b) -> tuple:

@@ -590,6 +590,34 @@ def test_verify_checks_witnesses_in_the_group_over_the_algebra(argv, alpha, doct
     assert vcode == 2 and "not a cocycle" in vlines[0]["certificate"]
 
 
+def test_verify_checks_alpha_on_cocycle_equiv_lines_without_detail():
+    """A family that ships invariants writes no detail when a cocycle has
+    none; the witness is then alpha in G(A), and verify checks it as such.
+    diag ships no invariants: its lines stay unverified."""
+    from dcoh.cli import parse_algebra, parse_group, parse_literal, parse_matrix
+    from dcoh.fields import make_field
+    from dcoh.groups import contains
+    argv = ["cocycle-equiv", "--field", "QQ", "--algebra", "laurent:1;sigma(u)=u",
+            "--group", "mu2sigma", "--chi", "1", "--chi2", "1"]
+    code, lines = run_cli(argv)
+    assert code == 0 and lines[0]["detail"] is None
+    assert lines[0]["witness"] == {"type": "matrix", "value": [["1"]]}
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(lines[0])])
+    assert vcode == 0 and vlines[0]["result"] is True
+    # 2 squares to 4, so it lies outside mu2sigma(A)
+    field = make_field("QQ")
+    A = parse_algebra(field, argv[4], 100)
+    assert contains(parse_group(field, "mu2sigma"),
+                    parse_matrix(lambda e: parse_literal(A, e), "[[2]]"), A) is False
+    outside = dict(lines[0], witness={"type": "matrix", "value": [["2"]]})
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(outside)])
+    assert vcode == 1 and vlines[0]["result"] is False
+    diag = dict(lines[0], args=dict(lines[0]["args"], group="diag:1;y^2"),
+                witness={"type": "tuple", "value": ["1"]})
+    vcode, vlines = run_cli(["verify", "--line", json.dumps(diag)])
+    assert vcode == 3 and vlines[0]["result"] == "unverified"
+
+
 # a "yes" iso and a torsor-points answer over the base field for each
 # family, and an additive cocycle-equiv answer, with a doctored witness that
 # verify must reject and a witness of another shape that it must leave

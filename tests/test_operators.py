@@ -710,3 +710,184 @@ def test_additive_kernel_basis_matches_the_ansatz_over_QQ(shift_field, text):
                 x[c] = -rows[r][free]
             want.append(k.ratfun(polys.poly(x), u))
     assert additive_kernel_basis(L) == want
+
+
+# --------------------------------------------------------------------------
+# the residue prefilter of the window scans, against the scan of every shift
+
+
+def _full_window_scan(A, B, start, step, count):
+    """The window scan without the residue prefilter: every h of the window
+    is tested by its gcd modulo polys.PRIME."""
+    ia, ib = _primitive_ints(A), _primitive_ints(B)
+    p = polys.PRIME
+    hs = range(start, start + count * step, step)
+    if not (ia[-1] % p and ib[-1] % p):
+        yield from hs
+        return
+    polys._taylor_shift(ib, start)
+    for h in hs:
+        if polys._gcd_degree_mod(ia, ib, p) > 0:
+            yield h
+        polys._taylor_shift(ib, step)
+
+
+def _scan_windows(A, B):
+    """(start, step, count) of dispersion_set's window and of _first_shift's
+    windows for d = 1, 2, 3, which reach negative shifts."""
+    from dcoh import operators
+    out = [(0, 1, operators._dispersion_window(A, B) + 1)]
+    for d in (1, 2, 3):
+        top = int((polys.cauchy_root_bound(A) + polys.cauchy_root_bound(B)) / d) + 1
+        out.append((-top * d, d, 2 * top + 1))
+    return out
+
+
+def _residue_prime_of(A, B, start, step, count):
+    from dcoh.operators import _residue_prime
+    ia, ib = _primitive_ints(A), _primitive_ints(B)
+    return _residue_prime(max(count - 1, len(ia) - 1, len(ib) - 1), step, ia[-1], ib[-1])
+
+
+def _residue_family():
+    """(A, B) pairs for the prefilter: a leading coefficient divisible by the
+    first prime above the window, which also makes the roots -2/11 and 1
+    meet mod 13; repeated roots; an irreducible quadratic and cubic with
+    shifted partners; two cubics on each side (the prefilter falls back);
+    and seeded products of factors of degree 1-3 with partners shifted by
+    -4..4."""
+    q, c1, c2 = polys.poly([1, 1, 1]), polys.poly([-2, 0, 0, 1]), polys.poly([1, 1, 0, 1])
+    cases = [
+        (_product(_linear(2, 11), _linear(-1)), _product(_linear(-20, 11), _linear(3))),
+        (_product(_linear(1), _linear(1), _linear(-2)), _product(_linear(-3), _linear(-3), _linear(4))),
+        (_product(q, _linear(5)), _product(polys.shift(q, -3), _linear(-1))),
+        (_product(c1, _linear(1)), _product(polys.shift(c1, -2), _linear(7))),
+        (_product(c1, c2), _product(polys.shift(c1, -1), polys.shift(c2, -2))),
+    ]
+    rng = random.Random(73)
+    for _ in range(30):
+        f = _random_poly(rng, 1, 3)
+        h = rng.randint(-4, 4)
+        A = _product(*[f] * rng.choice((1, 1, 2)), _random_poly(rng, 0, 2))
+        B = _product(polys.shift(f, -h), _random_poly(rng, 0, 2))
+        cases.append((A, B) if rng.random() < 0.5 else (B, A))
+    return cases
+
+
+def _residue_features(A, B):
+    """Which of the family's features (A, B) shows in one of its windows."""
+    from dcoh.operators import _distinct_factors, _residue_prime, _shift_residues
+    ia, ib = _primitive_ints(A), _primitive_ints(B)
+    found = set()
+    for window in _scan_windows(A, B):
+        ell = _residue_prime_of(A, B, *window)
+        if ell != _residue_prime(max(window[2] - 1, len(ia) - 1, len(ib) - 1), window[1]):
+            found.add("prime divides a leading coefficient")
+        for cs in (ia, ib):
+            derivative = [i * c for i, c in enumerate(cs)][1:]
+            if polys.deg(polys.pgcd(polys.poly(cs), polys.poly(derivative))) > 0:
+                found.add("repeated root")
+            elif polys._gcd_degree_mod(cs, derivative, ell) > 0:
+                found.add("prime divides a discriminant")
+        (_, pa), (_, pb) = _distinct_factors(ia, ell), _distinct_factors(ib, ell)
+        for e in pa.keys() & pb.keys():
+            if len(pa[e]) == len(pb[e]) == e + 1:
+                found.add(f"irreducible partners of degree {e}")
+        if _shift_residues(ia, ib, ell) is None:
+            found.add("several factors of one degree")
+    return found
+
+
+def test_residue_prefilter_keeps_every_candidate_on_a_seeded_family():
+    """_shift_candidates yields what the scan of every shift yields, on
+    every window of the family, and the family shows every feature."""
+    from dcoh.operators import _shift_candidates
+    features, signs = set(), set()
+    for A, B in _residue_family():
+        features |= _residue_features(A, B)
+        for window in _scan_windows(A, B):
+            got = list(_shift_candidates(A, B, *window))
+            assert got == list(_full_window_scan(A, B, *window)), (A, B, window)
+            signs.update((window[1], h > 0) for h in got if h)
+    assert features == {"prime divides a leading coefficient", "prime divides a discriminant",
+                        "repeated root", "irreducible partners of degree 2",
+                        "irreducible partners of degree 3", "several factors of one degree"}
+    assert signs == {(d, s) for d in (1, 2, 3) for s in (True, False)}
+
+
+def test_residue_prefilter_tests_a_fraction_of_the_window(monkeypatch):
+    """The gcds modulo polys.PRIME run only on the shifts the residues name,
+    under an eighth of the windows they filter; a scan that falls back
+    tests its whole window."""
+    from dcoh.operators import _shift_candidates, _shift_residues
+    calls = []
+    real = polys._gcd_degree_mod
+
+    def counting(a, b, p):
+        calls.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(polys, "_gcd_degree_mod", counting)
+    tested = window_total = fallbacks = 0
+    for A, B in _residue_family():
+        for window in _scan_windows(A, B):
+            ell = _residue_prime_of(A, B, *window)
+            calls.clear()
+            list(_shift_candidates(A, B, *window))
+            assert set(calls) <= {polys.PRIME}
+            if _shift_residues(_primitive_ints(A), _primitive_ints(B), ell) is None:
+                assert len(calls) == window[2]
+                fallbacks += 1
+            else:
+                assert len(calls) < window[2]
+                tested += len(calls)
+                window_total += window[2]
+    assert fallbacks >= 4 and tested * 8 < window_total
+
+
+def _ratfun_decide_workload(seed):
+    """The benchmark's ratfun-decide workload at this seed."""
+    import importlib.util
+    import pathlib
+    from types import SimpleNamespace
+
+    from dcoh import fields, operators, torsors
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "wl_ratfun_decide.py"
+    spec = importlib.util.spec_from_file_location("wl_ratfun_decide", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    dc = SimpleNamespace(fields=fields, operators=operators, torsors=torsors)
+    return module.Workload(dc, seed, module.MAX_DISTINCT_ROUNDS)
+
+
+def test_residue_prefilter_on_the_benchmark_inputs(monkeypatch):
+    """On every ratfun-decide input of seeds 1-10 the scans yield what the
+    scan of every shift yields; dispersion_set equals the resultant oracle
+    and _first_shift the scan over QQ on each window they reach."""
+    from dcoh import operators
+    from dcoh.operators import _first_shift
+    scans = {}
+    real = operators._shift_candidates
+
+    def recording(A, B, start, step, count):
+        scans[A, B, start, step, count] = None
+        return real(A, B, start, step, count)
+
+    monkeypatch.setattr(operators, "_shift_candidates", recording)
+    for seed in range(1, 11):
+        w = _ratfun_decide_workload(seed)
+        for queries in w.rounds:
+            for query in queries:
+                assert w.check(query, w.run(query))[0], query
+    monkeypatch.undo()
+    dispersions = 0
+    for A, B, start, step, count in scans:
+        got = list(real(A, B, start, step, count))
+        assert got == list(_full_window_scan(A, B, start, step, count)), (A, B, start, step)
+        if start == 0:
+            assert dispersion_set(A, B) == dispersion_set_resultant(A, B), (A, B)
+            dispersions += 1
+        else:
+            top = count // 2
+            assert _first_shift(A, B, step, top) == _reference_first_shift(A, B, step, top)
+    assert dispersions >= 10 and len(scans) - dispersions >= 10
